@@ -26,22 +26,6 @@ std::vector<unsigned> ParseThreadList(const char* arg) {
   return threads;
 }
 
-std::vector<size_t> ParseBatchList(const char* arg) {
-  std::vector<size_t> batches;
-  while (*arg != '\0') {
-    char* end = nullptr;
-    const long long value = std::strtoll(arg, &end, 10);
-    if (end == arg || value < 1) {
-      std::fprintf(stderr, "bad --batch-size list near '%s'\n", arg);
-      std::exit(1);
-    }
-    batches.push_back(static_cast<size_t>(value));
-    arg = (*end == ',') ? end + 1 : end;
-  }
-  if (batches.empty()) batches.push_back(1);
-  return batches;
-}
-
 /// Minimal JSON string escaping: the keys and values we emit are bench,
 /// scenario, and method names, but stay correct for anything printable.
 std::string JsonEscape(const std::string& text) {
@@ -85,10 +69,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--prepared-cache-mb=", 20) == 0) {
       options.prepared_cache_bytes =
           static_cast<size_t>(std::atoll(arg + 20)) << 20;
-    } else if (std::strncmp(arg, "--batch-size=", 13) == 0) {
-      options.batch_sizes = ParseBatchList(arg + 13);
-    } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
-      options.queue_depth = static_cast<size_t>(std::atoll(arg + 14));
     } else if (std::strcmp(arg, "--compressed") == 0) {
       options.compressed = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -105,9 +85,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
           "  --time-stages per-pair stage timers (filter/refine seconds)\n"
           "  --prepared-cache-mb  per-worker prepared-geometry cache budget\n"
           "                in MB (default 32; 0 disables the cache)\n"
-          "  --batch-size  staged-executor SoA batch size; a comma list\n"
-          "                sweeps (default 1 = pair-at-a-time)\n"
-          "  --queue-depth stage-queue capacity in batches (default 8)\n"
           "  --compressed  serve approximations from the blocked-codec\n"
           "                CompressedAprilStore instead of flat vectors\n"
           "  --json        write machine-readable records to PATH\n",
@@ -239,7 +216,7 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
   FindRelationRun run;
   run.relation_histogram.assign(de9im::kNumRelations, 0);
   Timer timer;
-  if (config.threads == 1 && config.batch_size <= 1) {
+  if (config.threads == 1) {
     const PipelineOptions pipeline_options{
         .time_stages = config.time_stages,
         .prepared_cache_bytes = config.prepared_cache_bytes,
@@ -255,8 +232,6 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
         .num_threads = config.threads,
         .time_stages = config.time_stages,
         .prepared_cache_bytes = config.prepared_cache_bytes,
-        .batch_size = config.batch_size,
-        .queue_depth = config.queue_depth,
         .decoded_cache_bytes = config.decoded_cache_bytes};
     const ParallelJoinResult result =
         ParallelFindRelation(method, r_view, s_view, pairs, join_options);

@@ -31,13 +31,6 @@ struct BenchOptions {
   /// Per-worker PreparedPolygon cache budget (--prepared-cache-mb=N, in
   /// megabytes; 0 disables the cache and restores one-shot refinement).
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
-  /// SoA batch sizes for the staged executor (--batch-size=N or
-  /// --batch-size=N1,N2,...; harnesses that do not sweep use the first
-  /// entry). 1 = the pair-at-a-time oracle path.
-  std::vector<size_t> batch_sizes = {1};
-  /// Stage-queue capacity in batches (--queue-depth=N; ignored by
-  /// pair-at-a-time runs).
-  size_t queue_depth = 8;
   /// Serve approximations from the blocked-codec CompressedAprilStore
   /// instead of flat vectors (--compressed); harnesses that support it run
   /// their sweep against the compressed storage form.
@@ -50,9 +43,6 @@ struct BenchOptions {
   static BenchOptions Parse(int argc, char** argv);
 
   unsigned FirstThreads() const { return threads.empty() ? 1u : threads[0]; }
-  size_t FirstBatchSize() const {
-    return batch_sizes.empty() ? size_t{1} : batch_sizes[0];
-  }
 
   ScenarioOptions ToScenarioOptions() const {
     ScenarioOptions options;
@@ -125,16 +115,12 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
                                 size_t prepared_cache_bytes =
                                     kDefaultPreparedCacheBytes);
 
-/// Full-knob configuration for RunFindRelation: the staged-executor batch
-/// settings and, optionally, a compressed storage form for either side.
+/// Full-knob configuration for RunFindRelation: the cache budgets and,
+/// optionally, a compressed storage form for both sides.
 struct RunConfig {
   bool time_stages = false;
   unsigned threads = 1;
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
-  /// > 1 routes through the staged batch executor (batch_executor.h); <= 1
-  /// is the pair-at-a-time oracle.
-  size_t batch_size = 1;
-  size_t queue_depth = 8;
   /// Per-worker decoded-record cache budget for compressed inputs.
   size_t decoded_cache_bytes = kDefaultDecodedCacheBytes;
   /// When both are set, the run reads approximations from the compressed

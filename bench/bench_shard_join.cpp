@@ -40,10 +40,12 @@
 namespace stj::bench {
 namespace {
 
-// Median-of-N timing; see bench_batch_pipeline.cpp for why median, not best.
-// Repetitions are interleaved across the three legs (rep-outer, leg-inner)
-// for the same reason as there: slow drift in background load then shifts
-// all legs together instead of biasing whichever leg ran in a quiet window.
+// Median-of-N timing: on a shared host, best-of systematically favours
+// whichever leg gets one lucky scheduling window; the median is stable
+// against both lucky and unlucky outliers. Repetitions are interleaved
+// across the three legs (rep-outer, leg-inner): slow drift in background
+// load then shifts all legs together instead of biasing whichever leg ran
+// in a quiet window.
 constexpr int kRepetitions = 5;
 
 double Median(std::vector<double> values) {

@@ -44,14 +44,6 @@ class RelationSet {
     return s;
   }
 
-  /// Rebuilds a set from its Bits() image — the SoA transport form used by
-  /// the batched executor's filter → refinement hand-off.
-  static constexpr RelationSet FromBits(uint8_t bits) {
-    RelationSet s;
-    s.bits_ = bits;
-    return s;
-  }
-
   constexpr void Add(Relation r) { bits_ |= Bit(r); }
   constexpr void Remove(Relation r) { bits_ &= static_cast<uint8_t>(~Bit(r)); }
   constexpr bool Contains(Relation r) const { return (bits_ & Bit(r)) != 0; }

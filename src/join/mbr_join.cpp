@@ -63,8 +63,8 @@ struct TileCsr {
   /// Aborts (STJ_CHECK) if the prefix-sum layout or the per-tile sort is
   /// inconsistent: offsets must be a monotone [0 .. entries.size()] ramp of
   /// tile_count+1 entries, every entry index must address an input box, and
-  /// each tile's run must be (xmin, idx)-sorted — the order both the sweep
-  /// and the deterministic-mode guarantee depend on. O(entries).
+  /// each tile's run must be (xmin, idx)-sorted — the order the sweep
+  /// depends on. O(entries).
   void ValidateInvariants(size_t tile_count, size_t num_boxes) const {
     STJ_CHECK_MSG(offsets.size() == tile_count + 1,
                   "offset table must have tile_count+1 entries");
@@ -194,9 +194,9 @@ unsigned ResolveJoinThreads(unsigned requested, size_t work) {
   return static_cast<unsigned>(std::min<size_t>(n, max_useful));
 }
 
-/// Number of consecutive tiles a worker claims per steal in dynamic mode:
-/// coarse enough to amortise the atomic, fine enough that one dense tile
-/// region cannot serialize the tail.
+/// Number of consecutive tiles a worker claims per steal: coarse enough to
+/// amortise the atomic, fine enough that one dense tile region cannot
+/// serialize the tail.
 constexpr size_t kTileBlock = 32;
 
 }  // namespace
@@ -275,36 +275,22 @@ std::vector<CandidatePair> MbrJoin::Join(const std::vector<Box>& r,
 
   const size_t tile_count = static_cast<size_t>(tiles) * tiles;
   std::vector<std::vector<CandidatePair>> per_worker(threads);
-  unsigned used = 0;
-  if (options.deterministic || threads <= 1) {
-    // Static contiguous tile chunks: worker w owns the w-th ascending tile
-    // range, so concatenating per-worker buffers in worker order reproduces
-    // the single-threaded tile-major pair order exactly. One check-in per
-    // swept tile bounds cancel latency to a single tile's sweep.
-    used = internal::RunChunks(exec, /*grain=*/1, threads, tile_count,
-                               [&](unsigned worker, size_t begin, size_t end) {
-                                 for (size_t t = begin; t < end; ++t) {
-                                   sweep_tile(t, &per_worker[worker]);
-                                 }
-                               });
-  } else {
-    // Dynamic scheduling: idle workers steal the next block of tiles, so a
-    // few dense tiles cannot serialize the sweep tail.
-    STJ_ATOMIC_DOC("work-stealing tile-block cursor; relaxed fetch_add, each block is claimed by exactly one worker");
-    std::atomic<size_t> next{0};
-    used = internal::RunWorkers(threads, [&](unsigned worker) {
-      ExecContext::Scope scope(exec);
-      while (!scope.stopped()) {
-        const size_t begin = next.fetch_add(kTileBlock);
-        if (begin >= tile_count) break;
-        const size_t end = std::min(tile_count, begin + kTileBlock);
-        for (size_t t = begin; t < end; ++t) {
-          if (scope.CheckIn()) break;
-          sweep_tile(t, &per_worker[worker]);
-        }
+  // Idle workers steal the next block of tiles; one check-in per swept tile
+  // bounds cancel latency to a single tile's sweep.
+  STJ_ATOMIC_DOC("work-stealing tile-block cursor; relaxed fetch_add, each block is claimed by exactly one worker");
+  std::atomic<size_t> next{0};
+  const unsigned used = internal::RunWorkers(threads, [&](unsigned worker) {
+    ExecContext::Scope scope(exec);
+    while (!scope.stopped()) {
+      const size_t begin = next.fetch_add(kTileBlock);
+      if (begin >= tile_count) break;
+      const size_t end = std::min(tile_count, begin + kTileBlock);
+      for (size_t t = begin; t < end; ++t) {
+        if (scope.CheckIn()) break;
+        sweep_tile(t, &per_worker[worker]);
       }
-    });
-  }
+    }
+  });
 
   size_t total_pairs = 0;
   for (unsigned w = 0; w < used; ++w) total_pairs += per_worker[w].size();
@@ -312,6 +298,9 @@ std::vector<CandidatePair> MbrJoin::Join(const std::vector<Box>& r,
   for (unsigned w = 0; w < used; ++w) {
     out.insert(out.end(), per_worker[w].begin(), per_worker[w].end());
   }
+  // Which worker swept which tile varies run to run; the (r, s) sort makes
+  // the output canonical (each pair is reported by exactly one tile).
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -324,17 +313,6 @@ std::vector<CandidatePair> MbrJoin::JoinBruteForce(const std::vector<Box>& r,
     }
   }
   return out;
-}
-
-CandidateSoA MbrJoin::ToSoA(const std::vector<CandidatePair>& pairs) {
-  CandidateSoA soa;
-  soa.r_idx.reserve(pairs.size());
-  soa.s_idx.reserve(pairs.size());
-  for (const CandidatePair& pair : pairs) {
-    soa.r_idx.push_back(pair.r_idx);
-    soa.s_idx.push_back(pair.s_idx);
-  }
-  return soa;
 }
 
 }  // namespace stj

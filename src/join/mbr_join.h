@@ -23,18 +23,6 @@ struct CandidatePair {
   }
 };
 
-/// Structure-of-arrays transpose of a candidate pair list: two flat,
-/// index-aligned id columns. The staged batch executor (topology layer)
-/// gathers pair ids through a permuted schedule, and columnar storage keeps
-/// those gathers on dense cache lines — it is also the layout a GPU or
-/// wide-SIMD filter stage would consume as flat buffers.
-struct CandidateSoA {
-  std::vector<uint32_t> r_idx;
-  std::vector<uint32_t> s_idx;
-
-  size_t Size() const { return r_idx.size(); }
-};
-
 /// In-memory MBR intersection join: the filter step of the pipeline
 /// (the paper delegates this to [39]; its cost is excluded from all
 /// measurements, only the candidate set matters).
@@ -50,29 +38,25 @@ struct CandidateSoA {
 /// side plus a per-tile offset table built with a count/prefix-sum/scatter
 /// pass — so the distribute phase does exactly two allocations per side no
 /// matter how many tiles the grid has. Both the distribute and the per-tile
-/// sweep phases run on Options::num_threads workers.
+/// sweep phases run on Options::num_threads workers; idle sweep workers
+/// steal the next block of tiles, so a few dense tiles cannot serialize the
+/// sweep tail.
+///
+/// Output order: the pairs are returned sorted by (r, s) at every thread
+/// count, so everything downstream of the filter (the join's answers, the
+/// CLI's printed links) is byte-identical however many workers ran.
 class MbrJoin {
  public:
   struct Options {
     // Member-init-list constructor (not default member initializers): the
     // defaults are needed by Join's default argument before this class is
     // complete.
-    Options()
-        : tiles_per_side(0),
-          num_threads(1),
-          deterministic(false),
-          exec(nullptr) {}
+    Options() : tiles_per_side(0), num_threads(1), exec(nullptr) {}
     /// Tiles per side; 0 picks ~sqrt((|r|+|s|)/8) automatically.
     uint32_t tiles_per_side;
     /// Worker threads for the distribute and sweep phases
     /// (0 = hardware concurrency, 1 = fully serial).
     unsigned num_threads;
-    /// When true, tiles are assigned to workers in static contiguous chunks
-    /// and per-worker outputs are concatenated in worker order, which makes
-    /// the emitted pair *order* byte-identical for every thread count. When
-    /// false, tiles are scheduled dynamically (better balance under skew)
-    /// and only the pair *set* is guaranteed stable.
-    bool deterministic;
     /// Optional deadline/cancel/budget carrier. Workers check in per swept
     /// tile (and per distribute slice); a trip makes Join return early with
     /// only the pairs discovered so far. The filter's candidate set is only
@@ -83,18 +67,15 @@ class MbrJoin {
     ExecContext* exec;
   };
 
-  /// Returns all pairs (i, j) with r[i] intersecting s[j].
+  /// Returns all pairs (i, j) with r[i] intersecting s[j], sorted by (i, j).
   static std::vector<CandidatePair> Join(const std::vector<Box>& r,
                                          const std::vector<Box>& s,
                                          Options options = Options());
 
-  /// Reference quadratic join for verification in tests.
+  /// Reference quadratic join for verification in tests (also (i, j)
+  /// order).
   static std::vector<CandidatePair> JoinBruteForce(const std::vector<Box>& r,
                                                    const std::vector<Box>& s);
-
-  /// Transposes a pair list into the SoA column layout (exact reservation,
-  /// one pass).
-  static CandidateSoA ToSoA(const std::vector<CandidatePair>& pairs);
 };
 
 }  // namespace stj

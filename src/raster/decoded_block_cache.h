@@ -15,7 +15,7 @@ namespace stj {
 
 /// Default per-worker decoded-record budget. A decoded tessellation record
 /// is a few KB of CellIntervals, so this keeps the working set of a
-/// Hilbert-ordered batch wave (the records of a few consecutive batches)
+/// Hilbert-ordered block wave (the records of a few consecutive blocks)
 /// resident without competing with the PreparedCache for memory.
 inline constexpr size_t kDefaultDecodedCacheBytes = size_t{8} << 20;
 
@@ -37,9 +37,9 @@ struct DecodedCacheStats {
 ///
 /// The blocked codec trades filter speed for footprint: the fused
 /// block-skipping merges decode every touched block of a record again for
-/// every pair the record participates in. Batched execution makes that
-/// repetition systematic — a Hilbert-ordered batch wave touches the same
-/// objects across many consecutive pairs — so decoding a hot record once to
+/// every pair the record participates in. The Hilbert-ordered join schedule
+/// makes that repetition systematic — a wave of consecutive blocks touches
+/// the same objects across many pairs — so decoding a hot record once to
 /// flat canonical form and running the flat (SIMD) interval kernels over it
 /// wins on every subsequent pair. The flat and compressed filter paths
 /// compute identical decisions (the PR 7 differential suite pins this), so

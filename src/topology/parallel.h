@@ -11,9 +11,9 @@
 
 namespace stj {
 
-/// Execution knobs shared by the parallel join drivers. Every worker's
-/// Pipeline inherits time_stages and the prepared-cache budget; the budget
-/// is per worker (total prepared memory scales with the thread count).
+/// Execution knobs of the parallel join loop. Every worker's Pipeline
+/// inherits time_stages and the cache budgets; the budgets are per worker
+/// (total cache memory scales with the thread count).
 struct JoinOptions {
   unsigned num_threads = 0;  ///< 0 = hardware concurrency.
   bool time_stages = false;
@@ -22,25 +22,14 @@ struct JoinOptions {
   /// results are identical for every value.
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
   /// Optional per-query deadline/cancel/budget carrier (exec_context.h).
-  /// When set, every worker checks in once per pair; a trip stops the join
-  /// cooperatively with a loss-less PartialResult. Null (the default) keeps
-  /// the unbounded run-to-completion behaviour at zero overhead.
+  /// When set, every worker checks in before each pair's filter step and
+  /// before its refinement; a trip stops the join cooperatively with a
+  /// loss-less PartialResult. Null (the default) keeps the unbounded
+  /// run-to-completion behaviour at zero overhead.
   ExecContext* exec = nullptr;
-  /// Pairs per SoA batch of the staged executor (batch_executor.h). Values
-  /// > 1 route the join through the pipelined filter → refinement executor
-  /// (batches stream through a bounded queue, refinement re-sorted for
-  /// PreparedCache locality); <= 1 (the default) keeps the pair-at-a-time
-  /// loops — the differential oracle, and the path whose single-threaded
-  /// cancellation cut is an exact input-order prefix. Decisions are
-  /// byte-identical for every value; only throughput changes.
-  size_t batch_size = 1;
-  /// Refinement-queue capacity in batches between the executor stages
-  /// (ignored when batch_size <= 1). Bounds in-flight memory and provides
-  /// the back-pressure that keeps filter and refinement overlapped.
-  size_t queue_depth = 8;
   /// Per-worker decoded-record cache budget for CompressedAprilStore inputs
-  /// (see PipelineOptions::decoded_cache_bytes); 0 disables. Applies to
-  /// both executors. A pure performance knob — decisions are identical.
+  /// (see PipelineOptions::decoded_cache_bytes); 0 disables. A pure
+  /// performance knob — decisions are identical.
   size_t decoded_cache_bytes = kDefaultDecodedCacheBytes;
 };
 
@@ -79,20 +68,24 @@ struct ParallelJoinResult {
 };
 
 /// Evaluates find-relation for every candidate pair with \p method, fanning
-/// the pairs out over \p num_threads workers (0 = hardware concurrency).
+/// the pairs out over options.num_threads workers (0 = hardware
+/// concurrency). One thread runs the pairs in input order.
 ///
-/// Scheduling: refinement cost is wildly skewed by polygon complexity
-/// (Fig. 8), so a static partition lets one unlucky chunk serialize the
-/// whole join. Instead the pairs are pre-sorted by the Hilbert-curve
-/// position of their reference tile (repeated objects stay cache-resident
-/// within a block) and workers claim fixed-size blocks of that schedule
-/// through a shared atomic cursor until the list is drained.
+/// Scheduling (DESIGN.md §14): refinement cost is wildly skewed by polygon
+/// complexity (Fig. 8), so a static partition lets one unlucky chunk
+/// serialize the whole join. Instead the pairs are pre-sorted by the
+/// Hilbert-curve position of their reference tile and workers claim blocks
+/// of that schedule through a shared atomic cursor until the list is
+/// drained. The block size follows the input: pairs / (threads x 16),
+/// clamped to [64, 256]. A worker filters every pair of its block, then
+/// refines the block's undetermined pairs grouped by r-object, so one
+/// prepared R polygon serves its whole group.
 ///
 /// Each worker owns a private Pipeline (the shared dataset views are
 /// read-only), so no synchronisation is needed beyond the block cursor and
 /// the final join. relations[i] is written by exactly one worker; results
 /// are deterministic and identical to the single-threaded run regardless of
-/// thread count. \p time_stages enables per-pair stage timers in every
+/// thread count. options.time_stages enables per-pair stage timers in every
 /// worker (PipelineStats::filter_seconds / refine_seconds; summed CPU
 /// seconds across workers). A worker exception propagates to the caller
 /// (see internal::RunWorkers).
@@ -100,13 +93,6 @@ ParallelJoinResult ParallelFindRelation(Method method, DatasetView r_view,
                                         DatasetView s_view,
                                         const std::vector<CandidatePair>& pairs,
                                         const JoinOptions& options);
-
-/// Compatibility overload: default options apart from the two legacy knobs.
-ParallelJoinResult ParallelFindRelation(Method method, DatasetView r_view,
-                                        DatasetView s_view,
-                                        const std::vector<CandidatePair>& pairs,
-                                        unsigned num_threads = 0,
-                                        bool time_stages = false);
 
 /// As above for a relate_p predicate join; returns one bool per pair.
 struct ParallelRelateResult {
@@ -121,18 +107,5 @@ ParallelRelateResult ParallelRelate(Method method, DatasetView r_view,
                                     const std::vector<CandidatePair>& pairs,
                                     de9im::Relation predicate,
                                     const JoinOptions& options);
-
-/// Compatibility overload: default options apart from the two legacy knobs.
-ParallelRelateResult ParallelRelate(Method method, DatasetView r_view,
-                                    DatasetView s_view,
-                                    const std::vector<CandidatePair>& pairs,
-                                    de9im::Relation predicate,
-                                    unsigned num_threads = 0,
-                                    bool time_stages = false);
-
-/// Copies one worker scope's watchdog observations into its stage stats
-/// (merged across workers by MergeStats exactly like the prepared_*
-/// telemetry). Shared by the pair-at-a-time drivers and the batch executor.
-void RecordScope(const ExecContext::Scope& scope, PipelineStats* stats);
 
 }  // namespace stj

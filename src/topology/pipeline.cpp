@@ -36,11 +36,6 @@ void MergeStats(const PipelineStats& from, PipelineStats* into) {
   into->decoded_hits += from.decoded_hits;
   into->decoded_misses += from.decoded_misses;
   into->decoded_corrupt += from.decoded_corrupt;
-  into->batches += from.batches;
-  into->batches_enqueued += from.batches_enqueued;
-  into->batches_dequeued += from.batches_dequeued;
-  into->queue_max_depth = std::max(into->queue_max_depth, from.queue_max_depth);
-  into->queue_stall_seconds += from.queue_stall_seconds;
   into->filter_seconds += from.filter_seconds;
   into->refine_seconds += from.refine_seconds;
   into->prepared_build_seconds += from.prepared_build_seconds;
@@ -66,11 +61,6 @@ class ScopedStageTime {
 };
 
 }  // namespace
-
-Pipeline::Pipeline(Method method, DatasetView r_view, DatasetView s_view,
-                   bool time_stages)
-    : Pipeline(method, r_view, s_view,
-               PipelineOptions{.time_stages = time_stages}) {}
 
 Pipeline::Pipeline(Method method, DatasetView r_view, DatasetView s_view,
                    const PipelineOptions& options)

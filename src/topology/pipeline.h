@@ -95,7 +95,9 @@ struct PipelineStats {
   /// ExecContext watchdog counters for this stage (exec_context.h), merged
   /// across workers like the prepared_* telemetry. All zero when the join
   /// ran without an ExecContext.
-  uint64_t checkins = 0;  ///< Cancellation check-ins (one per pair).
+  /// Cancellation check-ins: one before each pair's filter step, one more
+  /// before its refinement in multi-threaded runs.
+  uint64_t checkins = 0;
   /// Workers that stopped because the deadline tripped (summed; each worker
   /// scope reports at most once).
   uint64_t deadline_hits = 0;
@@ -110,17 +112,6 @@ struct PipelineStats {
   uint64_t decoded_hits = 0;
   uint64_t decoded_misses = 0;
   uint64_t decoded_corrupt = 0;
-  /// Staged-executor queue telemetry (batch_executor.h; all zero on
-  /// pair-at-a-time runs). Batch counts are scheduling artifacts — they vary
-  /// with thread count and timing while the join's decisions stay
-  /// byte-identical.
-  uint64_t batches = 0;           ///< SoA batches formed by the filter stage.
-  uint64_t batches_enqueued = 0;  ///< Refinement batches pushed to the queue.
-  uint64_t batches_dequeued = 0;  ///< Refinement batches drained.
-  uint64_t queue_max_depth = 0;   ///< High-water queue occupancy (merge: max).
-  /// Wall time workers spent waiting on the stage queue (push back-pressure
-  /// help loops + drain-phase blocking pops), summed across workers.
-  double queue_stall_seconds = 0.0;
   double filter_seconds = 0.0;  ///< MBR + intermediate filter time.
   double refine_seconds = 0.0;  ///< DE-9IM computation + mask matching time.
   /// Time spent building PreparedPolygon indexes on cache misses — a subset
@@ -135,9 +126,8 @@ struct PipelineStats {
 };
 
 /// Accumulates one worker's stage counters into a run total: counts and CPU
-/// timings sum; worst-case observations (cancel latency, queue high-water)
-/// merge by max. Shared by the pair-at-a-time drivers (parallel.cpp) and
-/// the staged batch executor (batch_executor.cpp).
+/// timings sum; the worst-case cancel latency merges by max. Used by the
+/// parallel join loop (parallel.cpp) and the shard scheduler.
 void MergeStats(const PipelineStats& from, PipelineStats* into);
 
 /// Executes find-relation and relate_p queries over candidate pairs with one
@@ -168,19 +158,13 @@ void MergeStats(const PipelineStats& from, PipelineStats* into);
 /// Pipeline across threads is a data race.
 class Pipeline {
  public:
-  /// Compatibility constructor: default options apart from \p time_stages
-  /// (the prepared cache is on at its default budget).
   Pipeline(Method method, DatasetView r_view, DatasetView s_view,
-           bool time_stages = false);
-
-  Pipeline(Method method, DatasetView r_view, DatasetView s_view,
-           const PipelineOptions& options);
+           const PipelineOptions& options = PipelineOptions());
 
   /// Outcome of the filter stage (MBR + intermediate filters) for one pair:
   /// either a definite relation or the narrowed candidate set refinement
-  /// must discriminate. This is the unit the staged batch executor
-  /// (batch_executor.h) transports between its filter and refinement stages
-  /// — candidates round-trips through RelationSet::Bits() in the SoA batch.
+  /// must discriminate. The parallel join loop (parallel.cpp) carries the
+  /// candidates of a block's undetermined pairs to its refinement phase.
   struct FilterOutcome {
     bool definite = false;
     de9im::Relation relation = de9im::Relation::kDisjoint;
@@ -191,7 +175,7 @@ class Pipeline {
   /// the method's MBR + intermediate filters, and either decides the
   /// relation or returns the candidate set for RefineStage. FindRelation is
   /// exactly FilterStage followed by RefineStage when not definite, so
-  /// batched execution (which separates the two calls in time and sorts the
+  /// block execution (which separates the two calls in time and sorts the
   /// undetermined pairs between them) produces byte-identical decisions.
   FilterOutcome FilterStage(uint32_t r_idx, uint32_t s_idx);
 
@@ -219,9 +203,6 @@ class Pipeline {
   bool Relate(uint32_t r_idx, uint32_t s_idx, de9im::Relation p);
 
   const PipelineStats& Stats() const { return stats_; }
-  /// Mutable access for the drivers that account executor-level telemetry
-  /// (queue counters, stall time) into this worker's stats.
-  PipelineStats* MutableStats() { return &stats_; }
   void ResetStats() { stats_ = PipelineStats{}; }
 
   Method GetMethod() const { return method_; }

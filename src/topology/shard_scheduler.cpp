@@ -153,11 +153,10 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
       break;
     }
 
-    // Local MBR filter. Deterministic mode keeps the local pair order (and
-    // with it the executors' schedules) independent of thread count.
+    // Local MBR filter; its (r, s)-sorted output keeps the task's pair order
+    // (and with it the join loop's schedule) independent of thread count.
     MbrJoin::Options mbr_options;
     mbr_options.num_threads = options.join.num_threads;
-    mbr_options.deterministic = true;
     mbr_options.exec = exec;
     std::vector<CandidatePair> local =
         MbrJoin::Join(r_shard->mbrs, s_shard->mbrs, mbr_options);
@@ -181,7 +180,7 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
       }
     }
 
-    // The existing executors over local views; the APRIL side reads
+    // The parallel join loop over local views; the APRIL side reads
     // zero-copy off the two mappings.
     DatasetView r_view;
     r_view.objects = &r_shard->objects;

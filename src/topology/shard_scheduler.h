@@ -17,9 +17,9 @@ namespace stj {
 /// only the two tiles' shards — mapped on demand, held in a byte-budgeted
 /// LRU cache, evicted by munmap — so peak memory follows the cache budget,
 /// not the dataset size. Within a task the join is exactly the in-memory
-/// pipeline: MbrJoin over the tiles' local MBRs, then the existing parallel
-/// find-relation executors (pair-at-a-time or batched, per JoinOptions) on
-/// local DatasetViews whose APRIL side reads zero-copy off the mappings.
+/// pipeline: MbrJoin over the tiles' local MBRs, then the parallel
+/// find-relation loop (ParallelFindRelation) on local DatasetViews whose
+/// APRIL side reads zero-copy off the mappings.
 ///
 /// Determinism and exactness: objects are replicated into every tile their
 /// MBR overlaps, so a candidate pair can surface in several tasks. Each
@@ -36,10 +36,10 @@ namespace stj {
 /// spatially adjacent tiles and re-hit the resident shards instead of
 /// thrashing the cache.
 struct ShardJoinOptions {
-  /// Executor knobs for the per-task join (threads, batch_size, caches,
-  /// ExecContext). The ExecContext, when set, also covers the scheduler
-  /// itself: shard loads are charged to its memory budget and the task loop
-  /// checks in once per task.
+  /// Knobs for the per-task join (threads, caches, ExecContext). The
+  /// ExecContext, when set, also covers the scheduler itself: shard loads
+  /// are charged to its memory budget and the task loop checks in once per
+  /// task.
   JoinOptions join;
   /// LRU budget for resident shards, both sides together. The two shards of
   /// the running task are always pinned, so the effective floor is the

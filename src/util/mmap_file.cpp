@@ -4,7 +4,7 @@
 #include <utility>
 
 // The one src/ translation unit allowed to touch platform headers (see the
-// platform-confined rule in tools/project_lint.py). Everything below the
+// platform-confined rule in tools/stj_analyzer.py). Everything below the
 // #if is POSIX; the #else branch is the portable read-into-buffer fallback.
 #if defined(__unix__) || defined(__APPLE__)
 #define STJ_HAVE_MMAP 1

@@ -21,7 +21,7 @@ namespace stj {
 /// served the bytes.
 ///
 /// Platform isolation: this is the single translation unit in src/ allowed
-/// to include platform headers (<sys/mman.h> & co.) — tools/project_lint.py
+/// to include platform headers (<sys/mman.h> & co.) — tools/stj_analyzer.py
 /// enforces the confinement (platform-confined rule), which keeps every
 /// other shard-layer file portable.
 class MappedFile {

@@ -122,9 +122,9 @@ TEST(InvariantsStress, AprilBuilderOutputsValidate) {
 
 TEST(InvariantsStress, MbrJoinUnderInvariants) {
   // Exercises BuildCsr (whose CSR layout validator runs automatically in
-  // invariants builds) across thread counts and the deterministic switch;
-  // also re-checks the join's own output invariant: candidate pairs must be
-  // exactly the intersecting box pairs.
+  // invariants builds) across thread counts; also re-checks the join's own
+  // output invariant: candidate pairs must be exactly the intersecting box
+  // pairs, in canonical (r, s) order at every thread count.
   Rng rng(121314);
   std::vector<Box> r;
   std::vector<Box> s;
@@ -140,14 +140,9 @@ TEST(InvariantsStress, MbrJoinUnderInvariants) {
   }
   const std::vector<CandidatePair> expected = MbrJoin::JoinBruteForce(r, s);
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool deterministic : {false, true}) {
-      MbrJoin::Options options;
-      options.num_threads = threads;
-      options.deterministic = deterministic;
-      std::vector<CandidatePair> got = MbrJoin::Join(r, s, options);
-      EXPECT_EQ(got.size(), expected.size())
-          << "threads=" << threads << " deterministic=" << deterministic;
-    }
+    MbrJoin::Options options;
+    options.num_threads = threads;
+    EXPECT_EQ(MbrJoin::Join(r, s, options), expected) << "threads=" << threads;
   }
 }
 

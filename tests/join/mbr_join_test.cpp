@@ -100,12 +100,10 @@ TEST(MbrJoin, IdenticalDatasets) {
   ExpectSameResult(MbrJoin::Join(r, r), MbrJoin::JoinBruteForce(r, r));
 }
 
-MbrJoin::Options Opt(uint32_t tiles, unsigned threads,
-                     bool deterministic = false) {
+MbrJoin::Options Opt(uint32_t tiles, unsigned threads) {
   MbrJoin::Options options;
   options.tiles_per_side = tiles;
   options.num_threads = threads;
-  options.deterministic = deterministic;
   return options;
 }
 
@@ -174,18 +172,18 @@ TEST(MbrJoin, EmptySidesWithManyThreads) {
   EXPECT_TRUE(MbrJoin::Join({}, r, Opt(0, 8)).empty());
 }
 
-TEST(MbrJoin, DeterministicModeIsByteIdenticalAcrossThreadCounts) {
+TEST(MbrJoin, OutputIsSortedAndIdenticalAcrossThreadCounts) {
   Rng rng(325);
   const auto r = RandomBoxes(&rng, 400, 10.0, /*clustered=*/true);
   const auto s = RandomBoxes(&rng, 400, 10.0, /*clustered=*/true);
-  const auto baseline = MbrJoin::Join(r, s, Opt(16, 1, /*deterministic=*/true));
-  ASSERT_FALSE(baseline.empty());
-  for (const unsigned threads : {2u, 3u, 8u}) {
-    const auto result = MbrJoin::Join(r, s, Opt(16, threads, true));
-    // Exact sequence equality, not just the same set.
-    ASSERT_EQ(result.size(), baseline.size()) << threads;
-    for (size_t i = 0; i < result.size(); ++i) {
-      ASSERT_EQ(result[i], baseline[i]) << "threads=" << threads << " i=" << i;
+  // Brute force enumerates in (r, s) order: the canonical sequence.
+  const auto want = MbrJoin::JoinBruteForce(r, s);
+  ASSERT_FALSE(want.empty());
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    for (const uint32_t tiles : {0u, 16u}) {
+      // Exact sequence equality, not just the same set.
+      EXPECT_EQ(MbrJoin::Join(r, s, Opt(tiles, threads)), want)
+          << "threads=" << threads << " tiles=" << tiles;
     }
   }
 }

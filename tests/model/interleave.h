@@ -12,17 +12,17 @@
 // checker's own thread.
 //
 // Why op-granularity interleaving is sound here: the structures this
-// harness targets (BoundedMpmcQueue, PinnedByteLruCache) serialize every
-// public operation under one mutex. Any real execution is therefore
-// equivalent to *some* total order of complete operations — exactly the
-// orders this checker enumerates. Blocking operations are modeled with an
-// `enabled` predicate mirroring the condvar predicate (e.g. Pop is enabled
-// iff `aborted || closed || size > 0`); scheduling a blocking op only when
-// enabled reproduces "the wait returned" without ever sleeping. A state
-// where unfinished programs exist but nothing is enabled is a *deadlock* —
+// harness targets (PinnedByteLruCache) serialize every public operation
+// under one mutex. Any real execution is therefore equivalent to *some*
+// total order of complete operations — exactly the orders this checker
+// enumerates. Blocking operations are modeled with an `enabled` predicate
+// mirroring the condvar predicate (e.g. a pop is enabled iff the structure
+// is closed or non-empty); scheduling a blocking op only when enabled
+// reproduces "the wait returned" without ever sleeping. A state where
+// unfinished programs exist but nothing is enabled is a *deadlock* —
 // precisely a real execution whose waiters can never be woken — and is
-// counted so tests can assert deadlock-freedom (that assertion IS the
-// "Abort/Close wakes all waiters" property).
+// counted so tests can assert deadlock-freedom (tests/model/
+// interleave_test.cpp proves the detection with a negative control).
 //
 // Keep scenarios small (2-3 threads, 2-4 ops each): the schedule count is
 // multinomial in the op counts, and the point is exhaustiveness, not scale.

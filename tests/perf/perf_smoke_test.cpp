@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "src/datasets/scenarios.h"
 #include "src/join/mbr_join.h"
 #include "src/topology/parallel.h"
@@ -30,16 +28,13 @@ class PerfSmoke : public ::testing::Test {
 TEST_F(PerfSmoke, ParallelFilterMatchesSingleThread) {
   const std::vector<Box> r = scenario_.r.Mbrs();
   const std::vector<Box> s = scenario_.s.Mbrs();
-  auto want = MbrJoin::JoinBruteForce(r, s);
-  std::sort(want.begin(), want.end());
+  // Brute force enumerates in (r, s) order, the join's canonical output.
+  const std::vector<CandidatePair> want = MbrJoin::JoinBruteForce(r, s);
   ASSERT_FALSE(want.empty());
-  for (const bool deterministic : {false, true}) {
+  for (const unsigned threads : {1u, 4u}) {
     MbrJoin::Options options;
-    options.num_threads = 4;
-    options.deterministic = deterministic;
-    auto got = MbrJoin::Join(r, s, options);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want) << "deterministic=" << deterministic;
+    options.num_threads = threads;
+    EXPECT_EQ(MbrJoin::Join(r, s, options), want) << "threads=" << threads;
   }
 }
 
@@ -47,10 +42,10 @@ TEST_F(PerfSmoke, ParallelFindRelationMatchesSingleThread) {
   ASSERT_FALSE(scenario_.candidates.empty());
   const ParallelJoinResult serial = ParallelFindRelation(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      /*num_threads=*/1);
+      JoinOptions{.num_threads = 1});
   const ParallelJoinResult parallel = ParallelFindRelation(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      /*num_threads=*/4);
+      JoinOptions{.num_threads = 4});
   EXPECT_EQ(serial.relations, parallel.relations);
   EXPECT_EQ(serial.stats.refined, parallel.stats.refined);
 }
@@ -86,10 +81,10 @@ TEST_F(PerfSmoke, PreparedCacheMatchesUncachedRefinement) {
 TEST_F(PerfSmoke, ParallelRelateMatchesSingleThread) {
   const ParallelRelateResult serial = ParallelRelate(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      de9im::Relation::kIntersects, /*num_threads=*/1);
+      de9im::Relation::kIntersects, JoinOptions{.num_threads = 1});
   const ParallelRelateResult parallel = ParallelRelate(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      de9im::Relation::kIntersects, /*num_threads=*/4);
+      de9im::Relation::kIntersects, JoinOptions{.num_threads = 4});
   EXPECT_EQ(serial.matches, parallel.matches);
 }
 

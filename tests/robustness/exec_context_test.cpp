@@ -124,7 +124,7 @@ class ExecContextJoinTest : public ::testing::Test {
     scenario_ = BuildScenario("OLE-OPE", options);
     full_ = ParallelFindRelation(Method::kPC, scenario_.RView(),
                                  scenario_.SView(), scenario_.candidates,
-                                 /*num_threads=*/1);
+                                 JoinOptions{.num_threads = 1});
     EXPECT_TRUE(full_.status.ok());
     EXPECT_TRUE(full_.partial.Complete());
     // The fault schedules below assume a non-trivial pair count.
@@ -147,6 +147,31 @@ class ExecContextJoinTest : public ::testing::Test {
       EXPECT_EQ(result.relations[i], full_.relations[i]) << "pair " << i;
     }
     EXPECT_EQ(answered, partial.completed);
+  }
+
+  /// Finishes exactly the pairs \p cut left unanswered, unbounded on
+  /// \p threads workers, and checks that merging the two runs by pair index
+  /// reproduces the unbounded result — nothing was half-done, nothing
+  /// answered twice.
+  void ExpectRemainderRerunReproducesFull(const ParallelJoinResult& cut,
+                                          unsigned threads) {
+    std::vector<CandidatePair> remainder;
+    std::vector<size_t> remainder_index;
+    for (size_t i = 0; i < scenario_.candidates.size(); ++i) {
+      if (cut.partial.Answered(i)) continue;
+      remainder.push_back(scenario_.candidates[i]);
+      remainder_index.push_back(i);
+    }
+    ASSERT_EQ(remainder.size(), cut.partial.total - cut.partial.completed);
+    const ParallelJoinResult rest = ParallelFindRelation(
+        Method::kPC, scenario_.RView(), scenario_.SView(), remainder,
+        JoinOptions{.num_threads = threads});
+    ASSERT_TRUE(rest.status.ok());
+    std::vector<de9im::Relation> merged = cut.relations;
+    for (size_t k = 0; k < remainder.size(); ++k) {
+      merged[remainder_index[k]] = rest.relations[k];
+    }
+    EXPECT_EQ(merged, full_.relations);
   }
 
   ScenarioData scenario_;
@@ -183,28 +208,7 @@ TEST_F(ExecContextJoinTest, RerunningTheRemainderReproducesTheFullResult) {
       JoinOptions{.num_threads = 2, .exec = &ctx});
   ASSERT_EQ(cut.status.code(), StatusCode::kCancelled);
   ASSERT_FALSE(cut.partial.Complete());
-
-  // Collect exactly the unanswered pairs and finish them unbounded.
-  std::vector<CandidatePair> remainder;
-  std::vector<size_t> remainder_index;
-  for (size_t i = 0; i < scenario_.candidates.size(); ++i) {
-    if (cut.partial.Answered(i)) continue;
-    remainder.push_back(scenario_.candidates[i]);
-    remainder_index.push_back(i);
-  }
-  ASSERT_EQ(remainder.size(), cut.partial.total - cut.partial.completed);
-  const ParallelJoinResult rest =
-      ParallelFindRelation(Method::kPC, scenario_.RView(), scenario_.SView(),
-                           remainder, /*num_threads=*/2);
-  ASSERT_TRUE(rest.status.ok());
-
-  // Merging the two runs by pair index must reproduce the unbounded result
-  // exactly — nothing was half-done, nothing answered twice.
-  std::vector<de9im::Relation> merged = cut.relations;
-  for (size_t k = 0; k < remainder.size(); ++k) {
-    merged[remainder_index[k]] = rest.relations[k];
-  }
-  EXPECT_EQ(merged, full_.relations);
+  ExpectRemainderRerunReproducesFull(cut, /*threads=*/2);
 }
 
 TEST_F(ExecContextJoinTest, SingleThreadCancelIsAnExactInputOrderPrefix) {
@@ -251,7 +255,7 @@ TEST_F(ExecContextJoinTest, InjectedDeadlineReportsDeadlineStatusAndStats) {
 TEST_F(ExecContextJoinTest, RelatePredicatePartialIsPrefixConsistent) {
   const ParallelRelateResult truth = ParallelRelate(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      de9im::Relation::kIntersects, /*num_threads=*/1);
+      de9im::Relation::kIntersects, JoinOptions{.num_threads = 1});
   ASSERT_TRUE(truth.status.ok());
 
   ExecContext ctx;
@@ -260,7 +264,8 @@ TEST_F(ExecContextJoinTest, RelatePredicatePartialIsPrefixConsistent) {
   schedule.Install(&ctx);
   const ParallelRelateResult cut = ParallelRelate(
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
-      de9im::Relation::kIntersects, JoinOptions{.num_threads = 2, .exec = &ctx});
+      de9im::Relation::kIntersects,
+      JoinOptions{.num_threads = 2, .exec = &ctx});
   EXPECT_EQ(cut.status.code(), StatusCode::kCancelled);
   EXPECT_GT(cut.partial.completed, 0u);
   EXPECT_LT(cut.partial.completed, cut.partial.total);
@@ -268,6 +273,113 @@ TEST_F(ExecContextJoinTest, RelatePredicatePartialIsPrefixConsistent) {
     if (!cut.partial.Answered(i)) continue;
     EXPECT_EQ(cut.matches[i], truth.matches[i]) << "pair " << i;
   }
+}
+
+/// Cuts through the block executor at 4 threads. A worker checks in before
+/// each filter and each refinement of its claimed block, so a trip can land
+/// in either phase: pairs the filter decided stay answered, the block's
+/// deferred pairs not refined yet stay not-done, and no worker is left
+/// waiting on another.
+using BatchCancelTest = ExecContextJoinTest;
+
+TEST_F(BatchCancelTest, CancelMidBatchIsSubsetConsistent) {
+  // Early, middle and late trip points. A worker refines its block before it
+  // claims the next, so the later cuts land among refinement check-ins as
+  // well as filter check-ins. Even the last one cuts the run: the filter
+  // phases alone check in once per pair.
+  const uint64_t pairs = scenario_.candidates.size();
+  for (const uint64_t trip_at : {uint64_t{40}, pairs / 2, pairs}) {
+    SCOPED_TRACE(::testing::Message() << "cancel_at_checkin=" << trip_at);
+    ExecContext ctx;
+    test::FaultSchedule schedule;
+    schedule.cancel_at_checkin = trip_at;
+    schedule.Install(&ctx);
+
+    const ParallelJoinResult cut = ParallelFindRelation(
+        Method::kPC, scenario_.RView(), scenario_.SView(),
+        scenario_.candidates, JoinOptions{.num_threads = 4, .exec = &ctx});
+    ASSERT_EQ(cut.status.code(), StatusCode::kCancelled);
+    ExpectPrefixConsistent(cut);
+  }
+}
+
+TEST_F(BatchCancelTest, DeadlineMidBatchIsSubsetConsistent) {
+  ExecContext ctx;
+  test::FaultSchedule schedule;
+  schedule.deadline_at_checkin = 65;
+  schedule.Install(&ctx);
+
+  const ParallelJoinResult cut = ParallelFindRelation(
+      Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
+      JoinOptions{.num_threads = 4, .exec = &ctx});
+  ASSERT_EQ(cut.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(cut.stats.deadline_hits, 1u);
+  ExpectPrefixConsistent(cut);
+}
+
+TEST_F(BatchCancelTest, RemainderRerunReproducesFullResult) {
+  ExecContext ctx;
+  test::FaultSchedule schedule;
+  schedule.cancel_at_checkin = 50;
+  schedule.Install(&ctx);
+  const ParallelJoinResult cut = ParallelFindRelation(
+      Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
+      JoinOptions{.num_threads = 4, .exec = &ctx});
+  ASSERT_EQ(cut.status.code(), StatusCode::kCancelled);
+  ASSERT_FALSE(cut.partial.Complete());
+  ExpectRemainderRerunReproducesFull(cut, /*threads=*/4);
+}
+
+TEST_F(BatchCancelTest, PreTrippedContextAnswersNothing) {
+  ExecContext ctx;
+  ctx.RequestStop(StopCause::kCancelled);
+  const ParallelJoinResult cut = ParallelFindRelation(
+      Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
+      JoinOptions{.num_threads = 4, .exec = &ctx});
+  EXPECT_EQ(cut.status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(cut.partial.completed, 0u);
+}
+
+TEST_F(BatchCancelTest, RelateCancelMidBatchIsSubsetConsistent) {
+  const ParallelRelateResult truth = ParallelRelate(
+      Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
+      de9im::Relation::kIntersects, JoinOptions{.num_threads = 1});
+  ASSERT_TRUE(truth.status.ok());
+
+  ExecContext ctx;
+  test::FaultSchedule schedule;
+  schedule.cancel_at_checkin = 45;
+  schedule.Install(&ctx);
+  const ParallelRelateResult cut = ParallelRelate(
+      Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
+      de9im::Relation::kIntersects,
+      JoinOptions{.num_threads = 4, .exec = &ctx});
+  EXPECT_EQ(cut.status.code(), StatusCode::kCancelled);
+  EXPECT_GT(cut.partial.completed, 0u);
+  EXPECT_LT(cut.partial.completed, cut.partial.total);
+
+  // Every answered pair is final, and re-running exactly the unanswered
+  // remainder completes the unbounded answer.
+  std::vector<CandidatePair> remainder;
+  std::vector<size_t> remainder_index;
+  for (size_t i = 0; i < scenario_.candidates.size(); ++i) {
+    if (cut.partial.Answered(i)) {
+      EXPECT_EQ(cut.matches[i], truth.matches[i]) << "pair " << i;
+      continue;
+    }
+    remainder.push_back(scenario_.candidates[i]);
+    remainder_index.push_back(i);
+  }
+  ASSERT_EQ(remainder.size(), cut.partial.total - cut.partial.completed);
+  const ParallelRelateResult rest = ParallelRelate(
+      Method::kPC, scenario_.RView(), scenario_.SView(), remainder,
+      de9im::Relation::kIntersects, JoinOptions{.num_threads = 4});
+  ASSERT_TRUE(rest.status.ok());
+  std::vector<char> merged = cut.matches;
+  for (size_t k = 0; k < remainder.size(); ++k) {
+    merged[remainder_index[k]] = rest.matches[k];
+  }
+  EXPECT_EQ(merged, truth.matches);
 }
 
 TEST_F(ExecContextJoinTest, MemoryBudgetTripDuringAprilBuildKeepsJoinExact) {
@@ -291,7 +403,7 @@ TEST_F(ExecContextJoinTest, MemoryBudgetTripDuringAprilBuildKeepsJoinExact) {
   const DatasetView r_view{&scenario_.r.objects, &partial_april};
   const ParallelJoinResult degraded =
       ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
-                           scenario_.candidates, /*num_threads=*/2);
+                           scenario_.candidates, JoinOptions{.num_threads = 2});
   ASSERT_TRUE(degraded.status.ok());
   EXPECT_EQ(degraded.relations, full_.relations);
   EXPECT_GT(degraded.stats.fallback_refined, 0u);
@@ -319,7 +431,7 @@ TEST_F(ExecContextJoinTest, InjectedAllocationFailureAtNthCharge) {
   const DatasetView r_view{&scenario_.r.objects, &partial_april};
   const ParallelJoinResult degraded =
       ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
-                           scenario_.candidates, /*num_threads=*/2);
+                           scenario_.candidates, JoinOptions{.num_threads = 2});
   EXPECT_EQ(degraded.relations, full_.relations);
   EXPECT_GT(degraded.stats.fallback_refined, 0u);
 }
@@ -411,7 +523,7 @@ TEST(ExecContextDeadline, FiftyMsDeadlineCutsAMultiSecondJoinFast) {
     answered_index.push_back(i);
   }
   const ParallelJoinResult redo = ParallelFindRelation(
-      Method::kST2, r_view, s_view, answered, /*num_threads=*/4);
+      Method::kST2, r_view, s_view, answered, JoinOptions{.num_threads = 4});
   ASSERT_TRUE(redo.status.ok());
   for (size_t k = 0; k < answered.size(); ++k) {
     EXPECT_EQ(result.relations[answered_index[k]], redo.relations[k])

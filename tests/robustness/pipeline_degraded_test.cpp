@@ -38,7 +38,8 @@ class PipelineDegradedTest : public ::testing::Test {
     scenario_ = BuildScenario("OLE-OPE", options);
     ground_truth_ =
         ParallelFindRelation(Method::kOP2, scenario_.RView(), scenario_.SView(),
-                             scenario_.candidates, /*num_threads=*/1);
+                             scenario_.candidates,
+                             JoinOptions{.num_threads = 1});
   }
 
   void ExpectMatchesGroundTruthWithFallback(const ParallelJoinResult& result,
@@ -60,7 +61,8 @@ TEST_F(PipelineDegradedTest, HealthyRunHasZeroFallbacks) {
   for (const Method method : {Method::kApril, Method::kPC}) {
     const ParallelJoinResult result =
         ParallelFindRelation(method, scenario_.RView(), scenario_.SView(),
-                             scenario_.candidates, /*num_threads=*/2);
+                             scenario_.candidates,
+                             JoinOptions{.num_threads = 2});
     EXPECT_EQ(result.stats.fallback_refined, 0u) << ToString(method);
   }
 }
@@ -77,7 +79,8 @@ TEST_F(PipelineDegradedTest, FlaggedCorruptRecordsFallBackToRefinement) {
 
   for (const Method method : {Method::kApril, Method::kPC}) {
     const ParallelJoinResult result = ParallelFindRelation(
-        method, r_view, s_view, scenario_.candidates, /*num_threads=*/2);
+        method, r_view, s_view, scenario_.candidates,
+        JoinOptions{.num_threads = 2});
     ExpectMatchesGroundTruthWithFallback(result, ToString(method));
   }
 }
@@ -88,7 +91,7 @@ TEST_F(PipelineDegradedTest, MissingAprilVectorFallsBack) {
   for (const Method method : {Method::kApril, Method::kPC}) {
     const ParallelJoinResult result = ParallelFindRelation(
         method, r_view, scenario_.SView(), scenario_.candidates,
-        /*num_threads=*/2);
+        JoinOptions{.num_threads = 2});
     ExpectMatchesGroundTruthWithFallback(result, ToString(method));
   }
 }
@@ -102,7 +105,7 @@ TEST_F(PipelineDegradedTest, ShortAprilVectorFallsBack) {
   const DatasetView r_view{&scenario_.r.objects, &r_april};
   const ParallelJoinResult result =
       ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
-                           scenario_.candidates, /*num_threads=*/2);
+                           scenario_.candidates, JoinOptions{.num_threads = 2});
   ExpectMatchesGroundTruthWithFallback(result, "short r_april");
 }
 
@@ -141,7 +144,7 @@ TEST_F(PipelineDegradedTest, DiskCorruptionEndToEnd) {
   const DatasetView r_view{&scenario_.r.objects, &damaged};
   const ParallelJoinResult result =
       ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
-                           scenario_.candidates, /*num_threads=*/2);
+                           scenario_.candidates, JoinOptions{.num_threads = 2});
   ExpectMatchesGroundTruthWithFallback(result, "disk corruption");
   std::remove(path.c_str());
 }
@@ -186,7 +189,7 @@ TEST_F(PipelineDegradedTest, PermissiveStoreLoadKeepsFilterDecisionsActive) {
   for (const Method method : {Method::kApril, Method::kPC}) {
     const ParallelJoinResult result = ParallelFindRelation(
         method, r_view, scenario_.SView(), scenario_.candidates,
-        /*num_threads=*/2);
+        JoinOptions{.num_threads = 2});
     ExpectMatchesGroundTruthWithFallback(result, ToString(method));
     // The healthy records kept the filter stage in play.
     EXPECT_GT(result.stats.decided_by_filter, 0u) << ToString(method);
@@ -203,10 +206,11 @@ TEST_F(PipelineDegradedTest, RelatePredicateDegradesExactly) {
        {de9im::Relation::kIntersects, de9im::Relation::kInside}) {
     const ParallelRelateResult truth = ParallelRelate(
         Method::kOP2, scenario_.RView(), scenario_.SView(),
-        scenario_.candidates, predicate, /*num_threads=*/1);
+        scenario_.candidates, predicate, JoinOptions{.num_threads = 1});
     const ParallelRelateResult degraded =
         ParallelRelate(Method::kPC, r_view, scenario_.SView(),
-                       scenario_.candidates, predicate, /*num_threads=*/2);
+                       scenario_.candidates, predicate,
+                       JoinOptions{.num_threads = 2});
     EXPECT_EQ(degraded.matches, truth.matches);
     EXPECT_GT(degraded.stats.fallback_refined, 0u);
   }

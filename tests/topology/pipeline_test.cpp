@@ -132,11 +132,12 @@ TEST_F(PipelineTest, RelateAgreesWithFindRelationSemantics) {
 
 TEST_F(PipelineTest, StageTimingAccumulatesWhenEnabled) {
   Setup({test::Square(10, 10, 30, 30)}, {test::Square(12, 12, 40, 28)});
-  Pipeline timed(Method::kPC, RView(), SView(), /*time_stages=*/true);
+  Pipeline timed(Method::kPC, RView(), SView(),
+                 PipelineOptions{.time_stages = true});
   timed.FindRelation(0, 0);
   EXPECT_GT(timed.Stats().filter_seconds + timed.Stats().refine_seconds, 0.0);
 
-  Pipeline untimed(Method::kPC, RView(), SView(), /*time_stages=*/false);
+  Pipeline untimed(Method::kPC, RView(), SView());
   untimed.FindRelation(0, 0);
   EXPECT_EQ(untimed.Stats().filter_seconds, 0.0);
   EXPECT_EQ(untimed.Stats().refine_seconds, 0.0);

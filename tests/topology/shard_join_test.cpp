@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,8 @@ CompressedAprilStore Compress(const std::vector<AprilApproximation>& april) {
 }
 
 // The differential oracle: the single-arena compressed join over the
-// scenario's own candidate list, re-sorted by (r, s) to match the sharded
-// result's canonical order.
+// scenario's own candidate list, which is in the sharded result's canonical
+// (r, s) order.
 struct Reference {
   std::vector<CandidatePair> pairs;
   std::vector<de9im::Relation> relations;
@@ -64,18 +63,11 @@ class ShardJoinTest : public ::testing::Test {
     const ParallelJoinResult ref = ParallelFindRelation(
         Method::kPC, rv, sv, scenario_.candidates, options2);
     EXPECT_TRUE(ref.status.ok());
-
-    std::vector<size_t> order(scenario_.candidates.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return scenario_.candidates[a] < scenario_.candidates[b];
-    });
-    reference_.pairs.reserve(order.size());
-    reference_.relations.reserve(order.size());
-    for (const size_t i : order) {
-      reference_.pairs.push_back(scenario_.candidates[i]);
-      reference_.relations.push_back(ref.relations[i]);
-    }
+    // The filter join already emits the canonical (r, s) order.
+    EXPECT_TRUE(std::is_sorted(scenario_.candidates.begin(),
+                               scenario_.candidates.end()));
+    reference_.pairs = scenario_.candidates;
+    reference_.relations = ref.relations;
   }
 
   // Writes both shard sets under a test-unique directory and opens them.
@@ -127,11 +119,11 @@ TEST_F(ShardJoinTest, SingleTileMatchesSingleArenaJoin) {
   EXPECT_EQ(result.shard_stats.pairs_deduped, 0u);
 }
 
-TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesThreadsAndBatches) {
-  // The tentpole acceptance sweep: the sharded join must be byte-identical
-  // to the single-arena reference at every (tile grid, cache budget,
-  // threads, batch size) combination — cache budgets far below the working
-  // set included (they only force reloads).
+TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesAndThreads) {
+  // The acceptance sweep: the sharded join must be byte-identical to the
+  // single-arena reference at every (tile grid, cache budget, threads)
+  // combination — cache budgets far below the working set included (they
+  // only force reloads).
   struct TileConfig {
     const char* name;
     uint32_t r_tiles, s_tiles;
@@ -139,14 +131,13 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesThreadsAndBatches) {
   struct RunConfig {
     size_t cache_bytes;
     unsigned threads;
-    size_t batch;
   };
   const TileConfig tile_configs[] = {
       {"sweep_a", 4, 6}, {"sweep_b", 9, 4}, {"sweep_c", 2, 12}};
   const RunConfig run_configs[] = {
-      {size_t{32} << 10, 1, 1},   // thrash the cache, oracle executor
-      {size_t{256} << 20, 3, 1},  // all resident, parallel
-      {size_t{1} << 20, 2, 8},    // tight cache, batched executor
+      {size_t{32} << 10, 1},   // thrash the cache, serial loop
+      {size_t{256} << 20, 3},  // all resident, parallel
+      {size_t{1} << 20, 2},    // tight cache, parallel
   };
   for (const TileConfig& tc : tile_configs) {
     ShardSet r_set, s_set;
@@ -155,13 +146,11 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesThreadsAndBatches) {
       ShardJoinOptions options;
       options.shard_cache_bytes = rc.cache_bytes;
       options.join.num_threads = rc.threads;
-      options.join.batch_size = rc.batch;
       const ShardJoinResult result =
           ShardedFindRelation(Method::kPC, r_set, s_set, options);
       SCOPED_TRACE(std::string(tc.name) + " cache=" +
                    std::to_string(rc.cache_bytes) +
-                   " threads=" + std::to_string(rc.threads) +
-                   " batch=" + std::to_string(rc.batch));
+                   " threads=" + std::to_string(rc.threads));
       ExpectMatchesReference(result);
       EXPECT_EQ(result.shard_stats.tasks_run, result.shard_stats.tasks);
       EXPECT_EQ(result.shard_stats.pairs_emitted, reference_.pairs.size());

@@ -21,11 +21,6 @@
 #                           vs runtime-dispatched SIMD kernels, flat and
 #                           block-compressed APRIL, 1/4 threads
 #                           -> BENCH_PR7.json
-#   bench_batch_pipeline    staged SoA batch executor vs the pair-at-a-time
-#                           driver: end-to-end P+C find-relation on TC-TZ at
-#                           grid order 14 from the compressed APRIL store,
-#                           batch-size sweep at 1/4 threads
-#                           -> BENCH_PR8.json
 #   bench_shard_join        out-of-core tile-sharded join vs the single-arena
 #                           join on TC-TZ at grid order 14: all-resident
 #                           cache and a 25%-of-shard-bytes budget, 1/4
@@ -50,22 +45,20 @@ OUT="BENCH_PR3.json"
 PREPARED_OUT_FINAL="BENCH_PR4.json"
 EXEC_OUT_FINAL="BENCH_PR6.json"
 INTERVAL_OUT_FINAL="BENCH_PR7.json"
-BATCH_OUT_FINAL="BENCH_PR8.json"
 SHARD_OUT_FINAL="BENCH_PR9.json"
 SCALING_OUT="$(mktemp)"
 APRIL_OUT="$(mktemp)"
 PREPARED_OUT="$(mktemp)"
 EXEC_OUT="$(mktemp)"
 INTERVAL_OUT="$(mktemp)"
-BATCH_OUT="$(mktemp)"
 SHARD_OUT="$(mktemp)"
-trap 'rm -f "$SCALING_OUT" "$APRIL_OUT" "$PREPARED_OUT" "$EXEC_OUT" "$INTERVAL_OUT" "$BATCH_OUT" "$SHARD_OUT"' EXIT
+trap 'rm -f "$SCALING_OUT" "$APRIL_OUT" "$PREPARED_OUT" "$EXEC_OUT" "$INTERVAL_OUT" "$SHARD_OUT"' EXIT
 
 echo "==== configure + build (Release) ===="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$(nproc)" --target bench_parallel_scaling \
   bench_april_build bench_prepared_cache bench_exec_context \
-  bench_micro_interval bench_batch_pipeline bench_shard_join
+  bench_micro_interval bench_shard_join
 
 echo "==== run bench_parallel_scaling ===="
 build/bench/bench_parallel_scaling --json="$SCALING_OUT" "$@"
@@ -269,72 +262,10 @@ print(f'{len(records)} records OK (SIMD filter speedup '
       + f', codec ratio {ratio:.1f}x)')
 PY
 
-echo "==== run bench_batch_pipeline (TC-TZ, compressed store, grid order 14, threads 1/4) ===="
-# Grid order 14 + the compressed store is the regime the staged executor
-# targets: long interval lists make the filter (and its per-worker decode
-# work) a real fraction of the join, and the whole-input batch legs both
-# de-duplicate that decode work and sidestep worker contention. The sweep
-# keeps batch_size=1 as the in-run baseline leg at every thread count.
-build/bench/bench_batch_pipeline --grid-order=14 --compressed \
-  --threads=1,4 --batch-size=1,1024,4096,16384 --json="$BATCH_OUT"
-
-echo "==== validate $BATCH_OUT_FINAL ===="
-python3 - "$BATCH_OUT" "$BATCH_OUT_FINAL" <<'PY'
-import json, sys
-
-records = json.load(open(sys.argv[1]))
-assert isinstance(records, list) and records, 'empty report'
-
-required = {'bench', 'scenario', 'method', 'store', 'threads', 'batch_size',
-            'queue_depth', 'seconds', 'pairs', 'pairs_per_sec', 'refined',
-            'identical', 'speedup_vs_pair_at_a_time', 'batches',
-            'batches_enqueued', 'batches_dequeued', 'queue_max_depth',
-            'queue_stall_seconds', 'prepared_hits', 'prepared_misses',
-            'decoded_hits', 'decoded_misses'}
-for r in records:
-    missing = required - set(r)
-    assert not missing, f'record missing {missing}: {r}'
-    assert r['bench'] == 'batch_pipeline', r
-    # Every repetition of every leg is checked against the single-threaded
-    # pair-at-a-time reference inside the harness; identical=1 records that.
-    assert r['identical'] == 1, f'divergent decisions: {r}'
-
-by_key = {(r['threads'], r['batch_size']): r for r in records}
-assert set(by_key) >= {(t, b) for t in (1, 4)
-                       for b in (1, 1024, 4096, 16384)}, \
-    f'missing (threads, batch_size) combinations: {sorted(by_key)}'
-
-# Queue telemetry sanity: on a completed run every enqueued refinement
-# batch was drained.
-for r in records:
-    assert r['batches_enqueued'] == r['batches_dequeued'], \
-        f'unbalanced queue telemetry: {r}'
-
-# The acceptance number: the best batched leg must deliver >= 1.3x
-# end-to-end find-relation throughput over the pair-at-a-time leg at the
-# same 4 threads (median-of-N, interleaved sampling inside the harness).
-best = max(r['speedup_vs_pair_at_a_time'] for r in records
-           if r['threads'] == 4 and r['batch_size'] > 1)
-assert best >= 1.3, f'batched speedup {best:.2f}x < 1.3x at 4 threads'
-
-# No-regression guard for the pair-at-a-time fallback: the batch_size=1
-# leg (identical code path to the pre-batching driver) must sustain a
-# sane absolute throughput; a gross slowdown of the fallback would show
-# up here even though its in-run speedup is 1.0 by construction.
-base = by_key[(1, 1)]['pairs_per_sec']
-assert base >= 10000, f'pair-at-a-time fallback at {base:.0f} pairs/s'
-
-with open(sys.argv[2], 'w') as f:
-    json.dump(records, f, indent=1)
-    f.write('\n')
-print(f'{len(records)} records OK (peak batched speedup {best:.2f}x at 4T, '
-      f'pair-at-a-time baseline {base:.0f} pairs/s)')
-PY
-
 echo "==== run bench_shard_join (TC-TZ, grid order 14, threads 1/4) ===="
-# Same regime as the batch-pipeline bench: long interval lists and a dense
-# candidate set, so both the per-task joins and the quarter-budget cache
-# pressure are real work rather than fixed-cost noise.
+# Grid order 14 gives long interval lists and a dense candidate set, so both
+# the per-task joins and the quarter-budget cache pressure are real work
+# rather than fixed-cost noise.
 build/bench/bench_shard_join --grid-order=14 --threads=1,4 \
   --json="$SHARD_OUT"
 
@@ -405,4 +336,4 @@ print(f'{len(records)} records OK (all-resident '
       + ' of all-resident)')
 PY
 
-echo "bench_json: wrote and validated $OUT, $PREPARED_OUT_FINAL, $EXEC_OUT_FINAL, $INTERVAL_OUT_FINAL, $BATCH_OUT_FINAL and $SHARD_OUT_FINAL"
+echo "bench_json: wrote and validated $OUT, $PREPARED_OUT_FINAL, $EXEC_OUT_FINAL, $INTERVAL_OUT_FINAL and $SHARD_OUT_FINAL"

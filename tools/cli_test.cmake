@@ -80,38 +80,30 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "predicate join failed")
 endif()
 
-# The staged batch executor is a pure scheduling layer: the batched join
-# must print byte-identical links to the pair-at-a-time run above, and its
-# --time-stages summary must include the stage-queue telemetry.
-execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
-                --method=pc --grid-order=10 --batch-size=64 --queue-depth=2
-                --threads=4 --time-stages
-                RESULT_VARIABLE rc OUTPUT_VARIABLE batched_out
-                ERROR_VARIABLE batched_err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "batched join failed")
-endif()
-if(NOT pc_out STREQUAL batched_out)
-  message(FATAL_ERROR "batched join diverged from pair-at-a-time:\n--- pair\n${pc_out}\n--- batched\n${batched_out}")
-endif()
-if(NOT batched_err MATCHES "\\[join\\] stages: filter" OR
-   NOT batched_err MATCHES "\\[join\\] batch queue: .* batches .*max depth")
-  message(FATAL_ERROR "batched --time-stages summary missing queue telemetry:\n${batched_err}")
+# Canonical output: the links come out sorted by (r, s), so the serial loop
+# and the 4-thread block loop print the same bytes, and --time-stages adds
+# its stage summary to stderr only.
+foreach(threads 1 4)
+  execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
+                  --method=pc --grid-order=10 --threads=${threads}
+                  --time-stages
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out_${threads}
+                  ERROR_VARIABLE err_${threads})
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "--threads=${threads} join failed:\n${err_${threads}}")
+  endif()
+  if(NOT err_${threads} MATCHES "\\[join\\] stages: filter")
+    message(FATAL_ERROR "--time-stages summary missing:\n${err_${threads}}")
+  endif()
+endforeach()
+if(NOT out_1 STREQUAL out_4 OR NOT out_1 STREQUAL pc_out)
+  message(FATAL_ERROR "join output depends on --threads:\n--- threads=1\n${out_1}\n--- threads=4\n${out_4}")
 endif()
 
 # ---- out-of-core sharded join ----
 
-# Splits a stdout capture into a sorted line list (the sharded join prints
-# links sorted by (r, s); the in-memory join prints them in candidate order,
-# so equality is up to ordering).
-function(sorted_lines text out_var)
-  string(REPLACE "\n" ";" lines "${text}")
-  list(SORT lines)
-  set(${out_var} "${lines}" PARENT_SCOPE)
-endfunction()
-
-# The sharded join under a deliberately tiny cache budget must emit exactly
-# the links of the in-memory join, and its --time-stages run must surface
+# The sharded join under a deliberately tiny cache budget must print exactly
+# the bytes of the in-memory join, and its --time-stages run must surface
 # both the shard telemetry and the decoded-record cache counters (the
 # sharded path reads compressed APRIL, so the decoded cache engages).
 execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
@@ -122,9 +114,7 @@ execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "sharded join failed (${rc}):\n${shard_err}")
 endif()
-sorted_lines("${pc_out}" pc_sorted)
-sorted_lines("${shard_out}" shard_sorted)
-if(NOT pc_sorted STREQUAL shard_sorted)
+if(NOT pc_out STREQUAL shard_out)
   message(FATAL_ERROR "sharded join diverged from in-memory join:\n--- in-memory\n${pc_out}\n--- sharded\n${shard_out}")
 endif()
 if(NOT shard_err MATCHES "\\[shard\\] .*/r: .* tiles" OR
@@ -189,9 +179,11 @@ run_expect(5 "unknown method"
 run_expect(5 "unknown predicate"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=touches-ish)
 
-# Unknown flag: exit 2 (usage).
+# Unknown flag: exit 2 (usage) — including the retired executor knobs.
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --frobnicate)
+run_expect(2 "unknown flag"
+           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --batch-size=64)
 
 # aprilcheck: healthy file passes, garbage and truncated headers are
 # structural errors (exit 4).

@@ -6,18 +6,18 @@
 #   tools/lint.sh --allow-missing-tools # degrade instead of failing when
 #                                       # clang-tidy / libclang are absent
 #
-# Four layers, strongest available always runs:
-#   1. tools/project_lint.py — compiler-free project rules (include layer
-#      order, no naked new in src/, commented (void) discards). Always runs.
+# Three layers, strongest available always runs:
+#   1. tools/stj_analyzer.py — the one project-rule tool (DESIGN.md §16):
+#      compiler-free rules (layer-order, naked-new, void-discard,
+#      platform-confined) plus the semantic checks (status-discard,
+#      scope-checkin, loop-alloc, mutex-order, atomic-doc). Always runs;
+#      prefers the libclang frontend, falls back to its built-in lexical
+#      frontend when libclang is unusable.
 #   2. Negative-compile tripwire — src/de9im/model_check.cpp must compile
 #      cleanly as-is and must FAIL to compile with -DSTJ_MODEL_CORRUPT_BIT
 #      (which flips one bit of the `equals` DE-9IM mask). Proves the
 #      static_assert layer really gates mask-table corruption. Always runs.
-#   3. tools/stj_analyzer.py — the project AST analyzer (status-discard,
-#      scope-checkin, loop-alloc, mutex-order, atomic-doc; DESIGN.md §16).
-#      Always runs; prefers the libclang frontend, falls back to its
-#      built-in lexical frontend when libclang is unusable.
-#   4. clang-tidy over compile_commands.json per .clang-tidy.
+#   3. clang-tidy over compile_commands.json per .clang-tidy.
 #
 # Missing tools are a HARD ERROR by default: a lint gate that silently
 # skips its strongest layers reads as green while checking less, which is
@@ -66,13 +66,6 @@ missing_tool() {
   return 1
 }
 
-run_project_lint() {
-  say "project lint (python)"
-  if ! python3 tools/project_lint.py; then
-    fail=1
-  fi
-}
-
 run_model_tripwire() {
   say "DE-9IM model tripwire (negative compile)"
   if ! "$CXX_BIN" -std=c++20 -fsyntax-only -I. src/de9im/model_check.cpp; then
@@ -91,17 +84,16 @@ run_model_tripwire() {
 }
 
 run_analyzer() {
-  say "stj_analyzer (project AST checks)"
-  local frontend_flag=""
-  if python3 tools/stj_analyzer.py --probe-libclang >/dev/null 2>&1; then
-    frontend_flag="--frontend=libclang"
-  else
+  say "stj_analyzer (project checks)"
+  local frontend_flag="--frontend=libclang"
+  if ! python3 tools/stj_analyzer.py --probe-libclang >/dev/null 2>&1; then
     # libclang is the analyzer's strongest frontend; without it the
-    # status-discard check degrades to the lexical scanner.
-    if ! missing_tool "libclang (python clang bindings)" \
-         "Install clang + python3-clang (Debian); CI's static-analysis job does."; then
-      return
-    fi
+    # status-discard check degrades to the lexical scanner. Every other
+    # check is compiler-free, so the analyzer still runs (and the missing
+    # tool still fails the gate unless --allow-missing-tools).
+    missing_tool "libclang (python clang bindings)" \
+      "Install clang + python3-clang (Debian); CI's static-analysis job does." \
+      || true
     frontend_flag="--frontend=lexical"
   fi
   if ! python3 tools/stj_analyzer.py "$frontend_flag"; then
@@ -144,9 +136,6 @@ EOF
 
 self_test() {
   say "lint self-test"
-  if ! python3 tools/project_lint.py --self-test; then
-    fail=1
-  fi
   if ! python3 tools/stj_analyzer.py --self-test; then
     fail=1
   fi
@@ -158,9 +147,8 @@ self_test() {
 if [ "$self_test_mode" = "1" ]; then
   self_test
 else
-  run_project_lint
-  run_model_tripwire
   run_analyzer
+  run_model_tripwire
   run_clang_tidy
 fi
 

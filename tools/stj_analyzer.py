@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Project AST analyzer for the stj tree (DESIGN.md §16).
+"""Project analyzer for the stj tree (DESIGN.md §16).
 
-Where tools/project_lint.py enforces token-level repository rules, this
-analyzer enforces *semantic* project rules that need (at least) a parse of
-the code: result-discard detection beyond `[[nodiscard]]`, cancellation
-polling in worker loops, allocation discipline in hot loops, lock-order
-consistency, and the STJ_ATOMIC_DOC convention for lock-free fields.
+The one project-rule tool behind tools/lint.sh. It enforces the
+repository's token-level rules (include layering, ownership, justified
+discards, platform confinement) and the *semantic* rules that need (at
+least) a parse of the code: result-discard detection beyond
+`[[nodiscard]]`, cancellation polling in worker loops, allocation
+discipline in hot loops, lock-order consistency, and the STJ_ATOMIC_DOC
+convention for lock-free fields.
 
 Frontends
 ---------
@@ -23,6 +25,28 @@ silently (the active frontend is always printed).
 
 Checks
 ------
+  layer-order      #include "src/X/..." from src/Y must not point up the
+                   layer stack. The layering (lower may never include
+                   higher):
+                       util < {geometry, interval} < {de9im, raster, join}
+                            < topology < datasets
+                   Same-rank sibling includes (e.g. de9im -> raster) are
+                   also forbidden: a file may include its own layer or any
+                   strictly lower rank.
+  naked-new        No `new` expressions in src/. Ownership goes through
+                   std::make_unique/containers.
+  void-discard     A `(void)expr;` cast that throws away a value must carry
+                   a justification comment on the same or the preceding
+                   line, in src/, tools/, examples/, tests/ and bench/.
+                   `(void)sizeof(...)` is exempt (unevaluated no-op idiom
+                   used by the disabled STJ_DCHECK macros).
+  platform-confined
+                   Platform headers (<sys/...>, <linux/...>, <unistd.h>,
+                   <fcntl.h>, <windows.h>, ...) are allowed in exactly one
+                   src/ translation unit: src/util/mmap_file.cpp, the
+                   mapping primitive behind the out-of-core shard layer.
+                   A new platform dependency belongs behind the MappedFile
+                   seam, not inline.
   status-discard   A call to a function returning stj::Status or
                    stj::Result<T> whose value is discarded. Goes beyond the
                    class-level [[nodiscard]] warning: the lexical frontend
@@ -30,8 +54,8 @@ Checks
                    ternaries; the libclang frontend flags *any*
                    unused-value expression of those types, including calls
                    reached through function references. `(void)` casts are
-                   exempt (project_lint.py separately requires their
-                   justification comment).
+                   exempt (void-discard requires their justification
+                   comment).
   scope-checkin    Every internal::RunWorkers worker body must poll
                    cooperative cancellation: the lambda must create an
                    ExecContext::Scope or call CheckIn(). RunWorkers is the
@@ -40,8 +64,8 @@ Checks
   loop-alloc       No fresh heap allocation inside loop bodies of the hot
                    refinement/filter TUs (HOT_FILES): no `new`, no
                    make_unique/make_shared, no fresh owning-container
-                   declarations. Arena acquisition (BatchArena::Acquire)
-                   and explicitly allow-commented lines are exempt.
+                   declarations. Explicitly allow-commented lines are
+                   exempt.
   mutex-order      Lock-order consistency: the digraph of observed nested
                    guard acquisitions (lock_guard/unique_lock/scoped_lock
                    inside a scope already holding another guard) plus the
@@ -55,9 +79,14 @@ Checks
                    readers, and the memory-order argument
                    (src/util/thread_annotations.h).
 
+The first four checks are lexical and need no compiler. The semantic
+checks (status-discard onwards) run on the code that ships — src/, tools/
+and examples/; tests and benches intentionally discard some results inside
+EXPECT scaffolding.
+
 Suppression: a line (or its predecessor) containing
-`stj-analyzer: allow(<check>)` suppresses that check there; the comment is
-the justification, so an empty reason reads as what it is.
+`stj-analyzer: allow(<check>)` suppresses a semantic check there; the
+comment is the justification, so an empty reason reads as what it is.
 
 Usage
 -----
@@ -76,23 +105,19 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from project_lint import strip_comments_and_strings  # noqa: E402
-
 REPO = Path(__file__).resolve().parent.parent
 
-# Directories the analyzer walks. Tests and benches intentionally discard
-# some results inside EXPECT scaffolding, so the semantic checks run on the
-# library, tools, and examples — the code that ships.
-ANALYZED_DIRS = ("src", "tools", "examples")
+# Directories the analyzer walks, and the subset the semantic checks cover
+# (the code that ships; see the module docstring).
+SOURCE_DIRS = ("src", "bench", "examples", "tools", "tests")
+SHIPPED_DIRS = ("src", "tools", "examples")
 SOURCE_EXTS = (".cpp", ".h")
 
 # Hot TUs held to the loop-alloc rule: the per-pair refinement/filter inner
-# loops, the batched executor, and the SIMD kernels. Caches that allocate on
-# a miss by design (decoded_block_cache) are *not* listed — their allocation
-# is the product, not a leak of discipline.
+# loops, the parallel join loop, and the SIMD kernels. Caches that allocate
+# on a miss by design (decoded_block_cache) are *not* listed — their
+# allocation is the product, not a leak of discipline.
 HOT_FILES = {
-    "src/topology/batch_executor.cpp",
     "src/topology/parallel.cpp",
     "src/topology/find_relation.cpp",
     "src/topology/intermediate_filters.cpp",
@@ -107,7 +132,8 @@ HOT_FILES = {
 
 ALLOW_RE = re.compile(r"stj-analyzer:\s*allow\(([a-z-]+)\)")
 
-CHECKS = ("status-discard", "scope-checkin", "loop-alloc", "mutex-order",
+CHECKS = ("layer-order", "naked-new", "void-discard", "platform-confined",
+          "status-discard", "scope-checkin", "loop-alloc", "mutex-order",
           "atomic-doc")
 
 
@@ -115,18 +141,78 @@ CHECKS = ("status-discard", "scope-checkin", "loop-alloc", "mutex-order",
 # Shared file model
 # ---------------------------------------------------------------------------
 
+def strip_comments_and_strings(line, state):
+    """Blanks out comment and string-literal bodies, preserving length.
+
+    `state` is True while inside a /* block comment that started on an
+    earlier line. Returns (code_line, had_comment, new_state).
+    """
+    out = []
+    had_comment = state
+    i = 0
+    in_block = state
+    while i < len(line):
+        c = line[i]
+        nxt = line[i + 1] if i + 1 < len(line) else ""
+        if in_block:
+            had_comment = True
+            if c == "*" and nxt == "/":
+                in_block = False
+                i += 2
+            else:
+                i += 1
+            out.append(" ")
+            if c == "*" and nxt == "/":
+                out.append(" ")
+            continue
+        if c == "/" and nxt == "/":
+            had_comment = True
+            break  # rest of line is a comment
+        if c == "/" and nxt == "*":
+            in_block = True
+            had_comment = True
+            out.append("  ")
+            i += 2
+            continue
+        if c in "\"'":
+            quote = c
+            out.append(quote)
+            i += 1
+            while i < len(line):
+                if line[i] == "\\":
+                    out.append("  ")
+                    i += 2
+                    continue
+                if line[i] == quote:
+                    out.append(quote)
+                    i += 1
+                    break
+                out.append(" ")
+                i += 1
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out), had_comment, in_block
+
+
 class CodeFile:
-    """One source file: raw lines plus comment/string-stripped code lines."""
+    """One source file: raw lines plus comment/string-stripped code lines,
+    which lines carry a comment, and which start inside a block comment."""
 
     def __init__(self, path, rel):
         self.path = path
         self.rel = rel
         self.raw = path.read_text(encoding="utf-8").splitlines()
         self.code = []
+        self.commented = []
+        self.starts_in_comment = []
         in_block = False
         for line in self.raw:
-            code, _, in_block = strip_comments_and_strings(line, in_block)
+            self.starts_in_comment.append(in_block)
+            code, had_comment, in_block = strip_comments_and_strings(
+                line, in_block)
             self.code.append(code)
+            self.commented.append(had_comment)
 
     def allowed(self, lineno, check):
         """True when `stj-analyzer: allow(check)` covers raw line (1-based)."""
@@ -138,7 +224,7 @@ class CodeFile:
         return False
 
 
-def collect_files(dirs=ANALYZED_DIRS):
+def collect_files(dirs=SOURCE_DIRS):
     files = []
     for top in dirs:
         root = REPO / top
@@ -148,6 +234,98 @@ def collect_files(dirs=ANALYZED_DIRS):
             if path.suffix in SOURCE_EXTS and path.is_file():
                 files.append(CodeFile(path, path.relative_to(REPO)))
     return files
+
+
+# ---------------------------------------------------------------------------
+# Checks: layer-order, naked-new, void-discard, platform-confined (lexical)
+# ---------------------------------------------------------------------------
+
+# Rank table for the layer-order check. A file under src/<dir>/ may include
+# src/<other>/ only when rank[other] < rank[dir] or other == dir.
+LAYER_RANK = {
+    "util": 0,
+    "geometry": 1,
+    "interval": 1,
+    "de9im": 2,
+    "raster": 2,
+    "join": 2,
+    "topology": 3,
+    "datasets": 4,
+}
+
+LAYER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"src/([a-z0-9_]+)/')
+NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new (place)` would still match Type
+VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*(?!sizeof\b)[A-Za-z_:(]")
+ANGLE_INCLUDE_RE = re.compile(r"^\s*#\s*include\s+<([^>]+)>")
+
+# Platform headers for the platform-confined rule: OS-specific directories
+# plus the usual POSIX/Windows flat headers. <cstdio> & co. are standard and
+# never match.
+PLATFORM_HEADER_RE = re.compile(
+    r"^(?:sys|linux|arpa|netinet|mach)/"
+    r"|^(?:unistd|fcntl|windows|winsock2|io|dirent|pwd|sched)\.h$"
+)
+# The single src/ TU allowed to include platform headers.
+PLATFORM_ALLOWED = "src/util/mmap_file.cpp"
+
+
+def check_layer_order(files, errors):
+    for f in files:
+        parts = f.rel.parts
+        if not (parts[0] == "src" and len(parts) > 2 and
+                parts[1] in LAYER_RANK):
+            continue
+        layer = parts[1]
+        for i, raw in enumerate(f.raw):
+            # Matched on the raw line: the stripper blanks string bodies,
+            # which would erase the quoted include path. `// #include` never
+            # matches the anchored pattern.
+            m = LAYER_INCLUDE_RE.match(raw)
+            if not m or f.starts_in_comment[i]:
+                continue
+            target = m.group(1)
+            if target in LAYER_RANK and target != layer and (
+                    LAYER_RANK[target] >= LAYER_RANK[layer]):
+                errors.append(
+                    f"{f.rel}:{i + 1}: [layer-order] src/{layer}/ (rank "
+                    f"{LAYER_RANK[layer]}) must not include src/{target}/ "
+                    f"(rank {LAYER_RANK[target]})")
+
+
+def check_naked_new(files, errors):
+    for f in files:
+        if f.rel.parts[0] != "src":
+            continue
+        for i, code in enumerate(f.code):
+            if NEW_RE.search(code):
+                errors.append(
+                    f"{f.rel}:{i + 1}: [naked-new] `new` expression in src/; "
+                    f"use std::make_unique or a container")
+
+
+def check_void_discard(files, errors):
+    for f in files:
+        for i, code in enumerate(f.code):
+            justified = f.commented[i] or (i > 0 and f.commented[i - 1])
+            if VOID_CAST_RE.search(code) and not justified:
+                errors.append(
+                    f"{f.rel}:{i + 1}: [void-discard] `(void)` discard "
+                    f"without a justification comment on this or the "
+                    f"preceding line")
+
+
+def check_platform_confined(files, errors):
+    for f in files:
+        if f.rel.parts[0] != "src" or f.rel.as_posix() == PLATFORM_ALLOWED:
+            continue
+        for i, raw in enumerate(f.raw):
+            m = ANGLE_INCLUDE_RE.match(raw)
+            if m and not f.starts_in_comment[i] and PLATFORM_HEADER_RE.match(
+                    m.group(1)):
+                errors.append(
+                    f"{f.rel}:{i + 1}: [platform-confined] platform header "
+                    f"<{m.group(1)}> outside {PLATFORM_ALLOWED}; route "
+                    f"platform access through the MappedFile seam")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +434,7 @@ def check_status_discard_lexical(files, errors):
             if STMT_KEYWORD_RE.match(stmt) or has_top_level_assign(stmt):
                 continue
             if "(void)" in stmt.replace(" ", ""):
-                continue  # justified discard; project_lint owns the comment
+                continue  # justified discard; void-discard owns the comment
             candidates = [stmt]
             candidates += top_level_split_ternary(stmt)
             for expr in candidates:
@@ -450,7 +628,6 @@ ALLOC_RES = (
         r"unordered_set|string)\s*<[^;=]*>\s+[a-z_]\w*\s*[;({=]"),
      "fresh owning-container declaration"),
 )
-ARENA_EXEMPT_RE = re.compile(r"\.Acquire\s*\(")
 
 
 def check_loop_alloc(files, errors):
@@ -478,16 +655,13 @@ def check_loop_alloc(files, errors):
                     depth -= 1
             if not loop_depths:
                 continue
-            if ARENA_EXEMPT_RE.search(code):
-                continue  # recycling arena: the allowed acquisition path
             for alloc_re, what in ALLOC_RES:
                 if alloc_re.search(code):
                     if f.allowed(i + 1, "loop-alloc"):
                         break
                     errors.append(
                         f"{f.rel}:{i + 1}: [loop-alloc] {what} inside a hot "
-                        f"loop body; hoist it, reuse scratch, or go through "
-                        f"an arena"
+                        f"loop body; hoist it or reuse scratch"
                     )
                     break
 
@@ -644,6 +818,13 @@ def make_frontend(kind):
 
 def run_checks(files, checks, frontend_kind, frontend, print_table=False):
     errors = []
+    for name, check in (("layer-order", check_layer_order),
+                        ("naked-new", check_naked_new),
+                        ("void-discard", check_void_discard),
+                        ("platform-confined", check_platform_confined)):
+        if name in checks:
+            check(files, errors)
+    files = [f for f in files if f.rel.parts[0] in SHIPPED_DIRS]
     if "status-discard" in checks:
         if frontend is not None:
             check_status_discard_libclang(files, errors, frontend)
@@ -688,6 +869,33 @@ def run_tree(args):
 # ---------------------------------------------------------------------------
 
 SELF_TEST_VIOLATIONS = [
+    (
+        "layer-order",
+        "src/util/bad_layer.h",
+        '#include "src/topology/pipeline.h"\n',
+        1,
+    ),
+    (
+        "naked-new",
+        "src/join/bad_new.cpp",
+        "void F() { int* p = new int[4]; delete[] p; }\n",
+        1,
+    ),
+    (
+        # In tests/: the rule covers test and bench code too.
+        "void-discard",
+        "tests/util/bad_void_test.cpp",
+        "void F() { (void)G(); }\n",
+        1,
+    ),
+    (
+        # A POSIX header in an ordinary src/ TU must trip the confinement
+        # even though layer-order has nothing to say.
+        "platform-confined",
+        "src/raster/bad_platform.cpp",
+        "#include <unistd.h>\n",
+        1,
+    ),
     (
         "status-discard",
         "src/join/bad_discard.cpp",
@@ -749,6 +957,37 @@ SELF_TEST_VIOLATIONS = [
 
 SELF_TEST_CLEAN = [
     (
+        # layer-order twin: own layer and strictly lower ranks only.
+        "src/topology/good_layer.cpp",
+        '#include "src/topology/pipeline.h"\n'
+        '#include "src/raster/april.h"\n'
+        '#include "src/util/status.h"\n',
+    ),
+    (
+        # naked-new twin: the word in comments and strings is not code.
+        "src/join/good_new.cpp",
+        "// A new tile grid.\n"
+        "auto p = std::make_unique<int[]>(4);\n"
+        'const char* kName = "new";\n',
+    ),
+    (
+        # void-discard twin: commented discards and the sizeof no-op.
+        "tests/util/good_void_test.cpp",
+        "void F() {\n"
+        "  (void)sizeof(int);\n"
+        "  // Discarded: probe for side effects only.\n"
+        "  (void)G();\n"
+        "  (void)H();  // best effort\n"
+        "}\n",
+    ),
+    (
+        # platform-confined twin: the one allowlisted TU.
+        "src/util/mmap_file.cpp",
+        "#include <sys/mman.h>\n"
+        "#include <unistd.h>\n"
+        "#include <fcntl.h>\n",
+    ),
+    (
         "src/join/good_discard.cpp",
         "Status DoWrite(int x);\n"
         "void F(bool flag) {\n"
@@ -769,12 +1008,13 @@ SELF_TEST_CLEAN = [
     ),
     (
         "src/topology/parallel.cpp",
-        "void F(int n, BatchArena<Batch>* arena) {\n"
-        "  std::vector<int> scratch(static_cast<size_t>(n));\n"
+        "void F(int n) {\n"
+        "  std::vector<int> scratch;\n"
+        "  scratch.reserve(static_cast<size_t>(n));\n"
         "  for (int i = 0; i < n; ++i) {\n"
-        "    auto batch = arena->Acquire();\n"
         "    scratch.clear();\n"
-        "    Use(batch.get(), scratch);\n"
+        "    scratch.push_back(i);\n"
+        "    Use(scratch);\n"
         "  }\n"
         "}\n",
     ),

@@ -31,24 +31,20 @@
 //
 //   stj_cli join <r.wkt> <s.wkt> [--method=pc|st2|op2|april]
 //                [--grid-order=N] [--predicate=<relation>] [--threads=T]
-//                [--prepared-cache-mb=M] [--batch-size=B] [--queue-depth=Q]
-//                [--time-stages] [--permissive]
+//                [--prepared-cache-mb=M] [--time-stages] [--permissive]
 //                [--deadline-ms=D] [--max-memory-mb=B]
 //                [--decoded-cache-mb=M]
 //                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
 //       Run the full topology join between two WKT files: MBR filter join,
 //       then find-relation (default) or a relate_p predicate join. Prints
-//       one "r_index s_index relation" line per non-disjoint pair plus a
+//       one "r_index s_index relation" line per non-disjoint pair, sorted
+//       by (r, s) — the same bytes at every --threads value — plus a
 //       summary to stderr. --prepared-cache-mb sizes the per-worker
 //       prepared-geometry cache that amortises refinement index
 //       construction across pairs (default 32; 0 disables it — results are
-//       identical either way). --batch-size > 1 routes the join through the
-//       staged SoA batch executor (refinement batches re-sorted for cache
-//       locality; decisions identical to the default pair-at-a-time path)
-//       and --queue-depth sizes its stage queue in batches. --time-stages
-//       enables the per-stage timers and prints a stage/queue telemetry
-//       summary (filter/refine seconds; batches, queue depth, stall time
-//       for batched runs). --deadline-ms bounds the query's wall time
+//       identical either way). --time-stages enables the per-stage timers
+//       and prints a stage telemetry summary (filter/refine seconds, decoded
+//       cache counters). --deadline-ms bounds the query's wall time
 //       and --max-memory-mb its APRIL/tile-table memory; either flag makes
 //       the run cancellable (Ctrl-C stops it cooperatively too). A tripped
 //       run still prints every pair that was fully verified before the cut,
@@ -62,8 +58,7 @@
 //       targets computational units per tile; 0 = auto), persisted as
 //       mmap-backed shard sets under D/r and D/s, and joined tile pair by
 //       tile pair with at most --shard-cache-mb (default 256) of shards
-//       resident. Results are identical to the in-memory join; only the
-//       pair *order* differs (sharded output is sorted by r then s).
+//       resident. The output is byte-identical to the in-memory join's.
 //       Find-relation only — --predicate cannot be combined with it.
 //
 // Input files are loaded strictly by default: the first malformed line
@@ -151,8 +146,6 @@ struct Flags {
   std::string codec = "raw";
   unsigned threads = 0;
   size_t prepared_cache_mb = kDefaultPreparedCacheBytes >> 20;
-  size_t batch_size = 1;   ///< > 1 = staged SoA batch executor.
-  size_t queue_depth = 8;  ///< Stage-queue capacity in batches.
   bool time_stages = false;
   bool permissive = false;
   uint64_t deadline_ms = 0;    ///< 0 = no deadline.
@@ -185,12 +178,6 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.threads = static_cast<unsigned>(std::atoi(arg + 10));
     } else if (std::strncmp(arg, "--prepared-cache-mb=", 20) == 0) {
       flags.prepared_cache_mb = static_cast<size_t>(std::atoll(arg + 20));
-    } else if (std::strncmp(arg, "--batch-size=", 13) == 0) {
-      flags.batch_size = static_cast<size_t>(std::atoll(arg + 13));
-      if (flags.batch_size == 0) flags.batch_size = 1;
-    } else if (std::strncmp(arg, "--queue-depth=", 14) == 0) {
-      flags.queue_depth = static_cast<size_t>(std::atoll(arg + 14));
-      if (flags.queue_depth == 0) flags.queue_depth = 1;
     } else if (std::strcmp(arg, "--time-stages") == 0) {
       flags.time_stages = true;
     } else if (std::strcmp(arg, "--permissive") == 0) {
@@ -474,16 +461,15 @@ void ReportPreparedStats(const PipelineStats& stats) {
                    static_cast<double>(lookups));
 }
 
-/// Prints the --time-stages summary: per-stage seconds plus, when the run
-/// went through the staged batch executor, its queue telemetry. Silent
-/// unless stage timing was requested.
+/// Prints the --time-stages summary: per-stage seconds plus the decoded
+/// cache counters of compressed inputs. Silent unless stage timing was
+/// requested.
 void ReportStageStats(const PipelineStats& stats, bool time_stages) {
   if (!time_stages) return;
   std::fprintf(stderr, "[join] stages: filter %.3fs, refine %.3fs\n",
                stats.filter_seconds, stats.refine_seconds);
-  // Decoded-record cache telemetry (compressed APRIL inputs). Printed for
-  // both executors — the pair-at-a-time path folds the same counters into
-  // PipelineStats as the batched one.
+  // Decoded-record cache telemetry (compressed APRIL inputs, i.e. the
+  // sharded path).
   const uint64_t decoded = stats.decoded_hits + stats.decoded_misses;
   if (decoded != 0) {
     std::fprintf(stderr,
@@ -494,16 +480,6 @@ void ReportStageStats(const PipelineStats& stats, bool time_stages) {
                  100.0 * static_cast<double>(stats.decoded_hits) /
                      static_cast<double>(decoded),
                  static_cast<unsigned long long>(stats.decoded_corrupt));
-  }
-  if (stats.batches != 0) {
-    std::fprintf(stderr,
-                 "[join] batch queue: %llu batches (%llu enqueued / %llu "
-                 "dequeued), max depth %llu, stall %.3fs\n",
-                 static_cast<unsigned long long>(stats.batches),
-                 static_cast<unsigned long long>(stats.batches_enqueued),
-                 static_cast<unsigned long long>(stats.batches_dequeued),
-                 static_cast<unsigned long long>(stats.queue_max_depth),
-                 stats.queue_stall_seconds);
   }
 }
 
@@ -585,14 +561,12 @@ int CmdJoin(int argc, char** argv) {
       .time_stages = flags.time_stages,
       .prepared_cache_bytes = flags.prepared_cache_mb << 20,
       .exec = exec_ptr,
-      .batch_size = flags.batch_size,
-      .queue_depth = flags.queue_depth,
       .decoded_cache_bytes = flags.decoded_cache_mb << 20};
 
   if (!flags.shard_dir.empty()) {
     // Out-of-core path: persist both sides as shard sets, then join tile
     // pair by tile pair with a bounded resident-shard cache. Same links as
-    // the in-memory join below, printed in sorted (r, s) order.
+    // the in-memory join below, in the same (r, s) order.
     if (!flags.predicate.empty()) {
       std::fprintf(stderr,
                    "--predicate cannot be combined with --shard-dir\n");
