@@ -69,8 +69,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
     } else if (std::strncmp(arg, "--prepared-cache-mb=", 20) == 0) {
       options.prepared_cache_bytes =
           static_cast<size_t>(std::atoll(arg + 20)) << 20;
-    } else if (std::strcmp(arg, "--compressed") == 0) {
-      options.compressed = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       options.json_path = arg + 7;
     } else if (std::strcmp(arg, "--help") == 0) {
@@ -85,8 +83,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
           "  --time-stages per-pair stage timers (filter/refine seconds)\n"
           "  --prepared-cache-mb  per-worker prepared-geometry cache budget\n"
           "                in MB (default 32; 0 disables the cache)\n"
-          "  --compressed  serve approximations from the blocked-codec\n"
-          "                CompressedAprilStore instead of flat vectors\n"
           "  --json        write machine-readable records to PATH\n",
           argv[0]);
       std::exit(0);
@@ -207,20 +203,15 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
                                 const RunConfig& config) {
   DatasetView r_view = scenario.RView();
   DatasetView s_view = scenario.SView();
-  if (config.r_cstore != nullptr && config.s_cstore != nullptr) {
-    r_view = DatasetView{&scenario.r.objects, nullptr, nullptr,
-                         config.r_cstore};
-    s_view = DatasetView{&scenario.s.objects, nullptr, nullptr,
-                         config.s_cstore};
-  }
+  r_view.cstore = config.r_cstore;
+  s_view.cstore = config.s_cstore;
   FindRelationRun run;
   run.relation_histogram.assign(de9im::kNumRelations, 0);
   Timer timer;
   if (config.threads == 1) {
     const PipelineOptions pipeline_options{
         .time_stages = config.time_stages,
-        .prepared_cache_bytes = config.prepared_cache_bytes,
-        .decoded_cache_bytes = config.decoded_cache_bytes};
+        .prepared_cache_bytes = config.prepared_cache_bytes};
     Pipeline pipeline(method, r_view, s_view, pipeline_options);
     for (const CandidatePair& pair : pairs) {
       const de9im::Relation rel = pipeline.FindRelation(pair.r_idx, pair.s_idx);
@@ -231,8 +222,7 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
     const JoinOptions join_options{
         .num_threads = config.threads,
         .time_stages = config.time_stages,
-        .prepared_cache_bytes = config.prepared_cache_bytes,
-        .decoded_cache_bytes = config.decoded_cache_bytes};
+        .prepared_cache_bytes = config.prepared_cache_bytes};
     const ParallelJoinResult result =
         ParallelFindRelation(method, r_view, s_view, pairs, join_options);
     for (const de9im::Relation rel : result.relations) {

@@ -31,10 +31,6 @@ struct BenchOptions {
   /// Per-worker PreparedPolygon cache budget (--prepared-cache-mb=N, in
   /// megabytes; 0 disables the cache and restores one-shot refinement).
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
-  /// Serve approximations from the blocked-codec CompressedAprilStore
-  /// instead of flat vectors (--compressed); harnesses that support it run
-  /// their sweep against the compressed storage form.
-  bool compressed = false;
   /// When non-empty (--json=PATH), harnesses append records to a
   /// JsonReporter and write them to this path on exit.
   std::string json_path;
@@ -115,16 +111,15 @@ FindRelationRun RunFindRelation(Method method, const ScenarioData& scenario,
                                 size_t prepared_cache_bytes =
                                     kDefaultPreparedCacheBytes);
 
-/// Full-knob configuration for RunFindRelation: the cache budgets and,
-/// optionally, a compressed storage form for both sides.
+/// Full-knob configuration for RunFindRelation: the prepared-cache budget
+/// and, optionally, a compressed storage form per side.
 struct RunConfig {
   bool time_stages = false;
   unsigned threads = 1;
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
-  /// Per-worker decoded-record cache budget for compressed inputs.
-  size_t decoded_cache_bytes = kDefaultDecodedCacheBytes;
-  /// When both are set, the run reads approximations from the compressed
-  /// stores instead of the scenario's flat vectors (results identical).
+  /// A side whose store is set reads its approximations from it (through
+  /// the decoded-record cache) instead of the scenario's flat vectors
+  /// (results identical).
   const CompressedAprilStore* r_cstore = nullptr;
   const CompressedAprilStore* s_cstore = nullptr;
 };

@@ -9,11 +9,10 @@
 //    either table is visible in isolation.
 //  - --json=PATH: the BENCH_PR7.json harness. Builds the dense TC-TZ
 //    tessellation scenario and times the full intermediate-filter stage
-//    (FindRelationFilter over all MBR-join candidates) in three
-//    configurations — scalar kernels on flat lists, SIMD kernels on flat
-//    lists, SIMD kernels fused into the blocked codec — at 1 and 4 threads,
-//    verifying that all configurations produce identical decisions and
-//    reporting the scalar-vs-SIMD speedup and the codec compression ratio.
+//    (FindRelationFilter over all MBR-join candidates) with scalar and with
+//    SIMD kernels at 1 and 4 threads, verifying that both produce identical
+//    decisions and reporting the scalar-vs-SIMD speedup and the block
+//    codec's compression ratio.
 
 #include <benchmark/benchmark.h>
 
@@ -322,13 +321,11 @@ struct HarnessData {
   std::vector<Box> s_mbrs;
   AprilStore r_store;
   AprilStore s_store;
-  CompressedAprilStore r_cstore;
-  CompressedAprilStore s_cstore;
 };
 
 /// One timed pass of the intermediate-filter stage over every candidate.
 /// Decisions land index-aligned in \p decisions regardless of threading.
-double TimedPass(const HarnessData& data, bool compressed, unsigned threads,
+double TimedPass(const HarnessData& data, unsigned threads,
                  std::vector<uint32_t>* decisions) {
   const std::vector<CandidatePair>& pairs = data.scenario.candidates;
   const auto start = std::chrono::steady_clock::now();
@@ -336,19 +333,9 @@ double TimedPass(const HarnessData& data, bool compressed, unsigned threads,
             [&](unsigned, size_t begin, size_t end) {
               for (size_t i = begin; i < end; ++i) {
                 const CandidatePair& p = pairs[i];
-                FilterDecision d;
-                if (compressed) {
-                  d = FindRelationFilter(data.r_mbrs[p.r_idx],
-                                         data.r_cstore.View(p.r_idx),
-                                         data.s_mbrs[p.s_idx],
-                                         data.s_cstore.View(p.s_idx));
-                } else {
-                  d = FindRelationFilter(data.r_mbrs[p.r_idx],
-                                         data.r_store.View(p.r_idx),
-                                         data.s_mbrs[p.s_idx],
-                                         data.s_store.View(p.s_idx));
-                }
-                (*decisions)[i] = EncodeDecision(d);
+                (*decisions)[i] = EncodeDecision(FindRelationFilter(
+                    data.r_mbrs[p.r_idx], data.r_store.View(p.r_idx),
+                    data.s_mbrs[p.s_idx], data.s_store.View(p.s_idx)));
               }
             });
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -357,13 +344,13 @@ double TimedPass(const HarnessData& data, bool compressed, unsigned threads,
 }
 
 /// Best-of-N pass time; N grows until ~0.6 s of total measurement.
-double BestPassSeconds(const HarnessData& data, bool compressed,
-                       unsigned threads, std::vector<uint32_t>* decisions) {
+double BestPassSeconds(const HarnessData& data, unsigned threads,
+                       std::vector<uint32_t>* decisions) {
   double best = 1e30;
   double total = 0.0;
   int passes = 0;
   while (passes < 3 || total < 0.6) {
-    const double s = TimedPass(data, compressed, threads, decisions);
+    const double s = TimedPass(data, threads, decisions);
     if (s < best) best = s;
     total += s;
     ++passes;
@@ -386,13 +373,12 @@ int RunJsonHarness(const bench::BenchOptions& options) {
   data.s_mbrs = data.scenario.s.Mbrs();
   data.r_store = AprilStore::FromApproximations(data.scenario.r_april);
   data.s_store = AprilStore::FromApproximations(data.scenario.s_april);
-  data.r_cstore = CompressedAprilStore::FromStore(data.r_store);
-  data.s_cstore = CompressedAprilStore::FromStore(data.s_store);
 
   const size_t flat_bytes =
       data.r_store.IntervalByteSize() + data.s_store.IntervalByteSize();
   const size_t blocked_bytes =
-      data.r_cstore.PayloadByteSize() + data.s_cstore.PayloadByteSize();
+      CompressedAprilStore::FromStore(data.r_store).PayloadByteSize() +
+      CompressedAprilStore::FromStore(data.s_store).PayloadByteSize();
 
   bench::JsonReporter reporter(options.json_path);
   reporter.Add(JsonRecord()
@@ -409,12 +395,10 @@ int RunJsonHarness(const bench::BenchOptions& options) {
   struct Mode {
     const char* name;
     SimdLevel level;
-    bool compressed;
   };
   const Mode modes[] = {
-      {"scalar", SimdLevel::kScalar, false},
-      {"simd", best_level, false},
-      {"simd_compressed", best_level, true},
+      {"scalar", SimdLevel::kScalar},
+      {"simd", best_level},
   };
   const std::vector<unsigned> threads_sweep =
       options.threads.size() > 1 ? options.threads
@@ -430,7 +414,7 @@ int RunJsonHarness(const bench::BenchOptions& options) {
       std::vector<uint32_t>* out =
           std::strcmp(mode.name, "scalar") == 0 ? &scalar_decisions
                                                 : &decisions;
-      const double best = BestPassSeconds(data, mode.compressed, threads, out);
+      const double best = BestPassSeconds(data, threads, out);
       const double pps = static_cast<double>(num_pairs) / best;
       const bool identical = *out == scalar_decisions;
       if (std::strcmp(mode.name, "scalar") == 0) scalar_pps = pps;

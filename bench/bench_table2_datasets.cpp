@@ -21,7 +21,7 @@ void Run(const BenchOptions& options) {
   PrintTitle("Table 2: dataset descriptions");
   std::printf("%-6s %-44s %12s %12s %12s %12s %14s\n", "name", "entity type",
               "# polygons", "size (MB)", "MBRs (MB)", "P+C (MB)",
-              "P+C.gz (MB)");
+              "P+C.v3 (MB)");
   for (const std::string& name : DatasetNames()) {
     const Dataset dataset = BuildDataset(name, options.scale, options.seed);
     // Per-dataset grid over its own bounds, as each scenario would grid it.
@@ -34,10 +34,11 @@ void Run(const BenchOptions& options) {
         BuildAprilApproximations(dataset, grid);
     size_t april_bytes = 0;
     for (const AprilApproximation& a : april) april_bytes += a.ByteSize();
-    // Varint-compressed on-disk footprint (the space-economy variant).
+    // On-disk footprint of the APRIL file (version 3, block codec).
     const std::string tmp = "/tmp/stj_table2_probe.april";
     size_t compressed_bytes = 0;
-    if (SaveAprilFileCompressed(tmp, april)) {
+    if (SaveAprilStoreBlocked(tmp, CompressedAprilStore::FromStore(
+                                       AprilStore::FromApproximations(april)))) {
       std::FILE* f = std::fopen(tmp.c_str(), "rb");
       if (f != nullptr) {
         std::fseek(f, 0, SEEK_END);

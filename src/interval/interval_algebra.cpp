@@ -1,15 +1,32 @@
 #include "src/interval/interval_algebra.h"
 
-#include "src/interval/interval_prechecks.h"
 #include "src/interval/simd.h"
 
 // The relations keep their scalar merge-join semantics but split each into
-// the shared O(1) range pre-check (interval_prechecks.h) followed by a call
+// an O(1) range pre-check on the views' total cell ranges followed by a call
 // through the runtime-dispatched kernel table (simd.h): AVX2 on x86, NEON on
 // arm64, portable scalar otherwise. Call sites are untouched — dispatch is
 // entirely behind this translation unit.
 
 namespace stj {
+
+namespace {
+
+/// True when the views' covered cell ranges cannot share a cell, so any
+/// merge-join that needs a common cell can answer immediately.
+bool RangesDisjoint(IntervalView x, IntervalView y) {
+  return x.Empty() || y.Empty() || x.BackEnd() <= y.FrontCell() ||
+         y.BackEnd() <= x.FrontCell();
+}
+
+/// True when y's total range covers x's total range end to end; both views
+/// must be non-empty. A false result proves ListInside(x, y) is false, and
+/// subsumes the disjoint-ranges reject.
+bool RangeCovers(IntervalView y, IntervalView x) {
+  return y.FrontCell() <= x.FrontCell() && x.BackEnd() <= y.BackEnd();
+}
+
+}  // namespace
 
 bool ListsOverlap(IntervalView x, IntervalView y) {
   if (RangesDisjoint(x, y)) return false;
@@ -30,8 +47,6 @@ bool ListsMatch(IntervalView x, IntervalView y) {
 bool ListInside(IntervalView x, IntervalView y) {
   if (x.Empty()) return true;
   if (y.Empty()) return false;
-  // Containment needs y's range to cover x's range end to end; failing that
-  // covers the disjoint-ranges reject as a special case.
   if (!RangeCovers(y, x)) return false;
   return simd::Active().inside(x, y);
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "src/interval/interval_codec.h"
 #include "src/interval/interval_list.h"
 
 namespace stj {
@@ -34,23 +33,5 @@ bool ListContains(IntervalView x, IntervalView y);
 /// Number of cells covered by both lists (used by diagnostics and tests; the
 /// filters themselves only need the boolean relations above).
 uint64_t ListsCommonCells(IntervalView x, IntervalView y);
-
-/// Compressed (APRIL v3) counterparts: identical truth values on the same
-/// underlying lists (the differential suite pins this), computed by a block
-/// merge over the codec's skip headers. The O(1) RangesDisjoint pre-check
-/// generalizes per block — block pairs with disjoint cell ranges are skipped
-/// without decoding their payload bytes; only candidate blocks are decoded
-/// (into stack buffers) and handed to the same vectorized kernels the flat
-/// relations use.
-bool ListsOverlap(const CompressedIntervalView& x,
-                  const CompressedIntervalView& y);
-bool ListsMatch(const CompressedIntervalView& x,
-                const CompressedIntervalView& y);
-bool ListInside(const CompressedIntervalView& x,
-                const CompressedIntervalView& y);
-bool ListContains(const CompressedIntervalView& x,
-                  const CompressedIntervalView& y);
-uint64_t ListsCommonCells(const CompressedIntervalView& x,
-                          const CompressedIntervalView& y);
 
 }  // namespace stj

@@ -9,18 +9,18 @@
 namespace stj {
 
 /// Delta/varint block codec for canonical interval lists — the APRIL v3
-/// record representation (PAPERS.md: compressed APRIL variants; "The
-/// Decode-Work Law": decode only what the join touches).
+/// record representation on disk and in shard files (PAPERS.md: compressed
+/// APRIL variants). It is a storage encoding only: the filters read records
+/// decoded back to flat lists (DecodedAprilCache, AprilStore loads).
 ///
 /// A list is chunked into fixed runs of kCodecBlockIntervals intervals (the
-/// last block may be shorter). Each block gets a fixed-size skip header
-/// carrying its covered cell range and interval count, so the compressed
-/// merge loops (interval_algebra_compressed.cpp) can apply the per-block
-/// generalization of the O(1) RangesDisjoint pre-check and skip whole blocks
-/// without touching their payload bytes. Chunking is deterministic, and the
-/// byte encoding of a block is a pure function of its intervals — equal
-/// lists always produce byte-identical encodings (ListsMatch on compressed
-/// views exploits this).
+/// last block may be shorter). Each block gets a fixed-size header carrying
+/// its covered cell range and interval count, which pins every block's
+/// endpoints so deep validation (ValidateCompressed) can check each payload
+/// against its header. Chunking is deterministic, and the byte encoding of a
+/// block is a pure function of its intervals — equal lists always produce
+/// byte-identical encodings (the aprilcheck re-encode audit relies on
+/// this).
 ///
 /// Block payload (LEB128 varints; begins/ends are recovered by prefix sums):
 ///   varint(len_0 - 1)                       first interval; begin is
@@ -30,7 +30,7 @@ namespace stj {
 ///                                           in canonical (non-adjacent) form
 inline constexpr size_t kCodecBlockIntervals = 32;
 
-/// Fixed-size skip header: the block covers cell range
+/// Fixed-size block header: the block covers cell range
 /// [first_cell, last_end) and holds `count` intervals starting at
 /// `byte_offset` within the list's payload bytes.
 struct IntervalBlockHeader {

@@ -8,9 +8,9 @@
 namespace stj::simd {
 
 /// One table of vectorized merge-join kernels per SimdLevel. The public
-/// relations in interval_algebra.h run their O(1) range pre-checks
-/// (interval_prechecks.h) and then call through the active table, so the
-/// kernels may assume the trivial cases are gone:
+/// relations in interval_algebra.h run their O(1) range pre-checks and then
+/// call through the active table, so the kernels may assume the trivial
+/// cases are gone:
 ///
 ///   overlap/common_cells: both views non-empty, total ranges intersect.
 ///   inside:               both views non-empty, y's range covers x's range.

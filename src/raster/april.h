@@ -24,8 +24,8 @@ struct AprilApproximation {
   IntervalList conservative;  ///< C list.
   IntervalList progressive;   ///< P list.
 
-  /// False when corruption-safe I/O (april_io.h) flagged this record as
-  /// unusable (checksum mismatch, undecodable payload). The pipeline must
+  /// False when the record is known to be unusable (the APRIL loaders in
+  /// april_io.h flag checksum or codec failures the same way). The pipeline must
   /// then treat the pair as undetermined and fall back to refinement rather
   /// than filter on garbage intervals. Note an *empty* conservative list with
   /// usable=true is legitimate (the object covers no cell at this grid

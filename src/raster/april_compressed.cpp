@@ -234,16 +234,17 @@ std::string CompressedAprilStore::DeepValidateRecord(size_t i) const {
   if (std::string err = ValidateCompressed(p); !err.empty()) {
     return "progressive: " + err;
   }
-  if (!ListInside(p, c)) {
+  std::vector<CellInterval> flat_c;
+  std::vector<CellInterval> flat_p;
+  if (!DecodeRecord(i, &flat_c, &flat_p)) return "undecodable record";
+  if (!ListInside(IntervalView(flat_p.data(), flat_p.size()),
+                  IntervalView(flat_c.data(), flat_c.size()))) {
     return "progressive list not contained in conservative list";
   }
   // Round-trip audit: the encoder is deterministic, so re-encoding the
   // decoded record must reproduce the stored headers and payload bytes
   // exactly. This catches corruption the structural checks cannot, e.g.
   // non-minimal varints that decode to the right values.
-  std::vector<CellInterval> flat_c;
-  std::vector<CellInterval> flat_p;
-  if (!DecodeRecord(i, &flat_c, &flat_p)) return "undecodable record";
   const CompressedIntervalList rc = CompressedIntervalList::Encode(
       IntervalView(flat_c.data(), flat_c.size()));
   const CompressedIntervalList rp = CompressedIntervalList::Encode(

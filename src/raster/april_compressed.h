@@ -11,19 +11,6 @@
 
 namespace stj {
 
-/// Non-owning view of one record's compressed APRIL approximation — the
-/// codec counterpart of AprilView, consumed by the compressed overloads of
-/// the intermediate filters. Usability is decided before construction, as
-/// with AprilView.
-struct CompressedAprilView {
-  CompressedIntervalView conservative;  ///< C list (blocked codec).
-  CompressedIntervalView progressive;   ///< P list (blocked codec).
-
-  CompressedAprilView() = default;
-  CompressedAprilView(CompressedIntervalView c, CompressedIntervalView p)
-      : conservative(c), progressive(p) {}
-};
-
 /// The nine flat arrays a CompressedAprilStore reads through. In the owning
 /// mode they point into the store's own vectors; in the mapped mode
 /// (FromSpans) they point into externally owned memory — a shard file
@@ -50,7 +37,7 @@ struct CompressedStoreSpans {
 /// codec (interval_codec.h) — the APRIL v3 in-memory form.
 ///
 /// Mirrors AprilStore's CSR design with two arenas instead of one: all block
-/// skip-headers live in one flat array and all payload bytes in another;
+/// headers live in one flat array and all payload bytes in another;
 /// per-record offset tables bracket each record's Conservative and
 /// Progressive spans in both. Record i occupies:
 ///
@@ -120,10 +107,6 @@ class CompressedAprilStore {
         span_.p_intervals[i]);
   }
 
-  CompressedAprilView View(size_t i) const {
-    return CompressedAprilView(Conservative(i), Progressive(i));
-  }
-
   /// Appends one record; header and payload data is copied into the arenas.
   void AppendRecord(const CompressedIntervalList& conservative,
                     const CompressedIntervalList& progressive,
@@ -159,10 +142,11 @@ class CompressedAprilStore {
                     std::vector<CellInterval>* progressive) const;
 
   /// Full audit of record i for the aprilcheck codec validation: deep codec
-  /// validation of both lists (ValidateCompressed), P ⊆ C, and re-encode
-  /// round-trip byte equality (the encoder is deterministic, so any stored
-  /// byte the re-encoding does not reproduce is codec corruption even when
-  /// the frame checksum matches). Returns an explanation or "".
+  /// validation of both lists (ValidateCompressed), P ⊆ C on the decoded
+  /// lists, and re-encode round-trip byte equality (the encoder is
+  /// deterministic, so any stored byte the re-encoding does not reproduce is
+  /// codec corruption even when the frame checksum matches). Returns an
+  /// explanation or "".
   std::string DeepValidateRecord(size_t i) const;
 
   /// Aborts (STJ_CHECK) if the CSR structure is inconsistent or any record

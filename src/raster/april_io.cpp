@@ -14,12 +14,8 @@ namespace stj {
 
 namespace {
 
-constexpr char kMagic[4] = {'A', 'P', 'R', 'L'};
-constexpr char kMagicCompressed[4] = {'A', 'P', 'R', 'C'};
-constexpr char kMagicBlocked[4] = {'A', 'P', 'R', 'B'};
-constexpr uint32_t kVersionUnframed = 1;  ///< Legacy: no per-record frames.
-constexpr uint32_t kVersion = 2;          ///< Framed + checksummed records.
-constexpr uint32_t kVersionBlocked = 3;   ///< Framed block-codec records.
+constexpr char kMagic[4] = {'A', 'P', 'R', 'B'};
+constexpr uint32_t kVersion = 3;
 constexpr uint64_t kMaxListSize = 1ull << 40;   // corrupt size guard
 constexpr uint64_t kMaxBlockCount =
     kMaxListSize / kCodecBlockIntervals + 1;
@@ -43,12 +39,6 @@ uint64_t Fnv1a64(const char* data, size_t size) {
   return hash;
 }
 
-// ---- serialisation into a memory buffer (record payloads) ----
-
-void AppendU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
 // LEB128 varint encoding.
 void AppendVarint(std::string* out, uint64_t v) {
   do {
@@ -58,29 +48,6 @@ void AppendVarint(std::string* out, uint64_t v) {
     out->push_back(byte);
   } while (v != 0);
 }
-
-void AppendList(std::string* out, IntervalView list) {
-  AppendU64(out, list.Size());
-  for (size_t i = 0; i < list.Size(); ++i) {
-    AppendU64(out, list[i].begin);
-    AppendU64(out, list[i].end);
-  }
-}
-
-// Compressed list: varint count, then per interval the gap from the previous
-// interval's end (first interval: gap from 0) and the interval length minus
-// one (canonical intervals are non-empty).
-void AppendListCompressed(std::string* out, IntervalView list) {
-  AppendVarint(out, list.Size());
-  CellId cursor = 0;
-  for (size_t i = 0; i < list.Size(); ++i) {
-    AppendVarint(out, list[i].begin - cursor);
-    AppendVarint(out, list[i].Length() - 1);
-    cursor = list[i].end;
-  }
-}
-
-// ---- deserialisation from a memory buffer ----
 
 /// Bounded cursor over loaded file bytes. Reads never run past the end;
 /// a short read leaves the cursor untouched and returns false.
@@ -129,122 +96,8 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Decodes one raw list into \p out (cleared first) and validates canonical
-/// form. Writing into a caller-owned scratch vector instead of a fresh
-/// IntervalList is what lets the arena loader run allocation-free in steady
-/// state.
-bool ReadIntervals(ByteReader* in, std::vector<CellInterval>* out) {
-  out->clear();
-  uint64_t count = 0;
-  if (!in->ReadU64(&count)) return false;
-  if (count > kMaxListSize) return false;
-  if (count * 2 * sizeof(uint64_t) > in->Remaining()) return false;
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    CellInterval iv;
-    if (!in->ReadU64(&iv.begin) || !in->ReadU64(&iv.end)) return false;
-    out->push_back(iv);
-  }
-  // Validate canonical form without asserting.
-  for (size_t i = 0; i < out->size(); ++i) {
-    if ((*out)[i].Empty()) return false;
-    if (i > 0 && (*out)[i].begin <= (*out)[i - 1].end) return false;
-  }
-  return true;
-}
-
-bool ReadIntervalsCompressed(ByteReader* in, std::vector<CellInterval>* out) {
-  out->clear();
-  uint64_t count = 0;
-  if (!in->ReadVarint(&count)) return false;
-  if (count > kMaxListSize || count * 2 > in->Remaining()) return false;
-  out->reserve(count);
-  CellId cursor = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t gap = 0;
-    uint64_t length_minus_one = 0;
-    if (!in->ReadVarint(&gap) || !in->ReadVarint(&length_minus_one)) {
-      return false;
-    }
-    // Canonical form needs a positive gap between intervals (but the first
-    // interval may start at 0).
-    if (i > 0 && gap == 0) return false;
-    const CellId begin = cursor + gap;
-    const CellId end = begin + length_minus_one + 1;
-    if (end <= begin || begin < cursor) return false;  // overflow guard
-    out->push_back(CellInterval{begin, end});
-    cursor = end;
-  }
-  return true;
-}
-
-/// Decodes one record payload (both lists) into scratch vectors and requires
-/// it to be consumed exactly.
-bool DecodePayload(const char* data, size_t size, bool compressed,
-                   std::vector<CellInterval>* conservative,
-                   std::vector<CellInterval>* progressive) {
-  ByteReader in(data, size);
-  const bool ok = compressed
-                      ? (ReadIntervalsCompressed(&in, conservative) &&
-                         ReadIntervalsCompressed(&in, progressive))
-                      : (ReadIntervals(&in, conservative) &&
-                         ReadIntervals(&in, progressive));
-  return ok && in.AtEnd();
-}
-
-/// Shared framed writer: \p payload_of(i, &payload) serialises record i into
-/// the cleared payload buffer; this wraps it in the u64-size/u64-checksum
-/// frame shared by versions 2 and 3.
-template <typename PayloadFn>
-bool SaveFramedImpl(const std::string& path, const char* magic,
-                    uint32_t version, size_t count,
-                    const PayloadFn& payload_of) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) return false;
-  if (std::fwrite(magic, 1, 4, f.get()) != 4) return false;
-  if (std::fwrite(&version, sizeof version, 1, f.get()) != 1) return false;
-  const uint64_t declared = count;
-  if (std::fwrite(&declared, sizeof declared, 1, f.get()) != 1) return false;
-  std::string payload;
-  for (size_t i = 0; i < count; ++i) {
-    payload.clear();
-    payload_of(i, &payload);
-    const uint64_t size = payload.size();
-    const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
-    if (std::fwrite(&size, sizeof size, 1, f.get()) != 1) return false;
-    if (std::fwrite(&checksum, sizeof checksum, 1, f.get()) != 1) return false;
-    if (!payload.empty() &&
-        std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
-            payload.size()) {
-      return false;
-    }
-  }
-  return std::fflush(f.get()) == 0;
-}
-
-/// Shared writer: \p view_of(i) yields record i's lists, whatever they are
-/// stored in (legacy vector or arena store).
-template <typename ViewFn>
-bool SaveImpl(const std::string& path, size_t count, const ViewFn& view_of,
-              bool compressed) {
-  return SaveFramedImpl(
-      path, compressed ? kMagicCompressed : kMagic, kVersion, count,
-      [&](size_t i, std::string* payload) {
-        const AprilView april = view_of(i);
-        if (compressed) {
-          AppendListCompressed(payload, april.conservative);
-          AppendListCompressed(payload, april.progressive);
-        } else {
-          AppendList(payload, april.conservative);
-          AppendList(payload, april.progressive);
-        }
-      });
-}
-
-// ---- version 3: blocked codec payloads ----
-
 /// Serialises one compressed list: varint interval and block counts, the
-/// skip headers (first_cell, range span, count, payload length — byte
+/// block headers (first_cell, range span, count, payload length — byte
 /// offsets are implicit prefix sums), then the concatenated block payloads.
 void AppendListBlocked(std::string* out, const CompressedIntervalView& view) {
   AppendVarint(out, view.Intervals());
@@ -261,7 +114,7 @@ void AppendListBlocked(std::string* out, const CompressedIntervalView& view) {
   out->append(reinterpret_cast<const char*>(view.Bytes()), view.ByteSize());
 }
 
-/// One parsed v3 record; buffers are reused across records of a load.
+/// One parsed record; buffers are reused across records of a load.
 struct BlockedRecord {
   std::vector<IntervalBlockHeader> c_headers;
   std::vector<IntervalBlockHeader> p_headers;
@@ -336,7 +189,7 @@ bool ReadListBlocked(ByteReader* in,
   return true;
 }
 
-/// Parses and deep-validates one v3 record payload. Must consume the payload
+/// Parses and deep-validates one record payload. Must consume the payload
 /// exactly; both lists must pass ValidateCompressed.
 bool DecodeBlockedPayload(const char* data, size_t size, BlockedRecord* rec) {
   ByteReader in(data, size);
@@ -368,36 +221,26 @@ Status ReadWholeFile(const std::string& path, std::string* out) {
   return Status::Ok();
 }
 
-void ReportCorrupt(AprilLoadReport* report, uint64_t index) {
-  if (report == nullptr) return;
-  ++report->corrupt;
+/// Counts one unusable record that stays in the output as a placeholder.
+void ReportUnusable(uint64_t index, uint64_t* counter,
+                    AprilLoadReport* report) {
+  ++*counter;
   if (report->corrupt_indices.size() < kMaxReportedIndices) {
     report->corrupt_indices.push_back(index);
   }
 }
 
-void ReportCodecCorrupt(AprilLoadReport* report, uint64_t index) {
-  if (report == nullptr) return;
-  ++report->codec_corrupt;
-  if (report->corrupt_indices.size() < kMaxReportedIndices) {
-    report->corrupt_indices.push_back(index);
-  }
-}
-
-/// Shared header parse for the framed loaders. On success fills \p blocked /
-/// \p compressed / \p count and positions \p in at the first frame.
-Status ParseFileHeader(const std::string& path, ByteReader* in, bool* blocked,
-                       bool* compressed, uint32_t* version, uint64_t* count) {
+/// Checks the file header and positions \p in at the first frame.
+Status ParseFileHeader(const std::string& path, ByteReader* in,
+                       uint32_t* version, uint64_t* count) {
   char magic[4];
   if (!in->ReadBytes(magic, 4)) {
     return Status::DataLoss("file too short for magic")
         .WithFile(path)
         .WithOffset(in->Pos());
   }
-  *compressed = std::memcmp(magic, kMagicCompressed, 4) == 0;
-  *blocked = std::memcmp(magic, kMagicBlocked, 4) == 0;
-  if (!*compressed && !*blocked && std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument("not an APRIL file (bad magic)")
+  if (std::memcmp(magic, kMagic, 4) != 0) {
+    return Status::InvalidArgument("not an APRIL version-3 file (bad magic)")
         .WithFile(path)
         .WithOffset(0);
   }
@@ -406,13 +249,7 @@ Status ParseFileHeader(const std::string& path, ByteReader* in, bool* blocked,
         .WithFile(path)
         .WithOffset(in->Pos());
   }
-  // The blocked magic and version 3 imply each other; the flat magics cap at
-  // version 2.
-  const bool version_ok = *blocked
-                              ? *version == kVersionBlocked
-                              : (*version == kVersionUnframed ||
-                                 *version == kVersion);
-  if (!version_ok) {
+  if (*version != kVersion) {
     return Status::InvalidArgument("unsupported APRIL format version " +
                                    std::to_string(*version))
         .WithFile(path)
@@ -432,253 +269,132 @@ Status ParseFileHeader(const std::string& path, ByteReader* in, bool* blocked,
   return Status::Ok();
 }
 
-}  // namespace
-
-bool SaveAprilFile(const std::string& path,
-                   const std::vector<AprilApproximation>& approximations) {
-  return SaveImpl(
-      path, approximations.size(),
-      [&](size_t i) { return AprilView(approximations[i]); },
-      /*compressed=*/false);
-}
-
-bool SaveAprilFileCompressed(
-    const std::string& path,
-    const std::vector<AprilApproximation>& approximations) {
-  return SaveImpl(
-      path, approximations.size(),
-      [&](size_t i) { return AprilView(approximations[i]); },
-      /*compressed=*/true);
-}
-
-bool SaveAprilStore(const std::string& path, const AprilStore& store) {
-  return SaveImpl(
-      path, store.Count(), [&](size_t i) { return store.View(i); },
-      /*compressed=*/false);
-}
-
-bool SaveAprilStoreCompressed(const std::string& path,
-                              const AprilStore& store) {
-  return SaveImpl(
-      path, store.Count(), [&](size_t i) { return store.View(i); },
-      /*compressed=*/true);
-}
-
-Status LoadAprilStore(const std::string& path, AprilStore* out,
-                      AprilLoadReport* report) {
-  out->Clear();
-  if (report != nullptr) *report = AprilLoadReport{};
+/// The frame loop both loaders share. After the header check it calls
+/// \p reserve(declared count), then walks the framed records. A bad
+/// checksum costs one object: \p placeholder() keeps later records
+/// index-aligned and the reader resynchronises at the next frame. A record
+/// whose checksum holds but whose payload fails deep codec validation — or
+/// that \p append(record) refuses — is isolated the same way and counted as
+/// codec_corrupt. A frame that runs past the end of the file means the tail
+/// is gone: the verified prefix is kept.
+template <typename ReserveFn, typename AppendFn, typename PlaceholderFn>
+Status LoadFrames(const std::string& path, AprilLoadReport* report,
+                  const ReserveFn& reserve, const AppendFn& append,
+                  const PlaceholderFn& placeholder) {
+  AprilLoadReport local;
+  if (report == nullptr) report = &local;
+  *report = AprilLoadReport{};
   std::string bytes;
   if (Status st = ReadWholeFile(path, &bytes); !st.ok()) return st;
   ByteReader in(bytes.data(), bytes.size());
-
-  bool blocked = false;
-  bool compressed = false;
-  uint32_t version = 0;
   uint64_t count = 0;
-  if (Status st = ParseFileHeader(path, &in, &blocked, &compressed, &version,
-                                  &count);
+  if (Status st = ParseFileHeader(path, &in, &report->version, &count);
       !st.ok()) {
     return st;
   }
-  if (report != nullptr) {
-    report->version = version;
-    report->compressed = compressed || blocked;
-    report->declared_count = count;
-  }
-  // Raw intervals occupy 2 u64s each, which bounds how many the file can
-  // hold; compressed files stay unreserved (a varint can claim anything).
-  out->Reserve(static_cast<size_t>(std::min<uint64_t>(count, kReserveCap)),
-               compressed ? 0 : in.Remaining() / (2 * sizeof(uint64_t)));
+  report->declared_count = count;
+  reserve(static_cast<size_t>(std::min<uint64_t>(count, kReserveCap)));
 
-  // Record-decoding scratch, reused across all records of the load.
-  std::vector<CellInterval> conservative;
-  std::vector<CellInterval> progressive;
-  auto append_record = [&] {
-    out->AppendRecord(
-        IntervalView(conservative.data(), conservative.size()),
-        IntervalView(progressive.data(), progressive.size()));
-  };
-
-  if (version == kVersionUnframed) {
-    // Legacy format: records are not framed, so corruption cannot be skipped
-    // — the first bad byte fails the load, as it always did.
-    for (uint64_t i = 0; i < count; ++i) {
-      const size_t record_start = in.Pos();
-      const bool ok = compressed
-                          ? (ReadIntervalsCompressed(&in, &conservative) &&
-                             ReadIntervalsCompressed(&in, &progressive))
-                          : (ReadIntervals(&in, &conservative) &&
-                             ReadIntervals(&in, &progressive));
-      if (!ok) {
-        out->Clear();
-        if (report != nullptr) {
-          report->truncated = true;
-          report->corrupt = count - i;
-        }
-        return Status::DataLoss("malformed or truncated record for object " +
-                                std::to_string(i))
-            .WithFile(path)
-            .WithOffset(record_start);
-      }
-      append_record();
-      if (report != nullptr) ++report->loaded;
-    }
-    return Status::Ok();
-  }
-
-  // Versions 2 and 3: framed records. A bad frame costs one object; the
-  // reader resynchronises at the next frame. A frame that runs past the end
-  // of the file means the tail is gone — keep the verified prefix. Version-3
-  // payloads additionally pass deep codec validation; a record whose
-  // checksum holds but whose codec is invalid is isolated the same way and
-  // reported as codec_corrupt.
   BlockedRecord rec;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t payload_size = 0;
     uint64_t checksum = 0;
     if (!in.ReadU64(&payload_size) || !in.ReadU64(&checksum) ||
         payload_size > in.Remaining()) {
-      if (report != nullptr) {
-        report->truncated = true;
-        report->corrupt += count - i;
-      }
+      report->truncated = true;
+      report->corrupt += count - i;
       break;
     }
     const char* payload = bytes.data() + in.Pos();
     in.Skip(payload_size);
     if (Fnv1a64(payload, static_cast<size_t>(payload_size)) != checksum) {
-      out->AppendCorruptPlaceholder();
-      ReportCorrupt(report, i);
+      placeholder();
+      ReportUnusable(i, &report->corrupt, report);
       continue;
     }
-    if (blocked) {
-      if (!DecodeBlockedPayload(payload, static_cast<size_t>(payload_size),
-                                &rec) ||
-          !DecodeCompressed(rec.Conservative(), &conservative) ||
-          !DecodeCompressed(rec.Progressive(), &progressive)) {
-        out->AppendCorruptPlaceholder();
-        ReportCodecCorrupt(report, i);
-        continue;
-      }
-    } else if (!DecodePayload(payload, static_cast<size_t>(payload_size),
-                              compressed, &conservative, &progressive)) {
-      out->AppendCorruptPlaceholder();
-      ReportCorrupt(report, i);
+    if (!DecodeBlockedPayload(payload, static_cast<size_t>(payload_size),
+                              &rec) ||
+        !append(rec)) {
+      placeholder();
+      ReportUnusable(i, &report->codec_corrupt, report);
       continue;
     }
-    append_record();
-    if (report != nullptr) ++report->loaded;
+    ++report->loaded;
   }
   return Status::Ok();
 }
 
+}  // namespace
+
 bool SaveAprilStoreBlocked(const std::string& path,
                            const CompressedAprilStore& store) {
-  return SaveFramedImpl(path, kMagicBlocked, kVersionBlocked, store.Count(),
-                        [&](size_t i, std::string* payload) {
-                          AppendListBlocked(payload, store.Conservative(i));
-                          AppendListBlocked(payload, store.Progressive(i));
-                        });
+  FilePtr f(std::fopen(path.c_str(), "wb"));
+  if (f == nullptr) return false;
+  const uint64_t declared = store.Count();
+  if (std::fwrite(kMagic, 1, 4, f.get()) != 4 ||
+      std::fwrite(&kVersion, sizeof kVersion, 1, f.get()) != 1 ||
+      std::fwrite(&declared, sizeof declared, 1, f.get()) != 1) {
+    return false;
+  }
+  std::string payload;
+  for (size_t i = 0; i < store.Count(); ++i) {
+    payload.clear();
+    AppendListBlocked(&payload, store.Conservative(i));
+    AppendListBlocked(&payload, store.Progressive(i));
+    const uint64_t size = payload.size();
+    const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+    if (std::fwrite(&size, sizeof size, 1, f.get()) != 1) return false;
+    if (std::fwrite(&checksum, sizeof checksum, 1, f.get()) != 1) return false;
+    if (!payload.empty() &&
+        std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
+            payload.size()) {
+      return false;
+    }
+  }
+  return std::fflush(f.get()) == 0;
 }
 
 Status LoadCompressedAprilStore(const std::string& path,
                                 CompressedAprilStore* out,
                                 AprilLoadReport* report) {
   out->Clear();
-  if (report != nullptr) *report = AprilLoadReport{};
-  std::string bytes;
-  if (Status st = ReadWholeFile(path, &bytes); !st.ok()) return st;
-  ByteReader in(bytes.data(), bytes.size());
-
-  bool blocked = false;
-  bool compressed = false;
-  uint32_t version = 0;
-  uint64_t count = 0;
-  if (Status st = ParseFileHeader(path, &in, &blocked, &compressed, &version,
-                                  &count);
-      !st.ok()) {
-    return st;
-  }
-  if (!blocked) {
-    return Status::InvalidArgument(
-               "not a blocked (version 3) APRIL file; load it into an "
-               "AprilStore instead")
-        .WithFile(path)
-        .WithOffset(0);
-  }
-  if (report != nullptr) {
-    report->version = version;
-    report->compressed = true;
-    report->declared_count = count;
-  }
-  out->Reserve(static_cast<size_t>(std::min<uint64_t>(count, kReserveCap)),
-               /*blocks=*/0, /*payload_bytes=*/0);
-
-  BlockedRecord rec;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t payload_size = 0;
-    uint64_t checksum = 0;
-    if (!in.ReadU64(&payload_size) || !in.ReadU64(&checksum) ||
-        payload_size > in.Remaining()) {
-      if (report != nullptr) {
-        report->truncated = true;
-        report->corrupt += count - i;
-      }
-      break;
-    }
-    const char* payload = bytes.data() + in.Pos();
-    in.Skip(payload_size);
-    if (Fnv1a64(payload, static_cast<size_t>(payload_size)) != checksum) {
-      out->AppendCorruptPlaceholder();
-      ReportCorrupt(report, i);
-      continue;
-    }
-    if (!DecodeBlockedPayload(payload, static_cast<size_t>(payload_size),
-                              &rec)) {
-      out->AppendCorruptPlaceholder();
-      ReportCodecCorrupt(report, i);
-      continue;
-    }
-    out->AppendRecord(
-        CompressedIntervalList::FromParts(rec.c_headers, rec.c_bytes,
-                                          rec.c_intervals),
-        CompressedIntervalList::FromParts(rec.p_headers, rec.p_bytes,
-                                          rec.p_intervals));
-    if (report != nullptr) ++report->loaded;
-  }
-  return Status::Ok();
+  return LoadFrames(
+      path, report,
+      [&](size_t records) {
+        out->Reserve(records, /*blocks=*/0, /*payload_bytes=*/0);
+      },
+      [&](const BlockedRecord& rec) {
+        out->AppendRecord(
+            CompressedIntervalList::FromParts(rec.c_headers, rec.c_bytes,
+                                              rec.c_intervals),
+            CompressedIntervalList::FromParts(rec.p_headers, rec.p_bytes,
+                                              rec.p_intervals));
+        return true;
+      },
+      [&] { out->AppendCorruptPlaceholder(); });
 }
 
-Status LoadAprilFileDetailed(const std::string& path,
-                             std::vector<AprilApproximation>* out,
-                             AprilLoadReport* report) {
-  out->clear();
-  AprilStore store;
-  if (Status st = LoadAprilStore(path, &store, report); !st.ok()) return st;
-  out->reserve(store.Count());
-  for (size_t i = 0; i < store.Count(); ++i) {
-    AprilApproximation april;
-    const IntervalView c = store.Conservative(i);
-    const IntervalView p = store.Progressive(i);
-    april.conservative =
-        IntervalList::FromSorted(std::vector<CellInterval>(c.begin(), c.end()));
-    april.progressive =
-        IntervalList::FromSorted(std::vector<CellInterval>(p.begin(), p.end()));
-    april.usable = store.Usable(i);
-    out->push_back(std::move(april));
-  }
-  return Status::Ok();
-}
-
-bool LoadAprilFile(const std::string& path,
-                   std::vector<AprilApproximation>* out) {
-  AprilLoadReport report;
-  const Status status = LoadAprilFileDetailed(path, out, &report);
-  if (!status.ok() || report.Degraded()) {
-    return false;
-  }
-  return true;
+Status LoadAprilStore(const std::string& path, AprilStore* out,
+                      AprilLoadReport* report) {
+  out->Clear();
+  // Record-decoding scratch, reused across all records of the load, so the
+  // arena load runs allocation-free in steady state.
+  std::vector<CellInterval> conservative;
+  std::vector<CellInterval> progressive;
+  return LoadFrames(
+      path, report,
+      [&](size_t records) { out->Reserve(records, /*intervals=*/0); },
+      [&](const BlockedRecord& rec) {
+        if (!DecodeCompressed(rec.Conservative(), &conservative) ||
+            !DecodeCompressed(rec.Progressive(), &progressive)) {
+          return false;
+        }
+        out->AppendRecord(
+            IntervalView(conservative.data(), conservative.size()),
+            IntervalView(progressive.data(), progressive.size()));
+        return true;
+      },
+      [&] { out->AppendCorruptPlaceholder(); });
 }
 
 }  // namespace stj

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/raster/april.h"
 #include "src/raster/april_compressed.h"
 #include "src/raster/april_store.h"
 #include "src/util/status.h"
@@ -16,45 +15,34 @@ namespace stj {
 /// helpers provide that persistence, hardened against truncated and
 /// bit-flipped files.
 ///
-/// Format (version 2): "APRL" (raw) or "APRC" (compressed) magic, u32
-/// version, u64 object count, then one framed record per object:
+/// Format (version 3, the only one): "APRB" magic, u32 version, u64 object
+/// count, then one framed record per object:
 ///
 ///   u64 payload_bytes | u64 fnv1a64(payload) | payload
 ///
-/// The raw payload holds the C and P lists as (u64 interval count, u64
-/// begin/end pairs); the compressed payload varint-encodes gap/length deltas
-/// (canonical lists have strictly positive gaps and lengths, so the deltas
-/// are small and varints shrink them 3-5x over raw). The frame makes every
-/// record independently verifiable and skippable: a corrupt record is
-/// detected by its checksum and the reader resynchronises at the next frame,
-/// so one flipped byte costs one object, not the file. Version-1 files (no
-/// frames) are still read, but any corruption fails the whole load.
-/// All integers native-endian (little-endian on every supported target).
-///
-/// Version 3 ("APRB" magic) keeps the version-2 frame layout — u64 size, u64
-/// fnv1a64 checksum, payload — but the payload is the block codec of
-/// interval_codec.h: per list a varint interval count and block count, the
-/// skip headers (varint first_cell, range span, count, payload length), then
-/// the concatenated block payloads. A v3 file loads either into a flat
-/// AprilStore (records are decoded, so every existing consumer reads v3
-/// transparently) or into a CompressedAprilStore that keeps the blocks for
-/// the fused filter path. Beyond the checksum, every v3 record passes deep
-/// codec validation at load; a record that verifies its checksum but fails
-/// codec validation is isolated as a placeholder and counted separately
-/// (codec_corrupt), since it indicates a writer bug or targeted corruption
-/// rather than bit rot.
+/// The payload is the block codec of interval_codec.h, C list then P list:
+/// per list a varint interval count and block count, the block headers
+/// (varint first_cell, range span, count, payload length), then the
+/// concatenated block payloads. The frame makes every record independently
+/// verifiable and skippable: a corrupt record is detected by its checksum
+/// and the reader resynchronises at the next frame, so one flipped byte
+/// costs one object, not the file. Beyond the checksum, every record passes
+/// deep codec validation at load; a record that verifies its checksum but
+/// fails codec validation is isolated as a placeholder and counted
+/// separately (codec_corrupt), since it indicates a writer bug or targeted
+/// corruption rather than bit rot. All integers native-endian
+/// (little-endian on every supported target).
 
 /// Per-load accounting of what a (possibly corrupt) APRIL file yielded.
 struct AprilLoadReport {
   uint32_t version = 0;        ///< Format version encountered.
-  bool compressed = false;     ///< "APRC" vs "APRL" payload encoding.
   uint64_t declared_count = 0; ///< Object count claimed by the header.
   uint64_t loaded = 0;         ///< Records decoded and verified.
-  uint64_t corrupt = 0;        ///< Records unusable (bad checksum, undecodable
-                               ///< payload, or missing due to truncation).
-  /// Version-3 records whose frame checksum verified but whose blocked
-  /// payload failed deep codec validation (interval_codec.h). Disjoint from
-  /// `corrupt`; such records also become usable=false placeholders.
+  uint64_t corrupt = 0;        ///< Records unusable (bad checksum, or missing
+                               ///< due to truncation).
+  /// Records whose frame checksum verified but whose blocked payload failed
+  /// deep codec validation (interval_codec.h). Disjoint from `corrupt`;
+  /// such records also become usable=false placeholders.
   uint64_t codec_corrupt = 0;
   bool truncated = false;      ///< File ended before declared_count records.
   /// Indices (into the declared object order) of unusable records (checksum
@@ -70,61 +58,27 @@ struct AprilLoadReport {
   }
 };
 
-/// Writes \p approximations to \p path (version 2, raw payloads). Returns
-/// false on any I/O error.
-bool SaveAprilFile(const std::string& path,
-                   const std::vector<AprilApproximation>& approximations);
-
-/// Writes \p approximations in the compressed encoding (version 2, "APRC").
-bool SaveAprilFileCompressed(
-    const std::string& path,
-    const std::vector<AprilApproximation>& approximations);
-
-/// Store overloads: same file format, fed straight from the arena. A store
-/// and the vector it was built from write byte-identical files.
-bool SaveAprilStore(const std::string& path, const AprilStore& store);
-bool SaveAprilStoreCompressed(const std::string& path, const AprilStore& store);
-
-/// Writes \p store in the version-3 blocked codec ("APRB"). Corruption
-/// placeholders are written as empty records, as the v2 writers do.
+/// Writes \p store as a version-3 file. Corruption placeholders are written
+/// as empty records (the usable flag is not persisted). Returns false on any
+/// I/O error.
 bool SaveAprilStoreBlocked(const std::string& path,
                            const CompressedAprilStore& store);
 
-/// Reads a version-3 ("APRB") file into a CompressedAprilStore, keeping the
-/// block codec intact for the fused filter path. Same tolerance semantics as
-/// LoadAprilStore: checksum failures and codec-validation failures each cost
-/// one record (placeholder + report entry); truncation keeps the verified
-/// prefix. Returns InvalidArgument for non-v3 files.
+/// Reads a file into a CompressedAprilStore, keeping the block codec as
+/// stored. Checksum failures and codec-validation failures each cost one
+/// record (usable=false placeholder + report entry, so later records keep
+/// their object index); truncation keeps the verified prefix. Returns a
+/// non-ok Status only for structural failures: missing file, unreadable
+/// header, unknown magic or version. \p report may be null.
 Status LoadCompressedAprilStore(const std::string& path,
                                 CompressedAprilStore* out,
                                 AprilLoadReport* report = nullptr);
 
-/// Reads approximations from \p path straight into an arena-backed store in
-/// one pass (no per-object heap lists). Version-3 records are decoded to
-/// flat intervals, so callers need not know which codec wrote the file.
-/// Same tolerance and reporting
-/// semantics as LoadAprilFileDetailed: corrupt version-2 records become
-/// usable=false placeholder records so later records keep their object
-/// index; truncation keeps the verified prefix; structural failures (and any
-/// version-1 corruption) clear the store and return non-ok.
+/// Reads a file straight into an arena-backed store in one pass (no
+/// per-object heap lists): the same frame loop and tolerance semantics as
+/// LoadCompressedAprilStore, with each verified record decoded to flat
+/// canonical intervals.
 Status LoadAprilStore(const std::string& path, AprilStore* out,
                       AprilLoadReport* report = nullptr);
-
-/// Reads approximations from \p path into \p out (cleared first), tolerating
-/// per-record corruption in version-2 files: a record whose checksum or
-/// payload fails verification is emitted as a usable=false placeholder (so
-/// later records keep their object index) and listed in the report; a
-/// truncated file yields the verified prefix with report.truncated set.
-/// Returns a non-ok Status only for structural failures — missing file,
-/// unreadable header, unknown magic/version, or (version-1 files) any
-/// malformed content. \p report may be null.
-Status LoadAprilFileDetailed(const std::string& path,
-                             std::vector<AprilApproximation>* out,
-                             AprilLoadReport* report = nullptr);
-
-/// Strict convenience wrapper: true only when the load succeeded with zero
-/// corrupt or missing records.
-bool LoadAprilFile(const std::string& path,
-                   std::vector<AprilApproximation>* out);
 
 }  // namespace stj

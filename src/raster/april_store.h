@@ -20,8 +20,8 @@ namespace stj {
 ///
 /// Compared with a vector<AprilApproximation> (two heap vectors per object),
 /// the arena costs three allocations total, keeps a whole dataset's
-/// approximations contiguous for scan-friendly filtering, and loads from the
-/// v2 file format in one pass (april_io.h). Records are read out as
+/// approximations contiguous for scan-friendly filtering, and loads from an
+/// APRIL file in one pass (april_io.h). Records are read out as
 /// lightweight non-owning IntervalView / AprilView values — the same types
 /// the interval algebra and the intermediate filters consume — so the
 /// topology layer is agnostic to which storage a dataset uses.

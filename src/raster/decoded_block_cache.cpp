@@ -22,7 +22,7 @@ size_t EntryBytes(const std::vector<CellInterval>& c,
 DecodedAprilCache::FetchOutcome DecodedAprilCache::Fetch(
     const CompressedAprilStore& store, uint32_t idx, AprilView* out) {
   // Missing or flagged-corrupt records are decided from the store's own
-  // metadata — no cache traffic, exactly like Pipeline::CompressedAprilFor.
+  // metadata — no cache traffic, exactly like the flat storages.
   if (idx >= store.Count() || !store.Usable(idx)) return FetchOutcome::kAbsent;
 
   const auto it = entries_.find(idx);

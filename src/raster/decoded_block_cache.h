@@ -32,18 +32,15 @@ struct DecodedCacheStats {
 };
 
 /// Bounded per-worker LRU of *decoded* CompressedAprilStore records, keyed
-/// by object index (ROADMAP item 3 follow-up: the compressed-store filter
-/// gap).
+/// by object index: the only way compressed records reach the filters.
 ///
-/// The blocked codec trades filter speed for footprint: the fused
-/// block-skipping merges decode every touched block of a record again for
-/// every pair the record participates in. The Hilbert-ordered join schedule
-/// makes that repetition systematic — a wave of consecutive blocks touches
-/// the same objects across many pairs — so decoding a hot record once to
-/// flat canonical form and running the flat (SIMD) interval kernels over it
-/// wins on every subsequent pair. The flat and compressed filter paths
-/// compute identical decisions (the PR 7 differential suite pins this), so
-/// the cache is a pure performance layer.
+/// The blocked codec is a storage encoding; the intermediate filters run
+/// the flat (SIMD) interval kernels only. The Hilbert-ordered join schedule
+/// makes per-pair record reuse systematic — a wave of consecutive blocks
+/// touches the same objects across many pairs — so decoding a hot record
+/// once to flat canonical form serves every subsequent pair it takes part
+/// in. The cache is a pure performance layer: its budget changes no
+/// decision.
 ///
 /// Corruption isolation: a record whose payload fails DecodeCompressed
 /// (tampered bytes behind a valid usable flag) is cached as a negative

@@ -17,11 +17,11 @@ namespace stj {
 /// manifest plus one shard file per tile of a TileGrid partition
 /// (src/join/partitioner.h computes the grid; this layer only persists it).
 ///
-/// Layout (all integers native-endian, like the APRIL v2/v3 formats):
+/// Layout (all integers native-endian, like the APRIL file format):
 ///
 ///   <dir>/manifest.stj
 ///     "SHDM" magic | u32 version | u64 payload_bytes | u64 fnv1a64(payload)
-///     | payload — the v2/v3 framed+checksummed convention. The payload
+///     | payload — the APRIL framed+checksummed convention. The payload
 ///     carries the dataset object count, the TileGrid (domain, columns,
 ///     rows, boundary runs) and per tile: object count, computational
 ///     units, shard file byte size.
@@ -171,7 +171,7 @@ struct ShardCheckReport {
 /// cross-checks against the manifest (object counts, file sizes). Unlike
 /// the join path this reads every byte. A non-ok Status means the manifest
 /// itself was unreadable (structural failure); per-tile corruption is
-/// reported through \p report, mirroring the v2/v3 record-isolation
+/// reported through \p report, mirroring the APRIL record-isolation
 /// behaviour at tile granularity.
 [[nodiscard]] Status ValidateShardSet(const std::string& dir, ShardCheckReport* report);
 

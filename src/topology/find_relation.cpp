@@ -26,9 +26,10 @@ FilterDecision FromOutcome(IFOutcome outcome) {
   return d;
 }
 
-template <typename View>
-FilterDecision FindRelationFilterImpl(const Box& r_mbr, const View& r_april,
-                                      const Box& s_mbr, const View& s_april) {
+}  // namespace
+
+FilterDecision FindRelationFilter(const Box& r_mbr, const AprilView& r_april,
+                                  const Box& s_mbr, const AprilView& s_april) {
   // Algorithm 1: dispatch on the MBR intersection case.
   switch (ClassifyBoxes(r_mbr, s_mbr)) {
     case BoxRelation::kDisjoint:
@@ -49,22 +50,6 @@ FilterDecision FindRelationFilterImpl(const Box& r_mbr, const View& r_april,
   d.candidates = de9im::RelationSet::All();
   d.stage = DecisionStage::kRefinement;
   return d;
-}
-
-}  // namespace
-
-FilterDecision FindRelationFilter(const Box& r_mbr,
-                                  const AprilView& r_april,
-                                  const Box& s_mbr,
-                                  const AprilView& s_april) {
-  return FindRelationFilterImpl(r_mbr, r_april, s_mbr, s_april);
-}
-
-FilterDecision FindRelationFilter(const Box& r_mbr,
-                                  const CompressedAprilView& r_april,
-                                  const Box& s_mbr,
-                                  const CompressedAprilView& s_april) {
-  return FindRelationFilterImpl(r_mbr, r_april, s_mbr, s_april);
 }
 
 }  // namespace stj

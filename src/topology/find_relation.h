@@ -33,12 +33,4 @@ FilterDecision FindRelationFilter(const Box& r_mbr,
                                   const Box& s_mbr,
                                   const AprilView& s_april);
 
-/// Compressed-store overload: identical decision logic over blocked APRIL
-/// records (the intermediate filters dispatch to the fused block-merge
-/// relations, which agree with the flat ones on the same lists).
-FilterDecision FindRelationFilter(const Box& r_mbr,
-                                  const CompressedAprilView& r_april,
-                                  const Box& s_mbr,
-                                  const CompressedAprilView& s_april);
-
 }  // namespace stj

@@ -7,18 +7,7 @@ namespace stj {
 using de9im::Relation;
 using de9im::RelationSet;
 
-namespace {
-
-// The decision sequences are shared between the flat and the compressed
-// storage forms: both AprilView and CompressedAprilView expose
-// .conservative/.progressive members with Empty(), and the List* relations
-// of interval_algebra.h overload on the member type. The compressed
-// overloads compute the same truth values block-by-block, so both
-// instantiations of each template return identical outcomes for the same
-// underlying lists.
-
-template <typename View>
-IFOutcome IFEqualsImpl(const View& r, const View& s) {
+IFOutcome IFEquals(const AprilView& r, const AprilView& s) {
   // Equal MBRs: the objects certainly intersect (each spans the shared MBR in
   // both axes), so no disjointness checks appear here.
   if (ListsMatch(r.conservative, s.conservative)) {
@@ -42,8 +31,7 @@ IFOutcome IFEqualsImpl(const View& r, const View& s) {
   return IFOutcome::kRefineMeetsIntersects;
 }
 
-template <typename View>
-IFOutcome IFInsideImpl(const View& r, const View& s) {
+IFOutcome IFInside(const AprilView& r, const AprilView& s) {
   if (ListInside(r.conservative, s.conservative)) {
     if (!s.progressive.Empty()) {
       if (ListInside(r.conservative, s.progressive)) {
@@ -70,8 +58,7 @@ IFOutcome IFInsideImpl(const View& r, const View& s) {
   return IFOutcome::kRefineDisjointMeetsIntersects;
 }
 
-template <typename View>
-IFOutcome IFContainsImpl(const View& r, const View& s) {
+IFOutcome IFContains(const AprilView& r, const AprilView& s) {
   if (ListContains(r.conservative, s.conservative)) {
     if (!r.progressive.Empty()) {
       if (ListContains(r.progressive, s.conservative)) {
@@ -93,8 +80,7 @@ IFOutcome IFContainsImpl(const View& r, const View& s) {
   return IFOutcome::kRefineDisjointMeetsIntersects;
 }
 
-template <typename View>
-IFOutcome IFIntersectsImpl(const View& r, const View& s) {
+IFOutcome IFIntersects(const AprilView& r, const AprilView& s) {
   if (!ListsOverlap(r.conservative, s.conservative)) {
     return IFOutcome::kDisjoint;
   }
@@ -103,43 +89,6 @@ IFOutcome IFIntersectsImpl(const View& r, const View& s) {
     return IFOutcome::kIntersects;
   }
   return IFOutcome::kRefineDisjointMeetsIntersects;
-}
-
-}  // namespace
-
-IFOutcome IFEquals(const AprilView& r, const AprilView& s) {
-  return IFEqualsImpl(r, s);
-}
-
-IFOutcome IFEquals(const CompressedAprilView& r, const CompressedAprilView& s) {
-  return IFEqualsImpl(r, s);
-}
-
-IFOutcome IFInside(const AprilView& r, const AprilView& s) {
-  return IFInsideImpl(r, s);
-}
-
-IFOutcome IFInside(const CompressedAprilView& r, const CompressedAprilView& s) {
-  return IFInsideImpl(r, s);
-}
-
-IFOutcome IFContains(const AprilView& r, const AprilView& s) {
-  return IFContainsImpl(r, s);
-}
-
-IFOutcome IFContains(const CompressedAprilView& r,
-                     const CompressedAprilView& s) {
-  return IFContainsImpl(r, s);
-}
-
-IFOutcome IFIntersects(const AprilView& r,
-                       const AprilView& s) {
-  return IFIntersectsImpl(r, s);
-}
-
-IFOutcome IFIntersects(const CompressedAprilView& r,
-                       const CompressedAprilView& s) {
-  return IFIntersectsImpl(r, s);
 }
 
 const char* ToString(IFOutcome outcome) {

@@ -2,7 +2,6 @@
 
 #include "src/de9im/relation.h"
 #include "src/raster/april.h"
-#include "src/raster/april_compressed.h"
 
 namespace stj {
 
@@ -103,34 +102,25 @@ constexpr de9im::RelationSet CandidatesOf(IFOutcome outcome) {
   return RelationSet::All();
 }
 
-/// Each filter has a flat (AprilView) and a compressed (CompressedAprilView)
-/// overload. Both run the same decision sequence over the same relation
-/// names; the compressed one resolves them to the fused block-merge
-/// overloads of interval_algebra.h, which return identical truth values on
-/// the same underlying lists — so the two storage forms cannot disagree.
+/// The filters read flat AprilViews only: every storage form (vector,
+/// AprilStore, or a CompressedAprilStore record decoded through the
+/// pipeline's DecodedAprilCache) reaches them as the same flat lists.
 
 /// Intermediate filter for pairs with equal MBRs (Fig. 4(c) / Fig. 5
 /// IFEquals). Can definitely decide covered by and covers.
 IFOutcome IFEquals(const AprilView& r, const AprilView& s);
-IFOutcome IFEquals(const CompressedAprilView& r, const CompressedAprilView& s);
 
 /// Intermediate filter for MBR(r) inside MBR(s) (Fig. 4(a) / Fig. 5
 /// IFInside). Can definitely decide disjoint, inside, and intersects.
 IFOutcome IFInside(const AprilView& r, const AprilView& s);
-IFOutcome IFInside(const CompressedAprilView& r, const CompressedAprilView& s);
 
 /// Intermediate filter for MBR(r) containing MBR(s) (Fig. 4(b) / Fig. 5
 /// IFContains). Can definitely decide disjoint, contains, and intersects.
 IFOutcome IFContains(const AprilView& r, const AprilView& s);
-IFOutcome IFContains(const CompressedAprilView& r,
-                     const CompressedAprilView& s);
 
 /// Intermediate filter for partially overlapping MBRs (Fig. 4(e) / Fig. 5
 /// IFIntersects). Can definitely decide disjoint and intersects.
-IFOutcome IFIntersects(const AprilView& r,
-                       const AprilView& s);
-IFOutcome IFIntersects(const CompressedAprilView& r,
-                       const CompressedAprilView& s);
+IFOutcome IFIntersects(const AprilView& r, const AprilView& s);
 
 const char* ToString(IFOutcome outcome);
 

@@ -105,8 +105,7 @@ PairSchedule HilbertSchedule(DatasetView r_view, DatasetView s_view,
 
 PipelineOptions MakePipelineOptions(const JoinOptions& options) {
   return PipelineOptions{.time_stages = options.time_stages,
-                         .prepared_cache_bytes = options.prepared_cache_bytes,
-                         .decoded_cache_bytes = options.decoded_cache_bytes};
+                         .prepared_cache_bytes = options.prepared_cache_bytes};
 }
 
 /// Copies one worker scope's watchdog observations into its stage stats

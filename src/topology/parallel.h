@@ -12,8 +12,8 @@
 namespace stj {
 
 /// Execution knobs of the parallel join loop. Every worker's Pipeline
-/// inherits time_stages and the cache budgets; the budgets are per worker
-/// (total cache memory scales with the thread count).
+/// inherits time_stages and the prepared-cache budget; the budget is per
+/// worker (total cache memory scales with the thread count).
 struct JoinOptions {
   unsigned num_threads = 0;  ///< 0 = hardware concurrency.
   bool time_stages = false;
@@ -27,10 +27,6 @@ struct JoinOptions {
   /// loss-less PartialResult. Null (the default) keeps the unbounded
   /// run-to-completion behaviour at zero overhead.
   ExecContext* exec = nullptr;
-  /// Per-worker decoded-record cache budget for CompressedAprilStore inputs
-  /// (see PipelineOptions::decoded_cache_bytes); 0 disables. A pure
-  /// performance knob — decisions are identical.
-  size_t decoded_cache_bytes = kDefaultDecodedCacheBytes;
 };
 
 /// Which pairs of a cancellable join were fully verified before the cut.

@@ -70,11 +70,27 @@ Pipeline::Pipeline(Method method, DatasetView r_view, DatasetView s_view,
       options_(options),
       r_prepared_(options.prepared_cache_bytes),
       s_prepared_(options.prepared_cache_bytes),
-      r_decoded_(options.decoded_cache_bytes),
-      s_decoded_(options.decoded_cache_bytes) {}
+      r_decoded_(kDefaultDecodedCacheBytes),
+      s_decoded_(kDefaultDecodedCacheBytes) {}
 
-bool Pipeline::AprilFor(const DatasetView& view, uint32_t idx,
-                        AprilView* out) {
+bool Pipeline::AprilFor(const DatasetView& view, DecodedAprilCache* cache,
+                        uint32_t idx, AprilView* out) {
+  if (view.cstore != nullptr) {
+    switch (cache->Fetch(*view.cstore, idx, out)) {
+      case DecodedAprilCache::FetchOutcome::kHit:
+        ++stats_.decoded_hits;
+        return true;
+      case DecodedAprilCache::FetchOutcome::kMiss:
+        ++stats_.decoded_misses;
+        return true;
+      case DecodedAprilCache::FetchOutcome::kCorrupt:
+        ++stats_.decoded_corrupt;
+        return false;
+      case DecodedAprilCache::FetchOutcome::kAbsent:
+        return false;
+    }
+    return false;
+  }
   if (view.store != nullptr) {
     if (idx >= view.store->Count() || !view.store->Usable(idx)) return false;
     *out = view.store->View(idx);
@@ -85,35 +101,6 @@ bool Pipeline::AprilFor(const DatasetView& view, uint32_t idx,
   if (!april.usable) return false;
   *out = AprilView(april);
   return true;
-}
-
-bool Pipeline::CompressedAprilFor(const DatasetView& view, uint32_t idx,
-                                  CompressedAprilView* out) {
-  if (view.cstore == nullptr || idx >= view.cstore->Count() ||
-      !view.cstore->Usable(idx)) {
-    return false;
-  }
-  *out = view.cstore->View(idx);
-  return true;
-}
-
-bool Pipeline::DecodedAprilFor(const DatasetView& view,
-                               DecodedAprilCache* cache, uint32_t idx,
-                               AprilView* out) {
-  switch (cache->Fetch(*view.cstore, idx, out)) {
-    case DecodedAprilCache::FetchOutcome::kHit:
-      ++stats_.decoded_hits;
-      return true;
-    case DecodedAprilCache::FetchOutcome::kMiss:
-      ++stats_.decoded_misses;
-      return true;
-    case DecodedAprilCache::FetchOutcome::kCorrupt:
-      ++stats_.decoded_corrupt;
-      return false;
-    case DecodedAprilCache::FetchOutcome::kAbsent:
-      return false;
-  }
-  return false;
 }
 
 const PreparedPolygon& Pipeline::PreparedFor(PreparedCache* cache,
@@ -216,102 +203,32 @@ Pipeline::FilterOutcome Pipeline::FilterStage(uint32_t r_idx, uint32_t s_idx) {
           return decided(Relation::kIntersects);
         }
         candidates = MbrCandidates(boxes);
-        // Generic over the storage form: the List* relations overload on the
-        // view's member type, so the flat and compressed branches run the
-        // same tests. Returns true when the pair is definitely disjoint.
-        const auto april_decides_disjoint = [&](const auto& ra,
-                                                const auto& sa) {
-          if (!ListsOverlap(ra.conservative, sa.conservative)) return true;
-          if (ListsOverlap(ra.conservative, sa.progressive) ||
-              ListsOverlap(ra.progressive, sa.conservative)) {
-            // Definitely intersecting: drop disjoint and meets from the masks
-            // to check, but refinement is still required.
-            candidates.Remove(Relation::kDisjoint);
-            candidates.Remove(Relation::kMeets);
-          }
-          return false;
-        };
-        bool have = false;
-        bool disjoint = false;
-        if (UseCompressed()) {
-          if (UseDecodedCache()) {
-            // Decoded-record path: flat SIMD kernels over cached decodes —
-            // same tests, same answers (and PR 7 pins flat/compressed
-            // filter agreement).
-            AprilView ra;
-            AprilView sa;
-            if (DecodedAprilFor(r_view_, &r_decoded_, r_idx, &ra) &&
-                DecodedAprilFor(s_view_, &s_decoded_, s_idx, &sa)) {
-              have = true;
-              disjoint = april_decides_disjoint(ra, sa);
-            }
-          } else {
-            CompressedAprilView ra;
-            CompressedAprilView sa;
-            if (CompressedAprilFor(r_view_, r_idx, &ra) &&
-                CompressedAprilFor(s_view_, s_idx, &sa)) {
-              have = true;
-              disjoint = april_decides_disjoint(ra, sa);
-            }
-          }
-        } else {
-          AprilView ra;
-          AprilView sa;
-          if (AprilFor(r_view_, r_idx, &ra) && AprilFor(s_view_, s_idx, &sa)) {
-            have = true;
-            disjoint = april_decides_disjoint(ra, sa);
-          }
-        }
-        if (!have) {
+        AprilView ra;
+        AprilView sa;
+        if (!PairAprilFor(r_idx, s_idx, &ra, &sa)) {
           // Degraded mode: an approximation is missing or corrupt, so the
           // raster filter cannot run — fall back to OP2-style refinement
           // with the MBR-narrowed candidates (still exact, just slower).
           ++stats_.fallback_refined;
-        } else if (disjoint) {
+        } else if (!ListsOverlap(ra.conservative, sa.conservative)) {
           ++stats_.decided_by_filter;
           return decided(Relation::kDisjoint);
+        } else if (ListsOverlap(ra.conservative, sa.progressive) ||
+                   ListsOverlap(ra.progressive, sa.conservative)) {
+          // Definitely intersecting: drop disjoint and meets from the masks
+          // to check, but refinement is still required.
+          candidates.Remove(Relation::kDisjoint);
+          candidates.Remove(Relation::kMeets);
         }
       }
       return undetermined(candidates);
     }
     case Method::kPC: {
-      // The paper's Algorithm 1, over whichever storage form the views
-      // carry: all FindRelationFilter overloads run the same decision
-      // sequence, so the storage form cannot change the answer.
-      FilterDecision decision;
-      bool have = false;
-      if (UseCompressed()) {
-        if (UseDecodedCache()) {
-          AprilView ra;
-          AprilView sa;
-          if (DecodedAprilFor(r_view_, &r_decoded_, r_idx, &ra) &&
-              DecodedAprilFor(s_view_, &s_decoded_, s_idx, &sa)) {
-            have = true;
-            ScopedStageTime timing(options_.time_stages,
-                                   &stats_.filter_seconds);
-            decision = FindRelationFilter(r_mbr, ra, s_mbr, sa);
-          }
-        } else {
-          CompressedAprilView ra;
-          CompressedAprilView sa;
-          if (CompressedAprilFor(r_view_, r_idx, &ra) &&
-              CompressedAprilFor(s_view_, s_idx, &sa)) {
-            have = true;
-            ScopedStageTime timing(options_.time_stages,
-                                   &stats_.filter_seconds);
-            decision = FindRelationFilter(r_mbr, ra, s_mbr, sa);
-          }
-        }
-      } else {
-        AprilView ra;
-        AprilView sa;
-        if (AprilFor(r_view_, r_idx, &ra) && AprilFor(s_view_, s_idx, &sa)) {
-          have = true;
-          ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-          decision = FindRelationFilter(r_mbr, ra, s_mbr, sa);
-        }
-      }
-      if (!have) {
+      // The paper's Algorithm 1 over the flat lists of both sides, whatever
+      // storage each side reads them from.
+      AprilView ra;
+      AprilView sa;
+      if (!PairAprilFor(r_idx, s_idx, &ra, &sa)) {
         // Degraded mode: without both approximations Algorithm 1 cannot run.
         // The MBRs still decide the cheap cases; everything else falls back
         // to refinement over the MBR-narrowed candidates (OP2-equivalent).
@@ -330,6 +247,11 @@ Pipeline::FilterOutcome Pipeline::FilterStage(uint32_t r_idx, uint32_t s_idx) {
         }
         ++stats_.fallback_refined;
         return undetermined(MbrCandidates(boxes));
+      }
+      FilterDecision decision;
+      {
+        ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
+        decision = FindRelationFilter(r_mbr, ra, s_mbr, sa);
       }
       if (decision.definite) {
         if (decision.stage == DecisionStage::kMbrFilter) {
@@ -371,46 +293,14 @@ RelateAnswer Pipeline::FilterStagePredicate(uint32_t r_idx, uint32_t s_idx,
   const Box& s_mbr = (*s_view_.objects)[s_idx].geometry.Bounds();
 
   if (method_ == Method::kPC) {
-    bool have = false;
-    RelateAnswer answer = RelateAnswer::kInconclusive;
-    if (UseCompressed()) {
-      if (UseDecodedCache()) {
-        AprilView ra;
-        AprilView sa;
-        if (DecodedAprilFor(r_view_, &r_decoded_, r_idx, &ra) &&
-            DecodedAprilFor(s_view_, &s_decoded_, s_idx, &sa)) {
-          have = true;
-          ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-          answer = RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
-        }
-      } else {
-        CompressedAprilView ra;
-        CompressedAprilView sa;
-        if (CompressedAprilFor(r_view_, r_idx, &ra) &&
-            CompressedAprilFor(s_view_, s_idx, &sa)) {
-          have = true;
-          ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-          answer = RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
-        }
-      }
-    } else {
-      AprilView ra;
-      AprilView sa;
-      if (AprilFor(r_view_, r_idx, &ra) && AprilFor(s_view_, s_idx, &sa)) {
-        have = true;
-        ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-        answer = RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
-      }
-    }
-    if (have) {
-      switch (answer) {
-        case RelateAnswer::kYes:
-        case RelateAnswer::kNo:
-          ++stats_.decided_by_filter;
-          return answer;
-        case RelateAnswer::kInconclusive:
-          return RelateAnswer::kInconclusive;
-      }
+    AprilView ra;
+    AprilView sa;
+    if (PairAprilFor(r_idx, s_idx, &ra, &sa)) {
+      ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
+      const RelateAnswer answer =
+          RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
+      if (answer != RelateAnswer::kInconclusive) ++stats_.decided_by_filter;
+      return answer;
     }
     // Degraded mode: fall through to the approximation-free path below.
     {

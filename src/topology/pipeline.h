@@ -28,16 +28,14 @@ enum class Method : uint8_t {
 const char* ToString(Method method);
 
 /// One side of a join: objects plus (for kApril/kPC) their approximations.
-/// Approximations come from exactly one of three storages, index-aligned
-/// with `objects` either way: a legacy vector<AprilApproximation>, an
+/// Approximations come from one of three storages, index-aligned with
+/// `objects` either way: a legacy vector<AprilApproximation>, an
 /// arena-backed AprilStore (april_store.h), or a blocked-codec
-/// CompressedAprilStore (april_compressed.h). When `store` is set it takes
-/// precedence over `april`; all may be null for methods that do not use
-/// approximations. The compressed storage is used only when BOTH sides of
-/// the join carry a `cstore` (the filters need one storage form per pair);
-/// it then takes precedence over the flat storages. Join results are
-/// identical across all storages — the compressed filter path computes the
-/// same relations block-by-block.
+/// CompressedAprilStore (april_compressed.h). Each side picks its own:
+/// `cstore` when set (read through the pipeline's decoded-record cache),
+/// else `store`, else `april`; all may be null for methods that do not use
+/// approximations. Join results are identical across all storages and
+/// pairings — the filters always run on the same flat lists.
 struct DatasetView {
   const std::vector<SpatialObject>* objects = nullptr;
   const std::vector<AprilApproximation>* april = nullptr;
@@ -63,14 +61,6 @@ struct PipelineOptions {
   /// behaviour. The cache is a pure performance layer — results are
   /// byte-identical for every budget.
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
-  /// Byte budget of the per-worker decoded-record LRU used when the join
-  /// runs on CompressedAprilStore inputs: hot records are decoded to flat
-  /// canonical form once and the filter stage runs the flat (SIMD) interval
-  /// kernels over them instead of the fused block-decoding merges. 0
-  /// disables the cache (every pair uses the compressed filter overloads,
-  /// the pre-PR8 behaviour). Decisions are identical either way — the PR 7
-  /// differential suite pins flat/compressed filter agreement.
-  size_t decoded_cache_bytes = kDefaultDecodedCacheBytes;
 };
 
 /// Per-run pipeline counters and stage timings, the raw material of
@@ -104,11 +94,11 @@ struct PipelineStats {
   /// Worst observed trip-to-worker-stop latency in microseconds (max across
   /// workers) — the realised cooperative-cancellation latency of the stage.
   uint64_t cancel_latency_us = 0;
-  /// Decoded-record cache telemetry (CompressedAprilStore inputs with
-  /// PipelineOptions::decoded_cache_bytes > 0; zero otherwise). Two lookups
-  /// per filtered pair, one per side; `decoded_corrupt` counts lookups that
-  /// hit a record whose payload failed to decode — those pairs degrade to
-  /// refinement exactly like usable=false placeholders.
+  /// Decoded-record cache telemetry (CompressedAprilStore sides only; zero
+  /// otherwise). One lookup per filtered pair and compressed side;
+  /// `decoded_corrupt` counts lookups that hit a record whose payload
+  /// failed to decode — those pairs degrade to refinement exactly like
+  /// usable=false placeholders.
   uint64_t decoded_hits = 0;
   uint64_t decoded_misses = 0;
   uint64_t decoded_corrupt = 0;
@@ -219,34 +209,22 @@ class Pipeline {
                                      const DatasetView& view, uint32_t idx,
                                      PreparedPolygon* scratch);
 
-  /// Fetches the approximation view for \p idx into \p out and returns true,
-  /// or returns false when it is missing (no storage, index past its end) or
-  /// flagged corrupt — the degraded-mode signal that the pair must fall back
-  /// to refinement. Reads the arena store when the view carries one, the
-  /// legacy vector otherwise.
-  static bool AprilFor(const DatasetView& view, uint32_t idx, AprilView* out);
+  /// Fetches the approximation of object \p idx on one side into \p out
+  /// and returns true, or returns false when it is missing (no storage,
+  /// index past its end), flagged corrupt, or undecodable — the
+  /// degraded-mode signal that the pair must fall back to refinement. Reads
+  /// the side's storage in DatasetView order: the compressed store through
+  /// \p cache (its telemetry folded into stats_), else the arena store,
+  /// else the legacy vector.
+  bool AprilFor(const DatasetView& view, DecodedAprilCache* cache,
+                uint32_t idx, AprilView* out);
 
-  /// Compressed counterpart of AprilFor, reading the blocked-codec store.
-  static bool CompressedAprilFor(const DatasetView& view, uint32_t idx,
-                                 CompressedAprilView* out);
-
-  /// Decoded-cache counterpart: serves flat views of a compressed record
-  /// through \p cache (decoding on miss) and folds the cache's telemetry
-  /// into stats_. False is the same degraded-mode signal as the accessors
-  /// above — including for records whose payload fails to decode.
-  bool DecodedAprilFor(const DatasetView& view, DecodedAprilCache* cache,
-                       uint32_t idx, AprilView* out);
-
-  /// True when compressed filtering should go through the decoded-record
-  /// caches rather than the fused block-merge overloads.
-  bool UseDecodedCache() const {
-    return options_.decoded_cache_bytes > 0;
-  }
-
-  /// True when the join runs on the compressed storage form (both sides
-  /// carry a CompressedAprilStore).
-  bool UseCompressed() const {
-    return r_view_.cstore != nullptr && s_view_.cstore != nullptr;
+  /// Both sides' approximations of pair (r_idx, s_idx): r first, then s,
+  /// and s is not fetched when r's record is missing.
+  bool PairAprilFor(uint32_t r_idx, uint32_t s_idx, AprilView* r,
+                    AprilView* s) {
+    return AprilFor(r_view_, &r_decoded_, r_idx, r) &&
+           AprilFor(s_view_, &s_decoded_, s_idx, s);
   }
 
   Method method_;
@@ -257,9 +235,8 @@ class Pipeline {
   /// the two sides, hence two maps; each side's key space is dense).
   PreparedCache r_prepared_;
   PreparedCache s_prepared_;
-  /// Per-side decoded-record caches for compressed inputs (same two-sided
-  /// reasoning; empty and untouched unless UseCompressed() and the budget
-  /// is nonzero).
+  /// Per-side decoded-record caches (same two-sided reasoning; empty and
+  /// untouched unless that side carries a CompressedAprilStore).
   DecodedAprilCache r_decoded_;
   DecodedAprilCache s_decoded_;
   PipelineStats stats_;

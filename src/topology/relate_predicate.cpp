@@ -14,14 +14,9 @@ namespace {
 // RelateFeasible/RelateCertain tables (relate_tables.h), applied once in
 // RelatePredicateFilter and proved against the model by static_checks.cpp.
 
-// Each helper is a template over the APRIL view type (AprilView or
-// CompressedAprilView); the List* relations overload on the member type and
-// agree across storage forms, so both instantiations answer identically.
-
 // relate_intersects: intersects is the negation of disjoint, so the APRIL
 // tests answer it directly.
-template <typename View>
-RelateAnswer IntersectsFromLists(const View& r, const View& s) {
+RelateAnswer IntersectsFromLists(const AprilView& r, const AprilView& s) {
   if (!ListsOverlap(r.conservative, s.conservative)) return RelateAnswer::kNo;
   if (ListsOverlap(r.conservative, s.progressive) ||
       ListsOverlap(r.progressive, s.conservative)) {
@@ -42,8 +37,7 @@ RelateAnswer Negate(RelateAnswer a) {
 // relate_inside / relate_covered_by (Fig. 6 left), r within s: both require
 // r not to stick out of s. The strict/non-strict distinction is purely an
 // MBR condition (RelateFeasible), so the list tests are shared.
-template <typename View>
-RelateAnswer WithinFromLists(const View& r, const View& s) {
+RelateAnswer WithinFromLists(const AprilView& r, const AprilView& s) {
   if (!ListInside(r.conservative, s.conservative)) return RelateAnswer::kNo;
   if (ListInside(r.conservative, s.progressive)) {
     // r lies within cells fully interior to s: strict inside holds, and
@@ -54,8 +48,7 @@ RelateAnswer WithinFromLists(const View& r, const View& s) {
 }
 
 // relate_meets (Fig. 6 middle).
-template <typename View>
-RelateAnswer MeetsFromLists(const View& r, const View& s) {
+RelateAnswer MeetsFromLists(const AprilView& r, const AprilView& s) {
   if (!ListsOverlap(r.conservative, s.conservative)) {
     return RelateAnswer::kNo;  // definitely disjoint
   }
@@ -67,17 +60,17 @@ RelateAnswer MeetsFromLists(const View& r, const View& s) {
 }
 
 // relate_equals (Fig. 6 right).
-template <typename View>
-RelateAnswer EqualsFromLists(const View& r, const View& s) {
+RelateAnswer EqualsFromLists(const AprilView& r, const AprilView& s) {
   if (!ListsMatch(r.conservative, s.conservative)) return RelateAnswer::kNo;
   if (!ListsMatch(r.progressive, s.progressive)) return RelateAnswer::kNo;
   return RelateAnswer::kInconclusive;
 }
 
-template <typename View>
-RelateAnswer RelatePredicateFilterImpl(de9im::Relation p, const Box& r_mbr,
-                                       const View& r_april, const Box& s_mbr,
-                                       const View& s_april) {
+}  // namespace
+
+RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
+                                   const AprilView& r_april, const Box& s_mbr,
+                                   const AprilView& s_april) {
   const BoxRelation boxes = ClassifyBoxes(r_mbr, s_mbr);
   if (!RelateFeasible(p, boxes)) return RelateAnswer::kNo;
   if (RelateCertain(p, boxes)) return RelateAnswer::kYes;
@@ -99,22 +92,6 @@ RelateAnswer RelatePredicateFilterImpl(de9im::Relation p, const Box& r_mbr,
       return EqualsFromLists(r_april, s_april);
   }
   return RelateAnswer::kInconclusive;
-}
-
-}  // namespace
-
-RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
-                                   const AprilView& r_april,
-                                   const Box& s_mbr,
-                                   const AprilView& s_april) {
-  return RelatePredicateFilterImpl(p, r_mbr, r_april, s_mbr, s_april);
-}
-
-RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
-                                   const CompressedAprilView& r_april,
-                                   const Box& s_mbr,
-                                   const CompressedAprilView& s_april) {
-  return RelatePredicateFilterImpl(p, r_mbr, r_april, s_mbr, s_april);
 }
 
 const char* ToString(RelateAnswer answer) {

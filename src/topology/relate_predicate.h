@@ -24,13 +24,6 @@ RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
                                    const Box& s_mbr,
                                    const AprilView& s_april);
 
-/// Compressed-store overload: same flows over blocked APRIL records via the
-/// fused block-merge relations of interval_algebra.h.
-RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
-                                   const CompressedAprilView& r_april,
-                                   const Box& s_mbr,
-                                   const CompressedAprilView& s_april);
-
 const char* ToString(RelateAnswer answer);
 
 }  // namespace stj

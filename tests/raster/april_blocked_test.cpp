@@ -1,7 +1,8 @@
-// Version-3 ("APRB", blocked codec) APRIL file robustness: round trips into
-// both store forms, transparent decode through the flat loader, per-record
-// corruption isolation, and the codec_corrupt taxonomy — records whose frame
-// checksum verifies but whose blocked payload fails deep validation.
+// APRIL file ("APRB", version 3, blocked codec) robustness: round trips into
+// both store forms, decode through the flat loader, per-record corruption
+// isolation, the codec_corrupt taxonomy — records whose frame checksum
+// verifies but whose blocked payload fails deep validation — and rejection
+// of the retired version-1/2 layouts.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +35,7 @@ uint64_t Fnv1a64(const char* data, size_t size) {
   return hash;
 }
 
-// Offsets of the record frames (shared v2/v3 frame layout), plus the end
-// offset of the last frame.
+// Offsets of the record frames, plus the end offset of the last frame.
 std::vector<size_t> FrameOffsets(const std::string& bytes, size_t count) {
   constexpr size_t kHeaderSize = 4 + 4 + 8;  // magic, u32 version, u64 count
   std::vector<size_t> offsets;
@@ -109,7 +109,6 @@ TEST_F(AprilBlockedTest, RoundTripsIntoCompressedStore) {
   const Status status = LoadCompressedAprilStore(path, &loaded, &report);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(report.version, 3u);
-  EXPECT_TRUE(report.compressed);
   EXPECT_FALSE(report.Degraded());
   EXPECT_EQ(report.codec_corrupt, 0u);
   EXPECT_TRUE(loaded == store_);
@@ -147,6 +146,13 @@ TEST_F(AprilBlockedTest, FromStoreAndDecodeRecordAreInverse) {
         << i;
     EXPECT_EQ(store_.DeepValidateRecord(i), "") << i;
   }
+  // The audit checks P ⊆ C on the decoded lists: a well-formed record whose
+  // P list sticks out of its C list is named.
+  CompressedAprilStore bad = store_;
+  bad.AppendEncoded(IntervalList::FromCells({1, 2}),
+                    IntervalList::FromCells({2, 3}));
+  EXPECT_EQ(bad.DeepValidateRecord(bad.Count() - 1),
+            "progressive list not contained in conservative list");
 }
 
 TEST_F(AprilBlockedTest, ChecksumCorruptionIsolatesOneRecord) {
@@ -298,28 +304,33 @@ TEST_F(AprilBlockedTest, TruncationKeepsVerifiedPrefix) {
 }
 
 TEST_F(AprilBlockedTest, CompressedLoaderRejectsVersion2Files) {
-  std::vector<AprilApproximation> approximations(2);
-  approximations[0].conservative = IntervalList::FromCells({1, 2, 3});
+  // A hand-written version-2 raw file (one framed record with two empty
+  // lists): the retired layout is refused as a structural error by both
+  // loaders, never half-read.
+  std::string bytes = "APRL";
+  const uint32_t version = 2;
+  const uint64_t count = 1;
+  const uint64_t list_sizes[2] = {0, 0};
+  const uint64_t payload_size = sizeof list_sizes;
+  const uint64_t checksum = Fnv1a64(
+      reinterpret_cast<const char*>(list_sizes), sizeof list_sizes);
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
+  bytes.append(reinterpret_cast<const char*>(&payload_size),
+               sizeof payload_size);
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  bytes.append(reinterpret_cast<const char*>(list_sizes), sizeof list_sizes);
   const std::string path = TempPath("april_blocked_v2.bin");
-  ASSERT_TRUE(SaveAprilFile(path, approximations));
-  CompressedAprilStore loaded;
-  const Status status = LoadCompressedAprilStore(path, &loaded, nullptr);
-  EXPECT_FALSE(status.ok());
+  test::WriteFileBytes(path, bytes);
+  CompressedAprilStore compressed;
+  const Status status = LoadCompressedAprilStore(path, &compressed, nullptr);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(compressed.Count(), 0u);
+  AprilStore flat;
+  EXPECT_EQ(LoadAprilStore(path, &flat, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(flat.Count(), 0u);
   std::remove(path.c_str());
-}
-
-TEST_F(AprilBlockedTest, BlockedFileIsSmallerThanRaw) {
-  const std::string raw_path = TempPath("april_blocked_raw.bin");
-  const std::string blocked_path = TempPath("april_blocked_small.bin");
-  ASSERT_TRUE(SaveAprilStore(raw_path, flat_));
-  ASSERT_TRUE(SaveAprilStoreBlocked(blocked_path, store_));
-  const std::string raw = test::ReadFileBytes(raw_path);
-  const std::string blocked = test::ReadFileBytes(blocked_path);
-  EXPECT_LT(blocked.size() * 2, raw.size())
-      << "blocked " << blocked.size() << " vs raw " << raw.size();
-  std::remove(raw_path.c_str());
-  std::remove(blocked_path.c_str());
 }
 
 TEST(AprilBlocked, EmptyAndPlaceholderRecordsRoundTrip) {
@@ -339,7 +350,7 @@ TEST(AprilBlocked, EmptyAndPlaceholderRecordsRoundTrip) {
   EXPECT_TRUE(loaded.Usable(0));
   EXPECT_TRUE(loaded.Conservative(0).Empty());
   // Placeholders are written as empty records, which load as usable empties
-  // (the v2 writers behave the same way — the usable flag is not persisted).
+  // (the usable flag is not persisted).
   EXPECT_TRUE(loaded.Conservative(1).Empty());
   EXPECT_TRUE(loaded.Usable(2));
   std::vector<CellInterval> flat_c;

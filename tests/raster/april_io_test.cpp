@@ -5,9 +5,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "src/util/rng.h"
+#include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
 namespace stj {
@@ -15,6 +17,14 @@ namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+/// Writes \p approximations as an APRIL file (the one format: version 3).
+bool SaveApproximations(const std::string& path,
+                        const std::vector<AprilApproximation>& approximations) {
+  return SaveAprilStoreBlocked(
+      path, CompressedAprilStore::FromStore(
+                AprilStore::FromApproximations(approximations)));
 }
 
 TEST(AprilIo, RoundTripPreservesLists) {
@@ -28,30 +38,40 @@ TEST(AprilIo, RoundTripPreservesLists) {
         rng.LogUniform(0.5, 8.0), 32, 0.2)));
   }
   const std::string path = TempPath("april_roundtrip.bin");
-  ASSERT_TRUE(SaveAprilFile(path, originals));
+  ASSERT_TRUE(SaveApproximations(path, originals));
 
-  std::vector<AprilApproximation> loaded;
-  ASSERT_TRUE(LoadAprilFile(path, &loaded));
-  ASSERT_EQ(loaded.size(), originals.size());
+  AprilStore loaded;
+  AprilLoadReport report;
+  ASSERT_TRUE(LoadAprilStore(path, &loaded, &report).ok());
+  EXPECT_FALSE(report.Degraded());
+  ASSERT_EQ(loaded.Count(), originals.size());
   for (size_t i = 0; i < originals.size(); ++i) {
-    EXPECT_EQ(loaded[i].conservative, originals[i].conservative) << i;
-    EXPECT_EQ(loaded[i].progressive, originals[i].progressive) << i;
+    EXPECT_TRUE(loaded.Usable(i)) << i;
+    EXPECT_TRUE(loaded.Conservative(i) ==
+                IntervalView(originals[i].conservative))
+        << i;
+    EXPECT_TRUE(loaded.Progressive(i) ==
+                IntervalView(originals[i].progressive))
+        << i;
   }
   std::remove(path.c_str());
 }
 
 TEST(AprilIo, EmptyCollection) {
   const std::string path = TempPath("april_empty.bin");
-  ASSERT_TRUE(SaveAprilFile(path, {}));
-  std::vector<AprilApproximation> loaded = {AprilApproximation{}};
-  ASSERT_TRUE(LoadAprilFile(path, &loaded));
-  EXPECT_TRUE(loaded.empty());
+  ASSERT_TRUE(SaveAprilStoreBlocked(path, CompressedAprilStore()));
+  AprilStore loaded;
+  loaded.AppendRecord(IntervalView(), IntervalView());  // must be cleared
+  AprilLoadReport report;
+  ASSERT_TRUE(LoadAprilStore(path, &loaded, &report).ok());
+  EXPECT_FALSE(report.Degraded());
+  EXPECT_TRUE(loaded.Empty());
   std::remove(path.c_str());
 }
 
 TEST(AprilIo, RejectsMissingFile) {
-  std::vector<AprilApproximation> loaded;
-  EXPECT_FALSE(LoadAprilFile(TempPath("does_not_exist.bin"), &loaded));
+  AprilStore loaded;
+  EXPECT_FALSE(LoadAprilStore(TempPath("does_not_exist.bin"), &loaded).ok());
 }
 
 TEST(AprilIo, RejectsBadMagic) {
@@ -60,19 +80,20 @@ TEST(AprilIo, RejectsBadMagic) {
   ASSERT_NE(f, nullptr);
   std::fwrite("NOPE", 1, 4, f);
   std::fclose(f);
-  std::vector<AprilApproximation> loaded;
-  EXPECT_FALSE(LoadAprilFile(path, &loaded));
+  AprilStore loaded;
+  const Status status = LoadAprilStore(path, &loaded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
 TEST(AprilIo, RejectsTruncatedFile) {
-  Rng rng(43);
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{10, 10}), 6);
   const AprilBuilder builder(&grid);
   const std::vector<AprilApproximation> originals = {
       builder.Build(test::Square(1, 1, 8, 8))};
   const std::string path = TempPath("april_truncated.bin");
-  ASSERT_TRUE(SaveAprilFile(path, originals));
+  ASSERT_TRUE(SaveApproximations(path, originals));
   // Truncate the file to half its size.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -80,35 +101,17 @@ TEST(AprilIo, RejectsTruncatedFile) {
   const long size = std::ftell(f);
   std::fclose(f);
   ASSERT_EQ(::truncate(path.c_str(), size / 2), 0);
-  std::vector<AprilApproximation> loaded;
-  EXPECT_FALSE(LoadAprilFile(path, &loaded));
-  std::remove(path.c_str());
-}
-
-TEST(AprilIo, CompressedRoundTripPreservesLists) {
-  Rng rng(45);
-  const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 10);
-  const AprilBuilder builder(&grid);
-  std::vector<AprilApproximation> originals;
-  for (int i = 0; i < 15; ++i) {
-    originals.push_back(builder.Build(test::RandomBlob(
-        &rng, Point{rng.Uniform(10, 90), rng.Uniform(10, 90)},
-        rng.LogUniform(1.0, 12.0), 64, 0.2)));
-  }
-  const std::string path = TempPath("april_compressed.bin");
-  ASSERT_TRUE(SaveAprilFileCompressed(path, originals));
-
-  std::vector<AprilApproximation> loaded;
-  ASSERT_TRUE(LoadAprilFile(path, &loaded));
-  ASSERT_EQ(loaded.size(), originals.size());
-  for (size_t i = 0; i < originals.size(); ++i) {
-    EXPECT_EQ(loaded[i].conservative, originals[i].conservative) << i;
-    EXPECT_EQ(loaded[i].progressive, originals[i].progressive) << i;
-  }
+  AprilStore loaded;
+  AprilLoadReport report;
+  const Status status = LoadAprilStore(path, &loaded, &report);
+  EXPECT_TRUE(!status.ok() || report.Degraded());
+  EXPECT_EQ(loaded.Count(), 0u);  // the only record is gone
   std::remove(path.c_str());
 }
 
 TEST(AprilIo, CompressedFormatIsSubstantiallySmaller) {
+  // The block codec stores each interval as two small varint deltas, so a
+  // file is several times smaller than the flat u64 intervals it encodes.
   Rng rng(47);
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 12);
   const AprilBuilder builder(&grid);
@@ -117,37 +120,28 @@ TEST(AprilIo, CompressedFormatIsSubstantiallySmaller) {
     originals.push_back(builder.Build(test::RandomBlob(
         &rng, Point{rng.Uniform(20, 80), rng.Uniform(20, 80)}, 10.0, 128)));
   }
-  const std::string raw_path = TempPath("april_raw_size.bin");
-  const std::string compressed_path = TempPath("april_comp_size.bin");
-  ASSERT_TRUE(SaveAprilFile(raw_path, originals));
-  ASSERT_TRUE(SaveAprilFileCompressed(compressed_path, originals));
-  auto file_size = [](const std::string& p) {
-    std::FILE* f = std::fopen(p.c_str(), "rb");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    return size;
-  };
-  const long raw = file_size(raw_path);
-  const long compressed = file_size(compressed_path);
-  EXPECT_LT(compressed * 3, raw)
-      << "compressed " << compressed << " vs raw " << raw;
-  std::remove(raw_path.c_str());
-  std::remove(compressed_path.c_str());
+  const std::string path = TempPath("april_comp_size.bin");
+  ASSERT_TRUE(SaveApproximations(path, originals));
+  const size_t flat = AprilStore::FromApproximations(originals)
+                          .IntervalByteSize();
+  const size_t file = test::ReadFileBytes(path).size();
+  EXPECT_LT(file * 3, flat) << "file " << file << " vs flat " << flat;
+  std::remove(path.c_str());
 }
 
 TEST(AprilIo, CompressedEmptyListsRoundTrip) {
-  // Slivers can have empty P lists; the compressed format must keep them.
+  // Slivers can have empty P lists; the file format must keep them.
   std::vector<AprilApproximation> originals(2);
   originals[0].conservative = IntervalList::FromCells({1, 2, 3, 99});
   const std::string path = TempPath("april_comp_empty.bin");
-  ASSERT_TRUE(SaveAprilFileCompressed(path, originals));
-  std::vector<AprilApproximation> loaded;
-  ASSERT_TRUE(LoadAprilFile(path, &loaded));
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].conservative, originals[0].conservative);
-  EXPECT_TRUE(loaded[0].progressive.Empty());
-  EXPECT_TRUE(loaded[1].conservative.Empty());
+  ASSERT_TRUE(SaveApproximations(path, originals));
+  AprilStore loaded;
+  ASSERT_TRUE(LoadAprilStore(path, &loaded).ok());
+  ASSERT_EQ(loaded.Count(), 2u);
+  EXPECT_TRUE(loaded.Conservative(0) ==
+              IntervalView(originals[0].conservative));
+  EXPECT_TRUE(loaded.Progressive(0).Empty());
+  EXPECT_TRUE(loaded.Conservative(1).Empty());
   std::remove(path.c_str());
 }
 
@@ -160,52 +154,66 @@ TEST(AprilIo, DetailedReportOnHealthyFile) {
     originals.push_back(builder.Build(test::RandomBlob(
         &rng, Point{rng.Uniform(10, 40), rng.Uniform(10, 40)}, 4.0, 24)));
   }
-  for (const bool compressed : {false, true}) {
-    const std::string path = TempPath("april_detailed.bin");
-    ASSERT_TRUE(compressed ? SaveAprilFileCompressed(path, originals)
-                           : SaveAprilFile(path, originals));
-    std::vector<AprilApproximation> loaded;
-    AprilLoadReport report;
-    const Status status = LoadAprilFileDetailed(path, &loaded, &report);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(report.version, 2u);
-    EXPECT_EQ(report.compressed, compressed);
-    EXPECT_EQ(report.declared_count, originals.size());
-    EXPECT_EQ(report.loaded, originals.size());
-    EXPECT_EQ(report.corrupt, 0u);
-    EXPECT_FALSE(report.truncated);
-    EXPECT_FALSE(report.Degraded());
-    EXPECT_TRUE(report.corrupt_indices.empty());
-    for (const AprilApproximation& a : loaded) EXPECT_TRUE(a.usable);
-    std::remove(path.c_str());
-  }
+  const std::string path = TempPath("april_detailed.bin");
+  ASSERT_TRUE(SaveApproximations(path, originals));
+  AprilStore loaded;
+  AprilLoadReport report;
+  const Status status = LoadAprilStore(path, &loaded, &report);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(report.version, 3u);
+  EXPECT_EQ(report.declared_count, originals.size());
+  EXPECT_EQ(report.loaded, originals.size());
+  EXPECT_EQ(report.corrupt, 0u);
+  EXPECT_EQ(report.codec_corrupt, 0u);
+  EXPECT_FALSE(report.truncated);
+  EXPECT_FALSE(report.Degraded());
+  EXPECT_TRUE(report.corrupt_indices.empty());
+  for (size_t i = 0; i < loaded.Count(); ++i) EXPECT_TRUE(loaded.Usable(i));
+  std::remove(path.c_str());
 }
 
 TEST(AprilIo, MissingFileStatusNamesIt) {
-  std::vector<AprilApproximation> loaded;
+  AprilStore loaded;
   const std::string path = TempPath("absent.april");
-  const Status status = LoadAprilFileDetailed(path, &loaded, nullptr);
+  const Status status = LoadAprilStore(path, &loaded, nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.file(), path);
 }
 
 TEST(AprilIo, RejectsNonCanonicalLists) {
-  // Hand-craft a file whose intervals overlap.
-  const std::string path = TempPath("april_noncanonical.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("APRL", 1, 4, f);
-  const uint32_t version = 1;
-  std::fwrite(&version, sizeof version, 1, f);
+  // Hand-craft a record whose two C blocks overlap ([0,10) then [5,20)),
+  // with a valid frame checksum: only codec validation can refuse it.
+  std::string payload;
+  for (const uint8_t byte : {
+           2, 2,           // C: 2 intervals in 2 blocks
+           0, 10, 1, 1,    // block 0: first_cell 0, span 10, 1 interval
+           5, 15, 1, 1,    // block 1: first_cell 5, span 15 (overlaps)
+           9, 14,          // block payloads: len - 1 of each interval
+           0, 0}) {        // P: empty
+    payload.push_back(static_cast<char>(byte));
+  }
+  uint64_t checksum = 0xcbf29ce484222325ull;  // fnv1a64, as the writer
+  for (const char c : payload) {
+    checksum ^= static_cast<unsigned char>(c);
+    checksum *= 0x100000001b3ull;
+  }
+  std::string bytes = "APRB";
+  const uint32_t version = 3;
   const uint64_t count = 1;
-  std::fwrite(&count, sizeof count, 1, f);
-  const uint64_t list_len = 2;
-  const uint64_t intervals[] = {0, 10, 5, 20};  // overlapping
-  std::fwrite(&list_len, sizeof list_len, 1, f);
-  std::fwrite(intervals, sizeof(uint64_t), 4, f);
-  std::fclose(f);
-  std::vector<AprilApproximation> loaded;
-  EXPECT_FALSE(LoadAprilFile(path, &loaded));
+  const uint64_t size = payload.size();
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof count);
+  bytes.append(reinterpret_cast<const char*>(&size), sizeof size);
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
+  bytes += payload;
+  const std::string path = TempPath("april_noncanonical.bin");
+  test::WriteFileBytes(path, bytes);
+  AprilStore loaded;
+  AprilLoadReport report;
+  ASSERT_TRUE(LoadAprilStore(path, &loaded, &report).ok());
+  EXPECT_EQ(report.codec_corrupt, 1u);
+  ASSERT_EQ(loaded.Count(), 1u);
+  EXPECT_FALSE(loaded.Usable(0));
   std::remove(path.c_str());
 }
 

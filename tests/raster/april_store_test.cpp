@@ -1,6 +1,6 @@
 // Tests for the arena-backed AprilStore: CSR layout and views, equivalence
 // with the legacy vector<AprilApproximation> storage throughout the pipeline,
-// and the one-pass corruption-isolating file loader.
+// and the one-pass corruption-isolating load from APRIL files.
 
 #include "src/raster/april_store.h"
 
@@ -78,44 +78,33 @@ TEST(AprilStore, EmptyAndClearedStores) {
   EXPECT_TRUE(store == AprilStore());
 }
 
-TEST(AprilStore, SaveWritesTheSameBytesAsTheVectorPath) {
-  const std::vector<AprilApproximation> source = MakeApproximations(6, 29);
-  const AprilStore store = AprilStore::FromApproximations(source);
-  const std::string vec_path = TempPath("store_vs_vec_a.bin");
-  const std::string store_path = TempPath("store_vs_vec_b.bin");
-  for (const bool compressed : {false, true}) {
-    ASSERT_TRUE(compressed ? SaveAprilFileCompressed(vec_path, source)
-                           : SaveAprilFile(vec_path, source));
-    ASSERT_TRUE(compressed ? SaveAprilStoreCompressed(store_path, store)
-                           : SaveAprilStore(store_path, store));
-    EXPECT_EQ(test::ReadFileBytes(vec_path), test::ReadFileBytes(store_path))
-        << (compressed ? "compressed" : "raw");
-  }
-  std::remove(vec_path.c_str());
-  std::remove(store_path.c_str());
-}
-
 TEST(AprilStore, LoadRoundTripsBothEncodings) {
+  // One file, both in-memory encodings: the flat arena decodes every
+  // record, the compressed store keeps the blocks as written.
   const std::vector<AprilApproximation> source = MakeApproximations(7, 43);
   const AprilStore original = AprilStore::FromApproximations(source);
+  const CompressedAprilStore blocked = CompressedAprilStore::FromStore(original);
   const std::string path = TempPath("store_roundtrip.bin");
-  for (const bool compressed : {false, true}) {
-    ASSERT_TRUE(compressed ? SaveAprilStoreCompressed(path, original)
-                           : SaveAprilStore(path, original));
-    AprilStore loaded;
-    AprilLoadReport report;
-    ASSERT_TRUE(LoadAprilStore(path, &loaded, &report).ok());
-    EXPECT_FALSE(report.Degraded());
-    EXPECT_EQ(report.loaded, source.size());
-    EXPECT_TRUE(loaded == original) << (compressed ? "compressed" : "raw");
-  }
+  ASSERT_TRUE(SaveAprilStoreBlocked(path, blocked));
+  AprilStore loaded;
+  AprilLoadReport report;
+  ASSERT_TRUE(LoadAprilStore(path, &loaded, &report).ok());
+  EXPECT_FALSE(report.Degraded());
+  EXPECT_EQ(report.loaded, source.size());
+  EXPECT_TRUE(loaded == original);
+  CompressedAprilStore loaded_blocked;
+  ASSERT_TRUE(LoadCompressedAprilStore(path, &loaded_blocked, &report).ok());
+  EXPECT_FALSE(report.Degraded());
+  EXPECT_TRUE(loaded_blocked == blocked);
   std::remove(path.c_str());
 }
 
 TEST(AprilStore, CorruptRecordBecomesUnusablePlaceholder) {
   const std::vector<AprilApproximation> source = MakeApproximations(5, 61);
   const std::string path = TempPath("store_corrupt.bin");
-  ASSERT_TRUE(SaveAprilFile(path, source));
+  ASSERT_TRUE(SaveAprilStoreBlocked(
+      path, CompressedAprilStore::FromStore(
+                AprilStore::FromApproximations(source))));
   std::string bytes = test::ReadFileBytes(path);
   // Flip one payload byte of record 2. Frames: header is 16 bytes, each
   // record is 16 bytes of frame + payload.

@@ -8,16 +8,18 @@
 #include <vector>
 
 #include "src/raster/april.h"
+#include "src/raster/april_compressed.h"
 #include "src/raster/april_io.h"
 #include "src/util/rng.h"
 #include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
-// Exhaustive single-fault injection against the APRIL binary format: every
-// possible truncation length and every possible single-byte flip of a valid
-// file must either fail the load with a Status or degrade it with an accurate
-// report — and the verified prefix must always match the original data. A
-// crash, hang, or silent wrong answer anywhere in these sweeps is a bug.
+// Exhaustive single-fault injection against the APRIL binary format (version
+// 3): every possible truncation length and every possible single-byte flip
+// of a valid file must either fail the load with a Status or degrade it with
+// an accurate report — and the verified prefix must always match the
+// original data. A crash, hang, or silent wrong answer anywhere in these
+// sweeps is a bug.
 
 namespace stj {
 namespace {
@@ -32,7 +34,7 @@ std::string TempPath(const char* name) {
          std::to_string(::getpid()) + "_" + name;
 }
 
-// Offsets of the v2 record frames in \p bytes (one per record, in order),
+// Offsets of the record frames in \p bytes (one per record, in order),
 // plus the end offset of the last frame. Derived by walking the frame sizes,
 // mirroring the reader's resynchronisation rule.
 std::vector<size_t> FrameOffsets(const std::string& bytes, size_t count) {
@@ -72,48 +74,52 @@ class AprilFaultInjectionTest : public ::testing::Test {
     const std::string path = TempPath("april_fault_scratch.bin");
     test::WriteFileBytes(path, bytes);
 
-    std::vector<AprilApproximation> loaded;
+    AprilStore loaded;
     AprilLoadReport report;
-    const Status status = LoadAprilFileDetailed(path, &loaded, &report);
+    const Status status = LoadAprilStore(path, &loaded, &report);
 
     // Damage must never go unnoticed.
     EXPECT_TRUE(!status.ok() || report.Degraded()) << label;
 
-    // The strict wrapper must refuse anything less than a perfect load.
-    std::vector<AprilApproximation> strict;
-    EXPECT_FALSE(LoadAprilFile(path, &strict)) << label;
-
     if (status.ok()) {
       // Records before the first corruption are frame-aligned with the
       // original file, so they must have decoded exactly.
-      size_t verified_prefix =
-          std::min(loaded.size(), originals_.size());
+      size_t verified_prefix = std::min(loaded.Count(), originals_.size());
       if (!report.corrupt_indices.empty()) {
         verified_prefix = std::min<size_t>(verified_prefix,
                                            report.corrupt_indices.front());
       }
       for (size_t i = 0; i < verified_prefix; ++i) {
-        EXPECT_TRUE(loaded[i].usable) << label << " record " << i;
-        EXPECT_EQ(loaded[i].conservative, originals_[i].conservative)
-            << label << " record " << i;
-        EXPECT_EQ(loaded[i].progressive, originals_[i].progressive)
-            << label << " record " << i;
+        ExpectRecordExact(loaded, i, label);
       }
       // Every record the reader flagged corrupt must be marked unusable.
       for (const uint64_t idx : report.corrupt_indices) {
-        ASSERT_LT(idx, loaded.size()) << label;
-        EXPECT_FALSE(loaded[idx].usable) << label << " record " << idx;
+        ASSERT_LT(idx, loaded.Count()) << label;
+        EXPECT_FALSE(loaded.Usable(idx)) << label << " record " << idx;
       }
+    } else {
+      EXPECT_TRUE(loaded.Empty()) << label;
     }
     std::remove(path.c_str());
   }
 
-  std::string SavedBytes(bool compressed) {
-    const std::string path = TempPath(compressed ? "april_fault_comp.bin"
-                                                 : "april_fault_raw.bin");
-    const bool saved = compressed ? SaveAprilFileCompressed(path, originals_)
-                                  : SaveAprilFile(path, originals_);
-    EXPECT_TRUE(saved);
+  // Record \p i of \p loaded is usable and equals the original.
+  void ExpectRecordExact(const AprilStore& loaded, size_t i,
+                         const std::string& label) const {
+    EXPECT_TRUE(loaded.Usable(i)) << label << " record " << i;
+    EXPECT_TRUE(loaded.Conservative(i) ==
+                IntervalView(originals_[i].conservative))
+        << label << " record " << i;
+    EXPECT_TRUE(loaded.Progressive(i) ==
+                IntervalView(originals_[i].progressive))
+        << label << " record " << i;
+  }
+
+  std::string SavedBytes() {
+    const std::string path = TempPath("april_fault.bin");
+    EXPECT_TRUE(SaveAprilStoreBlocked(
+        path, CompressedAprilStore::FromStore(
+                  AprilStore::FromApproximations(originals_))));
     std::string bytes = test::ReadFileBytes(path);
     std::remove(path.c_str());
     return bytes;
@@ -123,67 +129,57 @@ class AprilFaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(AprilFaultInjectionTest, TruncationAtEveryLengthIsDetected) {
-  for (const bool compressed : {false, true}) {
-    const std::string bytes = SavedBytes(compressed);
-    ASSERT_GT(bytes.size(), 16u);
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      ExpectDetectedAndPrefixExact(
-          test::TruncatedTo(bytes, len),
-          (compressed ? "compressed" : "raw") + std::string(" truncated to ") +
-              std::to_string(len));
-    }
+  const std::string bytes = SavedBytes();
+  ASSERT_GT(bytes.size(), 16u);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ExpectDetectedAndPrefixExact(test::TruncatedTo(bytes, len),
+                                 "truncated to " + std::to_string(len));
   }
 }
 
 TEST_F(AprilFaultInjectionTest, ByteFlipAtEveryOffsetIsDetected) {
-  for (const bool compressed : {false, true}) {
-    const std::string bytes = SavedBytes(compressed);
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      ExpectDetectedAndPrefixExact(
-          test::WithFlippedByte(bytes, i),
-          (compressed ? "compressed" : "raw") + std::string(" flip @") +
-              std::to_string(i));
-    }
+  const std::string bytes = SavedBytes();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    ExpectDetectedAndPrefixExact(test::WithFlippedByte(bytes, i),
+                                 "flip @" + std::to_string(i));
   }
 }
 
 TEST_F(AprilFaultInjectionTest, TruncationAtExactRecordBoundaries) {
   // Cutting precisely between frames must yield exactly the preceding
   // records, all usable, with the missing tail accounted as corrupt.
-  const std::string bytes = SavedBytes(/*compressed=*/true);
+  const std::string bytes = SavedBytes();
   const std::vector<size_t> offsets = FrameOffsets(bytes, originals_.size());
   ASSERT_EQ(offsets.back(), bytes.size());
 
   const std::string path = TempPath("april_fault_boundary.bin");
   for (size_t k = 0; k < originals_.size(); ++k) {
     test::WriteFileBytes(path, test::TruncatedTo(bytes, offsets[k]));
-    std::vector<AprilApproximation> loaded;
+    AprilStore loaded;
     AprilLoadReport report;
-    const Status status = LoadAprilFileDetailed(path, &loaded, &report);
+    const Status status = LoadAprilStore(path, &loaded, &report);
     ASSERT_TRUE(status.ok()) << "cut after " << k << ": " << status.ToString();
     EXPECT_TRUE(report.truncated);
     EXPECT_EQ(report.loaded, k);
     EXPECT_EQ(report.corrupt, originals_.size() - k);
-    ASSERT_EQ(loaded.size(), k);
+    ASSERT_EQ(loaded.Count(), k);
     for (size_t i = 0; i < k; ++i) {
-      EXPECT_TRUE(loaded[i].usable);
-      EXPECT_EQ(loaded[i].conservative, originals_[i].conservative) << i;
-      EXPECT_EQ(loaded[i].progressive, originals_[i].progressive) << i;
+      ExpectRecordExact(loaded, i, "cut after " + std::to_string(k));
     }
   }
   std::remove(path.c_str());
 }
 
 TEST_F(AprilFaultInjectionTest, TruncationInsideHeaderIsStructuralError) {
-  const std::string bytes = SavedBytes(/*compressed=*/false);
+  const std::string bytes = SavedBytes();
   const std::string path = TempPath("april_fault_header.bin");
   for (size_t len = 0; len < 16; ++len) {  // magic + version + count
     test::WriteFileBytes(path, test::TruncatedTo(bytes, len));
-    std::vector<AprilApproximation> loaded;
+    AprilStore loaded;
     AprilLoadReport report;
-    const Status status = LoadAprilFileDetailed(path, &loaded, &report);
+    const Status status = LoadAprilStore(path, &loaded, &report);
     EXPECT_FALSE(status.ok()) << "header cut at " << len;
-    EXPECT_TRUE(loaded.empty()) << "header cut at " << len;
+    EXPECT_TRUE(loaded.Empty()) << "header cut at " << len;
   }
   std::remove(path.c_str());
 }
@@ -191,72 +187,27 @@ TEST_F(AprilFaultInjectionTest, TruncationInsideHeaderIsStructuralError) {
 TEST_F(AprilFaultInjectionTest, CorruptMidFileRecordIsIsolated) {
   // One flipped payload byte in record 2 must cost exactly record 2: the
   // reader resynchronises at the next frame and every other record survives.
-  const std::string bytes = SavedBytes(/*compressed=*/true);
+  const std::string bytes = SavedBytes();
   const std::vector<size_t> offsets = FrameOffsets(bytes, originals_.size());
   const size_t payload_byte = offsets[2] + 16;  // first byte past the frame
 
   const std::string path = TempPath("april_fault_midfile.bin");
   test::WriteFileBytes(path, test::WithFlippedByte(bytes, payload_byte));
-  std::vector<AprilApproximation> loaded;
+  AprilStore loaded;
   AprilLoadReport report;
-  const Status status = LoadAprilFileDetailed(path, &loaded, &report);
+  const Status status = LoadAprilStore(path, &loaded, &report);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(report.Degraded());
   EXPECT_FALSE(report.truncated);
   EXPECT_EQ(report.corrupt, 1u);
   ASSERT_EQ(report.corrupt_indices, std::vector<uint64_t>{2});
-  ASSERT_EQ(loaded.size(), originals_.size());
-  for (size_t i = 0; i < loaded.size(); ++i) {
+  ASSERT_EQ(loaded.Count(), originals_.size());
+  for (size_t i = 0; i < loaded.Count(); ++i) {
     if (i == 2) {
-      EXPECT_FALSE(loaded[i].usable);
+      EXPECT_FALSE(loaded.Usable(i));
       continue;
     }
-    EXPECT_TRUE(loaded[i].usable) << i;
-    EXPECT_EQ(loaded[i].conservative, originals_[i].conservative) << i;
-    EXPECT_EQ(loaded[i].progressive, originals_[i].progressive) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(AprilFaultInjectionTest, VersionOneFilesLoadStrictlyOrFailWhole) {
-  // Hand-written unframed v1 file: one record, C = {[0,10), [20,30)},
-  // P = {[2,4)}. Valid file loads; any truncation fails the whole load
-  // (v1 has no checksums, so nothing can be salvaged safely).
-  std::string bytes;
-  auto append_u64 = [&bytes](uint64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
-  };
-  bytes.append("APRL", 4);
-  const uint32_t version = 1;
-  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
-  append_u64(1);  // object count
-  append_u64(2);  // C interval count
-  append_u64(0);
-  append_u64(10);
-  append_u64(20);
-  append_u64(30);
-  append_u64(1);  // P interval count
-  append_u64(2);
-  append_u64(4);
-
-  const std::string path = TempPath("april_fault_v1.bin");
-  test::WriteFileBytes(path, bytes);
-  std::vector<AprilApproximation> loaded;
-  AprilLoadReport report;
-  ASSERT_TRUE(LoadAprilFileDetailed(path, &loaded, &report).ok());
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_FALSE(report.Degraded());
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0].conservative,
-            IntervalList::FromSorted({{0, 10}, {20, 30}}));
-  EXPECT_EQ(loaded[0].progressive, IntervalList::FromSorted({{2, 4}}));
-
-  for (size_t len = 16; len < bytes.size(); ++len) {
-    test::WriteFileBytes(path, test::TruncatedTo(bytes, len));
-    std::vector<AprilApproximation> cut;
-    const Status status = LoadAprilFileDetailed(path, &cut, nullptr);
-    EXPECT_FALSE(status.ok()) << "v1 cut at " << len;
-    EXPECT_TRUE(cut.empty()) << "v1 cut at " << len;
+    ExpectRecordExact(loaded, i, "mid-file flip");
   }
   std::remove(path.c_str());
 }

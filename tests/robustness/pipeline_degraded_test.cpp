@@ -57,6 +57,33 @@ class PipelineDegradedTest : public ::testing::Test {
   ParallelJoinResult ground_truth_;
 };
 
+/// Writes the R approximations as an APRIL file, flips the first payload
+/// byte of every \p stride-th record, and returns how many were flipped.
+size_t SaveWithFlippedRecords(const std::string& path,
+                              const std::vector<AprilApproximation>& april,
+                              size_t stride) {
+  EXPECT_TRUE(SaveAprilStoreBlocked(
+      path, CompressedAprilStore::FromStore(
+                AprilStore::FromApproximations(april))));
+  std::string bytes = test::ReadFileBytes(path);
+  constexpr size_t kHeaderSize = 16;
+  size_t off = kHeaderSize;
+  size_t flipped = 0;
+  for (size_t i = 0; i < april.size(); ++i) {
+    uint64_t payload_size = 0;
+    EXPECT_LE(off + 16, bytes.size());
+    if (off + 16 > bytes.size()) return flipped;
+    std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
+    if (i % stride == 0 && payload_size > 0) {
+      bytes = test::WithFlippedByte(bytes, off + 16);  // first payload byte
+      ++flipped;
+    }
+    off += 16 + payload_size;
+  }
+  test::WriteFileBytes(path, bytes);
+  return flipped;
+}
+
 TEST_F(PipelineDegradedTest, HealthyRunHasZeroFallbacks) {
   for (const Method method : {Method::kApril, Method::kPC}) {
     const ParallelJoinResult result =
@@ -68,8 +95,8 @@ TEST_F(PipelineDegradedTest, HealthyRunHasZeroFallbacks) {
 }
 
 TEST_F(PipelineDegradedTest, FlaggedCorruptRecordsFallBackToRefinement) {
-  // Mark every 3rd R and every 4th S approximation as corrupt, the way
-  // LoadAprilFileDetailed does for records that fail their checksum.
+  // Mark every 3rd R and every 4th S approximation as corrupt, the way the
+  // APRIL loaders do for records that fail their checksum.
   std::vector<AprilApproximation> r_april = scenario_.r_april;
   std::vector<AprilApproximation> s_april = scenario_.s_april;
   for (size_t i = 0; i < r_april.size(); i += 3) r_april[i].usable = false;
@@ -112,36 +139,20 @@ TEST_F(PipelineDegradedTest, ShortAprilVectorFallsBack) {
 TEST_F(PipelineDegradedTest, DiskCorruptionEndToEnd) {
   // Save the real R approximations, flip one payload byte in every 5th
   // record, reload through the corruption-safe reader, and join with the
-  // damaged vector: results must still match ground truth exactly.
+  // damaged store: results must still match ground truth exactly.
   const std::string path = TempPath("pipeline_degraded.april");
-  ASSERT_TRUE(SaveAprilFileCompressed(path, scenario_.r_april));
-  std::string bytes = test::ReadFileBytes(path);
-
-  constexpr size_t kHeaderSize = 16;
-  size_t off = kHeaderSize;
-  size_t flipped = 0;
-  for (size_t i = 0; i < scenario_.r_april.size(); ++i) {
-    uint64_t payload_size = 0;
-    ASSERT_LE(off + 16, bytes.size());
-    std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
-    if (i % 5 == 0 && payload_size > 0) {
-      bytes = test::WithFlippedByte(bytes, off + 16);  // first payload byte
-      ++flipped;
-    }
-    off += 16 + payload_size;
-  }
+  const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 5);
   ASSERT_GT(flipped, 0u);
-  test::WriteFileBytes(path, bytes);
 
-  std::vector<AprilApproximation> damaged;
+  AprilStore damaged;
   AprilLoadReport report;
-  const Status status = LoadAprilFileDetailed(path, &damaged, &report);
+  const Status status = LoadAprilStore(path, &damaged, &report);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(report.Degraded());
   EXPECT_EQ(report.corrupt, flipped);
-  ASSERT_EQ(damaged.size(), scenario_.r_april.size());
+  ASSERT_EQ(damaged.Count(), scenario_.r_april.size());
 
-  const DatasetView r_view{&scenario_.r.objects, &damaged};
+  const DatasetView r_view{&scenario_.r.objects, nullptr, &damaged};
   const ParallelJoinResult result =
       ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
                            scenario_.candidates, JoinOptions{.num_threads = 2});
@@ -150,32 +161,15 @@ TEST_F(PipelineDegradedTest, DiskCorruptionEndToEnd) {
 }
 
 TEST_F(PipelineDegradedTest, PermissiveStoreLoadKeepsFilterDecisionsActive) {
-  // Degradation must stay *isolated*: after a permissive load of a store
+  // Degradation must stay *isolated*: after a permissive load of a file
   // with a few corrupt records, the healthy majority still decides pairs at
   // the APRIL filter stage — corruption must not silently push the whole
-  // join onto the refinement path. Save the R store, flip one payload byte
-  // in every 7th record, reload through the permissive arena loader, and
-  // join straight from the repaired store.
+  // join onto the refinement path. Save the R approximations, flip one
+  // payload byte in every 7th record, reload into both store forms, and
+  // join straight from each.
   const std::string path = TempPath("pipeline_store_degraded.april");
-  ASSERT_TRUE(SaveAprilStoreCompressed(
-      path, AprilStore::FromApproximations(scenario_.r_april)));
-  std::string bytes = test::ReadFileBytes(path);
-
-  constexpr size_t kHeaderSize = 16;
-  size_t off = kHeaderSize;
-  size_t flipped = 0;
-  for (size_t i = 0; i < scenario_.r_april.size(); ++i) {
-    uint64_t payload_size = 0;
-    ASSERT_LE(off + 16, bytes.size());
-    std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
-    if (i % 7 == 0 && payload_size > 0) {
-      bytes = test::WithFlippedByte(bytes, off + 16);
-      ++flipped;
-    }
-    off += 16 + payload_size;
-  }
+  const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 7);
   ASSERT_GT(flipped, 0u);
-  test::WriteFileBytes(path, bytes);
 
   AprilStore store;
   AprilLoadReport report;
@@ -184,15 +178,26 @@ TEST_F(PipelineDegradedTest, PermissiveStoreLoadKeepsFilterDecisionsActive) {
   EXPECT_TRUE(report.Degraded());
   EXPECT_EQ(report.corrupt, flipped);
   ASSERT_EQ(store.Count(), scenario_.r_april.size());
+  CompressedAprilStore cstore;
+  ASSERT_TRUE(LoadCompressedAprilStore(path, &cstore, &report).ok());
+  EXPECT_EQ(report.corrupt, flipped);
+  ASSERT_EQ(cstore.Count(), scenario_.r_april.size());
 
-  const DatasetView r_view{&scenario_.r.objects, nullptr, &store};
-  for (const Method method : {Method::kApril, Method::kPC}) {
-    const ParallelJoinResult result = ParallelFindRelation(
-        method, r_view, scenario_.SView(), scenario_.candidates,
-        JoinOptions{.num_threads = 2});
-    ExpectMatchesGroundTruthWithFallback(result, ToString(method));
-    // The healthy records kept the filter stage in play.
-    EXPECT_GT(result.stats.decided_by_filter, 0u) << ToString(method);
+  const DatasetView r_views[] = {
+      DatasetView{&scenario_.r.objects, nullptr, &store},
+      DatasetView{&scenario_.r.objects, nullptr, nullptr, &cstore}};
+  for (const DatasetView& r_view : r_views) {
+    for (const Method method : {Method::kApril, Method::kPC}) {
+      const std::string label = std::string(ToString(method)) +
+                                (r_view.cstore != nullptr ? " compressed"
+                                                          : " flat");
+      const ParallelJoinResult result = ParallelFindRelation(
+          method, r_view, scenario_.SView(), scenario_.candidates,
+          JoinOptions{.num_threads = 2});
+      ExpectMatchesGroundTruthWithFallback(result, label.c_str());
+      // The healthy records kept the filter stage in play.
+      EXPECT_GT(result.stats.decided_by_filter, 0u) << label;
+    }
   }
   std::remove(path.c_str());
 }

@@ -18,17 +18,38 @@ class ParallelTest : public ::testing::Test {
     options.scale = 0.05;
     options.grid_order = 10;
     scenario_ = BuildScenario("OLE-OPE", options);
-    r_cstore_ = CompressedAprilStore::FromStore(
-        AprilStore::FromApproximations(scenario_.r_april));
-    s_cstore_ = CompressedAprilStore::FromStore(
-        AprilStore::FromApproximations(scenario_.s_april));
+    r_store_ = AprilStore::FromApproximations(scenario_.r_april);
+    s_store_ = AprilStore::FromApproximations(scenario_.s_april);
+    r_cstore_ = CompressedAprilStore::FromStore(r_store_);
+    s_cstore_ = CompressedAprilStore::FromStore(s_store_);
   }
 
+  DatasetView RArena() const {
+    return DatasetView{&scenario_.r.objects, nullptr, &r_store_};
+  }
+  DatasetView SArena() const {
+    return DatasetView{&scenario_.s.objects, nullptr, &s_store_};
+  }
   DatasetView RCompressed() const {
     return DatasetView{&scenario_.r.objects, nullptr, nullptr, &r_cstore_};
   }
   DatasetView SCompressed() const {
     return DatasetView{&scenario_.s.objects, nullptr, nullptr, &s_cstore_};
+  }
+
+  /// An (R, S) storage pairing for the differential sweeps.
+  struct Storage {
+    const char* name;
+    DatasetView r;
+    DatasetView s;
+  };
+
+  /// The compressed form on both sides and both mixed pairings: each side
+  /// reads its own storage, so no pairing may bypass the filter.
+  std::vector<Storage> CompressedStorages() const {
+    return {{"compressed", RCompressed(), SCompressed()},
+            {"arena x compressed", RArena(), SCompressed()},
+            {"compressed x arena", RCompressed(), SArena()}};
   }
 
   /// The differential oracle: the single-threaded input-order loop over the
@@ -50,6 +71,8 @@ class ParallelTest : public ::testing::Test {
   }
 
   ScenarioData scenario_;
+  AprilStore r_store_;
+  AprilStore s_store_;
   CompressedAprilStore r_cstore_;
   CompressedAprilStore s_cstore_;
 };
@@ -180,25 +203,26 @@ TEST_F(BatchPipelineTest, AllMethodsAgreeWithOracleUnderBatching) {
 }
 
 TEST_F(BatchPipelineTest, CompressedStoreBatchedMatchesFlatOracle) {
-  // The decoded-record cache reroutes compressed filtering through the flat
-  // kernels; with its budget at 0 the fused block merges run instead. Both
-  // must match the flat-store oracle, and only the cached run decodes.
+  // Compressed records reach the filters through the per-worker decoded
+  // caches, on both sides or on one side of a mixed pairing. Every pairing
+  // must match the flat-store oracle with the filter in play for every
+  // pair, and only the methods that read approximations decode.
   for (const Method method : kAllMethods) {
     const ParallelJoinResult oracle = Serial(method);
     const bool reads_april =
         method == Method::kApril || method == Method::kPC;
-    for (const size_t cache_bytes : {kDefaultDecodedCacheBytes, size_t{0}}) {
+    for (const Storage& storage : CompressedStorages()) {
       for (const unsigned threads : kThreadCounts) {
         SCOPED_TRACE(::testing::Message()
-                     << ToString(method) << " decoded_cache_bytes="
-                     << cache_bytes << " threads=" << threads);
+                     << ToString(method) << " " << storage.name
+                     << " threads=" << threads);
         const ParallelJoinResult run = ParallelFindRelation(
-            method, RCompressed(), SCompressed(), scenario_.candidates,
-            JoinOptions{.num_threads = threads,
-                        .decoded_cache_bytes = cache_bytes});
+            method, storage.r, storage.s, scenario_.candidates,
+            JoinOptions{.num_threads = threads});
         ExpectSameDecisions(run, oracle);
+        EXPECT_EQ(run.stats.fallback_refined, 0u);
         EXPECT_EQ(run.stats.decoded_hits + run.stats.decoded_misses > 0,
-                  reads_april && cache_bytes > 0);
+                  reads_april);
         EXPECT_EQ(run.stats.decoded_corrupt, 0u);
       }
     }
@@ -206,18 +230,8 @@ TEST_F(BatchPipelineTest, CompressedStoreBatchedMatchesFlatOracle) {
 }
 
 TEST_F(BatchPipelineTest, RelateBatchedMatchesOracle) {
-  struct Store {
-    const char* name;
-    DatasetView r;
-    DatasetView s;
-    size_t decoded_cache_bytes;
-  };
-  const Store stores[] = {
-      {"flat", scenario_.RView(), scenario_.SView(),
-       kDefaultDecodedCacheBytes},
-      {"compressed-cached", RCompressed(), SCompressed(),
-       kDefaultDecodedCacheBytes},
-      {"compressed-uncached", RCompressed(), SCompressed(), 0}};
+  std::vector<Storage> storages = CompressedStorages();
+  storages.push_back({"flat", scenario_.RView(), scenario_.SView()});
   for (const Method method : kAllMethods) {
     for (const de9im::Relation predicate :
          {de9im::Relation::kIntersects, de9im::Relation::kInside}) {
@@ -226,19 +240,16 @@ TEST_F(BatchPipelineTest, RelateBatchedMatchesOracle) {
                          scenario_.candidates, predicate,
                          JoinOptions{.num_threads = 1})
               .matches;
-      for (const Store& store : stores) {
+      for (const Storage& storage : storages) {
         for (const unsigned threads : kThreadCounts) {
           SCOPED_TRACE(::testing::Message()
                        << ToString(method) << " " << ToString(predicate)
-                       << " " << store.name << " threads=" << threads);
-          EXPECT_EQ(ParallelRelate(
-                        method, store.r, store.s, scenario_.candidates,
-                        predicate,
-                        JoinOptions{.num_threads = threads,
-                                    .decoded_cache_bytes =
-                                        store.decoded_cache_bytes})
-                        .matches,
-                    oracle);
+                       << " " << storage.name << " threads=" << threads);
+          const ParallelRelateResult run = ParallelRelate(
+              method, storage.r, storage.s, scenario_.candidates, predicate,
+              JoinOptions{.num_threads = threads});
+          EXPECT_EQ(run.matches, oracle);
+          EXPECT_EQ(run.stats.fallback_refined, 0u);
         }
       }
     }

@@ -18,8 +18,8 @@
 #                           -> BENCH_PR6.json
 #   bench_micro_interval    --json mode: intermediate-filter throughput on
 #                           the TC-TZ dense tessellation under forced scalar
-#                           vs runtime-dispatched SIMD kernels, flat and
-#                           block-compressed APRIL, 1/4 threads
+#                           vs runtime-dispatched SIMD kernels, 1/4
+#                           threads, plus the block codec's size ratio
 #                           -> BENCH_PR7.json
 #   bench_shard_join        out-of-core tile-sharded join vs the single-arena
 #                           join on TC-TZ at grid order 14: all-resident
@@ -233,16 +233,15 @@ for r in filt:
     missing = filter_required - set(r)
     assert not missing, f'filter record missing {missing}: {r}'
     assert r['bench'] == 'interval_simd', r
-    # Decision vectors must agree bit-for-bit across scalar/SIMD and
-    # flat/compressed: the kernels may only change speed, never answers.
+    # Decision vectors must agree bit-for-bit across scalar/SIMD: the
+    # kernels may only change speed, never answers.
     assert r['identical'] == 1, f'divergent decisions: {r}'
 
 ratio = codec[0]['compression_ratio']
 assert ratio >= 2.0, f'codec compression ratio {ratio:.2f}x < 2x'
 
 by_key = {(r['mode'], r['threads']): r for r in filt}
-assert set(by_key) >= {(m, t) for m in ('scalar', 'simd', 'simd_compressed')
-                       for t in (1, 4)}, \
+assert set(by_key) >= {(m, t) for m in ('scalar', 'simd') for t in (1, 4)}, \
     f'missing (mode, threads) combinations: {sorted(by_key)}'
 
 # The acceptance number: runtime-dispatched SIMD kernels must deliver >=

@@ -179,35 +179,60 @@ run_expect(5 "unknown method"
 run_expect(5 "unknown predicate"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=touches-ish)
 
-# Unknown flag: exit 2 (usage) — including the retired executor knobs.
+# Unknown flag: exit 2 (usage) — including the retired executor, codec and
+# decoded-cache knobs.
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --frobnicate)
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --batch-size=64)
+run_expect(2 "unknown flag"
+           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --decoded-cache-mb=8)
+run_expect(2 "unknown flag"
+           ${CLI} april ${WORK}/ole.wkt ${WORK}/x.april --codec=blocked)
 
-# aprilcheck: healthy file passes, garbage and truncated headers are
-# structural errors (exit 4).
-run_expect(0 "0 corrupt" ${CLI} aprilcheck ${WORK}/ole.april)
+# Writes raw bytes given as printf(1) escapes: CMake strings cannot hold
+# the NUL bytes of binary headers.
+function(write_bytes path escapes)
+  execute_process(COMMAND sh -c "printf '${escapes}' > '${path}'"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cannot write ${path}")
+  endif()
+endfunction()
 
-# ---- codec variants ----
-
-# Every codec round-trips through aprilcheck cleanly; the blocked (version 3)
-# file additionally passes the deep codec audit.
-run_checked(${CLI} april ${WORK}/ole.wkt ${WORK}/ole_compact.april
-            --grid-order=10 --codec=compact)
-run_expect(0 "version 2 \\(compressed\\)"
-           ${CLI} aprilcheck ${WORK}/ole_compact.april)
-run_checked(${CLI} april ${WORK}/ole.wkt ${WORK}/ole_blocked.april
-            --grid-order=10 --codec=blocked)
+# aprilcheck: `april` writes version 3, the only format, and the file passes
+# the deep codec audit; garbage and truncated headers are structural errors
+# (exit 4).
 run_expect(0 "version 3 \\(blocked\\).*0 corrupt, 0 codec-corrupt"
-           ${CLI} aprilcheck ${WORK}/ole_blocked.april)
+           ${CLI} aprilcheck ${WORK}/ole.april)
 
-# Unknown codec name: exit 5.
-run_expect(5 "unknown codec"
-           ${CLI} april ${WORK}/ole.wkt ${WORK}/x.april --codec=zip)
+# A flipped byte past the first frame header (16-byte file header + 16-byte
+# frame) fails one record's checksum: exit 6, naming the object.
+file(READ ${WORK}/ole.april ole_hex HEX)
+string(SUBSTRING "${ole_hex}" 80 2 byte_40)
+if(byte_40 STREQUAL "ff")
+  set(flip "\\000")
+else()
+  set(flip "\\377")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${WORK}/ole.april
+                        ${WORK}/flipped.april)
+execute_process(
+  COMMAND sh -c "printf '${flip}' | dd of='${WORK}/flipped.april' bs=1 seek=40 count=1 conv=notrunc status=none"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot corrupt flipped.april")
+endif()
+run_expect(6 "1 corrupt.*corrupt record: object 0"
+           ${CLI} aprilcheck ${WORK}/flipped.april)
+
 file(WRITE ${WORK}/garbage.april "this is not an april file at all")
 run_expect(4 "bad magic" ${CLI} aprilcheck ${WORK}/garbage.april)
-file(WRITE ${WORK}/short.april "APRL")
+file(WRITE ${WORK}/short.april "APRB")
 run_expect(4 "too short" ${CLI} aprilcheck ${WORK}/short.april)
+# The retired version-2 layout ("APRL", u32 version 2, u64 count 1) is a
+# structural error, not a half-read file.
+write_bytes(${WORK}/v2.april "APRL\\002\\000\\000\\000\\001\\000\\000\\000\\000\\000\\000\\000")
+run_expect(4 "bad magic" ${CLI} aprilcheck ${WORK}/v2.april)
 
 message(STATUS "stj_cli end-to-end test passed")

@@ -124,7 +124,6 @@ HOT_FILES = {
     "src/topology/relate_predicate.cpp",
     "src/join/mbr_join.cpp",
     "src/interval/interval_algebra.cpp",
-    "src/interval/interval_algebra_compressed.cpp",
     "src/interval/simd_scalar.cpp",
     "src/interval/simd_avx2.cpp",
     "src/interval/simd_neon.cpp",

@@ -6,24 +6,21 @@
 //       OLE, OPE, OBN, OLN, OPN) as one WKT polygon per line.
 //
 //   stj_cli april <in.wkt> <out.april> [--grid-order=N] [--threads=T]
-//                 [--permissive] [--codec=raw|compact|blocked]
+//                 [--permissive]
 //       Precompute APRIL P/C interval lists for every polygon of a WKT file
-//       (grid over the file's own bounds) and store them in binary form.
+//       (grid over the file's own bounds) and store them as an APRIL
+//       version-3 file: framed, checksummed records in the block codec.
 //       --threads fans the build out over T workers (0 = all cores); the
-//       output is identical for every thread count. --codec picks the file
-//       encoding: raw (version 2, plain u64 pairs, default), compact
-//       (version 2, varint deltas), or blocked (version 3, the block codec
-//       with skip headers that the fused filter path consumes directly).
+//       output is identical for every thread count.
 //
 //   stj_cli aprilcheck <in.april | shard-dir | shard-dir/manifest.stj>
-//       Verify an APRIL file record by record and report corruption. For
-//       version-3 files this additionally runs the deep codec audit on every
-//       record (block-header consistency, P inside C, re-encode round-trip
-//       byte equality). Given a shard-set directory (or its manifest.stj),
-//       audits the shard set instead: manifest frame, every tile's header +
-//       segment table, and every segment's payload checksum, with per-tile
-//       corruption isolation mirroring the per-record behaviour of the
-//       flat formats.
+//       Verify an APRIL file record by record and report corruption, then
+//       run the deep codec audit on every usable record (block-header
+//       consistency, P inside C, re-encode round-trip byte equality). Given
+//       a shard-set directory (or its manifest.stj), audits the shard set
+//       instead: manifest frame, every tile's header + segment table, and
+//       every segment's payload checksum, with per-tile corruption isolation
+//       mirroring the per-record behaviour of APRIL files.
 //
 //   stj_cli relate <wkt-polygon-1> <wkt-polygon-2>
 //       Print the DE-9IM matrix and the most specific relation of two
@@ -33,7 +30,6 @@
 //                [--grid-order=N] [--predicate=<relation>] [--threads=T]
 //                [--prepared-cache-mb=M] [--time-stages] [--permissive]
 //                [--deadline-ms=D] [--max-memory-mb=B]
-//                [--decoded-cache-mb=M]
 //                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
 //       Run the full topology join between two WKT files: MBR filter join,
 //       then find-relation (default) or a relate_p predicate join. Prints
@@ -49,17 +45,17 @@
 //       the run cancellable (Ctrl-C stops it cooperatively too). A tripped
 //       run still prints every pair that was fully verified before the cut,
 //       reports how much of the join was answered, and exits with the
-//       matching code below. --decoded-cache-mb sizes the per-worker
-//       decoded-record cache used on compressed APRIL inputs (default 8;
-//       0 disables it — results identical either way).
+//       matching code below.
 //
 //       --shard-dir=D switches the join to the out-of-core tile-sharded
 //       path: both inputs are cost-balanced into tiles (--partition-units
 //       targets computational units per tile; 0 = auto), persisted as
 //       mmap-backed shard sets under D/r and D/s, and joined tile pair by
 //       tile pair with at most --shard-cache-mb (default 256) of shards
-//       resident. The output is byte-identical to the in-memory join's.
-//       Find-relation only — --predicate cannot be combined with it.
+//       resident; each worker decodes the compressed records it filters
+//       through a per-worker decoded-record cache. The output is
+//       byte-identical to the in-memory join's. Find-relation only —
+//       --predicate cannot be combined with it.
 //
 // Input files are loaded strictly by default: the first malformed line
 // aborts with a message naming the file, line, and byte offset. With
@@ -68,10 +64,10 @@
 //
 // Exit codes: 0 success; 2 usage error; 3 missing/unreadable/unwritable
 // file; 4 malformed content (WKT parse error, APRIL structural corruption);
-// 5 unknown dataset/method/predicate/codec name; 6 (aprilcheck) file loads
+// 5 unknown dataset/method/predicate name; 6 (aprilcheck) file loads
 // but contains corrupt or missing records; 7 query deadline exceeded
 // (--deadline-ms); 8 query cancelled (SIGINT); 9 query memory budget
-// exhausted (--max-memory-mb); 10 (aprilcheck) version-3 file whose frames
+// exhausted (--max-memory-mb); 10 (aprilcheck) APRIL file whose frames
 // verify but whose block codec fails validation — a writer bug or targeted
 // corruption rather than bit rot; 11 (aprilcheck) shard set whose manifest
 // loads but with one or more corrupt tiles (failed segment checksum,
@@ -143,14 +139,12 @@ struct Flags {
   uint32_t grid_order = 12;
   std::string method = "pc";
   std::string predicate;
-  std::string codec = "raw";
   unsigned threads = 0;
   size_t prepared_cache_mb = kDefaultPreparedCacheBytes >> 20;
   bool time_stages = false;
   bool permissive = false;
   uint64_t deadline_ms = 0;    ///< 0 = no deadline.
   size_t max_memory_mb = 0;    ///< 0 = no memory budget.
-  size_t decoded_cache_mb = kDefaultDecodedCacheBytes >> 20;
   std::string shard_dir;       ///< Non-empty = out-of-core sharded join.
   size_t shard_cache_mb = 256;
   uint64_t partition_units = 0;  ///< Units per tile; 0 = auto.
@@ -172,8 +166,6 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.method = arg + 9;
     } else if (std::strncmp(arg, "--predicate=", 12) == 0) {
       flags.predicate = arg + 12;
-    } else if (std::strncmp(arg, "--codec=", 8) == 0) {
-      flags.codec = arg + 8;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       flags.threads = static_cast<unsigned>(std::atoi(arg + 10));
     } else if (std::strncmp(arg, "--prepared-cache-mb=", 20) == 0) {
@@ -186,8 +178,6 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.deadline_ms = static_cast<uint64_t>(std::atoll(arg + 14));
     } else if (std::strncmp(arg, "--max-memory-mb=", 16) == 0) {
       flags.max_memory_mb = static_cast<size_t>(std::atoll(arg + 16));
-    } else if (std::strncmp(arg, "--decoded-cache-mb=", 19) == 0) {
-      flags.decoded_cache_mb = static_cast<size_t>(std::atoll(arg + 19));
     } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
       flags.shard_dir = arg + 12;
     } else if (std::strncmp(arg, "--shard-cache-mb=", 17) == 0) {
@@ -227,8 +217,8 @@ int Usage() {
 }
 
 /// Encodes a set of approximations into the blocked codec, keeping corrupt
-/// entries as placeholders (shared by `april --codec=blocked` and the
-/// sharded join path, which persists the compressed form).
+/// entries as placeholders (shared by `april` and the sharded join path,
+/// which both persist the compressed form).
 CompressedAprilStore CompressApproximations(
     const std::vector<AprilApproximation>& april) {
   CompressedAprilStore cstore;
@@ -313,19 +303,7 @@ int CmdApril(int argc, char** argv) {
   const std::vector<AprilApproximation> april =
       BuildAprilApproximations(dataset, grid, flags.threads);
   const double preprocess_seconds = timer.ElapsedSeconds();
-  bool saved = false;
-  if (flags.codec == "raw") {
-    saved = SaveAprilFile(argv[3], april);
-  } else if (flags.codec == "compact") {
-    saved = SaveAprilFileCompressed(argv[3], april);
-  } else if (flags.codec == "blocked") {
-    saved = SaveAprilStoreBlocked(argv[3], CompressApproximations(april));
-  } else {
-    std::fprintf(stderr, "unknown codec '%s' (expected raw, compact, or "
-                 "blocked)\n", flags.codec.c_str());
-    return kExitBadName;
-  }
-  if (!saved) {
+  if (!SaveAprilStoreBlocked(argv[3], CompressApproximations(april))) {
     return FailWith(
         Status::IoError("cannot write APRIL file").WithFile(argv[3]));
   }
@@ -333,9 +311,9 @@ int CmdApril(int argc, char** argv) {
   for (const AprilApproximation& a : april) bytes += a.ByteSize();
   std::fprintf(stderr,
                "wrote %zu approximations (%.2f MB of intervals) to %s "
-               "(codec %s, preprocess %.2fs)\n",
+               "(version 3, preprocess %.2fs)\n",
                april.size(), static_cast<double>(bytes) / 1e6, argv[3],
-               flags.codec.c_str(), preprocess_seconds);
+               preprocess_seconds);
   return kExitOk;
 }
 
@@ -369,18 +347,14 @@ int CmdAprilCheck(int argc, char** argv) {
   if (std::string shard_dir; ResolveShardSetDir(argv[2], &shard_dir)) {
     return CheckShardSet(shard_dir);
   }
-  std::vector<AprilApproximation> approximations;
+  CompressedAprilStore cstore;
   AprilLoadReport report;
-  const Status status =
-      LoadAprilFileDetailed(argv[2], &approximations, &report);
+  const Status status = LoadCompressedAprilStore(argv[2], &cstore, &report);
   if (!status.ok()) return FailWith(status);
-  const char* encoding = report.version == 3     ? "blocked"
-                         : report.compressed     ? "compressed"
-                                                 : "raw";
   std::fprintf(stderr,
-               "%s: version %u (%s), %llu declared, %llu verified, "
+               "%s: version %u (blocked), %llu declared, %llu verified, "
                "%llu corrupt, %llu codec-corrupt%s\n",
-               argv[2], report.version, encoding,
+               argv[2], report.version,
                static_cast<unsigned long long>(report.declared_count),
                static_cast<unsigned long long>(report.loaded),
                static_cast<unsigned long long>(report.corrupt),
@@ -390,28 +364,22 @@ int CmdAprilCheck(int argc, char** argv) {
     std::fprintf(stderr, "  corrupt record: object %llu\n",
                  static_cast<unsigned long long>(index));
   }
+  // Deep codec audit of every usable record, beyond what the loader already
+  // validated: P inside C and re-encode round-trip byte equality, which
+  // catches valid-but-non-minimal varint encodings a tampered writer could
+  // produce.
   uint64_t deep_bad = 0;
-  if (report.version == 3) {
-    // Deep codec audit: reload keeping the block codec and re-verify every
-    // usable record beyond what the loader already validated (P inside C and
-    // re-encode round-trip byte equality, which catches valid-but-non-
-    // minimal varint encodings a tampered writer could produce).
-    CompressedAprilStore cstore;
-    if (Status st = LoadCompressedAprilStore(argv[2], &cstore); !st.ok()) {
-      return FailWith(st);
+  for (size_t i = 0; i < cstore.Count(); ++i) {
+    if (!cstore.Usable(i)) continue;
+    if (const std::string err = cstore.DeepValidateRecord(i); !err.empty()) {
+      ++deep_bad;
+      std::fprintf(stderr, "  codec corrupt record: object %zu: %s\n", i,
+                   err.c_str());
     }
-    for (size_t i = 0; i < cstore.Count(); ++i) {
-      if (!cstore.Usable(i)) continue;
-      if (const std::string err = cstore.DeepValidateRecord(i); !err.empty()) {
-        ++deep_bad;
-        std::fprintf(stderr, "  codec corrupt record: object %zu: %s\n", i,
-                     err.c_str());
-      }
-    }
-    if (deep_bad != 0) {
-      std::fprintf(stderr, "  deep codec audit: %llu record(s) failed\n",
-                   static_cast<unsigned long long>(deep_bad));
-    }
+  }
+  if (deep_bad != 0) {
+    std::fprintf(stderr, "  deep codec audit: %llu record(s) failed\n",
+                 static_cast<unsigned long long>(deep_bad));
   }
   if (report.codec_corrupt != 0 || deep_bad != 0) return kExitCodecCorrupt;
   return report.Degraded() ? kExitDegraded : kExitOk;
@@ -560,8 +528,7 @@ int CmdJoin(int argc, char** argv) {
       .num_threads = flags.threads,
       .time_stages = flags.time_stages,
       .prepared_cache_bytes = flags.prepared_cache_mb << 20,
-      .exec = exec_ptr,
-      .decoded_cache_bytes = flags.decoded_cache_mb << 20};
+      .exec = exec_ptr};
 
   if (!flags.shard_dir.empty()) {
     // Out-of-core path: persist both sides as shard sets, then join tile
