@@ -24,8 +24,6 @@ struct ScenarioResult {
 };
 
 void Run(const BenchOptions& options) {
-  const unsigned threads = options.FirstThreads();
-  JsonReporter reporter(options.json_path);
   std::vector<ScenarioResult> results;
   for (const std::string& name : ScenarioNames()) {
     const ScenarioData scenario = BuildScenarioVerbose(name, options);
@@ -34,7 +32,7 @@ void Run(const BenchOptions& options) {
     for (size_t m = 0; m < AllMethods().size(); ++m) {
       const FindRelationRun run =
           RunFindRelation(AllMethods()[m], scenario, scenario.candidates,
-                          options.time_stages, threads);
+                          options.time_stages, options.threads);
       result.throughput[m] = run.pairs_per_second;
       result.undetermined[m] = run.stats.UndeterminedPercent();
       result.filter_seconds[m] = run.stats.filter_seconds;
@@ -44,20 +42,6 @@ void Run(const BenchOptions& options) {
                   ToString(AllMethods()[m]), run.pairs_per_second,
                   run.stats.UndeterminedPercent());
       std::fflush(stdout);
-      JsonRecord record;
-      record.Set("bench", "fig7")
-          .Set("scenario", name)
-          .Set("method", ToString(AllMethods()[m]))
-          .Set("threads", threads)
-          .Set("scale", options.scale)
-          .Set("pairs", static_cast<uint64_t>(scenario.candidates.size()))
-          .Set("pairs_per_sec", run.pairs_per_second)
-          .Set("undetermined_pct", run.stats.UndeterminedPercent());
-      if (options.time_stages) {
-        record.Set("filter_seconds", run.stats.filter_seconds)
-            .Set("refine_seconds", run.stats.refine_seconds);
-      }
-      reporter.Add(record);
     }
     results.push_back(std::move(result));
   }
@@ -113,8 +97,6 @@ void Run(const BenchOptions& options) {
     }
     std::printf("\n");
   }
-
-  reporter.Write();
 }
 
 }  // namespace

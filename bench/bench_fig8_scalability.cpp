@@ -34,20 +34,11 @@ void Run(const BenchOptions& options) {
                 FormatWithCommas(levels.pairs[level].size()).c_str());
   }
 
-  // The same per-level P+C sweep also runs against the blocked-codec
-  // CompressedAprilStore: the intermediate filter then decodes records
-  // (through the decoded-record LRU) instead of reading flat vectors, which
-  // is the storage form the paper's batch-processing scenario assumes.
-  const CompressedScenarioStores stores = BuildCompressedStores(scenario);
-
   struct LevelResult {
     double pc_undetermined;
     double op2_refine_seconds;
     double pc_filter_seconds;
     double pc_refine_seconds;
-    double pc_compressed_filter_seconds;
-    uint64_t decoded_hits;
-    uint64_t decoded_misses;
   };
   std::vector<LevelResult> per_level;
   for (size_t level = 0; level < levels.pairs.size(); ++level) {
@@ -55,33 +46,16 @@ void Run(const BenchOptions& options) {
         Method::kPC, scenario, levels.pairs[level], /*time_stages=*/true);
     const FindRelationRun op2 = RunFindRelation(
         Method::kOP2, scenario, levels.pairs[level], /*time_stages=*/true);
-    RunConfig compressed_config;
-    compressed_config.time_stages = true;
-    compressed_config.r_cstore = &stores.r_cstore;
-    compressed_config.s_cstore = &stores.s_cstore;
-    const FindRelationRun pc_compressed = RunFindRelation(
-        Method::kPC, scenario, levels.pairs[level], compressed_config);
-    if (pc_compressed.relation_histogram != pc.relation_histogram) {
-      std::fprintf(stderr,
-                   "FATAL: level %zu compressed-store run diverged from the "
-                   "flat-store decisions\n",
-                   level + 1);
-      std::exit(1);
-    }
     per_level.push_back(LevelResult{pc.stats.UndeterminedPercent(),
                                     op2.stats.refine_seconds,
                                     pc.stats.filter_seconds,
-                                    pc.stats.refine_seconds,
-                                    pc_compressed.stats.filter_seconds,
-                                    pc_compressed.stats.decoded_hits,
-                                    pc_compressed.stats.decoded_misses});
+                                    pc.stats.refine_seconds});
     std::printf("[run] level %2zu: P+C undetermined %5.1f%%, OP2-REF %.3fs, "
-                "P+C-IF %.3fs, P+C-REF %.3fs, P+C-IF(compressed) %.3fs\n",
+                "P+C-IF %.3fs, P+C-REF %.3fs\n",
                 level + 1, per_level.back().pc_undetermined,
                 per_level.back().op2_refine_seconds,
                 per_level.back().pc_filter_seconds,
-                per_level.back().pc_refine_seconds,
-                per_level.back().pc_compressed_filter_seconds);
+                per_level.back().pc_refine_seconds);
     std::fflush(stdout);
   }
 
@@ -99,20 +73,6 @@ void Run(const BenchOptions& options) {
     std::printf("%-8zu %12.4f %12.4f %12.4f %12.4f\n", level + 1,
                 r.op2_refine_seconds, r.pc_filter_seconds, r.pc_refine_seconds,
                 r.pc_filter_seconds + r.pc_refine_seconds);
-  }
-
-  PrintTitle(
-      "Figure 8(b) cont.: P+C intermediate filter on the compressed store");
-  std::printf("%-8s %14s %18s %14s\n", "level", "flat IF", "compressed IF",
-              "decoded h/m");
-  for (size_t level = 0; level < per_level.size(); ++level) {
-    const LevelResult& r = per_level[level];
-    char ratio[32];
-    std::snprintf(ratio, sizeof ratio, "%llu/%llu",
-                  static_cast<unsigned long long>(r.decoded_hits),
-                  static_cast<unsigned long long>(r.decoded_misses));
-    std::printf("%-8zu %13.4fs %17.4fs %14s\n", level + 1,
-                r.pc_filter_seconds, r.pc_compressed_filter_seconds, ratio);
   }
 
   // The data-access reduction the paper reports alongside Fig. 8: the share

@@ -1,35 +1,17 @@
 // Micro-benchmarks for the interval-list merge-joins — the primitive the
-// P+C intermediate filters are built from — plus the PR7 JSON harness.
-//
-// Two modes:
-//  - default: google-benchmark micro suite. The classic per-relation
-//    benchmarks run at the active SIMD level; a registered sweep additionally
-//    runs all four relations over dense / sparse / adversarial list shapes at
-//    every available kernel level (scalar vs AVX2/NEON), so a regression in
-//    either table is visible in isolation.
-//  - --json=PATH: the BENCH_PR7.json harness. Builds the dense TC-TZ
-//    tessellation scenario and times the full intermediate-filter stage
-//    (FindRelationFilter over all MBR-join candidates) with scalar and with
-//    SIMD kernels at 1 and 4 threads, verifying that both produce identical
-//    decisions and reporting the scalar-vs-SIMD speedup and the block
-//    codec's compression ratio.
+// P+C intermediate filters are built from (google-benchmark). The classic
+// per-relation benchmarks run at the active SIMD level; a registered sweep
+// additionally runs all four relations over dense / sparse / adversarial
+// list shapes at every available kernel level (scalar vs AVX2/NEON), so a
+// regression in either table is visible in isolation.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "bench/bench_common.h"
 #include "src/interval/interval_algebra.h"
 #include "src/interval/simd.h"
-#include "src/raster/april_compressed.h"
-#include "src/raster/april_store.h"
-#include "src/topology/find_relation.h"
 #include "src/util/cpuid.h"
-#include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 
 namespace stj {
@@ -306,151 +288,10 @@ void RegisterSweepBenchmarks() {
   }
 }
 
-// ---- BENCH_PR7.json harness ---------------------------------------------
-
-/// A FilterDecision packed into one word for cross-configuration equality.
-uint32_t EncodeDecision(const FilterDecision& d) {
-  return (d.definite ? 1u : 0u) | (static_cast<uint32_t>(d.stage) << 1) |
-         (static_cast<uint32_t>(d.relation) << 3) |
-         (static_cast<uint32_t>(d.candidates.Bits()) << 8);
-}
-
-struct HarnessData {
-  ScenarioData scenario;
-  std::vector<Box> r_mbrs;
-  std::vector<Box> s_mbrs;
-  AprilStore r_store;
-  AprilStore s_store;
-};
-
-/// One timed pass of the intermediate-filter stage over every candidate.
-/// Decisions land index-aligned in \p decisions regardless of threading.
-double TimedPass(const HarnessData& data, unsigned threads,
-                 std::vector<uint32_t>* decisions) {
-  const std::vector<CandidatePair>& pairs = data.scenario.candidates;
-  const auto start = std::chrono::steady_clock::now();
-  internal::RunChunks(threads, pairs.size(),
-            [&](unsigned, size_t begin, size_t end) {
-              for (size_t i = begin; i < end; ++i) {
-                const CandidatePair& p = pairs[i];
-                (*decisions)[i] = EncodeDecision(FindRelationFilter(
-                    data.r_mbrs[p.r_idx], data.r_store.View(p.r_idx),
-                    data.s_mbrs[p.s_idx], data.s_store.View(p.s_idx)));
-              }
-            });
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Best-of-N pass time; N grows until ~0.6 s of total measurement.
-double BestPassSeconds(const HarnessData& data, unsigned threads,
-                       std::vector<uint32_t>* decisions) {
-  double best = 1e30;
-  double total = 0.0;
-  int passes = 0;
-  while (passes < 3 || total < 0.6) {
-    const double s = TimedPass(data, threads, decisions);
-    if (s < best) best = s;
-    total += s;
-    ++passes;
-  }
-  return best;
-}
-
-int RunJsonHarness(const bench::BenchOptions& options) {
-  using bench::JsonRecord;
-  const SimdLevel best_level = DetectSimdLevel();
-  if (best_level == SimdLevel::kScalar) {
-    std::fprintf(stderr,
-                 "bench_micro_interval: no SIMD kernel available on this "
-                 "CPU/build; speedup records would be vacuous\n");
-  }
-
-  HarnessData data;
-  data.scenario = bench::BuildScenarioVerbose("TC-TZ", options);
-  data.r_mbrs = data.scenario.r.Mbrs();
-  data.s_mbrs = data.scenario.s.Mbrs();
-  data.r_store = AprilStore::FromApproximations(data.scenario.r_april);
-  data.s_store = AprilStore::FromApproximations(data.scenario.s_april);
-
-  const size_t flat_bytes =
-      data.r_store.IntervalByteSize() + data.s_store.IntervalByteSize();
-  const size_t blocked_bytes =
-      CompressedAprilStore::FromStore(data.r_store).PayloadByteSize() +
-      CompressedAprilStore::FromStore(data.s_store).PayloadByteSize();
-
-  bench::JsonReporter reporter(options.json_path);
-  reporter.Add(JsonRecord()
-                   .Set("bench", "interval_simd")
-                   .Set("stage", "codec")
-                   .Set("scenario", data.scenario.name)
-                   .Set("grid_order", options.grid_order)
-                   .Set("flat_bytes", static_cast<uint64_t>(flat_bytes))
-                   .Set("blocked_bytes", static_cast<uint64_t>(blocked_bytes))
-                   .Set("compression_ratio",
-                        static_cast<double>(flat_bytes) /
-                            static_cast<double>(blocked_bytes)));
-
-  struct Mode {
-    const char* name;
-    SimdLevel level;
-  };
-  const Mode modes[] = {
-      {"scalar", SimdLevel::kScalar},
-      {"simd", best_level},
-  };
-  const std::vector<unsigned> threads_sweep =
-      options.threads.size() > 1 ? options.threads
-                                 : std::vector<unsigned>{1, 4};
-
-  const size_t num_pairs = data.scenario.candidates.size();
-  std::vector<uint32_t> scalar_decisions(num_pairs);
-  std::vector<uint32_t> decisions(num_pairs);
-  for (const unsigned threads : threads_sweep) {
-    double scalar_pps = 0.0;
-    for (const Mode& mode : modes) {
-      if (!simd::ForceLevel(mode.level)) continue;
-      std::vector<uint32_t>* out =
-          std::strcmp(mode.name, "scalar") == 0 ? &scalar_decisions
-                                                : &decisions;
-      const double best = BestPassSeconds(data, threads, out);
-      const double pps = static_cast<double>(num_pairs) / best;
-      const bool identical = *out == scalar_decisions;
-      if (std::strcmp(mode.name, "scalar") == 0) scalar_pps = pps;
-      std::printf("  %-16s %u thread(s): %10.0f pairs/s  (%.2fx scalar%s)\n",
-                  mode.name, threads, pps,
-                  scalar_pps > 0 ? pps / scalar_pps : 0.0,
-                  identical ? "" : ", DECISIONS DIFFER");
-      reporter.Add(
-          JsonRecord()
-              .Set("bench", "interval_simd")
-              .Set("stage", "find_relation_filter")
-              .Set("scenario", data.scenario.name)
-              .Set("mode", mode.name)
-              .Set("simd_level", ToString(simd::ActiveLevel()))
-              .Set("threads", threads)
-              .Set("pairs", static_cast<uint64_t>(num_pairs))
-              .Set("seconds", best)
-              .Set("pairs_per_sec", pps)
-              .Set("speedup_vs_scalar",
-                   scalar_pps > 0 ? pps / scalar_pps : 0.0)
-              .Set("identical", static_cast<uint64_t>(identical ? 1 : 0)));
-    }
-  }
-  simd::ForceLevel(best_level);
-  return reporter.Write() ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace stj
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      return stj::RunJsonHarness(stj::bench::BenchOptions::Parse(argc, argv));
-    }
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   stj::RegisterSweepBenchmarks();

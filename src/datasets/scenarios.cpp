@@ -422,7 +422,7 @@ Dataset BuildDataset(std::string_view name, double scale, uint64_t seed) {
 
 std::vector<AprilApproximation> BuildAprilApproximations(
     const Dataset& dataset, const RasterGrid& grid, unsigned num_threads,
-    bool per_cell_oracle, ExecContext* exec) {
+    ExecContext* exec) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -444,7 +444,7 @@ std::vector<AprilApproximation> BuildAprilApproximations(
   // chunk as before.
   internal::RunChunks(num_threads, dataset.objects.size(),
                       [&](unsigned /*worker*/, size_t begin, size_t end) {
-                        const AprilBuilder builder(&grid, per_cell_oracle);
+                        const AprilBuilder builder(&grid);
                         ExecContext::Scope scope(exec);
                         for (size_t i = begin; i < end; ++i) {
                           if (scope.CheckIn()) return;
@@ -482,10 +482,10 @@ ScenarioData BuildScenario(std::string_view name,
   if (options.build_april) {
     const RasterGrid grid(scenario.dataspace, options.grid_order);
     const auto t0 = std::chrono::steady_clock::now();
-    scenario.r_april =
-        BuildAprilApproximations(scenario.r, grid, options.april_threads);
-    scenario.s_april =
-        BuildAprilApproximations(scenario.s, grid, options.april_threads);
+    scenario.r_april = BuildAprilApproximations(scenario.r, grid,
+                                                /*num_threads=*/0);
+    scenario.s_april = BuildAprilApproximations(scenario.s, grid,
+                                                /*num_threads=*/0);
     scenario.preprocess_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -69,9 +69,6 @@ struct ScenarioOptions {
   /// need the raw polygons).
   bool build_april = true;
   bool run_join = true;
-  /// Worker threads for APRIL preprocessing: 0 = hardware concurrency,
-  /// 1 = serial. Results are byte-identical for every thread count.
-  unsigned april_threads = 0;
 };
 
 /// The ten dataset names of Table 2 (TL, TW, TC, TZ, OBE, OLE, OPE, OBN,
@@ -89,7 +86,8 @@ const std::vector<std::string>& ScenarioNames();
 Dataset BuildDataset(std::string_view name, double scale, uint64_t seed);
 
 /// Builds a scenario: both datasets, the per-scenario raster grid and APRIL
-/// approximations, and the MBR-join candidates.
+/// approximations (built on all cores; the result does not depend on the
+/// thread count), and the MBR-join candidates.
 ScenarioData BuildScenario(std::string_view name,
                            const ScenarioOptions& options = ScenarioOptions());
 
@@ -98,8 +96,7 @@ ScenarioData BuildScenario(std::string_view name,
 /// concurrency, 1 = serial). Each worker owns its own AprilBuilder — and so
 /// its own rasterizer and merge scratch — and writes results index-aligned
 /// into a pre-sized output, so the returned vector is byte-identical
-/// regardless of thread count. \p per_cell_oracle selects the per-cell
-/// construction path (differential testing and the build benchmark).
+/// regardless of thread count.
 ///
 /// \p exec (optional) makes the build cancellable: workers check in once
 /// per rasterised object and charge each record's interval payload against
@@ -110,6 +107,6 @@ ScenarioData BuildScenario(std::string_view name,
 /// ToStatus() to distinguish a partial build from a complete one.
 std::vector<AprilApproximation> BuildAprilApproximations(
     const Dataset& dataset, const RasterGrid& grid, unsigned num_threads = 1,
-    bool per_cell_oracle = false, ExecContext* exec = nullptr);
+    ExecContext* exec = nullptr);
 
 }  // namespace stj

@@ -48,7 +48,7 @@ struct ExecWatchdogStats {
 /// one distribute slice); a check-in costs one relaxed atomic load plus a
 /// local counter bump, and reads the steady clock only every
 /// kDeadlinePollPeriod check-ins, so the unbounded path stays within noise
-/// of a context-free run (BENCH_PR6.json holds it to <= 2%).
+/// of a context-free run (measured within 2%; EXPERIMENTS.md).
 ///
 /// Cancellation is cooperative and loss-less: nothing is interrupted
 /// mid-pair. A worker that observes the trip finishes nothing further, and

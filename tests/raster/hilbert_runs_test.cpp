@@ -182,17 +182,17 @@ TEST(HilbertRuns, ParallelBuilderIsThreadCountInvariant) {
 }
 
 TEST(HilbertRuns, ParallelOracleBuildMatchesRunBasedBuild) {
-  // The builder flag must select the construction path without changing the
-  // result, also when fanned out.
+  // The fanned-out run-based build must match the serial per-cell oracle
+  // object for object.
   const Dataset dataset = BuildDataset("TC", 0.03, 5);
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 9);
   const std::vector<AprilApproximation> fast =
-      BuildAprilApproximations(dataset, grid, 3, /*per_cell_oracle=*/false);
-  const std::vector<AprilApproximation> oracle =
-      BuildAprilApproximations(dataset, grid, 3, /*per_cell_oracle=*/true);
-  ASSERT_EQ(fast.size(), oracle.size());
+      BuildAprilApproximations(dataset, grid, 3);
+  const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
+  ASSERT_EQ(fast.size(), dataset.objects.size());
   for (size_t i = 0; i < fast.size(); ++i) {
-    ExpectIdentical(oracle[i], fast[i], "parallel dataset object");
+    ExpectIdentical(oracle.Build(dataset.objects[i].geometry), fast[i],
+                    "parallel dataset object");
   }
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
@@ -177,6 +178,26 @@ class ExecContextJoinTest : public ::testing::Test {
   ScenarioData scenario_;
   ParallelJoinResult full_;
 };
+
+TEST_F(ExecContextJoinTest, ArmedButUntrippedContextMatchesUnboundedRun) {
+  // A deadline and a budget that never trip: every pair still checks in
+  // (the periodic deadline poll included), and the answers must equal the
+  // context-free run's.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExecContext ctx;
+    ctx.SetDeadlineAfter(std::chrono::hours(1));
+    ctx.SetMemoryBudget(size_t{1} << 40);
+    const ParallelJoinResult result = ParallelFindRelation(
+        Method::kPC, scenario_.RView(), scenario_.SView(),
+        scenario_.candidates,
+        JoinOptions{.num_threads = threads, .exec = &ctx});
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_TRUE(result.partial.Complete());
+    EXPECT_EQ(result.relations, full_.relations);
+    EXPECT_GE(result.stats.checkins, result.stats.pairs);
+  }
+}
 
 TEST_F(ExecContextJoinTest, CancelAtNthCheckInYieldsPrefixConsistentSubset) {
   ExecContext ctx;
@@ -391,8 +412,7 @@ TEST_F(ExecContextJoinTest, MemoryBudgetTripDuringAprilBuildKeepsJoinExact) {
   ctx.SetMemoryBudget(4096);
   const RasterGrid grid(scenario_.dataspace, scenario_.grid_order);
   const std::vector<AprilApproximation> partial_april =
-      BuildAprilApproximations(scenario_.r, grid, /*num_threads=*/2,
-                               /*per_cell_oracle=*/false, &ctx);
+      BuildAprilApproximations(scenario_.r, grid, /*num_threads=*/2, &ctx);
   ASSERT_TRUE(ctx.StopRequested());
   EXPECT_EQ(ctx.ToStatus().code(), StatusCode::kResourceExhausted);
   ASSERT_EQ(partial_april.size(), scenario_.r.objects.size());
@@ -419,8 +439,7 @@ TEST_F(ExecContextJoinTest, InjectedAllocationFailureAtNthCharge) {
   schedule.Install(&ctx);
   const RasterGrid grid(scenario_.dataspace, scenario_.grid_order);
   const std::vector<AprilApproximation> partial_april =
-      BuildAprilApproximations(scenario_.r, grid, /*num_threads=*/1,
-                               /*per_cell_oracle=*/false, &ctx);
+      BuildAprilApproximations(scenario_.r, grid, /*num_threads=*/1, &ctx);
   ASSERT_TRUE(ctx.StopRequested());
   EXPECT_EQ(ctx.cause(), StopCause::kMemoryExceeded);
   ASSERT_EQ(partial_april.size(), scenario_.r.objects.size());

@@ -131,13 +131,14 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesAndThreads) {
   struct RunConfig {
     size_t cache_bytes;
     unsigned threads;
+    bool all_resident;
   };
   const TileConfig tile_configs[] = {
       {"sweep_a", 4, 6}, {"sweep_b", 9, 4}, {"sweep_c", 2, 12}};
   const RunConfig run_configs[] = {
-      {size_t{32} << 10, 1},   // thrash the cache, serial loop
-      {size_t{256} << 20, 3},  // all resident, parallel
-      {size_t{1} << 20, 2},    // tight cache, parallel
+      {size_t{32} << 10, 1, false},  // thrash the cache, serial loop
+      {size_t{256} << 20, 3, true},  // all resident, parallel
+      {size_t{1} << 20, 2, false},   // tight cache, parallel
   };
   for (const TileConfig& tc : tile_configs) {
     ShardSet r_set, s_set;
@@ -157,6 +158,11 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesAndThreads) {
       // Every task fetches exactly two shards from the cache.
       EXPECT_EQ(result.shard_stats.shard_loads + result.shard_stats.shard_hits,
                 2 * result.shard_stats.tasks_run);
+      if (rc.all_resident) {
+        // Each tile is loaded once and never evicted.
+        EXPECT_EQ(result.shard_stats.shards_evicted, 0u);
+        EXPECT_EQ(result.shard_stats.shard_loads, tc.r_tiles + tc.s_tiles);
+      }
     }
   }
 }

@@ -179,14 +179,16 @@ run_expect(5 "unknown method"
 run_expect(5 "unknown predicate"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=touches-ish)
 
-# Unknown flag: exit 2 (usage) — including the retired executor, codec and
-# decoded-cache knobs.
+# Unknown flag: exit 2 (usage) — including the retired executor, codec,
+# decoded-cache and prepared-cache knobs.
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --frobnicate)
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --batch-size=64)
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --decoded-cache-mb=8)
+run_expect(2 "unknown flag"
+           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --prepared-cache-mb=8)
 run_expect(2 "unknown flag"
            ${CLI} april ${WORK}/ole.wkt ${WORK}/x.april --codec=blocked)
 

@@ -28,19 +28,18 @@
 //
 //   stj_cli join <r.wkt> <s.wkt> [--method=pc|st2|op2|april]
 //                [--grid-order=N] [--predicate=<relation>] [--threads=T]
-//                [--prepared-cache-mb=M] [--time-stages] [--permissive]
+//                [--time-stages] [--permissive]
 //                [--deadline-ms=D] [--max-memory-mb=B]
 //                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
 //       Run the full topology join between two WKT files: MBR filter join,
 //       then find-relation (default) or a relate_p predicate join. Prints
 //       one "r_index s_index relation" line per non-disjoint pair, sorted
 //       by (r, s) — the same bytes at every --threads value — plus a
-//       summary to stderr. --prepared-cache-mb sizes the per-worker
-//       prepared-geometry cache that amortises refinement index
-//       construction across pairs (default 32; 0 disables it — results are
-//       identical either way). --time-stages enables the per-stage timers
-//       and prints a stage telemetry summary (filter/refine seconds, decoded
-//       cache counters). --deadline-ms bounds the query's wall time
+//       summary to stderr. Each worker keeps a 32 MB prepared-geometry
+//       cache that amortises refinement index construction across pairs.
+//       --time-stages enables the per-stage timers and prints a stage
+//       telemetry summary (filter/refine seconds, decoded cache counters).
+//       --deadline-ms bounds the query's wall time
 //       and --max-memory-mb its APRIL/tile-table memory; either flag makes
 //       the run cancellable (Ctrl-C stops it cooperatively too). A tripped
 //       run still prints every pair that was fully verified before the cut,
@@ -140,7 +139,6 @@ struct Flags {
   std::string method = "pc";
   std::string predicate;
   unsigned threads = 0;
-  size_t prepared_cache_mb = kDefaultPreparedCacheBytes >> 20;
   bool time_stages = false;
   bool permissive = false;
   uint64_t deadline_ms = 0;    ///< 0 = no deadline.
@@ -168,8 +166,6 @@ Flags ParseFlags(int argc, char** argv, int first) {
       flags.predicate = arg + 12;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       flags.threads = static_cast<unsigned>(std::atoi(arg + 10));
-    } else if (std::strncmp(arg, "--prepared-cache-mb=", 20) == 0) {
-      flags.prepared_cache_mb = static_cast<size_t>(std::atoll(arg + 20));
     } else if (std::strcmp(arg, "--time-stages") == 0) {
       flags.time_stages = true;
     } else if (std::strcmp(arg, "--permissive") == 0) {
@@ -415,8 +411,8 @@ void HandleInterrupt(int) {
 }
 
 /// Prints the prepared-geometry cache summary for a join (hits/misses are
-/// per-side lookups: two per refined pair). Silent when the cache was
-/// disabled or nothing was refined.
+/// per-side lookups: two per refined pair). Silent when nothing was
+/// refined.
 void ReportPreparedStats(const PipelineStats& stats) {
   const uint64_t lookups = stats.prepared_hits + stats.prepared_misses;
   if (lookups == 0) return;
@@ -510,11 +506,9 @@ int CmdJoin(int argc, char** argv) {
 
   Timer timer;
   const std::vector<AprilApproximation> r_april =
-      BuildAprilApproximations(r, grid, flags.threads,
-                               /*per_cell_oracle=*/false, exec_ptr);
+      BuildAprilApproximations(r, grid, flags.threads, exec_ptr);
   const std::vector<AprilApproximation> s_april =
-      BuildAprilApproximations(s, grid, flags.threads,
-                               /*per_cell_oracle=*/false, exec_ptr);
+      BuildAprilApproximations(s, grid, flags.threads, exec_ptr);
   std::fprintf(stderr, "[april] built %zu+%zu approximations (preprocess "
                "%.2fs)\n",
                r_april.size(), s_april.size(), timer.ElapsedSeconds());
@@ -524,11 +518,9 @@ int CmdJoin(int argc, char** argv) {
     return FailWith(exec_ptr->ToStatus());
   }
 
-  const JoinOptions join_options{
-      .num_threads = flags.threads,
-      .time_stages = flags.time_stages,
-      .prepared_cache_bytes = flags.prepared_cache_mb << 20,
-      .exec = exec_ptr};
+  const JoinOptions join_options{.num_threads = flags.threads,
+                                 .time_stages = flags.time_stages,
+                                 .exec = exec_ptr};
 
   if (!flags.shard_dir.empty()) {
     // Out-of-core path: persist both sides as shard sets, then join tile
