@@ -1,17 +1,14 @@
 // Micro-benchmarks for the interval-list merge-joins — the primitive the
-// P+C intermediate filters are built from (google-benchmark). The classic
-// per-relation benchmarks run at the active SIMD level; a registered sweep
-// additionally runs all four relations over dense / sparse / adversarial
-// list shapes at every available kernel level (scalar vs AVX2/NEON), so a
-// regression in either table is visible in isolation.
+// P+C intermediate filters are built from (google-benchmark). Besides the
+// classic per-relation benchmarks, a registered sweep runs all four
+// relations over dense / sparse / adversarial list shapes, so a regression
+// in one merge loop is visible in isolation.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "src/interval/interval_algebra.h"
-#include "src/interval/simd.h"
-#include "src/util/cpuid.h"
 #include "src/util/rng.h"
 
 namespace stj {
@@ -163,7 +160,7 @@ void BM_ListsCommonCellsDisjointRanges(benchmark::State& state) {
 }
 BENCHMARK(BM_ListsCommonCellsDisjointRanges)->Range(8, 16 << 10);
 
-// ---- relation x shape x kernel-level sweep ------------------------------
+// ---- relation x shape sweep ----------------------------------------------
 
 enum class RelationOp { kOverlap, kInside, kMatch, kCommonCells };
 enum class ListShape { kDense, kSparse, kManyTinyVsHuge, kHeavyOverlap };
@@ -174,7 +171,7 @@ struct ListPair {
 };
 
 /// Builds an (x, y) pair of the given shape whose evaluation reaches the
-/// kernel merge loop of \p op (pre-checks must not answer in O(1)).
+/// merge loop of \p op (pre-checks must not answer in O(1)).
 ListPair MakeShapePair(RelationOp op, ListShape shape, size_t n) {
   Rng rng(static_cast<uint64_t>(op) * 101 + static_cast<uint64_t>(shape) + 1);
   ListPair pair;
@@ -237,12 +234,8 @@ const char* ToString(ListShape shape) {
   return "?";
 }
 
-void BM_RelationShapeLevel(benchmark::State& state, RelationOp op,
-                           ListShape shape, SimdLevel level) {
-  if (!simd::ForceLevel(level)) {
-    state.SkipWithError("kernel level unavailable");
-    return;
-  }
+void BM_RelationShape(benchmark::State& state, RelationOp op,
+                      ListShape shape) {
   const size_t n = static_cast<size_t>(state.range(0));
   const ListPair pair = MakeShapePair(op, shape, n);
   for (auto _ : state) {
@@ -261,29 +254,23 @@ void BM_RelationShapeLevel(benchmark::State& state, RelationOp op,
         break;
     }
   }
-  simd::ForceLevel(DetectSimdLevel());
 }
 
 void RegisterSweepBenchmarks() {
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2,
-                                SimdLevel::kNeon}) {
-    if (simd::KernelsFor(level) == nullptr) continue;
-    for (const RelationOp op :
-         {RelationOp::kOverlap, RelationOp::kInside, RelationOp::kMatch,
-          RelationOp::kCommonCells}) {
-      for (const ListShape shape :
-           {ListShape::kDense, ListShape::kSparse,
-            ListShape::kManyTinyVsHuge, ListShape::kHeavyOverlap}) {
-        const std::string name = std::string("BM_Interval/") + ToString(op) +
-                                 "/" + ToString(shape) + "/" +
-                                 ToString(level);
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [op, shape, level](benchmark::State& state) {
-              BM_RelationShapeLevel(state, op, shape, level);
-            })
-            ->Range(1 << 8, 64 << 10);
-      }
+  for (const RelationOp op :
+       {RelationOp::kOverlap, RelationOp::kInside, RelationOp::kMatch,
+        RelationOp::kCommonCells}) {
+    for (const ListShape shape :
+         {ListShape::kDense, ListShape::kSparse, ListShape::kManyTinyVsHuge,
+          ListShape::kHeavyOverlap}) {
+      const std::string name = std::string("BM_Interval/") + ToString(op) +
+                               "/" + ToString(shape);
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [op, shape](benchmark::State& state) {
+            BM_RelationShape(state, op, shape);
+          })
+          ->Range(1 << 8, 64 << 10);
     }
   }
 }

@@ -35,7 +35,7 @@ struct DecodedCacheStats {
 /// by object index: the only way compressed records reach the filters.
 ///
 /// The blocked codec is a storage encoding; the intermediate filters run
-/// the flat (SIMD) interval kernels only. The Hilbert-ordered join schedule
+/// the flat interval merge-joins only. The Hilbert-ordered join schedule
 /// makes per-pair record reuse systematic — a wave of consecutive blocks
 /// touches the same objects across many pairs — so decoding a hot record
 /// once to flat canonical form serves every subsequent pair it takes part

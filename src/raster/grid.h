@@ -9,13 +9,18 @@
 
 namespace stj {
 
+/// Largest supported grid order: 2^16 x 2^16 cells, the paper's grid
+/// (DESIGN.md §2).
+constexpr uint32_t kMaxGridOrder = 16;
+
 /// A fine uniform grid over a data space, with cells enumerated by the
 /// Hilbert curve — the global grid both objects of a scenario are rastered
 /// onto (the paper uses one independent 2^16 x 2^16 grid per scenario).
 class RasterGrid {
  public:
-  /// Covers \p dataspace with 2^order x 2^order cells. The dataspace is
-  /// inflated by a hair so that objects on the boundary fall strictly inside.
+  /// Covers \p dataspace with 2^order x 2^order cells, 1 <= order <=
+  /// kMaxGridOrder (checked). The dataspace is inflated by a hair so that
+  /// objects on the boundary fall strictly inside.
   RasterGrid(const Box& dataspace, uint32_t order);
 
   uint32_t Order() const { return order_; }

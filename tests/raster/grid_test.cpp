@@ -66,5 +66,13 @@ TEST(RasterGrid, HilbertIdsMatchUnderlyingCurve) {
   EXPECT_EQ(grid.CellIdOf(3, 5), HilbertXYToD(8, 3, 5));
 }
 
+TEST(RasterGrid, OrderOutsideOneToMaxIsAContractViolation) {
+  const Box space = Box::Of(Point{0, 0}, Point{1, 1});
+  EXPECT_EQ(RasterGrid(space, kMaxGridOrder).CellsPerSide(), 1u << 16);
+  EXPECT_DEATH(RasterGrid(space, 0), "check failed");
+  EXPECT_DEATH(RasterGrid(space, kMaxGridOrder + 1), "check failed");
+  EXPECT_DEATH(RasterGrid(space, 40), "check failed");
+}
+
 }  // namespace
 }  // namespace stj

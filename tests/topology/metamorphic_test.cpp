@@ -1,0 +1,122 @@
+// Metamorphic checks of the topology join, which need no external oracle:
+//
+//  - The raster grid order changes what the intermediate filter decides,
+//    never the answers: P+C over approximations built at grid orders
+//    4, 6, ..., 16 answers every candidate pair exactly as ST2 does. Short
+//    and long interval lists both reach the same merge-joins this way.
+//  - Joining S with R yields the converse of every R-S relation, at 1 and
+//    at 4 threads.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
+#include "src/datasets/scenarios.h"
+#include "src/de9im/relation.h"
+#include "src/join/mbr_join.h"
+#include "src/raster/grid.h"
+#include "src/topology/parallel.h"
+
+namespace stj {
+namespace {
+
+constexpr double kScale = 0.01;
+constexpr unsigned kThreads = 4;
+
+/// P+C answers the candidates of \p name exactly as ST2 does at every even
+/// grid order from 4 to \p max_order; the filter's counters must move.
+void ExpectAnswersIndependentOfGridOrder(const char* name,
+                                         uint32_t max_order) {
+  ScenarioOptions options;
+  options.scale = kScale;
+  options.build_april = false;  // built per grid order below
+  const ScenarioData scenario = BuildScenario(name, options);
+  ASSERT_FALSE(scenario.candidates.empty()) << name;
+
+  const JoinOptions join{.num_threads = kThreads};
+  const ParallelJoinResult st2 = ParallelFindRelation(
+      Method::kST2, DatasetView{&scenario.r.objects},
+      DatasetView{&scenario.s.objects}, scenario.candidates, join);
+  ASSERT_TRUE(st2.status.ok()) << name;
+
+  std::vector<uint64_t> decided_by_filter;
+  for (uint32_t order = 4; order <= max_order; order += 2) {
+    const RasterGrid grid(scenario.dataspace, order);
+    const std::vector<AprilApproximation> r_april =
+        BuildAprilApproximations(scenario.r, grid, kThreads);
+    const std::vector<AprilApproximation> s_april =
+        BuildAprilApproximations(scenario.s, grid, kThreads);
+    const ParallelJoinResult pc = ParallelFindRelation(
+        Method::kPC, DatasetView{&scenario.r.objects, &r_april},
+        DatasetView{&scenario.s.objects, &s_april}, scenario.candidates,
+        join);
+    ASSERT_TRUE(pc.status.ok()) << name << " at grid order " << order;
+    ASSERT_EQ(pc.relations, st2.relations)
+        << name << " at grid order " << order;
+    decided_by_filter.push_back(pc.stats.decided_by_filter);
+  }
+  EXPECT_LT(*std::min_element(decided_by_filter.begin(),
+                              decided_by_filter.end()),
+            *std::max_element(decided_by_filter.begin(),
+                              decided_by_filter.end()))
+      << name << ": the grid order never changed the filter's decisions";
+}
+
+TEST(Metamorphic, GridOrderNeverChangesAnswersOleOpe) {
+  ExpectAnswersIndependentOfGridOrder("OLE-OPE", kMaxGridOrder);
+}
+
+TEST(Metamorphic, GridOrderNeverChangesAnswersObeOpe) {
+  ExpectAnswersIndependentOfGridOrder("OBE-OPE", kMaxGridOrder);
+}
+
+TEST(Metamorphic, GridOrderNeverChangesAnswersTcTz) {
+  // One TC county covers the whole dataspace, so order 16 would spend
+  // seconds on that one object's build; 12 is the default grid.
+  ExpectAnswersIndependentOfGridOrder("TC-TZ", 12);
+}
+
+using Link = std::tuple<uint32_t, uint32_t, de9im::Relation>;
+
+TEST(Metamorphic, SwappingInputsYieldsTheConverse) {
+  for (const char* name : {"OLE-OPE", "OBE-OPE", "TC-TZ"}) {
+    ScenarioOptions options;
+    options.scale = 0.05;
+    options.grid_order = 10;
+    const ScenarioData scenario = BuildScenario(name, options);
+    const std::vector<CandidatePair> swapped =
+        MbrJoin::Join(scenario.s.Mbrs(), scenario.r.Mbrs());
+    ASSERT_EQ(swapped.size(), scenario.candidates.size()) << name;
+
+    for (const unsigned threads : {1u, kThreads}) {
+      const JoinOptions join{.num_threads = threads};
+      const ParallelJoinResult rs =
+          ParallelFindRelation(Method::kPC, scenario.RView(),
+                               scenario.SView(), scenario.candidates, join);
+      const ParallelJoinResult sr = ParallelFindRelation(
+          Method::kPC, scenario.SView(), scenario.RView(), swapped, join);
+      ASSERT_TRUE(rs.status.ok() && sr.status.ok()) << name;
+
+      std::vector<Link> expected;
+      std::vector<Link> converse;
+      for (size_t i = 0; i < scenario.candidates.size(); ++i) {
+        const CandidatePair& p = scenario.candidates[i];
+        expected.emplace_back(p.r_idx, p.s_idx, rs.relations[i]);
+        // The swapped join's r side is S, so its pair is (s, r).
+        const CandidatePair& q = swapped[i];
+        converse.emplace_back(q.s_idx, q.r_idx,
+                              de9im::Converse(sr.relations[i]));
+      }
+      std::sort(expected.begin(), expected.end());
+      std::sort(converse.begin(), converse.end());
+      ASSERT_EQ(converse, expected) << name << " at " << threads
+                                    << " threads";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace stj

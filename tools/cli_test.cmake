@@ -32,6 +32,28 @@ function(run_expect expect_rc expect_err)
   endif()
 endfunction()
 
+# Runs a command that must be rejected before it reads any input: exit
+# ${expect_rc}, stderr matching ${expect_err}, nothing on stdout and no
+# `[april]` build line on stderr.
+function(run_rejected expect_rc expect_err)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL ${expect_rc})
+    message(FATAL_ERROR
+            "expected exit ${expect_rc}, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "rejected run printed to stdout: ${ARGN}\n${out}")
+  endif()
+  if(err MATCHES "\\[april\\]")
+    message(FATAL_ERROR "rejected run built approximations: ${ARGN}\n${err}")
+  endif()
+  if(NOT err MATCHES "${expect_err}")
+    message(FATAL_ERROR
+            "stderr of ${ARGN} does not match '${expect_err}':\n${err}")
+  endif()
+endfunction()
+
 # generate two small datasets
 run_checked(${CLI} generate OLE ${WORK}/ole.wkt --scale=0.01 --seed=3)
 run_checked(${CLI} generate OPE ${WORK}/ope.wkt --scale=0.01 --seed=3)
@@ -135,10 +157,14 @@ run_expect(0 "shard set, .* 0 corrupt"
 file(APPEND ${WORK}/shards/r/tile_000000.shard "garbage past the layout")
 run_expect(11 "tile 0:" ${CLI} aprilcheck ${WORK}/shards/r)
 
-# Predicate mode is not sharded — find-relation only; exit 2 (usage).
-run_expect(2 "predicate"
-           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=inside
-           --shard-dir=${WORK}/shards2)
+# Predicate mode is not sharded — find-relation only; exit 2 (usage),
+# before the inputs are loaded.
+run_rejected(2 "--predicate cannot be combined with --shard-dir"
+             ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=inside
+             --shard-dir=${WORK}/shards2)
+if(EXISTS ${WORK}/shards2)
+  message(FATAL_ERROR "a rejected sharded join must not write shards")
+endif()
 
 # ---- malformed-input exit paths ----
 
@@ -173,11 +199,44 @@ run_expect(3 "no_such_file.wkt"
 # Inline WKT parse error: exit 4 with a byte offset.
 run_expect(4 "@byte" ${CLI} relate "POLYGON ((0 0, 1 0" "POINT (1 1)")
 
-# Unknown method / predicate names: exit 5.
-run_expect(5 "unknown method"
-           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --method=warp)
-run_expect(5 "unknown predicate"
-           ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=touches-ish)
+# Unknown method / predicate names: exit 5, before the inputs are loaded.
+run_rejected(5 "unknown method"
+             ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --method=warp)
+run_rejected(5 "unknown predicate"
+             ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --predicate=touches-ish)
+
+# ---- flag ranges ----
+
+# Two overlapping unit squares: the largest grid order finds their link.
+file(WRITE ${WORK}/square_a.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
+file(WRITE ${WORK}/square_b.wkt
+     "POLYGON ((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5))\n")
+execute_process(COMMAND ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+                --grid-order=16
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n")
+  message(FATAL_ERROR "squares join at grid order 16 failed (${rc}):\n${out}\n${err}")
+endif()
+
+# --grid-order outside 1..16 and --threads outside 0..1024 (or not an
+# integer) are usage errors: exit 2, before the inputs are loaded.
+file(REMOVE ${WORK}/rejected.april)
+foreach(order 0 17 31 32 40 -1 12x "")
+  run_rejected(2 "--grid-order must be an integer from 1 to 16"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --grid-order=${order})
+  run_rejected(2 "--grid-order must be an integer from 1 to 16"
+               ${CLI} april ${WORK}/square_a.wkt ${WORK}/rejected.april
+               --grid-order=${order})
+endforeach()
+if(EXISTS ${WORK}/rejected.april)
+  message(FATAL_ERROR "a rejected april run must not write its output")
+endif()
+foreach(threads -1 1025 4294967295 two "")
+  run_rejected(2 "--threads must be an integer from 0 to 1024"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --threads=${threads})
+endforeach()
 
 # Unknown flag: exit 2 (usage) — including the retired executor, codec,
 # decoded-cache and prepared-cache knobs.

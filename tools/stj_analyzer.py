@@ -114,9 +114,9 @@ SHIPPED_DIRS = ("src", "tools", "examples")
 SOURCE_EXTS = (".cpp", ".h")
 
 # Hot TUs held to the loop-alloc rule: the per-pair refinement/filter inner
-# loops, the parallel join loop, and the SIMD kernels. Caches that allocate
-# on a miss by design (decoded_block_cache) are *not* listed — their
-# allocation is the product, not a leak of discipline.
+# loops, the parallel join loop, and the interval merge-joins. Caches that
+# allocate on a miss by design (decoded_block_cache) are *not* listed —
+# their allocation is the product, not a leak of discipline.
 HOT_FILES = {
     "src/topology/parallel.cpp",
     "src/topology/find_relation.cpp",
@@ -124,9 +124,6 @@ HOT_FILES = {
     "src/topology/relate_predicate.cpp",
     "src/join/mbr_join.cpp",
     "src/interval/interval_algebra.cpp",
-    "src/interval/simd_scalar.cpp",
-    "src/interval/simd_avx2.cpp",
-    "src/interval/simd_neon.cpp",
 }
 
 ALLOW_RE = re.compile(r"stj-analyzer:\s*allow\(([a-z-]+)\)")

@@ -10,8 +10,9 @@
 //       Precompute APRIL P/C interval lists for every polygon of a WKT file
 //       (grid over the file's own bounds) and store them as an APRIL
 //       version-3 file: framed, checksummed records in the block codec.
-//       --threads fans the build out over T workers (0 = all cores); the
-//       output is identical for every thread count.
+//       --grid-order takes 1 to 16 (default 12). --threads fans the build
+//       out over T workers (0 = all cores, at most 1024); the output is
+//       identical for every thread count.
 //
 //   stj_cli aprilcheck <in.april | shard-dir | shard-dir/manifest.stj>
 //       Verify an APRIL file record by record and report corruption, then
@@ -32,7 +33,9 @@
 //                [--deadline-ms=D] [--max-memory-mb=B]
 //                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
 //       Run the full topology join between two WKT files: MBR filter join,
-//       then find-relation (default) or a relate_p predicate join. Prints
+//       then find-relation (default) or a relate_p predicate join. --grid-order
+//       and --threads take the same ranges as for `april`, and every flag is
+//       checked before the inputs are read. Prints
 //       one "r_index s_index relation" line per non-disjoint pair, sorted
 //       by (r, s) — the same bytes at every --threads value — plus a
 //       summary to stderr. Each worker keeps a 32 MB prepared-geometry
@@ -72,11 +75,13 @@
 // loads but with one or more corrupt tiles (failed segment checksum,
 // structural damage, or a manifest/file disagreement).
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -85,6 +90,7 @@
 #include "src/de9im/relate_engine.h"
 #include "src/geometry/wkt.h"
 #include "src/raster/april_io.h"
+#include "src/raster/grid.h"
 #include "src/raster/shard_io.h"
 #include "src/topology/parallel.h"
 #include "src/topology/shard_scheduler.h"
@@ -150,6 +156,24 @@ struct Flags {
   bool Bounded() const { return deadline_ms != 0 || max_memory_mb != 0; }
 };
 
+/// Most workers --threads accepts; more only oversubscribes the cores.
+constexpr long kMaxThreads = 1024;
+
+/// Parses the decimal value of \p flag, which must lie in [lo, hi]; exits
+/// with the usage code, naming the range, otherwise.
+uint32_t ParseBounded(const char* flag, const char* value, long lo, long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno != 0 || parsed < lo ||
+      parsed > hi) {
+    std::fprintf(stderr, "%s must be an integer from %ld to %ld, got '%s'\n",
+                 flag, lo, hi, value);
+    std::exit(kExitUsage);
+  }
+  return static_cast<uint32_t>(parsed);
+}
+
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
@@ -159,13 +183,14 @@ Flags ParseFlags(int argc, char** argv, int first) {
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       flags.seed = static_cast<uint64_t>(std::atoll(arg + 7));
     } else if (std::strncmp(arg, "--grid-order=", 13) == 0) {
-      flags.grid_order = static_cast<uint32_t>(std::atoi(arg + 13));
+      flags.grid_order =
+          ParseBounded("--grid-order", arg + 13, 1, kMaxGridOrder);
     } else if (std::strncmp(arg, "--method=", 9) == 0) {
       flags.method = arg + 9;
     } else if (std::strncmp(arg, "--predicate=", 12) == 0) {
       flags.predicate = arg + 12;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      flags.threads = static_cast<unsigned>(std::atoi(arg + 10));
+      flags.threads = ParseBounded("--threads", arg + 10, 0, kMaxThreads);
     } else if (std::strcmp(arg, "--time-stages") == 0) {
       flags.time_stages = true;
     } else if (std::strcmp(arg, "--permissive") == 0) {
@@ -230,6 +255,18 @@ CompressedAprilStore CompressApproximations(
   return cstore;
 }
 
+/// The grid of \p order over the joint bounds of \p inputs.
+RasterGrid GridOver(std::initializer_list<const Dataset*> inputs,
+                    uint32_t order) {
+  Box bounds;
+  for (const Dataset* dataset : inputs) {
+    for (const SpatialObject& object : dataset->objects) {
+      bounds.Expand(object.geometry.Bounds());
+    }
+  }
+  return RasterGrid(bounds, order);
+}
+
 /// Loads a WKT dataset honouring --permissive; on success prints a summary
 /// of any repairs/skips, on failure prints the precise Status.
 Status LoadInput(const std::string& path, const std::string& name,
@@ -290,11 +327,7 @@ int CmdApril(int argc, char** argv) {
       !st.ok()) {
     return FailWith(st);
   }
-  Box bounds;
-  for (const SpatialObject& object : dataset.objects) {
-    bounds.Expand(object.geometry.Bounds());
-  }
-  const RasterGrid grid(bounds, flags.grid_order);
+  const RasterGrid grid = GridOver({&dataset}, flags.grid_order);
   Timer timer;
   const std::vector<AprilApproximation> april =
       BuildAprilApproximations(dataset, grid, flags.threads);
@@ -471,6 +504,20 @@ int CmdJoin(int argc, char** argv) {
     std::fprintf(stderr, "unknown method '%s'\n", flags.method.c_str());
     return kExitBadName;
   }
+  std::optional<de9im::Relation> predicate;
+  if (!flags.predicate.empty()) {
+    predicate = ParseRelation(flags.predicate);
+    if (!predicate) {
+      std::fprintf(stderr, "unknown predicate '%s'\n",
+                   flags.predicate.c_str());
+      return kExitBadName;
+    }
+    if (!flags.shard_dir.empty()) {
+      std::fprintf(stderr,
+                   "--predicate cannot be combined with --shard-dir\n");
+      return kExitUsage;
+    }
+  }
   Dataset r;
   Dataset s;
   if (Status st = LoadInput(argv[2], "R", flags.permissive, &r); !st.ok()) {
@@ -479,14 +526,7 @@ int CmdJoin(int argc, char** argv) {
   if (Status st = LoadInput(argv[3], "S", flags.permissive, &s); !st.ok()) {
     return FailWith(st);
   }
-  Box bounds;
-  for (const SpatialObject& object : r.objects) {
-    bounds.Expand(object.geometry.Bounds());
-  }
-  for (const SpatialObject& object : s.objects) {
-    bounds.Expand(object.geometry.Bounds());
-  }
-  const RasterGrid grid(bounds, flags.grid_order);
+  const RasterGrid grid = GridOver({&r, &s}, flags.grid_order);
 
   // Either bounding flag makes the whole query cancellable; Ctrl-C then
   // cancels cooperatively instead of killing the process mid-write.
@@ -526,11 +566,6 @@ int CmdJoin(int argc, char** argv) {
     // Out-of-core path: persist both sides as shard sets, then join tile
     // pair by tile pair with a bounded resident-shard cache. Same links as
     // the in-memory join below, in the same (r, s) order.
-    if (!flags.predicate.empty()) {
-      std::fprintf(stderr,
-                   "--predicate cannot be combined with --shard-dir\n");
-      return kExitUsage;
-    }
     timer.Reset();
     PartitionOptions partition_options;
     partition_options.units_per_tile = flags.partition_units;
@@ -634,13 +669,7 @@ int CmdJoin(int argc, char** argv) {
   const DatasetView r_view{&r.objects, &r_april};
   const DatasetView s_view{&s.objects, &s_april};
   timer.Reset();
-  if (!flags.predicate.empty()) {
-    const auto predicate = ParseRelation(flags.predicate);
-    if (!predicate) {
-      std::fprintf(stderr, "unknown predicate '%s'\n",
-                   flags.predicate.c_str());
-      return kExitBadName;
-    }
+  if (predicate) {
     const ParallelRelateResult result = ParallelRelate(
         *method, r_view, s_view, pairs, *predicate, join_options);
     size_t matches = 0;
