@@ -14,9 +14,13 @@ namespace stj {
 /// it lets externally produced polygon data flow through the pipeline and
 /// makes the synthetic datasets inspectable with standard GIS tooling.
 
-/// Writes every object of \p dataset to \p path, one WKT polygon per line.
-/// Returns false on I/O error.
-bool SaveWktDataset(const std::string& path, const Dataset& dataset);
+/// Writes every object of \p dataset to \p path, one WKT polygon per line,
+/// after a '#' header line. Slices of 1,024 objects are formatted on
+/// \p num_threads workers (0 = hardware concurrency) and written in object
+/// order, so the file's bytes do not depend on the thread count. Returns
+/// false on I/O error.
+bool SaveWktDataset(const std::string& path, const Dataset& dataset,
+                    unsigned num_threads = 0);
 
 /// How LoadWktDataset reacts to lines that fail to parse or validate.
 enum class LoadMode : uint8_t {
@@ -40,6 +44,9 @@ struct LoadOptions {
   /// Cap on per-line issues retained in LoadReport::issues; counts beyond it
   /// are still tallied in the aggregate counters.
   size_t max_issues = 64;
+  /// Workers that parse byte ranges of the file (0 = hardware concurrency).
+  /// The objects, ids, LoadReport and Status do not depend on it.
+  unsigned num_threads = 0;
 };
 
 /// What happened to one problematic input line.
@@ -66,10 +73,17 @@ struct LoadReport {
 };
 
 /// Reads a WKT-per-line file into a dataset named \p name. Blank lines and
-/// lines starting with '#' are skipped. Object ids are assigned in file
-/// order over the lines actually loaded. On failure *out is cleared and the
-/// Status carries the file, 1-based line, and byte offset of the problem.
-/// \p report (optional) receives per-line accounting in either mode.
+/// lines starting with '#' are skipped; a '\r' before the '\n' is parsed as
+/// whitespace, and a last line without '\n' still counts. Object ids are
+/// assigned in file order over the lines actually loaded. On failure *out
+/// is cleared and the Status carries the file, 1-based line, and byte
+/// offset of the problem: the earliest bad line in strict mode, or
+/// NOT_FOUND / IO_ERROR when the file cannot be opened or read. \p report
+/// (optional) receives per-line accounting in either mode.
+///
+/// A regular file is split into up to LoadOptions::num_threads byte ranges
+/// that are parsed concurrently and merged in file order; anything else (a
+/// pipe) is read as one range.
 Status LoadWktDataset(const std::string& path, const std::string& name,
                       const LoadOptions& options, Dataset* out,
                       LoadReport* report = nullptr);

@@ -1,7 +1,9 @@
 #include "src/geometry/wkt.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -72,9 +74,25 @@ class Scanner {
     const char* begin = text_.data() + pos_;
     const char* end = text_.data() + text_.size();
     const auto [ptr, ec] = std::from_chars(begin, end, *out);
-    if (ec != std::errc() || ptr == begin) return false;
+    // from_chars also reads "nan" and "inf"; a coordinate must be finite.
+    if (ec != std::errc() || ptr == begin || !std::isfinite(*out)) {
+      return false;
+    }
     pos_ += static_cast<size_t>(ptr - begin);
     return true;
+  }
+
+  /// The vertex count of a well-formed ring whose '(' was just consumed:
+  /// one per ',' before the next ')', plus the first. A vertex takes at
+  /// least four bytes ("0 0,"), so the cap at a quarter of the ring's bytes
+  /// changes no well-formed count and keeps a run of commas from reserving
+  /// more than four times its own size.
+  size_t RingVertexBound() const {
+    const std::string_view rest = text_.substr(pos_);
+    const std::string_view ring = rest.substr(0, rest.find(')'));
+    const auto commas =
+        static_cast<size_t>(std::count(ring.begin(), ring.end(), ','));
+    return std::min(commas, ring.size() / 4) + 1;
   }
 
   bool AtEnd() {
@@ -107,7 +125,10 @@ class Scanner {
 
 Status ParseRing(Scanner* sc, Ring* out) {
   if (!sc->ConsumeChar('(')) return sc->Error("'(' to open a ring");
+  // Growing the vector instead leaves freed blocks behind in every load
+  // worker's malloc arena.
   std::vector<Point> pts;
+  pts.reserve(sc->RingVertexBound());
   do {
     Point p;
     if (!sc->ParseDouble(&p.x)) return sc->Error("x coordinate");

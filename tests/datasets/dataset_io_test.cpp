@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 namespace stj {
 namespace {
@@ -30,6 +32,28 @@ TEST(DatasetIo, RoundTripPreservesGeometry) {
         << i;
     EXPECT_EQ(loaded.objects[i].id, static_cast<uint32_t>(i));
   }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetIo, SavedBytesDoNotDependOnThreadCount) {
+  // 5,000 objects: four workers format more than one round of 1,024-object
+  // slices, the last one partial.
+  const Dataset dataset = BuildDataset("OBE", 0.1, 5);
+  ASSERT_GT(dataset.objects.size(), 4u * 1024u);
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string path = TempPath("save_threads.wkt");
+  ASSERT_TRUE(SaveWktDataset(path, dataset, 1));
+  const std::string serial = bytes(path);
+  for (const unsigned threads : {3u, 4u, 0u}) {
+    ASSERT_TRUE(SaveWktDataset(path, dataset, threads));
+    EXPECT_TRUE(bytes(path) == serial) << threads << " threads";
+  }
+  Dataset loaded;
+  ASSERT_TRUE(LoadWktDataset(path, "OBE", &loaded));
+  EXPECT_EQ(loaded.objects.size(), dataset.objects.size());
   std::remove(path.c_str());
 }
 

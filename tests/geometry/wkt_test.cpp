@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/util/rng.h"
 #include "tests/test_support.h"
 
@@ -68,6 +70,47 @@ TEST(Wkt, RejectsMalformedInput) {
   EXPECT_FALSE(ParseWktPolygon("LINESTRING (0 0, 1 1)").has_value());
   EXPECT_FALSE(ParseWktPolygon("POLYGON ((0 0, 1 0, 1 1)) extra").has_value());
   EXPECT_FALSE(ParseWktPoint("POINT ()").has_value());
+}
+
+TEST(Wkt, RejectsNonFiniteCoordinates) {
+  // std::from_chars reads all of these; a coordinate must be finite. The
+  // Status points at the token's first byte.
+  for (const std::string bad :
+       {"nan", "-nan", "NaN", "inf", "-inf", "INF", "infinity"}) {
+    const std::string in_x = "POINT (" + bad + " 1)";
+    const auto point_x = ParseWktPoint(in_x);
+    ASSERT_FALSE(point_x.has_value()) << in_x;
+    EXPECT_EQ(point_x.status().offset(), 7u) << in_x;
+    EXPECT_NE(point_x.status().message().find("x coordinate"),
+              std::string::npos)
+        << in_x;
+
+    const std::string in_y = "POINT (1 " + bad + ")";
+    const auto point_y = ParseWktPoint(in_y);
+    ASSERT_FALSE(point_y.has_value()) << in_y;
+    EXPECT_EQ(point_y.status().offset(), 9u) << in_y;
+    EXPECT_NE(point_y.status().message().find("y coordinate"),
+              std::string::npos)
+        << in_y;
+
+    const std::string ring_x = "POLYGON ((0 0, " + bad + " 0, 1 1, 0 1))";
+    const auto polygon_x = ParseWktPolygon(ring_x);
+    ASSERT_FALSE(polygon_x.has_value()) << ring_x;
+    EXPECT_EQ(polygon_x.status().offset(), 15u) << ring_x;
+
+    const std::string ring_y = "POLYGON ((0 0, 1 0, 1 1, 0 " + bad + "))";
+    const auto polygon_y = ParseWktPolygon(ring_y);
+    ASSERT_FALSE(polygon_y.has_value()) << ring_y;
+    EXPECT_EQ(polygon_y.status().offset(), 27u) << ring_y;
+
+    const std::string hole = "POLYGON ((0 0, 9 0, 9 9, 0 9), (1 1, 2 1, " +
+                             bad + " 2))";
+    EXPECT_FALSE(ParseWktPolygon(hole).has_value()) << hole;
+  }
+  // Finite extremes still parse.
+  EXPECT_TRUE(
+      ParseWktPoint("POINT (1.7976931348623157e308 -1.7976931348623157e308)")
+          .has_value());
 }
 
 }  // namespace

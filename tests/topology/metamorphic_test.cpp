@@ -6,12 +6,16 @@
 //    and long interval lists both reach the same merge-joins this way.
 //  - Joining S with R yields the converse of every R-S relation, at 1 and
 //    at 4 threads.
+//  - Splitting S never changes the answers: join(R, S) is the union of the
+//    joins of R with each part of S, for contiguous thirds and for an
+//    odd/even split, every part rasterised on the full scenario's grid.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
@@ -114,6 +118,68 @@ TEST(Metamorphic, SwappingInputsYieldsTheConverse) {
       std::sort(converse.begin(), converse.end());
       ASSERT_EQ(converse, expected) << name << " at " << threads
                                     << " threads";
+    }
+  }
+}
+
+/// Every candidate of R x \p s_part with its relation, s mapped back to its
+/// index in the full S through \p s_indices.
+std::vector<Link> JoinPart(const ScenarioData& scenario,
+                           const std::vector<uint32_t>& s_indices) {
+  Dataset part;
+  for (const uint32_t s : s_indices) {
+    part.objects.push_back(scenario.s.objects[s]);
+  }
+  const RasterGrid grid(scenario.dataspace, scenario.grid_order);
+  const std::vector<AprilApproximation> part_april =
+      BuildAprilApproximations(part, grid, kThreads);
+  const std::vector<CandidatePair> candidates =
+      MbrJoin::Join(scenario.r.Mbrs(), part.Mbrs());
+  const ParallelJoinResult result = ParallelFindRelation(
+      Method::kPC, scenario.RView(), DatasetView{&part.objects, &part_april},
+      candidates, JoinOptions{.num_threads = kThreads});
+  EXPECT_TRUE(result.status.ok());
+  std::vector<Link> links;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    links.emplace_back(candidates[i].r_idx, s_indices[candidates[i].s_idx],
+                       result.relations[i]);
+  }
+  return links;
+}
+
+TEST(Metamorphic, SplittingSNeverChangesTheAnswers) {
+  for (const char* name : {"OLE-OPE", "OBE-OPE", "TC-TZ"}) {
+    ScenarioOptions options;
+    options.scale = kScale;
+    const ScenarioData scenario = BuildScenario(name, options);
+    ASSERT_FALSE(scenario.candidates.empty()) << name;
+    const ParallelJoinResult full = ParallelFindRelation(
+        Method::kPC, scenario.RView(), scenario.SView(), scenario.candidates,
+        JoinOptions{.num_threads = kThreads});
+    ASSERT_TRUE(full.status.ok()) << name;
+    std::vector<Link> expected;
+    for (size_t i = 0; i < scenario.candidates.size(); ++i) {
+      expected.emplace_back(scenario.candidates[i].r_idx,
+                            scenario.candidates[i].s_idx, full.relations[i]);
+    }
+    std::sort(expected.begin(), expected.end());
+
+    const auto n = static_cast<uint32_t>(scenario.s.objects.size());
+    std::vector<std::vector<uint32_t>> thirds(3);
+    std::vector<std::vector<uint32_t>> odd_even(2);
+    for (uint32_t s = 0; s < n; ++s) {
+      thirds[uint64_t{s} * 3 / n].push_back(s);
+      odd_even[s % 2].push_back(s);
+    }
+    for (const auto& [split, parts] :
+         {std::pair{"thirds", &thirds}, std::pair{"odd/even", &odd_even}}) {
+      std::vector<Link> merged;
+      for (const std::vector<uint32_t>& part : *parts) {
+        const std::vector<Link> links = JoinPart(scenario, part);
+        merged.insert(merged.end(), links.begin(), links.end());
+      }
+      std::sort(merged.begin(), merged.end());
+      ASSERT_EQ(merged, expected) << name << ", " << split << " of S";
     }
   }
 }

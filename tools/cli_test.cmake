@@ -34,7 +34,7 @@ endfunction()
 
 # Runs a command that must be rejected before it reads any input: exit
 # ${expect_rc}, stderr matching ${expect_err}, nothing on stdout and no
-# `[april]` build line on stderr.
+# `[load]` or `[april]` line on stderr.
 function(run_rejected expect_rc expect_err)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -44,6 +44,9 @@ function(run_rejected expect_rc expect_err)
   endif()
   if(NOT out STREQUAL "")
     message(FATAL_ERROR "rejected run printed to stdout: ${ARGN}\n${out}")
+  endif()
+  if(err MATCHES "\\[load\\]")
+    message(FATAL_ERROR "rejected run loaded an input: ${ARGN}\n${err}")
   endif()
   if(err MATCHES "\\[april\\]")
     message(FATAL_ERROR "rejected run built approximations: ${ARGN}\n${err}")
@@ -60,6 +63,24 @@ run_checked(${CLI} generate OPE ${WORK}/ope.wkt --scale=0.01 --seed=3)
 foreach(f ole.wkt ope.wkt)
   if(NOT EXISTS ${WORK}/${f})
     message(FATAL_ERROR "missing ${f}")
+  endif()
+endforeach()
+
+# generate formats 1,024-polygon slices on --threads workers and writes them
+# in order: the file's bytes do not depend on the thread count (OBE at 0.1
+# has 5,000 polygons, so 4 workers format more than one round of slices).
+foreach(spec "OPE;0.01" "OBE;0.1")
+  list(GET spec 0 name)
+  list(GET spec 1 scale)
+  foreach(threads 1 4)
+    run_checked(${CLI} generate ${name} ${WORK}/gen_${threads}.wkt
+                --scale=${scale} --seed=5 --threads=${threads})
+  endforeach()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${WORK}/gen_1.wkt ${WORK}/gen_4.wkt
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "generate ${name} wrote different bytes at 1 and 4 threads")
   endif()
 endforeach()
 
@@ -81,9 +102,17 @@ endif()
 # find-relation join, and a predicate join; both methods must agree on count
 execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
                 --method=pc --grid-order=10
-                RESULT_VARIABLE rc OUTPUT_VARIABLE pc_out)
+                RESULT_VARIABLE rc OUTPUT_VARIABLE pc_out ERROR_VARIABLE pc_err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "pc join failed")
+endif()
+# One `[load]` line per input.
+string(REGEX MATCHALL
+       "\\[load\\] [^\n]*: [0-9]+ objects, [0-9]+ vertices, [0-9.]+ MB in [0-9.]+s"
+       load_lines "${pc_err}")
+list(LENGTH load_lines load_count)
+if(NOT load_count EQUAL 2)
+  message(FATAL_ERROR "join printed ${load_count} [load] lines, expected 2:\n${pc_err}")
 endif()
 execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
                 --method=st2 --grid-order=10
@@ -190,6 +219,27 @@ run_expect(0 "1 repaired, 2 skipped"
            ${CLI} april ${WORK}/dirty.wkt ${WORK}/dirty.april --permissive)
 if(NOT EXISTS ${WORK}/dirty.april)
   message(FATAL_ERROR "permissive load must produce an output file")
+endif()
+
+# Non-finite coordinates are malformed: std::from_chars reads "nan" and
+# "inf", and the parser rejects them. Strict: exit 4 naming the line and the
+# byte. Permissive: the line is skipped and the rest is answered.
+file(WRITE ${WORK}/unit_square.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
+file(WRITE ${WORK}/nonfinite.wkt
+"POLYGON ((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5))
+POLYGON ((0 0, nan 0, 1 1, 0 1, 0 0))
+")
+file(WRITE ${WORK}/infinite.wkt "POLYGON ((0 0, 1 0, 1 1, inf 1, 0 0))\n")
+run_expect(4 "nonfinite.wkt:2 @byte 15: expected x coordinate"
+           ${CLI} join ${WORK}/unit_square.wkt ${WORK}/nonfinite.wkt)
+run_expect(4 "infinite.wkt:1 @byte 25: expected x coordinate"
+           ${CLI} join ${WORK}/unit_square.wkt ${WORK}/infinite.wkt)
+execute_process(COMMAND ${CLI} join ${WORK}/unit_square.wkt ${WORK}/nonfinite.wkt
+                --permissive
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n" OR
+   NOT err MATCHES "1 accepted, 0 repaired, 1 skipped")
+  message(FATAL_ERROR "permissive non-finite join failed (${rc}):\n${out}\n${err}")
 endif()
 
 # Missing input file: exit 3 (I/O), message names the file.
