@@ -74,8 +74,11 @@ class Scanner {
     const char* begin = text_.data() + pos_;
     const char* end = text_.data() + text_.size();
     const auto [ptr, ec] = std::from_chars(begin, end, *out);
-    // from_chars also reads "nan" and "inf"; a coordinate must be finite.
-    if (ec != std::errc() || ptr == begin || !std::isfinite(*out)) {
+    if (ec != std::errc() || ptr == begin) return false;
+    // from_chars also reads "nan" and "inf"; both fail the range test.
+    const double magnitude = std::fabs(*out);
+    if (magnitude != 0.0 && !(magnitude >= kCoordinateMagnitude.min &&
+                              magnitude <= kCoordinateMagnitude.max)) {
       return false;
     }
     pos_ += static_cast<size_t>(ptr - begin);

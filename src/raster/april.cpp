@@ -6,55 +6,17 @@
 #include <vector>
 
 #include "src/interval/interval_algebra.h"
-#include "src/raster/hilbert.h"
 #include "src/util/check.h"
 
 namespace stj {
 
 namespace {
 
-/// Coverages with at most this many cells use the per-run construction; the
-/// quadrant block decomposition only pays off once the interior is large
-/// enough that whole quadrants collapse to single intervals (a row-run of
-/// length L fragments into ~L/2 curve intervals, so per-run work is Θ(cells)
-/// while the block path is O(perimeter · order)).
-constexpr uint64_t kBlockDecompositionCutoff = 1024;
-
-/// Merges two sorted canonical segments of \p src into \p dst (appending).
-/// Coalescing only looks back at intervals this call appended: dst may end
-/// with an unrelated earlier segment whose cell range is above this pair's —
-/// comparing against it would silently swallow intervals.
-void MergePair(const std::vector<CellInterval>& src, size_t lo, size_t mid,
-               size_t hi, std::vector<CellInterval>* dst) {
-  const size_t base = dst->size();
-  // Inputs cover disjoint cell sets, so touching means exact adjacency
-  // (back().end == iv.begin), never overlap; max() keeps the invariant
-  // robust regardless.
-  auto append = [dst, base](CellInterval iv) {
-    if (dst->size() > base && dst->back().end >= iv.begin) {
-      dst->back().end = std::max(dst->back().end, iv.end);
-    } else {
-      dst->push_back(iv);
-    }
-  };
-  size_t i = lo;
-  size_t j = mid;
-  while (i < mid && j < hi) {
-    if (src[i].begin <= src[j].begin) {
-      append(src[i++]);
-    } else {
-      append(src[j++]);
-    }
-  }
-  while (i < mid) append(src[i++]);
-  while (j < hi) append(src[j++]);
-}
-
 using RowRuns = std::vector<std::pair<uint32_t, uint32_t>>;
 
 /// Coalesces one row's partial columns (width-1 ranges) and full runs into
-/// maximal column ranges. They interleave — full runs sit strictly between
-/// partials, abutting them — so a single two-pointer pass suffices.
+/// maximal column ranges. Both are sorted and no column is in both, so a
+/// single two-pointer pass suffices.
 void MergeRowRanges(const std::vector<uint32_t>& partial, const RowRuns& full,
                     RowRuns* out) {
   out->clear();
@@ -80,6 +42,26 @@ void MergeRowRanges(const std::vector<uint32_t>& partial, const RowRuns& full,
   }
 }
 
+// Curve frames. The curve index (hilbert.cpp) reads a cell's coordinate bits
+// from the top down and, after each level, maps the remaining low bits into
+// the canonical frame of the subquadrant it entered (Rotate). So every
+// quadrant has a frame: the map from its grid-local offsets to the canonical
+// curve's coordinates. There are four, built from two commuting involutions
+// — bit 0 swaps x and y, bit 1 complements both (n-1-x, n-1-y) — so they
+// form the Klein group and compose by XOR:
+//   0 identity, 1 transpose, 2 half turn, 3 anti-transpose.
+// Curve step h = 0..3 enters the canonical child (ru, rv) = (0,0), (0,1),
+// (1,1), (1,0), inverting the curve index's h = (3*rx) ^ ry. Rotate then
+// swaps at (0,0) (frame 1), complements and swaps at (1,0) (frame 3), and
+// does nothing when rv = 1 (frame 0). For a quadrant with frame f:
+//  - its grid child is f applied to the bit pair (ru, rv): every frame is
+//    its own inverse, so the same map goes both ways;
+//  - the child's frame is f ^ kEnterFrame[h];
+//  - the child's first curve position is dbase + h * 4^(m-1).
+constexpr uint32_t kChildU[4] = {0, 0, 1, 1};
+constexpr uint32_t kChildV[4] = {0, 1, 1, 0};
+constexpr uint32_t kEnterFrame[4] = {1, 0, 0, 3};
+
 /// Recursive quadrant decomposition of a row-range region into sorted
 /// canonical Hilbert intervals.
 ///
@@ -93,6 +75,9 @@ void MergeRowRanges(const std::vector<uint32_t>& partial, const RowRuns& full,
 /// with no merge pass. Cost is O(visited quadrants · rows-per-check), i.e.
 /// output-sensitive: interiors collapse to their quadtree blocks instead of
 /// fragmenting into Θ(cells) per-row curve intervals.
+///
+/// Each quadrant carries its curve frame (below), so visiting the children in
+/// curve order needs no curve-index computation and no sort.
 class BlockDecomposer {
  public:
   BlockDecomposer(uint32_t order, const RowRuns* rows, size_t num_rows,
@@ -119,7 +104,7 @@ class BlockDecomposer {
       y_end_ = y0_ + static_cast<uint32_t>(row);
       any = true;
     }
-    if (any) Visit(order_, 0, 0, 0);
+    if (any) Visit(order_, 0, 0, 0, /*frame=*/0);
   }
 
  private:
@@ -169,8 +154,9 @@ class BlockDecomposer {
   }
 
   /// \p dbase is the first curve position of the quadrant of size 2^m whose
-  /// bottom-left cell is (x, y).
-  void Visit(uint32_t m, uint32_t x, uint32_t y, uint64_t dbase) {
+  /// bottom-left cell is (x, y), and \p frame its curve frame (see above).
+  void Visit(uint32_t m, uint32_t x, uint32_t y, uint64_t dbase,
+             uint32_t frame) {
     const uint32_t span = (1u << m) - 1;
     switch (Classify(x, x + span, y, y + span)) {
       case Cover::kEmpty:
@@ -183,23 +169,13 @@ class BlockDecomposer {
     }
     const uint32_t half = 1u << (m - 1);
     const uint64_t quarter = uint64_t{1} << (2 * (m - 1));
-    struct Child {
-      uint64_t dbase;
-      uint32_t x, y;
-    } children[4];
-    size_t n = 0;
-    for (const uint32_t dy : {0u, half}) {
-      for (const uint32_t dx : {0u, half}) {
-        const uint32_t cx = x + dx;
-        const uint32_t cy = y + dy;
-        children[n++] = {HilbertXYToD(order_, cx, cy) & ~(quarter - 1), cx,
-                         cy};
-      }
-    }
-    std::sort(children, children + 4,
-              [](const Child& a, const Child& b) { return a.dbase < b.dbase; });
-    for (const Child& child : children) {
-      Visit(m - 1, child.x, child.y, child.dbase);
+    const uint32_t flip = (frame >> 1) & 1u;
+    for (uint32_t h = 0; h < 4; ++h) {
+      uint32_t gu = kChildU[h] ^ flip;
+      uint32_t gv = kChildV[h] ^ flip;
+      if ((frame & 1u) != 0) std::swap(gu, gv);
+      Visit(m - 1, x + gu * half, y + gv * half, dbase + h * quarter,
+            frame ^ kEnterFrame[h]);
     }
   }
 
@@ -224,8 +200,7 @@ void AprilApproximation::ValidateInvariants() const {
 
 AprilApproximation AprilBuilder::Build(const Polygon& poly) const {
   rasterizer_.Rasterize(poly, &coverage_);
-  AprilApproximation april = per_cell_oracle_ ? FromCoverage(coverage_)
-                                              : FromCoverageRuns(coverage_);
+  AprilApproximation april = FromCoverageQuadrants(coverage_);
   STJ_IF_INVARIANTS(april.ValidateInvariants());
   return april;
 }
@@ -253,58 +228,12 @@ AprilApproximation AprilBuilder::FromCoverage(
   return april;
 }
 
-AprilApproximation AprilBuilder::FromCoverageRuns(
-    const RasterCoverage& coverage) const {
-  return coverage.PartialCount() + coverage.FullCount() >
-                 kBlockDecompositionCutoff
-             ? FromCoverageBlocks(coverage)
-             : FromCoverageRowRuns(coverage);
-}
-
-AprilApproximation AprilBuilder::FromCoverageRowRuns(
-    const RasterCoverage& coverage) const {
-  const uint32_t order = grid_->Order();
-  AprilApproximation april;
-
-  // ---- P list: each full run decomposes into one sorted interval segment.
-  stream_.clear();
-  bounds_.clear();
-  bounds_.push_back(0);
-  for (size_t row = 0; row < coverage.full_runs_by_row.size(); ++row) {
-    const uint32_t cy = coverage.y0 + static_cast<uint32_t>(row);
-    for (const auto& [first, last] : coverage.full_runs_by_row[row]) {
-      AppendHilbertRunIntervals(order, first, last, cy, &stream_);
-      // A run whose intervals all coalesced into the previous segment's tail
-      // adds no boundary (the tail only grew; the segment stays sorted).
-      if (stream_.size() > bounds_.back()) bounds_.push_back(stream_.size());
-    }
-  }
-  april.progressive = MergeStreams();
-
-  // ---- C list: per row, partial columns and full runs coalesce into maximal
-  // column ranges, and each maximal range decomposes as one segment.
-  stream_.clear();
-  bounds_.clear();
-  bounds_.push_back(0);
-  for (size_t row = 0; row < coverage.partial_by_row.size(); ++row) {
-    const uint32_t cy = coverage.y0 + static_cast<uint32_t>(row);
-    MergeRowRanges(coverage.partial_by_row[row], coverage.full_runs_by_row[row],
-                   &ranges_);
-    for (const auto& [lo, hi] : ranges_) {
-      AppendHilbertRunIntervals(order, lo, hi, cy, &stream_);
-      if (stream_.size() > bounds_.back()) bounds_.push_back(stream_.size());
-    }
-  }
-  april.conservative = MergeStreams();
-  return april;
-}
-
-AprilApproximation AprilBuilder::FromCoverageBlocks(
+AprilApproximation AprilBuilder::FromCoverageQuadrants(
     const RasterCoverage& coverage) const {
   AprilApproximation april;
   const size_t num_rows = coverage.full_runs_by_row.size();
-  april.progressive =
-      DecomposeBlocks(coverage.full_runs_by_row.data(), num_rows, coverage.y0);
+  april.progressive = DecomposeQuadrants(coverage.full_runs_by_row.data(),
+                                         num_rows, coverage.y0);
 
   // Merged C rows (partial ∪ full) feed the same decomposition. The scratch
   // only ever grows, keeping row buffers warm across Build() calls.
@@ -313,47 +242,17 @@ AprilApproximation AprilBuilder::FromCoverageBlocks(
     MergeRowRanges(coverage.partial_by_row[row], coverage.full_runs_by_row[row],
                    &c_rows_[row]);
   }
-  april.conservative = DecomposeBlocks(c_rows_.data(), num_rows, coverage.y0);
+  april.conservative =
+      DecomposeQuadrants(c_rows_.data(), num_rows, coverage.y0);
   return april;
 }
 
-IntervalList AprilBuilder::DecomposeBlocks(const RowRuns* rows,
-                                           size_t num_rows, uint32_t y0) const {
+IntervalList AprilBuilder::DecomposeQuadrants(const RowRuns* rows,
+                                              size_t num_rows,
+                                              uint32_t y0) const {
   stream_.clear();
   BlockDecomposer(grid_->Order(), rows, num_rows, y0, &stream_).Run();
   return IntervalList::FromSorted(stream_);
-}
-
-IntervalList AprilBuilder::MergeStreams() const {
-  size_t num_segs = bounds_.size() - 1;
-  if (num_segs == 0) return IntervalList();
-  std::vector<CellInterval>* src = &stream_;
-  std::vector<CellInterval>* dst = &merge_scratch_;
-  std::vector<size_t>* sb = &bounds_;
-  std::vector<size_t>* db = &bounds_scratch_;
-  while (num_segs > 1) {
-    dst->clear();
-    db->clear();
-    db->push_back(0);
-    for (size_t s = 0; s + 1 < num_segs; s += 2) {
-      MergePair(*src, (*sb)[s], (*sb)[s + 1], (*sb)[s + 2], dst);
-      db->push_back(dst->size());
-    }
-    if ((num_segs & 1) != 0) {
-      // Odd segment out: copy through verbatim (it is already canonical, and
-      // coalescing against the preceding unrelated segment would be wrong).
-      dst->insert(dst->end(),
-                  src->begin() + static_cast<std::ptrdiff_t>((*sb)[num_segs - 1]),
-                  src->begin() + static_cast<std::ptrdiff_t>((*sb)[num_segs]));
-      db->push_back(dst->size());
-    }
-    std::swap(src, dst);
-    std::swap(sb, db);
-    num_segs = sb->size() - 1;
-  }
-  std::vector<CellInterval> result(
-      src->begin(), src->begin() + static_cast<std::ptrdiff_t>((*sb)[1]));
-  return IntervalList::FromSorted(std::move(result));
 }
 
 }  // namespace stj

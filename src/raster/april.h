@@ -61,77 +61,61 @@ struct AprilView {
 
 /// Builds APRIL approximations of polygons on a fixed scenario grid.
 ///
-/// Two construction paths produce byte-identical results:
-///  - the run-based path (default) never materialises per-cell ids. Small
-///    coverages convert each row-run of cells [cx_lo, cx_hi] × row directly
-///    into sorted Hilbert intervals (AppendHilbertRunIntervals) and merge
-///    the per-run streams pairwise; large coverages switch to a 2-D quadrant
-///    block decomposition that emits one interval per maximal fully-covered
-///    quadrant, visiting quadrants in curve order so the stream comes out
-///    sorted with no merge at all. The block path is what makes the cost
-///    output-sensitive — a blob interior of millions of cells collapses to
-///    the O(perimeter · order) quadrants of its quadtree, where the per-run
-///    path would still emit Θ(cells) raw intervals (a row-run of length L
-///    fragments into ~L/2 curve intervals before vertical coalescing);
-///  - the per-cell path (per_cell_oracle=true) enumerates every cell id and
-///    sorts, and is kept as the differential-test oracle.
-/// All paths emit the canonical interval form (sorted, disjoint,
-/// non-adjacent), and canonical forms of equal cell sets are equal — which
-/// is why they agree byte-for-byte.
+/// One construction path turns a coverage into P and C lists without ever
+/// materialising per-cell ids: a quadrant recursion over the Hilbert curve
+/// (FromCoverageQuadrants). Every grid-aligned quadrant is one contiguous
+/// curve segment, so a fully covered quadrant emits ONE interval and an
+/// empty one is skipped; only mixed quadrants split. Each quadrant carries
+/// its curve frame down the recursion, so children are visited in curve
+/// order and the stream comes out sorted with no merge and no per-cell
+/// index arithmetic. The cost is output-sensitive: a blob interior of
+/// millions of cells collapses to the O(perimeter · order) quadrants of its
+/// quadtree.
+///
+/// The per-cell construction (FromCoverage) enumerates every cell id and
+/// sorts; it is the differential-test oracle. Both emit the canonical
+/// interval form (sorted, disjoint, non-adjacent), and canonical forms of
+/// equal cell sets are equal — which is why they agree byte-for-byte.
 ///
 /// Build() is const but reuses per-instance scratch buffers, so one builder
 /// is NOT safe to use from multiple threads; the parallel preprocessing
 /// driver (BuildAprilApproximations) gives each worker its own builder.
 class AprilBuilder {
  public:
-  explicit AprilBuilder(const RasterGrid* grid, bool per_cell_oracle = false)
-      : grid_(grid), per_cell_oracle_(per_cell_oracle), rasterizer_(grid) {}
+  explicit AprilBuilder(const RasterGrid* grid)
+      : grid_(grid), rasterizer_(grid) {}
 
   /// Rasterises \p poly and assembles its P and C interval lists.
   AprilApproximation Build(const Polygon& poly) const;
 
-  /// Per-cell oracle: materialises every covered cell id and sorts (exposed
-  /// for differential tests; selected by per_cell_oracle=true in Build).
+  /// Per-cell oracle: materialises every covered cell id and sorts (for
+  /// differential tests).
   AprilApproximation FromCoverage(const RasterCoverage& coverage) const;
 
-  /// Run-based path: decomposes row-runs (small coverages) or quadrant
-  /// blocks (large coverages) into Hilbert intervals without ever
-  /// materialising per-cell ids (exposed for differential tests).
-  AprilApproximation FromCoverageRuns(const RasterCoverage& coverage) const;
+  /// The production construction Build() uses: decomposes the coverage into
+  /// maximal curve-aligned quadrants, emitted in curve order. Each row of
+  /// \p coverage holds sorted partial columns and sorted full runs that
+  /// share no column, as the rasterizer produces.
+  AprilApproximation FromCoverageQuadrants(
+      const RasterCoverage& coverage) const;
 
  private:
   /// One row's covered column ranges [first, last], sorted, non-adjacent.
   using RowRuns = std::vector<std::pair<uint32_t, uint32_t>>;
 
-  /// Merges the sorted per-run segments of stream_ (delimited by bounds_)
-  /// into one canonical interval vector. Bottom-up pairwise passes with
-  /// ping-pong buffers: O(M log S) for M intervals in S segments.
-  IntervalList MergeStreams() const;
-
-  /// Block path for large coverages: recursive quadrant decomposition of the
-  /// region described by num_rows row-range vectors starting at grid row y0.
-  IntervalList DecomposeBlocks(const RowRuns* rows, size_t num_rows,
-                               uint32_t y0) const;
-
-  /// Per-run + pairwise-merge construction (small coverages).
-  AprilApproximation FromCoverageRowRuns(const RasterCoverage& coverage) const;
-
-  /// Quadrant-block construction (large coverages).
-  AprilApproximation FromCoverageBlocks(const RasterCoverage& coverage) const;
+  /// Quadrant decomposition of the region described by num_rows row-range
+  /// vectors starting at grid row y0.
+  IntervalList DecomposeQuadrants(const RowRuns* rows, size_t num_rows,
+                                  uint32_t y0) const;
 
   const RasterGrid* grid_;
-  bool per_cell_oracle_;
 
   // Per-instance scratch, reused across Build() calls (hence mutable on a
   // const method). See class comment for the threading contract.
   mutable Rasterizer rasterizer_;
   mutable RasterCoverage coverage_;
-  mutable std::vector<CellInterval> stream_;         ///< Concatenated segments.
-  mutable std::vector<CellInterval> merge_scratch_;  ///< Ping-pong buffer.
-  mutable std::vector<size_t> bounds_;               ///< Segment boundaries.
-  mutable std::vector<size_t> bounds_scratch_;       ///< Ping-pong boundaries.
-  mutable RowRuns ranges_;                           ///< C row scan.
-  mutable std::vector<RowRuns> c_rows_;  ///< Merged C rows (block path).
+  mutable std::vector<CellInterval> stream_;  ///< Emitted intervals.
+  mutable std::vector<RowRuns> c_rows_;       ///< Merged C rows.
 };
 
 }  // namespace stj

@@ -1,7 +1,5 @@
 #include "src/raster/hilbert.h"
 
-#include <algorithm>
-
 namespace stj {
 
 namespace {
@@ -17,66 +15,6 @@ inline void Rotate(uint32_t n, uint32_t* x, uint32_t* y, uint32_t rx,
     const uint32_t t = *x;
     *x = *y;
     *y = t;
-  }
-}
-
-inline void AppendCoalesce(std::vector<CellInterval>* out, uint64_t d) {
-  if (!out->empty() && out->back().end == d) {
-    ++out->back().end;
-  } else {
-    out->push_back(CellInterval{d, d + 1});
-  }
-}
-
-// The four subquadrants of a square in curve order h = 0..3 and their
-// position bits: h = (3*rx) ^ ry, inverted here.
-constexpr uint32_t kRx[4] = {0, 0, 1, 1};
-constexpr uint32_t kRy[4] = {0, 1, 1, 0};
-
-// Emits the intervals of a one-cell-wide run inside a 2^k x 2^k square whose
-// first curve position is d. The run is axis-aligned in the square's local
-// frame: cells (x, fixed) for x in [lo, hi] when horizontal, (fixed, y) for
-// y in [lo, hi] when vertical. Subquadrants are visited in curve order, so
-// output positions are strictly increasing across the whole recursion.
-//
-// Entering subquadrant (rx, ry) applies the same frame transform the
-// curve-index computation (HilbertXYToD's Rotate) applies to coordinates:
-//   ry == 1:           identity
-//   ry == 0, rx == 0:  (x, y) -> (y, x)            [transpose: axis flips]
-//   ry == 0, rx == 1:  (x, y) -> (n-1-y, n-1-x)    [anti-transpose]
-// A transposed horizontal run becomes a vertical run and vice versa, which
-// is why both orientations thread through one recursion.
-void DecomposeRun(uint32_t k, uint64_t d, bool vertical, uint32_t fixed,
-                  uint32_t lo, uint32_t hi, std::vector<CellInterval>* out) {
-  if (k == 0) {
-    AppendCoalesce(out, d);
-    return;
-  }
-  const uint32_t half = 1u << (k - 1);
-  const uint32_t fixed_bit = (fixed >> (k - 1)) & 1u;
-  for (uint32_t h = 0; h < 4; ++h) {
-    const uint32_t rx = kRx[h];
-    const uint32_t ry = kRy[h];
-    // The run's fixed axis selects one half of the square; the span axis may
-    // intersect both.
-    if (fixed_bit != (vertical ? rx : ry)) continue;
-    const uint32_t span_base = (vertical ? ry : rx) * half;
-    const uint32_t a = std::max(lo, span_base);
-    const uint32_t b = std::min(hi, span_base + half - 1);
-    if (a > b) continue;
-    const uint64_t child_d =
-        d + (static_cast<uint64_t>(h) << (2 * (k - 1)));
-    const uint32_t qf = fixed & (half - 1);
-    const uint32_t qa = a - span_base;
-    const uint32_t qb = b - span_base;
-    if (ry == 1) {
-      DecomposeRun(k - 1, child_d, vertical, qf, qa, qb, out);
-    } else if (rx == 0) {
-      DecomposeRun(k - 1, child_d, !vertical, qf, qa, qb, out);
-    } else {
-      DecomposeRun(k - 1, child_d, !vertical, half - 1 - qf, half - 1 - qb,
-                   half - 1 - qa, out);
-    }
   }
 }
 
@@ -106,12 +44,6 @@ void HilbertDToXY(uint32_t order, uint64_t d, uint32_t* x, uint32_t* y) {
   }
   *x = cx;
   *y = cy;
-}
-
-void AppendHilbertRunIntervals(uint32_t order, uint32_t x_lo, uint32_t x_hi,
-                               uint32_t y, std::vector<CellInterval>* out) {
-  if (x_lo > x_hi) return;
-  DecomposeRun(order, 0, /*vertical=*/false, y, x_lo, x_hi, out);
 }
 
 }  // namespace stj

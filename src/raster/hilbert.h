@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
-#include "src/interval/interval_list.h"
 
 namespace stj {
 
@@ -19,18 +16,5 @@ uint64_t HilbertXYToD(uint32_t order, uint32_t x, uint32_t y);
 
 /// Inverse: cell coordinates of curve position \p d.
 void HilbertDToXY(uint32_t order, uint64_t d, uint32_t* x, uint32_t* y);
-
-/// Appends the maximal intervals of curve positions covering the horizontal
-/// cell run [x_lo, x_hi] x {y} to *out, in increasing curve order, coalescing
-/// with out->back() when adjacent.
-///
-/// This is the output-sensitive primitive behind run-based APRIL
-/// construction: instead of computing HilbertXYToD per cell and sorting, the
-/// run is pushed down the quadrant recursion, visiting only subquadrants the
-/// run intersects. A one-cell-high run meets at most two of the four
-/// subquadrants per level, so the cost is O(run length + order) with no
-/// per-cell index arithmetic, and the emitted intervals are already sorted.
-void AppendHilbertRunIntervals(uint32_t order, uint32_t x_lo, uint32_t x_hi,
-                               uint32_t y, std::vector<CellInterval>* out);
 
 }  // namespace stj

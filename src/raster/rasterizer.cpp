@@ -47,7 +47,6 @@ void Rasterizer::Rasterize(const Polygon& poly, RasterCoverage* out) {
 void Rasterizer::RasterizeInto(const Polygon& poly,
                                std::vector<std::vector<double>>* crossings,
                                RasterCoverage* out) const {
-  out->x0 = 0;
   out->y0 = 0;
   if (poly.Empty()) {
     ResetRows(&out->partial_by_row, 0);
@@ -56,14 +55,11 @@ void Rasterizer::RasterizeInto(const Polygon& poly,
   }
   const Box& bounds = poly.Bounds();
 
-  // Raster window (with closed-boundary widening so that geometry exactly on
+  // Raster rows (with closed-boundary widening so that geometry exactly on
   // a cell boundary marks both adjacent cells).
-  uint32_t wx0 = grid_->CellX(bounds.min.x);
   uint32_t wy0 = grid_->CellY(bounds.min.y);
   const uint32_t wy1 = grid_->CellY(bounds.max.y);
-  if (wx0 > 0 && bounds.min.x == grid_->ColumnX(wx0)) --wx0;
   if (wy0 > 0 && bounds.min.y == grid_->RowY(wy0)) --wy0;
-  out->x0 = wx0;
   out->y0 = wy0;
   const uint32_t num_rows = wy1 - wy0 + 1;
   ResetRows(&out->partial_by_row, num_rows);

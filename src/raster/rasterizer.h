@@ -14,7 +14,6 @@ namespace stj {
 /// `full_runs` holds maximal column ranges [first, last] of cells lying
 /// entirely inside the polygon. Rows are indexed relative to `y0`.
 struct RasterCoverage {
-  uint32_t x0 = 0;  ///< Leftmost column of the raster window.
   uint32_t y0 = 0;  ///< Bottom row of the raster window.
   std::vector<std::vector<uint32_t>> partial_by_row;  ///< Sorted columns.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> full_runs_by_row;

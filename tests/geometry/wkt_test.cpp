@@ -73,10 +73,13 @@ TEST(Wkt, RejectsMalformedInput) {
 }
 
 TEST(Wkt, RejectsNonFiniteCoordinates) {
-  // std::from_chars reads all of these; a coordinate must be finite. The
-  // Status points at the token's first byte.
+  // std::from_chars reads all of these; a coordinate must be finite, and
+  // zero or of a magnitude within kCoordinateMagnitude. The Status points at
+  // the token's first byte.
   for (const std::string bad :
-       {"nan", "-nan", "NaN", "inf", "-inf", "INF", "infinity"}) {
+       {"nan", "-nan", "NaN", "inf", "-inf", "INF", "infinity",
+        "1.7976931348623157e308", "-1.7976931348623157e308", "-1e101",
+        "1e-101", "-1e-300", "4.9e-324"}) {
     const std::string in_x = "POINT (" + bad + " 1)";
     const auto point_x = ParseWktPoint(in_x);
     ASSERT_FALSE(point_x.has_value()) << in_x;
@@ -107,10 +110,12 @@ TEST(Wkt, RejectsNonFiniteCoordinates) {
                              bad + " 2))";
     EXPECT_FALSE(ParseWktPolygon(hole).has_value()) << hole;
   }
-  // Finite extremes still parse.
-  EXPECT_TRUE(
-      ParseWktPoint("POINT (1.7976931348623157e308 -1.7976931348623157e308)")
-          .has_value());
+  // The domain's own bounds, and zero of either sign, still parse.
+  for (const std::string good :
+       {"1e100", "-1e100", "1e-100", "-1e-100", "0", "-0"}) {
+    EXPECT_TRUE(ParseWktPoint("POINT (" + good + " 1)").has_value()) << good;
+    EXPECT_TRUE(ParseWktPoint("POINT (1 " + good + ")").has_value()) << good;
+  }
 }
 
 }  // namespace

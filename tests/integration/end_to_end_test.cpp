@@ -1,7 +1,8 @@
 // End-to-end: build a scenario, run all four pipelines over every candidate
 // pair, and check that (a) all methods agree pair-by-pair, (b) the P+C
 // filter statistics dominate the baselines, (c) relate_p agrees with find
-// relation semantics on a sample.
+// relation semantics on a sample, and (d) the OP2 and APRIL relate paths
+// agree with P+C's predicate filters.
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,30 @@ TEST(EndToEndRelate, PredicateJoinMatchesFindRelationDerivation) {
     }
   }
   EXPECT_GT(checked, 100u);
+}
+
+TEST(EndToEndRelate, PathAgreesAcrossMethodsOnPredicates) {
+  // Exercise the non-P+C Relate code paths (OP2/APRIL fall back to
+  // refinement) against P+C's predicate filters.
+  ScenarioOptions options;
+  options.scale = 0.08;
+  options.grid_order = 10;
+  const ScenarioData scenario = BuildScenario("TL-TW", options);
+  Pipeline op2(Method::kOP2, scenario.RView(), scenario.SView());
+  Pipeline april(Method::kApril, scenario.RView(), scenario.SView());
+  Pipeline pc(Method::kPC, scenario.RView(), scenario.SView());
+  size_t checked = 0;
+  for (size_t i = 0; i < scenario.candidates.size() && checked < 150;
+       i += 2, ++checked) {
+    const CandidatePair& pair = scenario.candidates[i];
+    for (const Relation p : {Relation::kIntersects, Relation::kMeets,
+                             Relation::kDisjoint, Relation::kCoveredBy}) {
+      const bool expected = pc.Relate(pair.r_idx, pair.s_idx, p);
+      ASSERT_EQ(op2.Relate(pair.r_idx, pair.s_idx, p), expected);
+      ASSERT_EQ(april.Relate(pair.r_idx, pair.s_idx, p), expected);
+    }
+  }
+  EXPECT_GT(checked, 50u);
 }
 
 TEST(EndToEndScalability, HighComplexityRefinesLessWithPC) {

@@ -1,10 +1,10 @@
-// Differential tests for the run-based Hilbert interval construction: the
-// output-sensitive path (AppendHilbertRunIntervals + per-run stream merge)
-// must be byte-identical to the per-cell oracle on every input, because both
-// emit the canonical interval form of the same cell set. These tests throw
-// random runs, blobs, tessellations, slivers, and degenerate single-cell
-// polygons at both paths across grid orders and seeds, and pin down the
-// thread-count invariance of the parallel builder.
+// Differential tests for APRIL construction: the quadrant recursion that
+// Build() uses must be byte-identical to the per-cell oracle on every input,
+// because both emit the canonical interval form of the same cell set. These
+// tests throw synthetic coverages, blobs, tessellations, slivers, and
+// degenerate single-cell polygons at both constructions across grid orders
+// and seeds, and pin down the thread-count invariance of the parallel
+// builder.
 
 #include <algorithm>
 #include <vector>
@@ -16,57 +16,12 @@
 #include "src/raster/april.h"
 #include "src/raster/april_store.h"
 #include "src/raster/grid.h"
-#include "src/raster/hilbert.h"
+#include "src/raster/rasterizer.h"
 #include "src/util/rng.h"
 #include "tests/test_support.h"
 
 namespace stj {
 namespace {
-
-/// Brute-force oracle for one run: enumerate, map, canonicalise.
-IntervalList RunOracle(uint32_t order, uint32_t x_lo, uint32_t x_hi,
-                       uint32_t y) {
-  std::vector<CellId> cells;
-  for (uint32_t x = x_lo; x <= x_hi; ++x) {
-    cells.push_back(HilbertXYToD(order, x, y));
-  }
-  return IntervalList::FromCells(std::move(cells));
-}
-
-TEST(HilbertRuns, DecompositionMatchesBruteForceOnRandomRuns) {
-  Rng rng(4242);
-  for (int iter = 0; iter < 3000; ++iter) {
-    const uint32_t order = static_cast<uint32_t>(rng.UniformInt(1, 10));
-    const uint32_t n = 1u << order;
-    const uint32_t y = static_cast<uint32_t>(rng.UniformInt(0, n - 1));
-    uint32_t a = static_cast<uint32_t>(rng.UniformInt(0, n - 1));
-    uint32_t b = static_cast<uint32_t>(rng.UniformInt(0, n - 1));
-    if (a > b) std::swap(a, b);
-    std::vector<CellInterval> got;
-    AppendHilbertRunIntervals(order, a, b, y, &got);
-    const IntervalList got_list = IntervalList::FromSorted(std::move(got));
-    EXPECT_TRUE(got_list.Validate().empty());
-    EXPECT_TRUE(got_list == RunOracle(order, a, b, y))
-        << "order=" << order << " y=" << y << " run=[" << a << "," << b << "]";
-  }
-}
-
-TEST(HilbertRuns, DecompositionHandlesFullRowsAtHighOrders) {
-  // Full rows at high orders exercise the deepest recursions. The curve
-  // re-enters a row repeatedly, so even a full row decomposes into ~n/3
-  // intervals — the decomposition must produce exactly the canonical form
-  // covering all n cells without ever materialising the n cell ids.
-  for (const uint32_t order : {12u, 14u, 16u}) {
-    const uint32_t n = 1u << order;
-    std::vector<CellInterval> out;
-    AppendHilbertRunIntervals(order, 0, n - 1, n / 2, &out);
-    uint64_t cells = 0;
-    for (const CellInterval& iv : out) cells += iv.Length();
-    EXPECT_EQ(cells, n);
-    EXPECT_LE(out.size(), static_cast<size_t>(n / 2));
-    EXPECT_TRUE(IntervalList::FromSorted(std::move(out)).Validate().empty());
-  }
-}
 
 void ExpectIdentical(const AprilApproximation& oracle,
                      const AprilApproximation& fast, const char* what) {
@@ -74,11 +29,102 @@ void ExpectIdentical(const AprilApproximation& oracle,
   EXPECT_TRUE(oracle.progressive == fast.progressive) << what << " P lists";
 }
 
+/// The per-cell oracle's lists for \p poly on \p grid.
+AprilApproximation Oracle(const RasterGrid& grid, const Polygon& poly) {
+  return AprilBuilder(&grid).FromCoverage(Rasterizer(&grid).Rasterize(poly));
+}
+
+/// Appends one synthetic coverage row: each column of [lo, hi] is picked
+/// with probability \p density and marked full with probability \p full;
+/// the maximal runs of full columns become the row's full runs.
+void AddRow(Rng* rng, uint32_t lo, uint32_t hi, double density, double full,
+            RasterCoverage* coverage) {
+  std::vector<uint32_t>& partial = coverage->partial_by_row.emplace_back();
+  std::vector<std::pair<uint32_t, uint32_t>>& runs =
+      coverage->full_runs_by_row.emplace_back();
+  for (uint32_t x = lo; x <= hi; ++x) {
+    if (!rng->Bernoulli(density)) continue;
+    if (!rng->Bernoulli(full)) {
+      partial.push_back(x);
+    } else if (!runs.empty() && runs.back().second + 1 == x) {
+      runs.back().second = x;
+    } else {
+      runs.emplace_back(x, x);
+    }
+  }
+}
+
+TEST(HilbertRuns, DecompositionMatchesBruteForceOnRandomRuns) {
+  // Synthetic coverages built of random runs, decomposed by the quadrant
+  // recursion and by the per-cell brute force, at orders 1-10.
+  constexpr double kDensities[] = {0.1, 0.5, 0.9, 1.0};
+  constexpr double kFullShares[] = {0.0, 0.5, 0.9, 1.0};
+  Rng rng(4242);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const auto order = static_cast<uint32_t>(rng.UniformInt(1, 10));
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const int64_t n = int64_t{1} << order;
+    // A random window of at most 64 rows; dense, all-full rows build whole
+    // full quadrants, sparse or all-partial ones fragment the lists.
+    int64_t x_lo = rng.UniformInt(0, n - 1);
+    int64_t x_hi = rng.UniformInt(0, n - 1);
+    if (x_lo > x_hi) std::swap(x_lo, x_hi);
+    const int64_t y0 = rng.UniformInt(0, n - 1);
+    const int64_t rows = rng.UniformInt(1, std::min<int64_t>(n - y0, 64));
+    const double density = kDensities[rng.NextBounded(4)];
+    const double full = kFullShares[rng.NextBounded(4)];
+    RasterCoverage coverage;
+    coverage.y0 = static_cast<uint32_t>(y0);
+    for (int64_t row = 0; row < rows; ++row) {
+      AddRow(&rng, static_cast<uint32_t>(x_lo), static_cast<uint32_t>(x_hi),
+             density, full, &coverage);
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "order=" << order << " window=[" << x_lo << "," << x_hi
+                 << "] y0=" << y0 << " rows=" << rows);
+    const AprilApproximation fast = builder.FromCoverageQuadrants(coverage);
+    EXPECT_TRUE(fast.conservative.Validate().empty());
+    EXPECT_TRUE(fast.progressive.Validate().empty());
+    ExpectIdentical(builder.FromCoverage(coverage), fast, "synthetic");
+    if (HasFailure()) return;
+  }
+}
+
+TEST(HilbertRuns, DecompositionHandlesFullRowsAtHighOrders) {
+  // Full-width rows at high orders exercise the deepest recursions: the
+  // curve re-enters a row repeatedly, so even one full row decomposes into
+  // ~n/3 intervals, and the lists must cover exactly its n cells.
+  Rng rng(4243);
+  for (const uint32_t order : {12u, 14u, 16u}) {
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const uint32_t n = 1u << order;
+    RasterCoverage row;
+    row.y0 = n / 2;
+    row.partial_by_row.emplace_back();
+    row.full_runs_by_row.push_back({{0, n - 1}});
+    const AprilApproximation one = builder.FromCoverageQuadrants(row);
+    EXPECT_EQ(one.conservative.CellCount(), n) << order;
+    EXPECT_LE(one.conservative.Size(), static_cast<size_t>(n / 2)) << order;
+    EXPECT_TRUE(one.conservative.Validate().empty()) << order;
+    EXPECT_TRUE(one.progressive == one.conservative) << order;
+
+    RasterCoverage coverage;
+    coverage.y0 = n / 2 - 1;
+    for (const double full : {1.0, 0.9, 0.0}) {
+      AddRow(&rng, 0, n - 1, /*density=*/1.0, full, &coverage);
+    }
+    const AprilApproximation fast = builder.FromCoverageQuadrants(coverage);
+    ExpectIdentical(builder.FromCoverage(coverage), fast, "full rows");
+    EXPECT_EQ(fast.conservative.CellCount(), uint64_t{3} * n) << order;
+  }
+}
+
 TEST(HilbertRuns, BuilderMatchesOracleOnBlobsAcrossOrdersAndSeeds) {
   for (const uint32_t order : {4u, 8u, 12u, 16u}) {
     const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), order);
     const AprilBuilder fast(&grid);
-    const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
     for (const uint64_t seed : {11ull, 22ull, 33ull}) {
       Rng rng(seed);
       for (int i = 0; i < 6; ++i) {
@@ -89,7 +135,7 @@ TEST(HilbertRuns, BuilderMatchesOracleOnBlobsAcrossOrdersAndSeeds) {
         const Polygon blob = test::RandomBlob(
             &rng, Point{rng.Uniform(10, 90), rng.Uniform(10, 90)}, radius,
             static_cast<size_t>(rng.UniformInt(6, 80)), 0.25);
-        ExpectIdentical(oracle.Build(blob), fast.Build(blob), "blob");
+        ExpectIdentical(Oracle(grid, blob), fast.Build(blob), "blob");
       }
     }
   }
@@ -104,9 +150,8 @@ TEST(HilbertRuns, BuilderMatchesOracleOnTessellations) {
   for (const uint32_t order : {4u, 8u, 10u}) {
     const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), order);
     const AprilBuilder fast(&grid);
-    const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
     for (const Polygon& poly : cells) {
-      ExpectIdentical(oracle.Build(poly), fast.Build(poly), "tessellation");
+      ExpectIdentical(Oracle(grid, poly), fast.Build(poly), "tessellation");
     }
   }
 }
@@ -114,47 +159,44 @@ TEST(HilbertRuns, BuilderMatchesOracleOnTessellations) {
 TEST(HilbertRuns, BuilderMatchesOracleOnSliversAndSingleCells) {
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 10);
   const AprilBuilder fast(&grid);
-  const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
 
   // Sliver: thinner than a cell, so every covered cell is partial and the
   // P list is empty.
   const Polygon sliver = test::Square(10.0, 50.0, 90.0, 50.001);
   const AprilApproximation sliver_fast = fast.Build(sliver);
-  ExpectIdentical(oracle.Build(sliver), sliver_fast, "sliver");
+  ExpectIdentical(Oracle(grid, sliver), sliver_fast, "sliver");
   EXPECT_TRUE(sliver_fast.progressive.Empty());
   EXPECT_FALSE(sliver_fast.conservative.Empty());
 
   // Diagonal sliver (touches a staircase of cells, one run per row).
   const Polygon diag = Polygon(Ring({Point{5, 5}, Point{95, 94.99},
                                      Point{95, 95.01}, Point{5, 5.02}}));
-  ExpectIdentical(oracle.Build(diag), fast.Build(diag), "diagonal sliver");
+  ExpectIdentical(Oracle(grid, diag), fast.Build(diag), "diagonal sliver");
 
   // Polygon entirely inside one cell.
   const double w = 100.0 / 1024.0;
   const Polygon tiny = test::Square(50.0 * w + 0.1 * w, 50.0 * w + 0.1 * w,
                                     50.0 * w + 0.3 * w, 50.0 * w + 0.3 * w);
   const AprilApproximation tiny_fast = fast.Build(tiny);
-  ExpectIdentical(oracle.Build(tiny), tiny_fast, "single-cell");
+  ExpectIdentical(Oracle(grid, tiny), tiny_fast, "single-cell");
   EXPECT_TRUE(tiny_fast.progressive.Empty());
 
-  // Empty polygon: both lists empty on both paths.
+  // Empty polygon: both lists empty in both constructions.
   const Polygon empty;
   const AprilApproximation empty_fast = fast.Build(empty);
-  ExpectIdentical(oracle.Build(empty), empty_fast, "empty");
+  ExpectIdentical(Oracle(grid, empty), empty_fast, "empty");
   EXPECT_TRUE(empty_fast.conservative.Empty());
 }
 
 TEST(HilbertRuns, BuilderMatchesOracleAcrossTheBlockPathCutoff) {
-  // The run-based path switches from per-run decomposition to quadrant
-  // blocks once the coverage is large enough; a polygon with a hole sweeps
-  // both sides of the cutoff as the order grows and exercises the
-  // empty-interior classification of the block recursion.
+  // A polygon with a hole, from 180 cells at order 4 to about nine
+  // million at order 12, exercises the empty-interior classification of
+  // the quadrant recursion at every scale.
   const Polygon holey = test::SquareWithHole(10, 10, 90, 90, /*hw=*/15);
   for (const uint32_t order : {4u, 6u, 8u, 10u, 12u}) {
     const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), order);
     const AprilBuilder fast(&grid);
-    const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
-    ExpectIdentical(oracle.Build(holey), fast.Build(holey), "holey square");
+    ExpectIdentical(Oracle(grid, holey), fast.Build(holey), "holey square");
   }
 }
 
@@ -182,16 +224,15 @@ TEST(HilbertRuns, ParallelBuilderIsThreadCountInvariant) {
 }
 
 TEST(HilbertRuns, ParallelOracleBuildMatchesRunBasedBuild) {
-  // The fanned-out run-based build must match the serial per-cell oracle
-  // object for object.
+  // The fanned-out build must match the serial per-cell oracle object for
+  // object.
   const Dataset dataset = BuildDataset("TC", 0.03, 5);
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 9);
   const std::vector<AprilApproximation> fast =
       BuildAprilApproximations(dataset, grid, 3);
-  const AprilBuilder oracle(&grid, /*per_cell_oracle=*/true);
   ASSERT_EQ(fast.size(), dataset.objects.size());
   for (size_t i = 0; i < fast.size(); ++i) {
-    ExpectIdentical(oracle.Build(dataset.objects[i].geometry), fast[i],
+    ExpectIdentical(Oracle(grid, dataset.objects[i].geometry), fast[i],
                     "parallel dataset object");
   }
 }

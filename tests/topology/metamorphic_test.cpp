@@ -4,16 +4,21 @@
 //    never the answers: P+C over approximations built at grid orders
 //    4, 6, ..., 16 answers every candidate pair exactly as ST2 does. Short
 //    and long interval lists both reach the same merge-joins this way.
-//  - Joining S with R yields the converse of every R-S relation, at 1 and
-//    at 4 threads.
+//  - Joining S with R yields the converse of every R-S relation, at 1, 4
+//    and twice the hardware threads.
 //  - Splitting S never changes the answers: join(R, S) is the union of the
 //    joins of R with each part of S, for contiguous thirds and for an
 //    odd/even split, every part rasterised on the full scenario's grid.
+//  - Rotating both inputs by a multiple of 90° or reflecting them in an
+//    axis never changes the candidates or the answers, although the
+//    approximations then come from other curve frames. Translation is left
+//    out: adding a constant rounds the coordinates, so it is not exact.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -29,6 +34,11 @@ namespace {
 
 constexpr double kScale = 0.01;
 constexpr unsigned kThreads = 4;
+
+/// Twice the hardware threads: the sweeps also run oversubscribed.
+unsigned Oversubscribed() {
+  return 2 * std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// P+C answers the candidates of \p name exactly as ST2 does at every even
 /// grid order from 4 to \p max_order; the filter's counters must move.
@@ -95,7 +105,7 @@ TEST(Metamorphic, SwappingInputsYieldsTheConverse) {
         MbrJoin::Join(scenario.s.Mbrs(), scenario.r.Mbrs());
     ASSERT_EQ(swapped.size(), scenario.candidates.size()) << name;
 
-    for (const unsigned threads : {1u, kThreads}) {
+    for (const unsigned threads : {1u, kThreads, Oversubscribed()}) {
       const JoinOptions join{.num_threads = threads};
       const ParallelJoinResult rs =
           ParallelFindRelation(Method::kPC, scenario.RView(),
@@ -180,6 +190,101 @@ TEST(Metamorphic, SplittingSNeverChangesTheAnswers) {
       }
       std::sort(merged.begin(), merged.end());
       ASSERT_EQ(merged, expected) << name << ", " << split << " of S";
+    }
+  }
+}
+
+/// A map of the plane that only negates or swaps coordinates, so it is
+/// exact in IEEE doubles. Polygon's constructor restores ring winding after
+/// a reflection.
+struct ExactMap {
+  const char* name;
+  Point (*apply)(Point);
+};
+
+constexpr ExactMap kExactMaps[] = {
+    {"rotate 90", [](Point p) { return Point{-p.y, p.x}; }},
+    {"rotate 180", [](Point p) { return Point{-p.x, -p.y}; }},
+    {"rotate 270", [](Point p) { return Point{p.y, -p.x}; }},
+    {"reflect x", [](Point p) { return Point{-p.x, p.y}; }},
+    {"reflect y", [](Point p) { return Point{p.x, -p.y}; }},
+};
+
+Ring MapRing(const Ring& ring, const ExactMap& map) {
+  std::vector<Point> vertices;
+  vertices.reserve(ring.Size());
+  for (const Point& p : ring.Vertices()) vertices.push_back(map.apply(p));
+  return Ring(std::move(vertices));
+}
+
+Dataset MapDataset(const Dataset& dataset, const ExactMap& map) {
+  Dataset out = dataset;
+  for (SpatialObject& object : out.objects) {
+    std::vector<Ring> holes;
+    for (const Ring& hole : object.geometry.Holes()) {
+      holes.push_back(MapRing(hole, map));
+    }
+    object.geometry =
+        Polygon(MapRing(object.geometry.Outer(), map), std::move(holes));
+  }
+  return out;
+}
+
+/// Objects of \p mapped whose C list differs from the same object's in
+/// \p original.
+size_t DifferingConservativeLists(
+    const std::vector<AprilApproximation>& original,
+    const std::vector<AprilApproximation>& mapped) {
+  size_t differing = 0;
+  for (size_t i = 0; i < original.size(); ++i) {
+    if (!(original[i].conservative == mapped[i].conservative)) ++differing;
+  }
+  return differing;
+}
+
+TEST(Metamorphic, RotationsAndReflectionsNeverChangeTheAnswers) {
+  for (const char* name : {"OLE-OPE", "OBE-OPE", "TC-TZ"}) {
+    ScenarioOptions options;
+    options.scale = 0.05;
+    options.grid_order = 10;
+    const ScenarioData scenario = BuildScenario(name, options);
+    ASSERT_FALSE(scenario.candidates.empty()) << name;
+    const ParallelJoinResult expected = ParallelFindRelation(
+        Method::kPC, scenario.RView(), scenario.SView(), scenario.candidates,
+        JoinOptions{.num_threads = kThreads});
+    ASSERT_TRUE(expected.status.ok()) << name;
+
+    for (const ExactMap& map : kExactMaps) {
+      const Dataset r = MapDataset(scenario.r, map);
+      const Dataset s = MapDataset(scenario.s, map);
+      Box dataspace;
+      for (const Dataset* d : {&r, &s}) {
+        for (const SpatialObject& object : d->objects) {
+          dataspace.Expand(object.geometry.Bounds());
+        }
+      }
+      const RasterGrid grid(dataspace, options.grid_order);
+      const std::vector<AprilApproximation> r_april =
+          BuildAprilApproximations(r, grid, kThreads);
+      const std::vector<AprilApproximation> s_april =
+          BuildAprilApproximations(s, grid, kThreads);
+      EXPECT_GT(DifferingConservativeLists(scenario.r_april, r_april) +
+                    DifferingConservativeLists(scenario.s_april, s_april),
+                0u)
+          << name << ", " << map.name << ": no C list changed";
+
+      const std::vector<CandidatePair> candidates =
+          MbrJoin::Join(r.Mbrs(), s.Mbrs());
+      ASSERT_EQ(candidates, scenario.candidates) << name << ", " << map.name;
+      for (const unsigned threads : {1u, kThreads, Oversubscribed()}) {
+        const ParallelJoinResult mapped = ParallelFindRelation(
+            Method::kPC, DatasetView{&r.objects, &r_april},
+            DatasetView{&s.objects, &s_april}, candidates,
+            JoinOptions{.num_threads = threads});
+        ASSERT_TRUE(mapped.status.ok()) << name << ", " << map.name;
+        ASSERT_EQ(mapped.relations, expected.relations)
+            << name << ", " << map.name << " at " << threads << " threads";
+      }
     }
   }
 }

@@ -242,6 +242,47 @@ if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n" OR
   message(FATAL_ERROR "permissive non-finite join failed (${rc}):\n${out}\n${err}")
 endif()
 
+# The coordinate domain is zero or a magnitude in [1e-100, 1e100]. Beyond it
+# the dataspace width overflows or products of coordinate differences
+# underflow, so both repros are parse errors naming line 1.
+file(WRITE ${WORK}/overflow.wkt
+"POLYGON ((-1.7e308 -1.7e308, 1.7e308 -1.7e308, 1.7e308 1.7e308, -1.7e308 1.7e308, -1.7e308 -1.7e308))\n")
+file(WRITE ${WORK}/underflow.wkt
+"POLYGON ((0 0, 1e-300 0, 1e-300 1e-300, 0 1e-300, 0 0))\n")
+run_expect(4 "overflow.wkt:1 @byte 10: expected x coordinate"
+           ${CLI} join ${WORK}/overflow.wkt ${WORK}/overflow.wkt)
+run_expect(4 "underflow.wkt:1 @byte 15: expected x coordinate"
+           ${CLI} join ${WORK}/underflow.wkt ${WORK}/underflow.wkt)
+foreach(repro overflow underflow)
+  run_expect(0 "0 accepted, 0 repaired, 1 skipped"
+             ${CLI} join ${WORK}/${repro}.wkt ${WORK}/${repro}.wkt
+             --permissive)
+endforeach()
+# At the bounds both exact methods answer at the coarse and the finest grid.
+file(WRITE ${WORK}/bounds_r.wkt
+"POLYGON ((-1e100 -1e100, 1e100 -1e100, 1e100 1e100, -1e100 1e100))
+POLYGON ((0 -1e100, 1e100 -1e100, 1e100 1e100, 0 1e100))
+")
+file(WRITE ${WORK}/bounds_s.wkt
+"POLYGON ((-1e100 -1e100, 1e100 -1e100, 1e100 1e100, -1e100 1e100))
+POLYGON ((-1e100 -1e100, 0 -1e100, 0 1e100, -1e100 1e100))
+POLYGON ((0 0, 1e-100 0, 1e-100 1e-100, 0 1e-100))
+")
+foreach(order 12 16)
+  foreach(method pc st2)
+    execute_process(COMMAND ${CLI} join ${WORK}/bounds_r.wkt
+                    ${WORK}/bounds_s.wkt --method=${method}
+                    --grid-order=${order}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0 OR NOT out STREQUAL
+       "0 0 equals\n0 1 covers\n0 2 contains\n1 0 covered-by\n1 1 meets\n1 2 covers\n")
+      message(FATAL_ERROR
+              "join at the coordinate bounds (${method}, grid order ${order}) "
+              "failed (${rc}):\n${out}\n${err}")
+    endif()
+  endforeach()
+endforeach()
+
 # Missing input file: exit 3 (I/O), message names the file.
 run_expect(3 "no_such_file.wkt"
            ${CLI} april ${WORK}/no_such_file.wkt ${WORK}/x.april)
