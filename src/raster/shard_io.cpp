@@ -1,12 +1,16 @@
 #include "src/raster/shard_io.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "src/util/check.h"
+#include "src/util/parallel_for.h"
+#include "src/util/thread_annotations.h"
 
 namespace stj {
 
@@ -84,21 +88,47 @@ std::string TileFileName(uint32_t tile) {
   return "tile_" + num + ".shard";
 }
 
-Status WriteWholeFile(const std::string& path,
-                      const std::vector<uint8_t>& bytes) {
+/// One span of a file: \p bytes of \p data at byte \p offset.
+struct FilePiece {
+  uint64_t offset = 0;
+  const void* data = nullptr;
+  uint64_t bytes = 0;
+};
+
+/// Writes \p count pieces, in ascending offset order, to a new file at
+/// \p path; the gaps between them are zero-filled.
+Status WritePieces(const std::string& path, const FilePiece* pieces,
+                   size_t count) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot open for writing").WithFile(path);
   }
-  const size_t written = bytes.empty()
-                             ? 0
-                             : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    return Status::IoError("short write").WithFile(path);
+  static constexpr uint8_t kZeros[shard::kPageAlign] = {};
+  uint64_t at = 0;
+  bool ok = true;
+  for (size_t i = 0; i < count && ok; ++i) {
+    while (ok && at < pieces[i].offset) {
+      const size_t gap =
+          std::min<uint64_t>(pieces[i].offset - at, sizeof(kZeros));
+      ok = std::fwrite(kZeros, 1, gap, f) == gap;
+      at += gap;
+    }
+    if (ok && pieces[i].bytes != 0) {
+      ok = std::fwrite(pieces[i].data, 1, pieces[i].bytes, f) ==
+           pieces[i].bytes;
+    }
+    at += pieces[i].bytes;
   }
-  return Status::Ok();
+  ok = std::fflush(f) == 0 && ok;
+  ok = std::fclose(f) == 0 && ok;
+  return ok ? Status::Ok() : Status::IoError("short write").WithFile(path);
+}
+
+/// Bytes AppendObjectGeometry writes for \p o.
+size_t GeometryBytes(const SpatialObject& o) {
+  size_t bytes = 8 + 4 + 16 * o.geometry.Outer().Size();
+  for (const Ring& hole : o.geometry.Holes()) bytes += 4 + 16 * hole.Size();
+  return bytes;
 }
 
 /// Serialises one object's geometry: u32 id, u32 ring count, then per ring
@@ -301,6 +331,89 @@ Status CheckSegmentShapes(const ShardLayout& layout, const uint8_t* data,
   return Status::Ok();
 }
 
+/// Formats tile \p t — the \p n objects \p ids names — and streams its
+/// shard file to \p path: header, segment table, then each segment at its
+/// page-aligned offset, straight from the buffers that hold it.
+/// \p file_bytes receives the file's size.
+Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
+                      uint64_t n, const std::vector<SpatialObject>& objects,
+                      const CompressedAprilStore& store,
+                      uint64_t* file_bytes) {
+  // Eager segments: global ids and the serialised geometry, the blob
+  // reserved at its exact size.
+  size_t blob_bytes = 0;
+  for (uint64_t i = 0; i < n; ++i) blob_bytes += GeometryBytes(objects[ids[i]]);
+  std::vector<uint8_t> geom_blob;
+  geom_blob.reserve(blob_bytes);
+  std::vector<uint8_t> geom_index;
+  geom_index.reserve((n + 1) * 8);
+  AppendU64(&geom_index, 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    AppendObjectGeometry(&geom_blob, objects[ids[i]]);
+    AppendU64(&geom_index, geom_blob.size());
+  }
+
+  // APRIL slice: verbatim record copies, so the per-tile arenas are
+  // byte-identical to the dataset records they came from.
+  CompressedAprilStore slice;
+  for (uint64_t i = 0; i < n; ++i) slice.AppendRecordFrom(store, ids[i]);
+  const CompressedStoreSpans& s = slice.Spans();
+
+  struct Payload {
+    uint32_t kind;
+    const void* data;
+    uint64_t bytes;
+  };
+  const Payload payloads[shard::kNumSegments] = {
+      {shard::kObjectIds, ids, n * 4},
+      {shard::kGeometryIndex, geom_index.data(), geom_index.size()},
+      {shard::kGeometryBlob, geom_blob.data(), geom_blob.size()},
+      {shard::kAprilHeaders, s.headers,
+       s.hdr_begin[n] * sizeof(IntervalBlockHeader)},
+      {shard::kAprilBytes, s.bytes, s.byte_begin[n]},
+      {shard::kAprilHdrBegin, s.hdr_begin, (n + 1) * 8},
+      {shard::kAprilPHdrBegin, s.p_hdr_begin, n * 8},
+      {shard::kAprilByteBegin, s.byte_begin, (n + 1) * 8},
+      {shard::kAprilPByteBegin, s.p_byte_begin, n * 8},
+      {shard::kAprilCIntervals, s.c_intervals, n * 8},
+      {shard::kAprilPIntervals, s.p_intervals, n * 8},
+      {shard::kAprilUsable, s.usable, n},
+  };
+
+  // Lay segments out page-aligned and serialise the table behind the
+  // header; the file is then the header followed by the segments.
+  const size_t table_bytes = shard::kNumSegments * kSegmentEntryBytes;
+  std::vector<uint8_t> head;
+  head.reserve(kShardHeaderBytes + table_bytes);
+  FilePiece pieces[1 + shard::kNumSegments];
+  std::vector<uint8_t> table;
+  table.reserve(table_bytes);
+  size_t cursor = kShardHeaderBytes + table_bytes;
+  for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
+    cursor = AlignUp(cursor, shard::kPageAlign);
+    pieces[1 + i] = FilePiece{cursor, payloads[i].data, payloads[i].bytes};
+    AppendU32(&table, payloads[i].kind);
+    AppendU32(&table, 0);
+    AppendU64(&table, cursor);
+    AppendU64(&table, payloads[i].bytes);
+    AppendU64(&table,
+              Fnv1a64(static_cast<const uint8_t*>(payloads[i].data),
+                      payloads[i].bytes));
+    cursor += payloads[i].bytes;
+  }
+  AppendRaw(&head, kShardMagic, 4);
+  AppendU32(&head, shard::kVersion);
+  AppendU64(&head, t);
+  AppendU64(&head, n);
+  AppendU32(&head, shard::kNumSegments);
+  AppendU32(&head, 0);
+  AppendU64(&head, Fnv1a64(table.data(), table.size()));
+  AppendRaw(&head, table.data(), table.size());
+  pieces[0] = FilePiece{0, head.data(), head.size()};
+  *file_bytes = cursor;
+  return WritePieces(path, pieces, 1 + shard::kNumSegments);
+}
+
 }  // namespace
 
 Status WriteShardSet(const std::string& dir, const TileGrid& grid,
@@ -309,7 +422,7 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint64_t>& tile_units,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
-                     ShardWriteStats* stats) {
+                     ShardWriteStats* stats, unsigned num_threads) {
   const uint32_t num_tiles = grid.Tiles();
   STJ_CHECK_MSG(store.Count() == objects.size(),
                 "shard writer needs an APRIL record per object");
@@ -324,94 +437,35 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
         .WithFile(dir);
   }
 
-  ShardWriteStats local;
+  // Tiles are written on the workers, each claiming the next unwritten
+  // tile; every tile's file depends only on its own slice, so the bytes do
+  // not depend on the thread count. The lowest failing tile's Status is
+  // the one reported.
   std::vector<ShardTileInfo> infos(num_tiles);
+  std::vector<Status> tile_status(num_tiles);
+  const unsigned threads =
+      num_threads != 0 ? num_threads
+                       : std::max(1u, std::thread::hardware_concurrency());
+  STJ_ATOMIC_DOC("tile cursor; fetch_add by every worker, each tile is claimed by exactly one");
+  std::atomic<uint32_t> next{0};
+  // stj-analyzer: allow(scope-checkin) the writer takes no ExecContext.
+  internal::RunWorkers(std::min(threads, num_tiles), [&](unsigned) {
+    for (uint32_t t = next.fetch_add(1); t < num_tiles; t = next.fetch_add(1)) {
+      const uint64_t n = tile_begin[t + 1] - tile_begin[t];
+      uint64_t file_bytes = 0;
+      tile_status[t] =
+          WriteTileShard(PathJoin(dir, TileFileName(t)), t,
+                         entries.data() + tile_begin[t], n, objects, store,
+                         &file_bytes);
+      infos[t] = ShardTileInfo{n, tile_units[t], file_bytes};
+    }
+  });
+  ShardWriteStats local;
   for (uint32_t t = 0; t < num_tiles; ++t) {
-    const uint32_t* ids = entries.data() + tile_begin[t];
-    const uint64_t n = tile_begin[t + 1] - tile_begin[t];
-
-    // Eager segments: global ids and the serialised geometry.
-    std::vector<uint8_t> geom_blob;
-    std::vector<uint8_t> geom_index;
-    geom_index.reserve((n + 1) * 8);
-    AppendU64(&geom_index, 0);
-    for (uint64_t i = 0; i < n; ++i) {
-      AppendObjectGeometry(&geom_blob, objects[ids[i]]);
-      AppendU64(&geom_index, geom_blob.size());
-    }
-
-    // APRIL slice: verbatim record copies, so the per-tile arenas are
-    // byte-identical to the dataset records they came from.
-    CompressedAprilStore slice;
-    for (uint64_t i = 0; i < n; ++i) {
-      slice.AppendRecordFrom(store, ids[i]);
-    }
-    const CompressedStoreSpans& s = slice.Spans();
-
-    struct Payload {
-      uint32_t kind;
-      const void* data;
-      uint64_t bytes;
-    };
-    const Payload payloads[shard::kNumSegments] = {
-        {shard::kObjectIds, ids, n * 4},
-        {shard::kGeometryIndex, geom_index.data(), geom_index.size()},
-        {shard::kGeometryBlob, geom_blob.data(), geom_blob.size()},
-        {shard::kAprilHeaders, s.headers,
-         s.hdr_begin[n] * sizeof(IntervalBlockHeader)},
-        {shard::kAprilBytes, s.bytes, s.byte_begin[n]},
-        {shard::kAprilHdrBegin, s.hdr_begin, (n + 1) * 8},
-        {shard::kAprilPHdrBegin, s.p_hdr_begin, n * 8},
-        {shard::kAprilByteBegin, s.byte_begin, (n + 1) * 8},
-        {shard::kAprilPByteBegin, s.p_byte_begin, n * 8},
-        {shard::kAprilCIntervals, s.c_intervals, n * 8},
-        {shard::kAprilPIntervals, s.p_intervals, n * 8},
-        {shard::kAprilUsable, s.usable, n},
-    };
-
-    // Lay segments out page-aligned, serialise the table, then assemble.
-    const size_t table_bytes = shard::kNumSegments * kSegmentEntryBytes;
-    size_t cursor = kShardHeaderBytes + table_bytes;
-    std::vector<uint8_t> table;
-    table.reserve(table_bytes);
-    size_t file_size = cursor;
-    uint64_t offsets[shard::kNumSegments];
-    for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
-      cursor = AlignUp(cursor, shard::kPageAlign);
-      offsets[i] = cursor;
-      AppendU32(&table, payloads[i].kind);
-      AppendU32(&table, 0);
-      AppendU64(&table, cursor);
-      AppendU64(&table, payloads[i].bytes);
-      AppendU64(&table,
-                Fnv1a64(static_cast<const uint8_t*>(payloads[i].data),
-                        payloads[i].bytes));
-      cursor += payloads[i].bytes;
-      file_size = cursor;
-    }
-
-    std::vector<uint8_t> file;
-    file.reserve(file_size);
-    AppendRaw(&file, kShardMagic, 4);
-    AppendU32(&file, shard::kVersion);
-    AppendU64(&file, t);
-    AppendU64(&file, n);
-    AppendU32(&file, shard::kNumSegments);
-    AppendU32(&file, 0);
-    AppendU64(&file, Fnv1a64(table.data(), table.size()));
-    AppendRaw(&file, table.data(), table.size());
-    for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
-      file.resize(offsets[i], 0);  // zero padding up to the aligned offset
-      AppendRaw(&file, payloads[i].data, payloads[i].bytes);
-    }
-
-    const std::string path = PathJoin(dir, TileFileName(t));
-    Status st = WriteWholeFile(path, file);
-    if (!st.ok()) return st;
-    infos[t] = ShardTileInfo{n, tile_units[t], file.size()};
-    local.bytes_written += file.size();
-    ++local.tiles;
+    if (!tile_status[t].ok()) return tile_status[t];
+    local.bytes_written += infos[t].file_bytes;
   }
+  local.tiles = num_tiles;
 
   // Manifest last: its presence marks a complete shard set.
   std::vector<uint8_t> payload;
@@ -437,7 +491,8 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
   AppendU64(&manifest, payload.size());
   AppendU64(&manifest, Fnv1a64(payload.data(), payload.size()));
   AppendRaw(&manifest, payload.data(), payload.size());
-  Status st = WriteWholeFile(PathJoin(dir, kManifestName), manifest);
+  const FilePiece piece{0, manifest.data(), manifest.size()};
+  Status st = WritePieces(PathJoin(dir, kManifestName), &piece, 1);
   if (!st.ok()) return st;
   local.bytes_written += manifest.size();
 

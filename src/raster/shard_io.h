@@ -95,13 +95,20 @@ struct ShardWriteStats {
 /// compressed APRIL storage, index-aligned with \p objects. Per-tile APRIL
 /// slices are copied verbatim (never re-encoded), so a loaded tile record
 /// is byte-identical to the dataset record it came from.
+///
+/// Tiles are formatted, checksummed and written on \p num_threads workers
+/// (0 = hardware concurrency), each tile streamed segment by segment to its
+/// file; the manifest is written last, once every tile is on disk. Every
+/// file's bytes are the same at any thread count. On failure the lowest
+/// failing tile's Status is returned and no manifest is written.
 [[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
                      const std::vector<uint32_t>& entries,
                      const std::vector<uint64_t>& tile_units,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
-                     ShardWriteStats* stats = nullptr);
+                     ShardWriteStats* stats = nullptr,
+                     unsigned num_threads = 0);
 
 /// One tile, resident: the mapping plus everything deserialised off it.
 /// The cstore references the mapping (zero-copy) — LoadedShard must be kept

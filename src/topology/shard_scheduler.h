@@ -31,19 +31,29 @@ namespace stj {
 /// by (r, s), are byte-identical to the single-arena join at every tile
 /// grid, cache budget, and thread count.
 ///
-/// Task order maximises shard reuse: tasks are sorted by the Hilbert-curve
-/// position of their tile-intersection center, so consecutive tasks touch
-/// spatially adjacent tiles and re-hit the resident shards instead of
-/// thrashing the cache.
+/// Task order maximises shard reuse: tasks are grouped by the tile of the
+/// *major* side — the side whose shards are larger on average — so each
+/// major shard serves one run of consecutive tasks and is loaded about once
+/// (exactly once at one thread).
+/// Groups follow the Hilbert order of their tile's centre, and the tasks of
+/// a group the Hilbert order of their tile-intersection centre, so the
+/// minor shards are visited in spatial order too.
+///
+/// Parallelism: workers claim whole tasks through one atomic cursor, and a
+/// task runs its MbrJoin and ParallelFindRelation on the threads left over
+/// — one once there are as many tasks as threads, all of them for a
+/// one-task set. Each task fills its own result slot; the slots are merged
+/// and sorted by (r, s) after the workers joined.
 struct ShardJoinOptions {
-  /// Knobs for the per-task join (threads, caches, ExecContext). The
-  /// ExecContext, when set, also covers the scheduler itself: shard loads
-  /// are charged to its memory budget and the task loop checks in once per
-  /// task.
+  /// Knobs for the join (threads, caches, ExecContext). num_threads is the
+  /// whole join's budget, split between the task workers and each task's
+  /// own joins as above. The ExecContext, when set, also covers the
+  /// scheduler itself: shard loads are charged to its memory budget and
+  /// each worker checks in once per task.
   JoinOptions join;
   /// LRU budget for resident shards, both sides together. The two shards of
-  /// the running task are always pinned, so the effective floor is the
-  /// largest r-shard plus the largest s-shard; a smaller budget degrades to
+  /// every running task are pinned, so the effective floor is one r-shard
+  /// plus one s-shard per running task; a smaller budget degrades to
   /// exactly that working set (correct, just reload-heavy).
   size_t shard_cache_bytes = size_t{256} << 20;
 };
@@ -84,7 +94,10 @@ struct ShardJoinResult {
 };
 
 /// Runs the sharded join. Both shard sets must be complete (written by
-/// WriteShardSet); corruption surfaces as a kDataLoss status.
+/// WriteShardSet); corruption surfaces as a kDataLoss status. A shard that
+/// fails to load reports the Status of the lowest-numbered task that needed
+/// it, with the answers of the tasks before that one — the same result at
+/// every thread count.
 ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
                                     const ShardSet& s_shards,
                                     const ShardJoinOptions& options);
@@ -92,13 +105,16 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
 /// Convenience builder glueing the layers for the CLI and tests: computes
 /// per-object computational units (vertex count + APRIL interval count —
 /// the cost model the partitioner balances), builds the cost-balanced
-/// TilePartition, and persists the dataset as a shard set under \p dir.
-/// \p partition_out (optional) receives the partition for inspection.
+/// TilePartition, and persists the dataset as a shard set under \p dir,
+/// writing the tiles on \p num_threads workers (0 = hardware concurrency;
+/// see WriteShardSet). \p partition_out (optional) receives the partition
+/// for inspection.
 Status BuildShardSet(const std::string& dir,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out = nullptr,
-                     ShardWriteStats* stats_out = nullptr);
+                     ShardWriteStats* stats_out = nullptr,
+                     unsigned num_threads = 0);
 
 }  // namespace stj

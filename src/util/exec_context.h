@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/util/check.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
@@ -87,7 +88,10 @@ class ExecContext {
   /// Arms the soft memory budget consulted by TryCharge. "Soft" because it
   /// bounds the *tracked* allocations (arena growth, tile-entry tables,
   /// APRIL interval payloads), not every byte the allocator hands out.
+  /// \p bytes must fit the signed counter (at most INT64_MAX).
   void SetMemoryBudget(size_t bytes) {
+    STJ_CHECK_MSG(bytes <= static_cast<uint64_t>(INT64_MAX),
+                  "memory budget exceeds INT64_MAX bytes");
     budget_remaining_.store(static_cast<int64_t>(bytes),
                             std::memory_order_relaxed);
     has_budget_ = true;

@@ -37,7 +37,7 @@ struct PinnedCacheStats {
 ///    (counted, so independent pinners compose); eviction walks the LRU
 ///    tail skipping pinned keys. A budget smaller than the pinned set
 ///    degrades to holding exactly the pinned entries — over budget but
-///    correct, matching the scheduler's "the running task's two shards
+///    correct, matching the scheduler's "every running task's two shards
 ///    always fit" contract.
 ///  - *Charges balance.* Every resident entry's bytes are charged to the
 ///    ExecContext budget exactly once at load and released exactly once —
@@ -53,10 +53,13 @@ struct PinnedCacheStats {
 /// index, and byte accounting are all STJ_GUARDED_BY it, so a clang
 /// -Wthread-safety build statically rejects unlocked access. The loader
 /// runs *under the lock* — concurrent misses serialize. That is the right
-/// trade for the scheduler today (tasks load two shards per task, load
-/// cost dwarfs lock cost) and keeps the protocol small enough to
-/// model-check exhaustively; a resident service wanting parallel misses
-/// would split the lock, re-proving the protocol in tests/model/ first.
+/// trade for the scheduler today: its workers run tile-pair tasks in
+/// parallel, but the task order loads each large shard about once, so the
+/// loads are a small share of a join's time, and a worker that misses on a
+/// shard another worker is loading gets a hit instead of a second mapping.
+/// It also keeps the protocol small enough to model-check exhaustively; a
+/// resident service wanting parallel misses would split the lock,
+/// re-proving the protocol in tests/model/ first.
 ///
 /// Pointer stability: Get returns a pointer into the entry list; it stays
 /// valid until the entry is evicted. Callers that use the value beyond the

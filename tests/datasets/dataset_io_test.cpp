@@ -6,18 +6,15 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 TEST(DatasetIo, RoundTripPreservesGeometry) {
   const Dataset original = BuildDataset("TW", 0.003, 11);
   ASSERT_FALSE(original.objects.empty());
-  const std::string path = TempPath("tw_roundtrip.wkt");
+  const std::string path = test::TempPath("tw_roundtrip.wkt");
   ASSERT_TRUE(SaveWktDataset(path, original));
 
   Dataset loaded;
@@ -44,7 +41,7 @@ TEST(DatasetIo, SavedBytesDoNotDependOnThreadCount) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});
   };
-  const std::string path = TempPath("save_threads.wkt");
+  const std::string path = test::TempPath("save_threads.wkt");
   ASSERT_TRUE(SaveWktDataset(path, dataset, 1));
   const std::string serial = bytes(path);
   for (const unsigned threads : {3u, 4u, 0u}) {
@@ -58,7 +55,7 @@ TEST(DatasetIo, SavedBytesDoNotDependOnThreadCount) {
 }
 
 TEST(DatasetIo, SkipsCommentsAndBlankLines) {
-  const std::string path = TempPath("commented.wkt");
+  const std::string path = test::TempPath("commented.wkt");
   {
     std::ofstream out(path);
     out << "# header comment\n\n"
@@ -73,7 +70,7 @@ TEST(DatasetIo, SkipsCommentsAndBlankLines) {
 }
 
 TEST(DatasetIo, FailsOnMalformedLine) {
-  const std::string path = TempPath("malformed.wkt");
+  const std::string path = test::TempPath("malformed.wkt");
   {
     std::ofstream out(path);
     out << "POLYGON ((0 0, 1 0, 1 1))\n"
@@ -87,11 +84,11 @@ TEST(DatasetIo, FailsOnMalformedLine) {
 
 TEST(DatasetIo, FailsOnMissingFile) {
   Dataset loaded;
-  EXPECT_FALSE(LoadWktDataset(TempPath("nope.wkt"), "test", &loaded));
+  EXPECT_FALSE(LoadWktDataset(test::TempPath("nope.wkt"), "test", &loaded));
 }
 
 TEST(DatasetIo, StrictStatusNamesLineAndOffset) {
-  const std::string path = TempPath("strict_detail.wkt");
+  const std::string path = test::TempPath("strict_detail.wkt");
   {
     std::ofstream out(path);
     out << "# comment\n"
@@ -113,7 +110,7 @@ TEST(DatasetIo, PermissiveTriagesEveryLine) {
   // Two clean lines, one repairable (duplicate consecutive vertex), one
   // unreparable zero-area zig-zag, one parse error: permissive mode must
   // land each in exactly one bucket and load accepted + repaired objects.
-  const std::string path = TempPath("permissive_counts.wkt");
+  const std::string path = test::TempPath("permissive_counts.wkt");
   {
     std::ofstream out(path);
     out << "POLYGON ((0 0, 4 0, 4 4, 0 4))\n"
@@ -155,7 +152,8 @@ TEST(DatasetIo, PermissiveStillFailsOnIoError) {
   LoadOptions options;
   options.mode = LoadMode::kPermissive;
   const Status status =
-      LoadWktDataset(TempPath("still_nope.wkt"), "test", options, &loaded);
+      LoadWktDataset(test::TempPath("still_nope.wkt"), "test", options,
+                     &loaded);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }

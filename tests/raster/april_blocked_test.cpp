@@ -21,10 +21,6 @@
 namespace stj {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 // Mirrors the writer's frame checksum (april_io.cpp).
 uint64_t Fnv1a64(const char* data, size_t size) {
   uint64_t hash = 0xcbf29ce484222325ull;
@@ -36,19 +32,19 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 }
 
 // Offsets of the record frames, plus the end offset of the last frame.
-std::vector<size_t> FrameOffsets(const std::string& bytes, size_t count) {
+void FrameOffsets(const std::string& bytes, size_t count,
+                  std::vector<size_t>* offsets) {
   constexpr size_t kHeaderSize = 4 + 4 + 8;  // magic, u32 version, u64 count
-  std::vector<size_t> offsets;
   size_t off = kHeaderSize;
   for (size_t i = 0; i < count; ++i) {
-    offsets.push_back(off);
+    offsets->push_back(off);
     uint64_t payload_size = 0;
-    EXPECT_LE(off + 16, bytes.size());
+    ASSERT_LE(off + 16, bytes.size()) << "frame " << i << " past the end";
     std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
+    ASSERT_LE(payload_size, bytes.size() - off - 16) << "frame " << i;
     off += 16 + payload_size;  // size, checksum, payload
   }
-  offsets.push_back(off);
-  return offsets;
+  offsets->push_back(off);
 }
 
 // Flips one payload byte of frame \p record and REPAIRS the frame checksum,
@@ -89,7 +85,7 @@ class AprilBlockedTest : public ::testing::Test {
 
   // The saved v3 file's bytes.
   std::string SavedBytes() {
-    const std::string path = TempPath("april_blocked_scratch.bin");
+    const std::string path = test::TempPath("april_blocked_scratch.bin");
     EXPECT_TRUE(SaveAprilStoreBlocked(path, store_));
     std::string bytes = test::ReadFileBytes(path);
     std::remove(path.c_str());
@@ -101,7 +97,7 @@ class AprilBlockedTest : public ::testing::Test {
 };
 
 TEST_F(AprilBlockedTest, RoundTripsIntoCompressedStore) {
-  const std::string path = TempPath("april_blocked_rt.bin");
+  const std::string path = test::TempPath("april_blocked_rt.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(path, store_));
 
   CompressedAprilStore loaded;
@@ -117,7 +113,7 @@ TEST_F(AprilBlockedTest, RoundTripsIntoCompressedStore) {
 }
 
 TEST_F(AprilBlockedTest, FlatLoaderDecodesVersion3Transparently) {
-  const std::string path = TempPath("april_blocked_flat.bin");
+  const std::string path = test::TempPath("april_blocked_flat.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(path, store_));
 
   AprilStore loaded;
@@ -157,11 +153,12 @@ TEST_F(AprilBlockedTest, FromStoreAndDecodeRecordAreInverse) {
 
 TEST_F(AprilBlockedTest, ChecksumCorruptionIsolatesOneRecord) {
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, store_.Count());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, store_.Count(), &offsets));
   const std::string damaged =
       test::WithFlippedByte(bytes, offsets[2] + 16 + 3);
 
-  const std::string path = TempPath("april_blocked_crc.bin");
+  const std::string path = test::TempPath("april_blocked_crc.bin");
   test::WriteFileBytes(path, damaged);
   for (const bool via_compressed : {false, true}) {
     AprilLoadReport report;
@@ -194,7 +191,8 @@ TEST_F(AprilBlockedTest, CodecCorruptionWithValidChecksumIsCaught) {
   // frame checksum recomputed. Deep codec validation must catch it, count it
   // separately from bit-rot corruption, and isolate the record.
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, store_.Count());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, store_.Count(), &offsets));
   // Damage the final payload byte: it belongs to the last block's varint
   // stream, where any flip breaks the header-pinned block endpoint (data
   // bits change the delta sum, the continuation bit truncates the varint).
@@ -204,7 +202,7 @@ TEST_F(AprilBlockedTest, CodecCorruptionWithValidChecksumIsCaught) {
       bytes, offsets, /*record=*/3,
       /*payload_byte=*/static_cast<size_t>(payload_size) - 1);
 
-  const std::string path = TempPath("april_blocked_codec.bin");
+  const std::string path = test::TempPath("april_blocked_codec.bin");
   test::WriteFileBytes(path, damaged);
   for (const bool via_compressed : {false, true}) {
     AprilLoadReport report;
@@ -242,10 +240,11 @@ TEST_F(AprilBlockedTest, CodecFlipSweepNeverEscapesTheRecord) {
   // record still loads as a self-consistent canonical list. All other
   // records must come through untouched either way.
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, store_.Count());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, store_.Count(), &offsets));
   uint64_t payload_size = 0;
   std::memcpy(&payload_size, bytes.data() + offsets[1], sizeof payload_size);
-  const std::string path = TempPath("april_blocked_sweep.bin");
+  const std::string path = test::TempPath("april_blocked_sweep.bin");
   size_t detected = 0;
   for (size_t b = 0; b < payload_size; ++b) {
     test::WriteFileBytes(path, WithCodecCorruptRecord(bytes, offsets, 1, b));
@@ -284,9 +283,10 @@ TEST_F(AprilBlockedTest, CodecFlipSweepNeverEscapesTheRecord) {
 
 TEST_F(AprilBlockedTest, TruncationKeepsVerifiedPrefix) {
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, store_.Count());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, store_.Count(), &offsets));
   ASSERT_EQ(offsets.back(), bytes.size());
-  const std::string path = TempPath("april_blocked_trunc.bin");
+  const std::string path = test::TempPath("april_blocked_trunc.bin");
   for (size_t k = 0; k < store_.Count(); ++k) {
     test::WriteFileBytes(path, test::TruncatedTo(bytes, offsets[k]));
     CompressedAprilStore loaded;
@@ -320,7 +320,7 @@ TEST_F(AprilBlockedTest, CompressedLoaderRejectsVersion2Files) {
                sizeof payload_size);
   bytes.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
   bytes.append(reinterpret_cast<const char*>(list_sizes), sizeof list_sizes);
-  const std::string path = TempPath("april_blocked_v2.bin");
+  const std::string path = test::TempPath("april_blocked_v2.bin");
   test::WriteFileBytes(path, bytes);
   CompressedAprilStore compressed;
   const Status status = LoadCompressedAprilStore(path, &compressed, nullptr);
@@ -341,7 +341,7 @@ TEST(AprilBlocked, EmptyAndPlaceholderRecordsRoundTrip) {
   store.AppendEncoded(c, IntervalView());  // empty P list
 
   const std::string path =
-      std::string(::testing::TempDir()) + "/april_blocked_empty.bin";
+      test::TempPath("april_blocked_empty.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(path, store));
   CompressedAprilStore loaded;
   AprilLoadReport report;

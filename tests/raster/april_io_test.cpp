@@ -15,10 +15,6 @@
 namespace stj {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 /// Writes \p approximations as an APRIL file (the one format: version 3).
 bool SaveApproximations(const std::string& path,
                         const std::vector<AprilApproximation>& approximations) {
@@ -37,7 +33,7 @@ TEST(AprilIo, RoundTripPreservesLists) {
         &rng, Point{rng.Uniform(10, 90), rng.Uniform(10, 90)},
         rng.LogUniform(0.5, 8.0), 32, 0.2)));
   }
-  const std::string path = TempPath("april_roundtrip.bin");
+  const std::string path = test::TempPath("april_roundtrip.bin");
   ASSERT_TRUE(SaveApproximations(path, originals));
 
   AprilStore loaded;
@@ -58,7 +54,7 @@ TEST(AprilIo, RoundTripPreservesLists) {
 }
 
 TEST(AprilIo, EmptyCollection) {
-  const std::string path = TempPath("april_empty.bin");
+  const std::string path = test::TempPath("april_empty.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(path, CompressedAprilStore()));
   AprilStore loaded;
   loaded.AppendRecord(IntervalView(), IntervalView());  // must be cleared
@@ -71,11 +67,12 @@ TEST(AprilIo, EmptyCollection) {
 
 TEST(AprilIo, RejectsMissingFile) {
   AprilStore loaded;
-  EXPECT_FALSE(LoadAprilStore(TempPath("does_not_exist.bin"), &loaded).ok());
+  EXPECT_FALSE(
+      LoadAprilStore(test::TempPath("does_not_exist.bin"), &loaded).ok());
 }
 
 TEST(AprilIo, RejectsBadMagic) {
-  const std::string path = TempPath("april_badmagic.bin");
+  const std::string path = test::TempPath("april_badmagic.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fwrite("NOPE", 1, 4, f);
@@ -92,7 +89,7 @@ TEST(AprilIo, RejectsTruncatedFile) {
   const AprilBuilder builder(&grid);
   const std::vector<AprilApproximation> originals = {
       builder.Build(test::Square(1, 1, 8, 8))};
-  const std::string path = TempPath("april_truncated.bin");
+  const std::string path = test::TempPath("april_truncated.bin");
   ASSERT_TRUE(SaveApproximations(path, originals));
   // Truncate the file to half its size.
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -120,7 +117,7 @@ TEST(AprilIo, CompressedFormatIsSubstantiallySmaller) {
     originals.push_back(builder.Build(test::RandomBlob(
         &rng, Point{rng.Uniform(20, 80), rng.Uniform(20, 80)}, 10.0, 128)));
   }
-  const std::string path = TempPath("april_comp_size.bin");
+  const std::string path = test::TempPath("april_comp_size.bin");
   ASSERT_TRUE(SaveApproximations(path, originals));
   const size_t flat = AprilStore::FromApproximations(originals)
                           .IntervalByteSize();
@@ -133,7 +130,7 @@ TEST(AprilIo, CompressedEmptyListsRoundTrip) {
   // Slivers can have empty P lists; the file format must keep them.
   std::vector<AprilApproximation> originals(2);
   originals[0].conservative = IntervalList::FromCells({1, 2, 3, 99});
-  const std::string path = TempPath("april_comp_empty.bin");
+  const std::string path = test::TempPath("april_comp_empty.bin");
   ASSERT_TRUE(SaveApproximations(path, originals));
   AprilStore loaded;
   ASSERT_TRUE(LoadAprilStore(path, &loaded).ok());
@@ -154,7 +151,7 @@ TEST(AprilIo, DetailedReportOnHealthyFile) {
     originals.push_back(builder.Build(test::RandomBlob(
         &rng, Point{rng.Uniform(10, 40), rng.Uniform(10, 40)}, 4.0, 24)));
   }
-  const std::string path = TempPath("april_detailed.bin");
+  const std::string path = test::TempPath("april_detailed.bin");
   ASSERT_TRUE(SaveApproximations(path, originals));
   AprilStore loaded;
   AprilLoadReport report;
@@ -174,7 +171,7 @@ TEST(AprilIo, DetailedReportOnHealthyFile) {
 
 TEST(AprilIo, MissingFileStatusNamesIt) {
   AprilStore loaded;
-  const std::string path = TempPath("absent.april");
+  const std::string path = test::TempPath("absent.april");
   const Status status = LoadAprilStore(path, &loaded, nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.file(), path);
@@ -206,7 +203,7 @@ TEST(AprilIo, RejectsNonCanonicalLists) {
   bytes.append(reinterpret_cast<const char*>(&size), sizeof size);
   bytes.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
   bytes += payload;
-  const std::string path = TempPath("april_noncanonical.bin");
+  const std::string path = test::TempPath("april_noncanonical.bin");
   test::WriteFileBytes(path, bytes);
   AprilStore loaded;
   AprilLoadReport report;

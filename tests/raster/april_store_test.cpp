@@ -23,10 +23,6 @@
 namespace stj {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
-
 std::vector<AprilApproximation> MakeApproximations(int count, uint64_t seed) {
   Rng rng(seed);
   const RasterGrid grid(Box::Of(Point{0, 0}, Point{64, 64}), 7);
@@ -84,7 +80,7 @@ TEST(AprilStore, LoadRoundTripsBothEncodings) {
   const std::vector<AprilApproximation> source = MakeApproximations(7, 43);
   const AprilStore original = AprilStore::FromApproximations(source);
   const CompressedAprilStore blocked = CompressedAprilStore::FromStore(original);
-  const std::string path = TempPath("store_roundtrip.bin");
+  const std::string path = test::TempPath("store_roundtrip.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(path, blocked));
   AprilStore loaded;
   AprilLoadReport report;
@@ -101,7 +97,7 @@ TEST(AprilStore, LoadRoundTripsBothEncodings) {
 
 TEST(AprilStore, CorruptRecordBecomesUnusablePlaceholder) {
   const std::vector<AprilApproximation> source = MakeApproximations(5, 61);
-  const std::string path = TempPath("store_corrupt.bin");
+  const std::string path = test::TempPath("store_corrupt.bin");
   ASSERT_TRUE(SaveAprilStoreBlocked(
       path, CompressedAprilStore::FromStore(
                 AprilStore::FromApproximations(source))));

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
 #include "src/join/partitioner.h"
 #include "src/util/mmap_file.h"
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
@@ -91,21 +94,30 @@ class ShardIoTest : public ::testing::Test {
     partition_ = BuildCostBalancedPartition(mbrs, units, poptions);
   }
 
-  // Each test writes into its own directory under the shared TempDir (tests
-  // may run as separate ctest processes against the same TempDir).
-  std::string Dir(const std::string& name) const {
-    return std::string(::testing::TempDir()) + "/shard_io_" + name;
+  ~ShardIoTest() override {
+    std::error_code ignored;
+    for (const std::string& dir : dirs_) {
+      std::filesystem::remove_all(dir, ignored);
+    }
   }
 
-  Status Write(const std::string& dir, ShardWriteStats* stats = nullptr) {
+  // A scratch directory of this test (test::TempPath), removed afterwards.
+  std::string Dir(const std::string& name) {
+    dirs_.push_back(test::TempPath("shard_io_" + name));
+    return dirs_.back();
+  }
+
+  Status Write(const std::string& dir, ShardWriteStats* stats = nullptr,
+               unsigned threads = 0) {
     return WriteShardSet(dir, partition_.grid, partition_.tile_begin,
                          partition_.entries, partition_.tile_units,
-                         scenario_.r.objects, cstore_, stats);
+                         scenario_.r.objects, cstore_, stats, threads);
   }
 
   ScenarioData scenario_;
   CompressedAprilStore cstore_;
   TilePartition partition_;
+  std::vector<std::string> dirs_;
 };
 
 TEST_F(ShardIoTest, RoundTripPreservesEveryTileSlice) {
@@ -150,6 +162,61 @@ TEST_F(ShardIoTest, RoundTripPreservesEveryTileSlice) {
     // The mapped APRIL slice is byte-identical to the writer's input
     // (records are copied verbatim, never re-encoded).
     EXPECT_TRUE(shard.cstore == expected_slice) << "tile " << t;
+  }
+}
+
+TEST_F(ShardIoTest, FilesAreByteIdenticalAtEveryWriterThreadCount) {
+  // Workers write the tiles in whatever order they claim them; no file's
+  // bytes, the manifest's included, may depend on that. Twelve tiles give
+  // every worker several.
+  std::vector<uint64_t> units(scenario_.r.objects.size());
+  for (size_t i = 0; i < units.size(); ++i) {
+    units[i] = scenario_.r.objects[i].geometry.VertexCount();
+  }
+  PartitionOptions poptions;
+  poptions.target_tiles = 12;
+  partition_ = BuildCostBalancedPartition(scenario_.r.Mbrs(), units, poptions);
+  ASSERT_GE(partition_.Tiles(), 8u);
+
+  const std::string serial = Dir("threads_1");
+  ShardWriteStats serial_stats;
+  ASSERT_TRUE(Write(serial, &serial_stats, 1).ok());
+  ShardSet serial_set;
+  ASSERT_TRUE(ShardSet::Open(serial, &serial_set).ok());
+  for (const unsigned threads : {4u, test::Oversubscribed()}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const std::string dir = Dir("threads_" + std::to_string(threads));
+    ShardWriteStats stats;
+    ASSERT_TRUE(Write(dir, &stats, threads).ok());
+    EXPECT_EQ(stats.tiles, serial_stats.tiles);
+    EXPECT_EQ(stats.bytes_written, serial_stats.bytes_written);
+    ShardSet set;
+    ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+    EXPECT_EQ(ReadFile(dir + "/manifest.stj"),
+              ReadFile(serial + "/manifest.stj"));
+    for (uint32_t t = 0; t < set.Tiles(); ++t) {
+      const std::vector<uint8_t> file = ReadFile(set.TilePath(t));
+      ASSERT_FALSE(file.empty()) << "tile " << t;
+      EXPECT_EQ(file, ReadFile(serial_set.TilePath(t))) << "tile " << t;
+    }
+  }
+}
+
+TEST_F(ShardIoTest, WriteFailureReportsTheLowestFailingTile) {
+  // Tiles 1 and 3 cannot be created (a directory holds each name). Whatever
+  // the thread count, the error names tile 1 and no manifest is written.
+  ASSERT_GE(partition_.Tiles(), 4u);
+  for (const unsigned threads : {1u, 4u, test::Oversubscribed()}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const std::string dir = Dir("blocked_" + std::to_string(threads));
+    std::filesystem::create_directories(dir + "/tile_000001.shard");
+    std::filesystem::create_directories(dir + "/tile_000003.shard");
+    const Status status = Write(dir, nullptr, threads);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.ToString().find("tile_000001.shard"), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.stj"));
   }
 }
 

@@ -1,6 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -24,32 +22,22 @@
 namespace stj {
 namespace {
 
-std::string TempPath(const char* name) {
-  // Each test case runs as its own ctest process against the shared TempDir;
-  // a pid-qualified name keeps concurrently scheduled cases from racing on
-  // the scratch files.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::string(::testing::TempDir()) + "/" +
-         (info != nullptr ? info->name() : "unknown") + "_" +
-         std::to_string(::getpid()) + "_" + name;
-}
-
 // Offsets of the record frames in \p bytes (one per record, in order),
 // plus the end offset of the last frame. Derived by walking the frame sizes,
 // mirroring the reader's resynchronisation rule.
-std::vector<size_t> FrameOffsets(const std::string& bytes, size_t count) {
+void FrameOffsets(const std::string& bytes, size_t count,
+                  std::vector<size_t>* offsets) {
   constexpr size_t kHeaderSize = 4 + 4 + 8;  // magic, u32 version, u64 count
-  std::vector<size_t> offsets;
   size_t off = kHeaderSize;
   for (size_t i = 0; i < count; ++i) {
-    offsets.push_back(off);
+    offsets->push_back(off);
     uint64_t payload_size = 0;
-    EXPECT_LE(off + 16, bytes.size());
+    ASSERT_LE(off + 16, bytes.size()) << "frame " << i << " past the end";
     std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
+    ASSERT_LE(payload_size, bytes.size() - off - 16) << "frame " << i;
     off += 16 + payload_size;  // size, checksum, payload
   }
-  offsets.push_back(off);
-  return offsets;
+  offsets->push_back(off);
 }
 
 class AprilFaultInjectionTest : public ::testing::Test {
@@ -71,7 +59,7 @@ class AprilFaultInjectionTest : public ::testing::Test {
   // the first corrupt or missing index) matches the original bit-for-bit.
   void ExpectDetectedAndPrefixExact(const std::string& bytes,
                                     const std::string& label) {
-    const std::string path = TempPath("april_fault_scratch.bin");
+    const std::string path = test::TempPath("april_fault_scratch.bin");
     test::WriteFileBytes(path, bytes);
 
     AprilStore loaded;
@@ -116,7 +104,7 @@ class AprilFaultInjectionTest : public ::testing::Test {
   }
 
   std::string SavedBytes() {
-    const std::string path = TempPath("april_fault.bin");
+    const std::string path = test::TempPath("april_fault.bin");
     EXPECT_TRUE(SaveAprilStoreBlocked(
         path, CompressedAprilStore::FromStore(
                   AprilStore::FromApproximations(originals_))));
@@ -149,10 +137,11 @@ TEST_F(AprilFaultInjectionTest, TruncationAtExactRecordBoundaries) {
   // Cutting precisely between frames must yield exactly the preceding
   // records, all usable, with the missing tail accounted as corrupt.
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, originals_.size());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, originals_.size(), &offsets));
   ASSERT_EQ(offsets.back(), bytes.size());
 
-  const std::string path = TempPath("april_fault_boundary.bin");
+  const std::string path = test::TempPath("april_fault_boundary.bin");
   for (size_t k = 0; k < originals_.size(); ++k) {
     test::WriteFileBytes(path, test::TruncatedTo(bytes, offsets[k]));
     AprilStore loaded;
@@ -172,7 +161,7 @@ TEST_F(AprilFaultInjectionTest, TruncationAtExactRecordBoundaries) {
 
 TEST_F(AprilFaultInjectionTest, TruncationInsideHeaderIsStructuralError) {
   const std::string bytes = SavedBytes();
-  const std::string path = TempPath("april_fault_header.bin");
+  const std::string path = test::TempPath("april_fault_header.bin");
   for (size_t len = 0; len < 16; ++len) {  // magic + version + count
     test::WriteFileBytes(path, test::TruncatedTo(bytes, len));
     AprilStore loaded;
@@ -188,10 +177,11 @@ TEST_F(AprilFaultInjectionTest, CorruptMidFileRecordIsIsolated) {
   // One flipped payload byte in record 2 must cost exactly record 2: the
   // reader resynchronises at the next frame and every other record survives.
   const std::string bytes = SavedBytes();
-  const std::vector<size_t> offsets = FrameOffsets(bytes, originals_.size());
+  std::vector<size_t> offsets;
+  ASSERT_NO_FATAL_FAILURE(FrameOffsets(bytes, originals_.size(), &offsets));
   const size_t payload_byte = offsets[2] + 16;  // first byte past the frame
 
-  const std::string path = TempPath("april_fault_midfile.bin");
+  const std::string path = test::TempPath("april_fault_midfile.bin");
   test::WriteFileBytes(path, test::WithFlippedByte(bytes, payload_byte));
   AprilStore loaded;
   AprilLoadReport report;

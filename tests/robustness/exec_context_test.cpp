@@ -78,6 +78,14 @@ TEST(ExecContext, BudgetArithmeticTripsOnOverflow) {
   EXPECT_EQ(bounded.charged_bytes(), 60u);
 }
 
+TEST(ExecContext, BudgetMustFitTheSignedCounter) {
+  ExecContext largest;
+  largest.SetMemoryBudget(static_cast<size_t>(INT64_MAX));
+  EXPECT_TRUE(largest.TryCharge(size_t{1} << 40));
+  // SIZE_MAX would wrap to a negative budget and trip on the first charge.
+  EXPECT_DEATH(ExecContext().SetMemoryBudget(SIZE_MAX), "INT64_MAX");
+}
+
 TEST(ExecContext, NullScopeIsANoOp) {
   ExecContext::Scope scope(nullptr);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(scope.CheckIn());

@@ -1,6 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -10,6 +8,7 @@
 #include "src/raster/april_io.h"
 #include "src/topology/parallel.h"
 #include "tests/robustness/corrupter.h"
+#include "tests/test_support.h"
 
 // Degraded-mode correctness: when APRIL approximations are missing or flagged
 // corrupt, the kApril/kPC pipelines must fall back to refinement for the
@@ -19,15 +18,6 @@
 
 namespace stj {
 namespace {
-
-std::string TempPath(const char* name) {
-  // Pid-qualified: each test case is a separate ctest process and the cases
-  // must not race on shared scratch files in TempDir.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::string(::testing::TempDir()) + "/" +
-         (info != nullptr ? info->name() : "unknown") + "_" +
-         std::to_string(::getpid()) + "_" + name;
-}
 
 class PipelineDegradedTest : public ::testing::Test {
  protected:
@@ -140,7 +130,7 @@ TEST_F(PipelineDegradedTest, DiskCorruptionEndToEnd) {
   // Save the real R approximations, flip one payload byte in every 5th
   // record, reload through the corruption-safe reader, and join with the
   // damaged store: results must still match ground truth exactly.
-  const std::string path = TempPath("pipeline_degraded.april");
+  const std::string path = test::TempPath("pipeline_degraded.april");
   const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 5);
   ASSERT_GT(flipped, 0u);
 
@@ -167,7 +157,7 @@ TEST_F(PipelineDegradedTest, PermissiveStoreLoadKeepsFilterDecisionsActive) {
   // join onto the refinement path. Save the R approximations, flip one
   // payload byte in every 7th record, reload into both store forms, and
   // join straight from each.
-  const std::string path = TempPath("pipeline_store_degraded.april");
+  const std::string path = test::TempPath("pipeline_store_degraded.april");
   const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 7);
   ASSERT_GT(flipped, 0u);
 

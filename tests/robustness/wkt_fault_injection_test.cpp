@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <functional>
 #include <sstream>
@@ -21,16 +19,6 @@
 
 namespace stj {
 namespace {
-
-std::string TempPath(const char* name) {
-  // Each test case runs as its own ctest process against the shared TempDir;
-  // a pid-qualified name keeps concurrently scheduled cases from racing on
-  // the fixture files.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::string(::testing::TempDir()) + "/" +
-         (info != nullptr ? info->name() : "unknown") + "_" +
-         std::to_string(::getpid()) + "_" + name;
-}
 
 struct Mangling {
   const char* name;
@@ -77,7 +65,7 @@ class WktFaultInjectionTest : public ::testing::Test {
           rng.LogUniform(1.0, 6.0), 16, 0.3);
       dataset_.objects.push_back(std::move(object));
     }
-    path_ = TempPath("wkt_fault_base.wkt");
+    path_ = test::TempPath("wkt_fault_base.wkt");
     EXPECT_TRUE(SaveWktDataset(path_, dataset_));
     // SaveWktDataset writes one '#' header line, then one polygon per line.
     std::istringstream in(test::ReadFileBytes(path_));
@@ -95,7 +83,7 @@ class WktFaultInjectionTest : public ::testing::Test {
       contents += (i == index + 1) ? mangled : lines_[i];
       contents += '\n';
     }
-    const std::string path = TempPath("wkt_fault_scratch.wkt");
+    const std::string path = test::TempPath("wkt_fault_scratch.wkt");
     test::WriteFileBytes(path, contents);
     return path;
   }
@@ -202,7 +190,7 @@ TEST_F(WktFaultInjectionTest, MultipleBadLinesAllTriaged) {
     if (i == 5) line = manglings[3].apply(line);
     contents += line + '\n';
   }
-  const std::string path = TempPath("wkt_fault_multi.wkt");
+  const std::string path = test::TempPath("wkt_fault_multi.wkt");
   test::WriteFileBytes(path, contents);
 
   Dataset loaded;
@@ -236,7 +224,7 @@ TEST_F(WktFaultInjectionTest, IssueCapKeepsCountingBeyondIt) {
     if (i >= 1) line = ParseBreakingManglings()[1].apply(line);
     contents += line + '\n';
   }
-  const std::string path = TempPath("wkt_fault_cap.wkt");
+  const std::string path = test::TempPath("wkt_fault_cap.wkt");
   test::WriteFileBytes(path, contents);
 
   Dataset loaded;

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -214,14 +212,6 @@ int ExpectMatchesSerialLoop(const std::string& path, LoadOptions options,
 
 // ------------------------------------------------------------------ inputs
 
-std::string TempPath(const char* name) {
-  // ctest runs each case as its own process against a shared TempDir.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return std::string(::testing::TempDir()) + "/" +
-         (info != nullptr ? info->name() : "unknown") + "_" +
-         std::to_string(::getpid()) + "_" + name;
-}
-
 enum class Kind {
   kValid,
   kHoled,
@@ -321,7 +311,7 @@ std::string PlacedFile(Kind kind, int64_t delta, uint64_t range,
 
 TEST(WktLoadDifferential, SpecialLinesOnRangeBoundaries) {
   Rng rng(16);
-  const std::string path = TempPath("placed.wkt");
+  const std::string path = test::TempPath("placed.wkt");
   int compared = 0;
   int file_index = 0;
   for (int k = 0; k < kNumKinds; ++k) {
@@ -355,7 +345,7 @@ TEST(WktLoadDifferential, SpecialLinesOnRangeBoundaries) {
 
 TEST(WktLoadDifferential, RandomFilesWithAndWithoutFinalNewline) {
   Rng rng(7);
-  const std::string path = TempPath("random.wkt");
+  const std::string path = test::TempPath("random.wkt");
   for (int file = 0; file < 40; ++file) {
     std::string bytes;
     for (uint64_t n = 1 + rng.NextBounded(30); n > 0; --n) {
@@ -383,7 +373,7 @@ TEST(WktLoadDifferential, LineLongerThanTheReadWindow) {
   }
   const std::string long_line = ToWkt(Polygon(Ring(std::move(ring))));
   ASSERT_GT(long_line.size(), size_t{1} << 20);
-  const std::string path = TempPath("long.wkt");
+  const std::string path = test::TempPath("long.wkt");
   Rng rng(3);
   for (const bool broken : {false, true}) {
     std::string bytes = "# header\n" + RandomLine(&rng) + "\n";
@@ -402,7 +392,7 @@ TEST(WktLoadDifferential, LineLongerThanTheReadWindow) {
 
 TEST(WktLoadDifferential, EmptyAndTinyFiles) {
   // Fewer bytes or lines than workers: some ranges hold no line at all.
-  const std::string path = TempPath("tiny.wkt");
+  const std::string path = test::TempPath("tiny.wkt");
   for (const std::string& bytes :
        {std::string(), std::string("\n"), std::string("\n\n\n"),
         std::string("\r"), std::string("#"),
@@ -431,7 +421,7 @@ TEST(WktLoadDifferential, IssueCapAcrossRanges) {
                       &rng) +
              "\n";
   }
-  const std::string path = TempPath("cap.wkt");
+  const std::string path = test::TempPath("cap.wkt");
   test::WriteFileBytes(path, bytes);
   for (size_t cap = 0; cap <= 6; ++cap) {
     LoadOptions options;
@@ -442,12 +432,12 @@ TEST(WktLoadDifferential, IssueCapAcrossRanges) {
 }
 
 TEST(WktLoadDifferential, MissingFileAndDirectory) {
-  ExpectMatchesSerialLoop(TempPath("does_not_exist.wkt"), LoadOptions{},
+  ExpectMatchesSerialLoop(test::TempPath("does_not_exist.wkt"), LoadOptions{},
                           "missing file");
   ExpectMatchesSerialLoop(::testing::TempDir(), LoadOptions{}, "directory");
   Dataset dataset;
-  const Status missing = LoadWktDataset(TempPath("does_not_exist.wkt"), "m",
-                                        LoadOptions{}, &dataset);
+  const Status missing = LoadWktDataset(test::TempPath("does_not_exist.wkt"),
+                                        "m", LoadOptions{}, &dataset);
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
   const Status directory =
       LoadWktDataset(::testing::TempDir(), "d", LoadOptions{}, &dataset);

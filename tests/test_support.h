@@ -2,7 +2,12 @@
 
 // Shared fixtures and helpers for the stjoin test suite.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/datasets/blob.h"
@@ -10,6 +15,25 @@
 #include "src/util/rng.h"
 
 namespace stj::test {
+
+/// The hardware threads, at least one.
+inline unsigned HardwareThreads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Twice the hardware threads: thread sweeps also run oversubscribed.
+inline unsigned Oversubscribed() { return 2 * HardwareThreads(); }
+
+/// A scratch path in gtest's TempDir for \p name, qualified by the running
+/// test's name and the process id. ctest runs every test case as its own
+/// process against one shared TempDir, so cases running at the same time
+/// (or two runs of the suite) never read or remove each other's files.
+inline std::string TempPath(const std::string& name) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string(::testing::TempDir()) + "/" +
+         (info != nullptr ? info->name() : "unknown") + "_" +
+         std::to_string(::getpid()) + "_" + name;
+}
 
 /// Axis-aligned square polygon [x0,x1] x [y0,y1].
 inline Polygon Square(double x0, double y0, double x1, double y1) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
@@ -23,7 +24,7 @@ TEST(LinkWriter, GeoSparqlPropertyMapping) {
 
 TEST(LinkWriter, WritesTriplesAndSkipsDisjoint) {
   const std::string path =
-      std::string(::testing::TempDir()) + "/links_test.nt";
+      test::TempPath("links_test.nt");
   const std::vector<TopologyLink> links = {
       {CandidatePair{1, 2}, Relation::kInside},
       {CandidatePair{3, 4}, Relation::kDisjoint},  // skipped

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "src/join/mbr_join.h"
 #include "src/raster/grid.h"
 #include "src/topology/parallel.h"
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
@@ -35,9 +35,15 @@ namespace {
 constexpr double kScale = 0.01;
 constexpr unsigned kThreads = 4;
 
-/// Twice the hardware threads: the sweeps also run oversubscribed.
-unsigned Oversubscribed() {
-  return 2 * std::max(1u, std::thread::hardware_concurrency());
+using test::Oversubscribed;
+
+/// kThreads, the hardware threads and Oversubscribed(), without repeats.
+std::vector<unsigned> SweepThreads() {
+  std::vector<unsigned> counts = {kThreads, test::HardwareThreads(),
+                                  Oversubscribed()};
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
 }
 
 /// P+C answers the candidates of \p name exactly as ST2 does at every even
@@ -63,14 +69,17 @@ void ExpectAnswersIndependentOfGridOrder(const char* name,
         BuildAprilApproximations(scenario.r, grid, kThreads);
     const std::vector<AprilApproximation> s_april =
         BuildAprilApproximations(scenario.s, grid, kThreads);
-    const ParallelJoinResult pc = ParallelFindRelation(
-        Method::kPC, DatasetView{&scenario.r.objects, &r_april},
-        DatasetView{&scenario.s.objects, &s_april}, scenario.candidates,
-        join);
-    ASSERT_TRUE(pc.status.ok()) << name << " at grid order " << order;
-    ASSERT_EQ(pc.relations, st2.relations)
-        << name << " at grid order " << order;
-    decided_by_filter.push_back(pc.stats.decided_by_filter);
+    for (const unsigned threads : SweepThreads()) {
+      const ParallelJoinResult pc = ParallelFindRelation(
+          Method::kPC, DatasetView{&scenario.r.objects, &r_april},
+          DatasetView{&scenario.s.objects, &s_april}, scenario.candidates,
+          JoinOptions{.num_threads = threads});
+      ASSERT_TRUE(pc.status.ok()) << name << " at grid order " << order;
+      ASSERT_EQ(pc.relations, st2.relations)
+          << name << " at grid order " << order << ", " << threads
+          << " threads";
+      decided_by_filter.push_back(pc.stats.decided_by_filter);
+    }
   }
   EXPECT_LT(*std::min_element(decided_by_filter.begin(),
                               decided_by_filter.end()),
@@ -133,9 +142,10 @@ TEST(Metamorphic, SwappingInputsYieldsTheConverse) {
 }
 
 /// Every candidate of R x \p s_part with its relation, s mapped back to its
-/// index in the full S through \p s_indices.
+/// index in the full S through \p s_indices, joined on \p threads.
 std::vector<Link> JoinPart(const ScenarioData& scenario,
-                           const std::vector<uint32_t>& s_indices) {
+                           const std::vector<uint32_t>& s_indices,
+                           unsigned threads) {
   Dataset part;
   for (const uint32_t s : s_indices) {
     part.objects.push_back(scenario.s.objects[s]);
@@ -147,7 +157,7 @@ std::vector<Link> JoinPart(const ScenarioData& scenario,
       MbrJoin::Join(scenario.r.Mbrs(), part.Mbrs());
   const ParallelJoinResult result = ParallelFindRelation(
       Method::kPC, scenario.RView(), DatasetView{&part.objects, &part_april},
-      candidates, JoinOptions{.num_threads = kThreads});
+      candidates, JoinOptions{.num_threads = threads});
   EXPECT_TRUE(result.status.ok());
   std::vector<Link> links;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -183,13 +193,16 @@ TEST(Metamorphic, SplittingSNeverChangesTheAnswers) {
     }
     for (const auto& [split, parts] :
          {std::pair{"thirds", &thirds}, std::pair{"odd/even", &odd_even}}) {
-      std::vector<Link> merged;
-      for (const std::vector<uint32_t>& part : *parts) {
-        const std::vector<Link> links = JoinPart(scenario, part);
-        merged.insert(merged.end(), links.begin(), links.end());
+      for (const unsigned threads : SweepThreads()) {
+        std::vector<Link> merged;
+        for (const std::vector<uint32_t>& part : *parts) {
+          const std::vector<Link> links = JoinPart(scenario, part, threads);
+          merged.insert(merged.end(), links.begin(), links.end());
+        }
+        std::sort(merged.begin(), merged.end());
+        ASSERT_EQ(merged, expected)
+            << name << ", " << split << " of S at " << threads << " threads";
       }
-      std::sort(merged.begin(), merged.end());
-      ASSERT_EQ(merged, expected) << name << ", " << split << " of S";
     }
   }
 }

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
 #include "src/raster/april_compressed.h"
 #include "src/raster/april_store.h"
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
@@ -185,12 +187,23 @@ using BatchPipelineTest = ParallelTest;
 
 constexpr Method kAllMethods[] = {Method::kST2, Method::kOP2, Method::kApril,
                                   Method::kPC};
-constexpr unsigned kThreadCounts[] = {1, 2, 3, 4, 8};
+/// 1 to 4 and 8 threads, the hardware threads and twice them, without
+/// repeats.
+const std::vector<unsigned>& ThreadCounts() {
+  static const std::vector<unsigned> counts = [] {
+    std::vector<unsigned> all = {1, 2, 3, 4, 8, test::HardwareThreads(),
+                                 test::Oversubscribed()};
+    std::sort(all.begin(), all.end());
+    all.erase(std::unique(all.begin(), all.end()), all.end());
+    return all;
+  }();
+  return counts;
+}
 
 TEST_F(BatchPipelineTest, AllMethodsAgreeWithOracleUnderBatching) {
   for (const Method method : kAllMethods) {
     const ParallelJoinResult oracle = Serial(method);
-    for (const unsigned threads : kThreadCounts) {
+    for (const unsigned threads : ThreadCounts()) {
       SCOPED_TRACE(::testing::Message()
                    << ToString(method) << " threads=" << threads);
       ExpectSameDecisions(
@@ -212,7 +225,7 @@ TEST_F(BatchPipelineTest, CompressedStoreBatchedMatchesFlatOracle) {
     const bool reads_april =
         method == Method::kApril || method == Method::kPC;
     for (const Storage& storage : CompressedStorages()) {
-      for (const unsigned threads : kThreadCounts) {
+      for (const unsigned threads : ThreadCounts()) {
         SCOPED_TRACE(::testing::Message()
                      << ToString(method) << " " << storage.name
                      << " threads=" << threads);
@@ -241,7 +254,7 @@ TEST_F(BatchPipelineTest, RelateBatchedMatchesOracle) {
                          JoinOptions{.num_threads = 1})
               .matches;
       for (const Storage& storage : storages) {
-        for (const unsigned threads : kThreadCounts) {
+        for (const unsigned threads : ThreadCounts()) {
           SCOPED_TRACE(::testing::Message()
                        << ToString(method) << " " << ToString(predicate)
                        << " " << storage.name << " threads=" << threads);

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
 #include "src/util/exec_context.h"
+#include "tests/test_support.h"
 
 namespace stj {
 namespace {
@@ -70,11 +73,23 @@ class ShardJoinTest : public ::testing::Test {
     reference_.relations = ref.relations;
   }
 
+  ~ShardJoinTest() override {
+    std::error_code ignored;
+    for (const std::string& dir : dirs_) {
+      std::filesystem::remove_all(dir, ignored);
+    }
+  }
+
+  // A scratch directory of this test (test::TempPath), removed afterwards.
+  std::string Dir(const std::string& name) {
+    dirs_.push_back(test::TempPath("shard_join_" + name));
+    return dirs_.back();
+  }
+
   // Writes both shard sets under a test-unique directory and opens them.
   void BuildSets(const std::string& name, uint32_t r_tiles, uint32_t s_tiles,
                  ShardSet* r_set, ShardSet* s_set) {
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/shard_join_" + name;
+    const std::string dir = Dir(name);
     PartitionOptions poptions;
     poptions.target_tiles = r_tiles;
     ASSERT_TRUE(BuildShardSet(dir + "/r", scenario_.r.objects, r_cstore_,
@@ -105,7 +120,10 @@ class ShardJoinTest : public ::testing::Test {
   CompressedAprilStore r_cstore_;
   CompressedAprilStore s_cstore_;
   Reference reference_;
+  std::vector<std::string> dirs_;
 };
+
+using test::Oversubscribed;
 
 TEST_F(ShardJoinTest, SingleTileMatchesSingleArenaJoin) {
   ShardSet r_set, s_set;
@@ -133,12 +151,18 @@ TEST_F(ShardJoinTest, DifferentialSweepOverGridsCachesAndThreads) {
     unsigned threads;
     bool all_resident;
   };
-  const TileConfig tile_configs[] = {
-      {"sweep_a", 4, 6}, {"sweep_b", 9, 4}, {"sweep_c", 2, 12}};
+  // sweep_d is one task: its joins get every thread.
+  const TileConfig tile_configs[] = {{"sweep_a", 4, 6},
+                                     {"sweep_b", 9, 4},
+                                     {"sweep_c", 2, 12},
+                                     {"sweep_d", 1, 1}};
   const RunConfig run_configs[] = {
       {size_t{32} << 10, 1, false},  // thrash the cache, serial loop
       {size_t{256} << 20, 3, true},  // all resident, parallel
       {size_t{1} << 20, 2, false},   // tight cache, parallel
+      {size_t{256} << 20, 4, true},
+      {size_t{1} << 20, test::HardwareThreads(), false},
+      {size_t{256} << 20, Oversubscribed(), true},
   };
   for (const TileConfig& tc : tile_configs) {
     ShardSet r_set, s_set;
@@ -259,9 +283,70 @@ TEST_F(ShardJoinTest, MemoryBudgetTripSurfacesResourceExhausted) {
   }
 }
 
+TEST_F(ShardJoinTest, CorruptTileGivesTheSameStatusAtEveryThreadCount) {
+  // Two corrupt R tiles: the Status is the lowest failing task's, and the
+  // answers are those of the tasks before it, whatever the other workers
+  // were running when the loads failed.
+  ShardSet r_set, s_set;
+  BuildSets("corrupt", 6, 4, &r_set, &s_set);
+  for (const uint32_t tile : {1u, 4u}) {
+    std::fstream file(r_set.TilePath(tile),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open()) << r_set.TilePath(tile);
+    file.put('X');  // the "SHRD" magic
+  }
+  ShardJoinOptions options;
+  options.shard_cache_bytes = size_t{1} << 20;
+  options.join.num_threads = 1;
+  const ShardJoinResult serial =
+      ShardedFindRelation(Method::kPC, r_set, s_set, options);
+  ASSERT_FALSE(serial.status.ok());
+  EXPECT_EQ(serial.status.code(), StatusCode::kDataLoss);
+  EXPECT_LT(serial.pairs.size(), reference_.pairs.size());
+  for (size_t i = 0; i < serial.pairs.size(); ++i) {
+    EXPECT_EQ(serial.relations[i], reference_.Of(serial.pairs[i]));
+  }
+  for (const unsigned threads : {4u, 4u, Oversubscribed()}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    options.join.num_threads = threads;
+    const ShardJoinResult run =
+        ShardedFindRelation(Method::kPC, r_set, s_set, options);
+    EXPECT_EQ(run.status.ToString(), serial.status.ToString());
+    EXPECT_TRUE(run.pairs == serial.pairs);
+    EXPECT_TRUE(run.relations == serial.relations);
+  }
+}
+
+TEST_F(ShardJoinTest, EachMajorShardIsMappedOnceAtOneThread) {
+  // Tasks are grouped by the tile of the side with the larger shards, so
+  // with only the running task's shards resident (a 1-byte budget) each
+  // major shard is mapped once, and every task maps at most one minor
+  // shard.
+  ShardSet r_set, s_set;
+  BuildSets("major", 16, 9, &r_set, &s_set);
+  ShardJoinOptions options;
+  options.shard_cache_bytes = 1;
+  options.join.num_threads = 1;
+  const ShardJoinResult result =
+      ShardedFindRelation(Method::kPC, r_set, s_set, options);
+  ExpectMatchesReference(result);
+  const bool r_major =
+      static_cast<double>(r_set.TotalShardBytes()) / r_set.Tiles() >=
+      static_cast<double>(s_set.TotalShardBytes()) / s_set.Tiles();
+  const ShardSet& major = r_major ? r_set : s_set;
+  const ShardSet& minor = r_major ? s_set : r_set;
+  uint64_t largest_minor = 0;
+  for (uint32_t t = 0; t < minor.Tiles(); ++t) {
+    largest_minor = std::max(largest_minor, minor.Tile(t).file_bytes);
+  }
+  EXPECT_LE(result.shard_stats.bytes_mapped,
+            major.TotalShardBytes() +
+                result.shard_stats.tasks * largest_minor)
+      << (r_major ? "R" : "S") << " is the major side";
+}
+
 TEST_F(ShardJoinTest, BuildShardSetReportsPartitionAndStats) {
-  const std::string dir =
-      std::string(::testing::TempDir()) + "/shard_join_build";
+  const std::string dir = Dir("build");
   PartitionOptions poptions;
   poptions.target_tiles = 4;
   TilePartition partition;

@@ -176,6 +176,39 @@ if(NOT shard_err MATCHES "\\[join\\] decoded cache: .* hits / .* misses")
   message(FATAL_ERROR "sharded --time-stages missing decoded-cache stats:\n${shard_err}")
 endif()
 
+# Shard files are written and tile pairs joined on the --threads workers:
+# the shard sets and the links must not depend on the thread count.
+foreach(threads 1 4)
+  execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
+                  --method=pc --grid-order=10
+                  --shard-dir=${WORK}/shards_t${threads} --shard-cache-mb=1
+                  --partition-units=2000 --threads=${threads}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE shard_out_${threads}
+                  ERROR_VARIABLE shard_err_${threads})
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "sharded join at --threads=${threads} failed (${rc}):\n${shard_err_${threads}}")
+  endif()
+endforeach()
+if(NOT shard_out_1 STREQUAL pc_out OR NOT shard_out_4 STREQUAL pc_out)
+  message(FATAL_ERROR "sharded join output depends on --threads")
+endif()
+foreach(side r s)
+  file(GLOB shard_files RELATIVE ${WORK}/shards_t1/${side} ${WORK}/shards_t1/${side}/*)
+  list(LENGTH shard_files shard_file_count)
+  if(shard_file_count LESS 3)
+    message(FATAL_ERROR "expected several tiles under shards_t1/${side}: ${shard_files}")
+  endif()
+  foreach(f ${shard_files})
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            ${WORK}/shards_t1/${side}/${f}
+                            ${WORK}/shards_t4/${side}/${f}
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "shard file ${side}/${f} differs at 1 and 4 threads")
+    endif()
+  endforeach()
+endforeach()
+
 # aprilcheck understands shard manifests: the directory and the manifest
 # path both route to the shard-set audit.
 run_expect(0 "shard set, .* 0 corrupt" ${CLI} aprilcheck ${WORK}/shards/r)
@@ -328,6 +361,53 @@ foreach(threads -1 1025 4294967295 two "")
                ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
                --threads=${threads})
 endforeach()
+
+# The other numeric flags are parsed as strictly: a value that is not an
+# integer in its range (for --scale, a finite number greater than 0) exits
+# 2, naming the range, before any input is read or output written.
+foreach(value -1 2147483648 abc 5s "")
+  run_rejected(2 "--deadline-ms must be an integer from 0 to 2147483647"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --deadline-ms=${value})
+endforeach()
+foreach(value -1 8796093022208 abc "")
+  run_rejected(2 "--max-memory-mb must be an integer from 0 to 8796093022207"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --max-memory-mb=${value})
+endforeach()
+foreach(value 0 -1 8796093022208 abc "")
+  run_rejected(2 "--shard-cache-mb must be an integer from 1 to 8796093022207"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --shard-dir=${WORK}/shards3 --shard-cache-mb=${value})
+endforeach()
+foreach(value -1 1.5 abc "")
+  run_rejected(2
+               "--partition-units must be an integer from 0 to 9223372036854775807"
+               ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               --shard-dir=${WORK}/shards3 --partition-units=${value})
+endforeach()
+if(EXISTS ${WORK}/shards3)
+  message(FATAL_ERROR "a rejected sharded join must not write shards")
+endif()
+file(REMOVE ${WORK}/rejected.wkt)
+foreach(value 0 -1 abc nan inf 1e999 "")
+  run_rejected(2 "--scale must be a finite number greater than 0"
+               ${CLI} generate OPE ${WORK}/rejected.wkt --scale=${value})
+endforeach()
+foreach(value -1 1.5 abc 9223372036854775808 "")
+  run_rejected(2 "--seed must be an integer from 0 to 9223372036854775807"
+               ${CLI} generate OPE ${WORK}/rejected.wkt --seed=${value})
+endforeach()
+if(EXISTS ${WORK}/rejected.wkt)
+  message(FATAL_ERROR "a rejected generate run must not write its output")
+endif()
+# The largest accepted values run like any other.
+execute_process(COMMAND ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+                --deadline-ms=2147483647 --max-memory-mb=8796093022207
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n")
+  message(FATAL_ERROR "join at the largest flag values failed (${rc}):\n${out}\n${err}")
+endif()
 
 # Unknown flag: exit 2 (usage) — including the retired executor, codec,
 # decoded-cache and prepared-cache knobs.

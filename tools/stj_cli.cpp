@@ -4,9 +4,10 @@
 //   stj_cli generate <dataset> <out.wkt> [--scale=X] [--seed=S]
 //                    [--threads=T]
 //       Generate one of the ten synthetic datasets (TL, TW, TC, TZ, OBE,
-//       OLE, OPE, OBN, OLN, OPN) as one WKT polygon per line. --threads
-//       formats the polygons on T workers; the file's bytes do not depend
-//       on it.
+//       OLE, OPE, OBN, OLN, OPN) as one WKT polygon per line. --scale takes
+//       a number greater than 0 (default 1) and --seed an integer from 0 to
+//       2^63 - 1 (default 7). --threads formats the polygons on T workers;
+//       the file's bytes do not depend on it.
 //
 //   stj_cli april <in.wkt> <out.april> [--grid-order=N] [--threads=T]
 //                 [--permissive]
@@ -38,16 +39,18 @@
 //       Run the full topology join between two WKT files: MBR filter join,
 //       then find-relation (default) or a relate_p predicate join. --grid-order
 //       and --threads take the same ranges as for `april`, and every flag is
-//       checked before the inputs are read. Prints
+//       checked before the inputs are read: a numeric value that is not a
+//       number in its range exits 2, naming the range. Prints
 //       one "r_index s_index relation" line per non-disjoint pair, sorted
 //       by (r, s) — the same bytes at every --threads value — plus a
 //       summary to stderr. Each worker keeps a 32 MB prepared-geometry
 //       cache that amortises refinement index construction across pairs.
 //       --time-stages enables the per-stage timers and prints a stage
 //       telemetry summary (filter/refine seconds, decoded cache counters).
-//       --deadline-ms bounds the query's wall time
-//       and --max-memory-mb its APRIL/tile-table memory; either flag makes
-//       the run cancellable (Ctrl-C stops it cooperatively too). A tripped
+//       --deadline-ms (0 = none, at most 2^31 - 1) bounds the query's wall
+//       time and --max-memory-mb (0 = none) its APRIL/tile-table memory;
+//       either flag makes the run cancellable (Ctrl-C stops it
+//       cooperatively too). A tripped
 //       run still prints every pair that was fully verified before the cut,
 //       reports how much of the join was answered, and exits with the
 //       matching code below.
@@ -55,12 +58,15 @@
 //       --shard-dir=D switches the join to the out-of-core tile-sharded
 //       path: both inputs are cost-balanced into tiles (--partition-units
 //       targets computational units per tile; 0 = auto), persisted as
-//       mmap-backed shard sets under D/r and D/s, and joined tile pair by
-//       tile pair with at most --shard-cache-mb (default 256) of shards
-//       resident; each worker decodes the compressed records it filters
-//       through a per-worker decoded-record cache. The output is
-//       byte-identical to the in-memory join's. Find-relation only —
-//       --predicate cannot be combined with it.
+//       mmap-backed shard sets under D/r and D/s with the tiles written on
+//       the --threads workers, and then freed from memory. The tile pairs
+//       are joined on the --threads workers, each claiming whole tasks, with
+//       about --shard-cache-mb (at least 1, default 256) of shards resident
+//       beyond the pinned shards of the running tasks; each worker decodes
+//       the compressed records it filters through a per-worker
+//       decoded-record cache. The output is byte-identical to the in-memory
+//       join's at every --threads. Find-relation only — --predicate cannot
+//       be combined with it.
 //
 // Input files are loaded on --threads workers, each parsing a byte range of
 // the file, and each load prints a "[load] <path>: <n> objects, <v>
@@ -83,7 +89,9 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,21 +173,43 @@ struct Flags {
 };
 
 /// Most workers --threads accepts; more only oversubscribes the cores.
-constexpr long kMaxThreads = 1024;
+constexpr long long kMaxThreads = 1024;
+/// Largest --max-memory-mb / --shard-cache-mb: the byte count must fit
+/// ExecContext's signed budget counter.
+constexpr long long kMaxMegabytes = INT64_MAX >> 20;
+/// Largest --deadline-ms: about 24 days, far from the clock's overflow.
+constexpr long long kMaxDeadlineMs = INT32_MAX;
 
 /// Parses the decimal value of \p flag, which must lie in [lo, hi]; exits
 /// with the usage code, naming the range, otherwise.
-uint32_t ParseBounded(const char* flag, const char* value, long lo, long hi) {
+long long ParseBounded(const char* flag, const char* value, long long lo,
+                       long long hi) {
   char* end = nullptr;
   errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
+  const long long parsed = std::strtoll(value, &end, 10);
   if (end == value || *end != '\0' || errno != 0 || parsed < lo ||
       parsed > hi) {
-    std::fprintf(stderr, "%s must be an integer from %ld to %ld, got '%s'\n",
-                 flag, lo, hi, value);
+    std::fprintf(stderr,
+                 "%s must be an integer from %lld to %lld, got '%s'\n", flag,
+                 lo, hi, value);
     std::exit(kExitUsage);
   }
-  return static_cast<uint32_t>(parsed);
+  return parsed;
+}
+
+/// Parses --scale: a finite number greater than 0, or the usage exit.
+double ParseScale(const char* value) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno != 0 || !std::isfinite(parsed) ||
+      parsed <= 0) {
+    std::fprintf(stderr,
+                 "--scale must be a finite number greater than 0, got '%s'\n",
+                 value);
+    std::exit(kExitUsage);
+  }
+  return parsed;
 }
 
 Flags ParseFlags(int argc, char** argv, int first) {
@@ -187,33 +217,38 @@ Flags ParseFlags(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      flags.scale = std::atof(arg + 8);
+      flags.scale = ParseScale(arg + 8);
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      flags.seed = static_cast<uint64_t>(std::atoll(arg + 7));
+      flags.seed = static_cast<uint64_t>(
+          ParseBounded("--seed", arg + 7, 0, INT64_MAX));
     } else if (std::strncmp(arg, "--grid-order=", 13) == 0) {
-      flags.grid_order =
-          ParseBounded("--grid-order", arg + 13, 1, kMaxGridOrder);
+      flags.grid_order = static_cast<uint32_t>(
+          ParseBounded("--grid-order", arg + 13, 1, kMaxGridOrder));
     } else if (std::strncmp(arg, "--method=", 9) == 0) {
       flags.method = arg + 9;
     } else if (std::strncmp(arg, "--predicate=", 12) == 0) {
       flags.predicate = arg + 12;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      flags.threads = ParseBounded("--threads", arg + 10, 0, kMaxThreads);
+      flags.threads = static_cast<unsigned>(
+          ParseBounded("--threads", arg + 10, 0, kMaxThreads));
     } else if (std::strcmp(arg, "--time-stages") == 0) {
       flags.time_stages = true;
     } else if (std::strcmp(arg, "--permissive") == 0) {
       flags.permissive = true;
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      flags.deadline_ms = static_cast<uint64_t>(std::atoll(arg + 14));
+      flags.deadline_ms = static_cast<uint64_t>(
+          ParseBounded("--deadline-ms", arg + 14, 0, kMaxDeadlineMs));
     } else if (std::strncmp(arg, "--max-memory-mb=", 16) == 0) {
-      flags.max_memory_mb = static_cast<size_t>(std::atoll(arg + 16));
+      flags.max_memory_mb = static_cast<size_t>(
+          ParseBounded("--max-memory-mb", arg + 16, 0, kMaxMegabytes));
     } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
       flags.shard_dir = arg + 12;
     } else if (std::strncmp(arg, "--shard-cache-mb=", 17) == 0) {
-      flags.shard_cache_mb = static_cast<size_t>(std::atoll(arg + 17));
-      if (flags.shard_cache_mb == 0) flags.shard_cache_mb = 1;
+      flags.shard_cache_mb = static_cast<size_t>(
+          ParseBounded("--shard-cache-mb", arg + 17, 1, kMaxMegabytes));
     } else if (std::strncmp(arg, "--partition-units=", 18) == 0) {
-      flags.partition_units = static_cast<uint64_t>(std::atoll(arg + 18));
+      flags.partition_units = static_cast<uint64_t>(
+          ParseBounded("--partition-units", arg + 18, 0, INT64_MAX));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(kExitUsage);
@@ -562,9 +597,9 @@ int CmdJoin(int argc, char** argv) {
   }
 
   Timer timer;
-  const std::vector<AprilApproximation> r_april =
+  std::vector<AprilApproximation> r_april =
       BuildAprilApproximations(r, grid, flags.threads, exec_ptr);
-  const std::vector<AprilApproximation> s_april =
+  std::vector<AprilApproximation> s_april =
       BuildAprilApproximations(s, grid, flags.threads, exec_ptr);
   std::fprintf(stderr, "[april] built %zu+%zu approximations (preprocess "
                "%.2fs)\n",
@@ -593,7 +628,8 @@ int CmdJoin(int argc, char** argv) {
       ShardWriteStats write_stats;
       Status st = BuildShardSet(flags.shard_dir + sub, dataset.objects,
                                 CompressApproximations(april),
-                                partition_options, &partition, &write_stats);
+                                partition_options, &partition, &write_stats,
+                                flags.threads);
       if (!st.ok()) return st;
       std::fprintf(stderr,
                    "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
@@ -608,6 +644,11 @@ int CmdJoin(int argc, char** argv) {
     if (Status st = build_side("/s", s, s_april); !st.ok()) {
       return FailWith(st);
     }
+    // The join reads only the shard files: free the inputs before it runs.
+    r = Dataset();
+    s = Dataset();
+    r_april = std::vector<AprilApproximation>();
+    s_april = std::vector<AprilApproximation>();
     ShardSet r_shards;
     ShardSet s_shards;
     if (Status st = ShardSet::Open(flags.shard_dir + "/r", &r_shards);
