@@ -9,6 +9,7 @@
 
 #include "src/datasets/blob.h"
 #include "src/de9im/relate_engine.h"
+#include "src/geometry/locator.h"
 #include "src/geometry/prepared_polygon.h"
 #include "src/raster/april.h"
 #include "src/topology/find_relation.h"
@@ -107,6 +108,29 @@ void BM_PreparedBuildOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_PreparedBuildOnly)->RangeMultiplier(4)->Range(16, 16384)
     ->Complexity(benchmark::oNLogN);
+
+void BM_LocateUnindexed(benchmark::State& state) {
+  // What an unbuilt index costs instead: one crossing-count pass over the
+  // same blob's edges, locating a point against it bare. The ratio of
+  // BM_PreparedBuildOnly to this is how many such passes a build is worth:
+  // PreparedPolygon::kIndexAfterScans, the scans after which a bare
+  // polygon builds its indexes.
+  Rng rng(11);
+  const size_t vertices = static_cast<size_t>(state.range(0));
+  const Polygon a = Blob(&rng, Point{50, 50}, 20.0, vertices);
+  std::vector<Point> points;
+  for (int i = 0; i < 256; ++i) {
+    points.push_back(Point{rng.Uniform(35, 65), rng.Uniform(35, 65)});
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LocateUnindexed(a, points[next]));
+    next = (next + 1) % points.size();
+  }
+  state.SetComplexityN(static_cast<int64_t>(vertices));
+}
+BENCHMARK(BM_LocateUnindexed)->RangeMultiplier(4)->Range(16, 16384)
+    ->Complexity(benchmark::oN);
 
 void BM_RepeatedObjectColdRelate(benchmark::State& state) {
   // One pivot object refined against 8 partners, rebuilding the pivot's

@@ -1,6 +1,7 @@
 #include "src/de9im/relate_engine.h"
 
 #include "src/de9im/boundary_arrangement.h"
+#include "src/geometry/locator.h"
 #include "src/geometry/prepared_polygon.h"
 
 namespace stj::de9im {
@@ -15,13 +16,29 @@ struct SideFlags {
   bool on_boundary = false;  // some sub-edge lies on the other's boundary
 };
 
+// Locates p against one side through its slab locator when the side is
+// indexed, else by the exact crossing count over all its edges: a counted
+// scan unless p is outside the side's MBR, and the count that reaches
+// PreparedPolygon::kIndexAfterScans indexes the side for the rest of the
+// pair instead. So a pair scans a bare side at most that many times, however
+// many cuts its boundary has.
+Location LocateIn(const PreparedPolygon& side, const Point& p) {
+  if (!side.Indexed()) {
+    if (!side.Bounds().Contains(p)) return Location::kExterior;
+    side.CountScan();
+    if (!side.Indexed()) return LocateUnindexed(side.Geometry(), p);
+  }
+  return side.Locator().Locate(p);
+}
+
 SideFlags ClassifySide(const ArrangementSide& side,
-                       const PolygonLocator& other) {
+                       const PreparedPolygon& other) {
   SideFlags flags;
   flags.on_boundary = side.has_shared_piece;
+  flags.in_exterior = side.outside_window;
   for (const Point& mid : side.midpoints) {
     if (flags.in_interior && flags.in_exterior && flags.on_boundary) break;
-    switch (other.Locate(mid)) {
+    switch (LocateIn(other, mid)) {
       case Location::kInterior: flags.in_interior = true; break;
       case Location::kExterior: flags.in_exterior = true; break;
       case Location::kBoundary:
@@ -49,18 +66,12 @@ Matrix DisjointMatrix() {
 }  // namespace
 
 Matrix RelateEngine::Relate(const Polygon& r, const Polygon& s) {
-  // One-shot prepared wrappers (components build lazily on first use): the
-  // cold path and the cached path run the same code, so their matrices are
-  // byte-identical by construction.
   const PreparedPolygon pr(r);
   const PreparedPolygon ps(s);
-  return Relate(pr, ps);
-}
-
-Matrix RelateEngine::Relate(const Polygon& r, const PolygonLocator& r_locator,
-                            const Polygon& s, const PolygonLocator& s_locator) {
-  const PreparedPolygon pr(r, &r_locator);
-  const PreparedPolygon ps(s, &s_locator);
+  if (IndexBoth(r, s)) {
+    pr.Warm();
+    ps.Warm();
+  }
   return Relate(pr, ps);
 }
 
@@ -69,8 +80,8 @@ Matrix RelateEngine::Relate(const PreparedPolygon& r,
   if (!r.Bounds().Intersects(s.Bounds())) return DisjointMatrix();
 
   const Arrangement arr = ComputeArrangement(r, s);
-  const SideFlags rb = ClassifySide(arr.r, s.Locator());  // B(r) vs s
-  const SideFlags sb = ClassifySide(arr.s, r.Locator());  // B(s) vs r
+  const SideFlags rb = ClassifySide(arr.r, s);  // B(r) vs s
+  const SideFlags sb = ClassifySide(arr.s, r);  // B(s) vs r
 
   Matrix m;
   m.Set(Part::kExterior, Part::kExterior, Dim::k2);
@@ -90,41 +101,37 @@ Matrix RelateEngine::Relate(const PreparedPolygon& r,
 
   // Interior/interior: boundary-in-interior evidence implies open overlap.
   // Otherwise each connected interior is wholly inside, wholly outside, or
-  // equal — decided by one (memoized) representative point per side.
+  // equal to the other, and a common point means equal interiors, so equal
+  // MBRs: a side's (memoized) representative point is worth computing only
+  // when its MBR lies inside the other's.
   bool ii = rb.in_interior || sb.in_interior;
-  if (!ii) {
+  if (!ii && s.Bounds().Contains(r.Bounds())) {
     const Point* pr = r.InteriorPoint();
-    if (pr != nullptr && s.Locator().Locate(*pr) == Location::kInterior) {
-      ii = true;
-    }
+    ii = pr != nullptr && LocateIn(s, *pr) == Location::kInterior;
   }
-  if (!ii) {
+  if (!ii && r.Bounds().Contains(s.Bounds())) {
     const Point* ps = s.InteriorPoint();
-    if (ps != nullptr && r.Locator().Locate(*ps) == Location::kInterior) {
-      ii = true;
-    }
+    ii = ps != nullptr && LocateIn(r, *ps) == Location::kInterior;
   }
   if (ii) m.Set(Part::kInterior, Part::kInterior, Dim::k2);
 
   // Interior(r) vs exterior(s): r's boundary reaching E(s), or s's boundary
-  // cutting through I(r) (one side of it is E(s)), or r's interior wholly
-  // outside s.
+  // cutting through I(r) (one side of it is E(s)). Without either, I(r)
+  // lies wholly in I(s) or wholly in E(s); a piece of r's boundary in I(s)
+  // decides for I(s), so only a boundary lying wholly on s's needs r's
+  // representative point.
   bool ie = rb.in_exterior || sb.in_interior;
-  if (!ie) {
+  if (!ie && !rb.in_interior) {
     const Point* pr = r.InteriorPoint();
-    if (pr != nullptr && s.Locator().Locate(*pr) == Location::kExterior) {
-      ie = true;
-    }
+    ie = pr != nullptr && LocateIn(s, *pr) == Location::kExterior;
   }
   if (ie) m.Set(Part::kInterior, Part::kExterior, Dim::k2);
 
   // Exterior(r) vs interior(s): symmetric.
   bool ei = sb.in_exterior || rb.in_interior;
-  if (!ei) {
+  if (!ei && !sb.in_interior) {
     const Point* ps = s.InteriorPoint();
-    if (ps != nullptr && r.Locator().Locate(*ps) == Location::kExterior) {
-      ei = true;
-    }
+    ei = ps != nullptr && LocateIn(r, *ps) == Location::kExterior;
   }
   if (ei) m.Set(Part::kExterior, Part::kInterior, Dim::k2);
 

@@ -7,6 +7,33 @@
 
 namespace stj {
 
+namespace {
+
+// One edge's step of the exact +x ray cast from p. Returns true when p lies
+// on edge ab (the point is on the boundary); otherwise toggles *inside when
+// the ray crosses ab. The half-open rule counts each vertex crossing once.
+bool OnEdgeOrToggle(const Point& p, const Point& a, const Point& b,
+                    bool* inside) {
+  // On-boundary test with a cheap bounding-box pre-filter.
+  if (p.x >= std::min(a.x, b.x) && p.x <= std::max(a.x, b.x) &&
+      p.y >= std::min(a.y, b.y) && p.y <= std::max(a.y, b.y) &&
+      OnSegment(p, a, b)) {
+    return true;
+  }
+  if (a.y <= p.y) {
+    if (b.y > p.y && OrientSign(a, b, p) == Sign::kPositive) {
+      *inside = !*inside;
+    }
+  } else {
+    if (b.y <= p.y && OrientSign(a, b, p) == Sign::kNegative) {
+      *inside = !*inside;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 PolygonLocator::PolygonLocator(const Polygon& poly) : poly_(&poly) {
   const Box& bounds = poly.Bounds();
   const size_t num_edges = poly.VertexCount();
@@ -43,25 +70,34 @@ Location PolygonLocator::Locate(const Point& p) const {
   const std::vector<Edge>& slab = slabs_[SlabIndex(p.y)];
   bool inside = false;
   for (const Edge& e : slab) {
-    // On-boundary test with a cheap bounding-box pre-filter.
-    if (p.x >= std::min(e.a.x, e.b.x) && p.x <= std::max(e.a.x, e.b.x) &&
-        p.y >= std::min(e.a.y, e.b.y) && p.y <= std::max(e.a.y, e.b.y) &&
-        OnSegment(p, e.a, e.b)) {
-      return Location::kBoundary;
-    }
-    // Half-open crossing rule for the +x ray (counts each vertex once).
-    if (e.a.y <= p.y) {
-      if (e.b.y > p.y && OrientSign(e.a, e.b, p) == Sign::kPositive) {
-        inside = !inside;
-      }
-    } else {
-      if (e.b.y <= p.y && OrientSign(e.a, e.b, p) == Sign::kNegative) {
-        inside = !inside;
-      }
-    }
+    if (OnEdgeOrToggle(p, e.a, e.b, &inside)) return Location::kBoundary;
   }
   // Even-odd over all rings equals OGC interior for valid polygons with
   // properly nested holes.
+  return inside ? Location::kInterior : Location::kExterior;
+}
+
+Location LocateUnindexed(const Polygon& poly, const Point& p) {
+  if (!poly.Bounds().Contains(p)) return Location::kExterior;
+  bool inside = false;
+  const auto scan_ring = [&p, &inside](const Ring& ring) {
+    // A ring whose y-range misses p has no edge the ray or p can touch.
+    if (p.y < ring.Bounds().min.y || p.y > ring.Bounds().max.y) return false;
+    const std::vector<Point>& v = ring.Vertices();
+    const size_t n = v.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Point& a = v[i];
+      const Point& b = v[i + 1 == n ? 0 : i + 1];
+      // An edge whose y-span misses p neither crosses the ray nor holds p.
+      if ((a.y < p.y && b.y < p.y) || (a.y > p.y && b.y > p.y)) continue;
+      if (OnEdgeOrToggle(p, a, b, &inside)) return true;
+    }
+    return false;
+  };
+  if (scan_ring(poly.Outer())) return Location::kBoundary;
+  for (const Ring& hole : poly.Holes()) {
+    if (scan_ring(hole)) return Location::kBoundary;
+  }
   return inside ? Location::kInterior : Location::kExterior;
 }
 

@@ -18,9 +18,9 @@ namespace stj {
 /// structure only prunes. Typical query cost is O(sqrt(n)) for blob-like
 /// polygons versus O(n) for the plain scan in point_in_polygon.h.
 ///
-/// The DE-9IM relate engine classifies O(n + m) sub-edge midpoints per pair,
-/// so this index is what keeps refinement near O((n + m) * sqrt(n)) instead of
-/// quadratic.
+/// The DE-9IM relate engine builds one for a polygon that is reused across
+/// candidate pairs (or large on both sides of a pair); other polygons are
+/// located with LocateUnindexed below, which gives the same answer.
 class PolygonLocator {
  public:
   /// Builds the slab index over all rings of \p poly. The polygon must
@@ -49,5 +49,12 @@ class PolygonLocator {
   size_t num_slabs_ = 1;
   std::vector<std::vector<Edge>> slabs_;
 };
+
+/// Exact location of \p p against \p poly without an index: the crossing
+/// count of PolygonLocator::Locate (the same on-boundary test, the same
+/// half-open +x ray rule, even-odd over all rings) taken over every edge
+/// whose y-span contains p. Equal to PolygonLocator(poly).Locate(p) for
+/// every point, at O(n) per query and nothing to build.
+Location LocateUnindexed(const Polygon& poly, const Point& p);
 
 }  // namespace stj

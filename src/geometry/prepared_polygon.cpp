@@ -1,48 +1,23 @@
 #include "src/geometry/prepared_polygon.h"
 
 #include "src/geometry/point_on_surface.h"
-#include "src/geometry/ring.h"
+#include "src/util/check.h"
+#include "src/util/timer.h"
 
 namespace stj {
 
 const PolygonLocator& PreparedPolygon::Locator() const {
-  if (external_locator_ != nullptr) return *external_locator_;
-  if (locator_ == nullptr) locator_ = std::make_unique<PolygonLocator>(*poly_);
+  STJ_DCHECK_MSG(Indexed(), "Locator() before Warm()");
   return *locator_;
 }
 
-void PreparedPolygon::BuildEdges() const {
-  if (edges_built_) return;
-  edges_built_ = true;
-  edges_.reserve(poly_->VertexCount());
-  rings_.reserve(poly_->RingCount());
-  const auto add_ring = [this](const Ring& ring) {
-    RingRange range;
-    range.begin = static_cast<uint32_t>(edges_.size());
-    for (size_t i = 0; i < ring.Size(); ++i) edges_.push_back(ring.Edge(i));
-    range.end = static_cast<uint32_t>(edges_.size());
-    range.bounds = ring.Bounds();
-    rings_.push_back(range);
-  };
-  add_ring(poly_->Outer());
-  for (const Ring& hole : poly_->Holes()) add_ring(hole);
-}
-
 const std::vector<Segment>& PreparedPolygon::Edges() const {
-  BuildEdges();
+  STJ_DCHECK_MSG(Indexed(), "Edges() before Warm()");
   return edges_;
 }
 
-const std::vector<PreparedPolygon::RingRange>& PreparedPolygon::Rings() const {
-  BuildEdges();
-  return rings_;
-}
-
 const EdgeSlabIndex& PreparedPolygon::EdgeIndex() const {
-  if (index_ == nullptr) {
-    BuildEdges();
-    index_ = std::make_unique<EdgeSlabIndex>(edges_, poly_->Bounds());
-  }
+  STJ_DCHECK_MSG(Indexed(), "EdgeIndex() before Warm()");
   return *index_;
 }
 
@@ -56,8 +31,21 @@ const Point* PreparedPolygon::InteriorPoint() const {
 }
 
 void PreparedPolygon::Warm() const {
-  Locator();
-  EdgeIndex();
+  if (Indexed()) return;
+  const Timer timer;
+  edges_.reserve(poly_->VertexCount());
+  poly_->ForEachEdge([this](const Segment& e) { edges_.push_back(e); });
+  locator_ = std::make_unique<PolygonLocator>(*poly_);
+  index_ = std::make_unique<EdgeSlabIndex>(edges_, poly_->Bounds());
+  build_seconds_ = timer.ElapsedSeconds();
+}
+
+void PreparedPolygon::CountScan() const {
+  if (Indexed()) return;
+  if (++scans_ >= kIndexAfterScans) {
+    scans_ = kIndexAfterScans;
+    Warm();
+  }
 }
 
 size_t PreparedPolygon::EstimateBytes(const Polygon& poly) {

@@ -15,49 +15,38 @@
 
 namespace stj {
 
-/// A polygon bundled with every per-object structure DE-9IM refinement
-/// needs, so that the build cost is paid once per object instead of once per
-/// candidate pair:
+/// A polygon with the per-object indexes DE-9IM refinement can use, so
+/// that an object refined against many partners pays their build once:
 ///
 ///  - the PolygonLocator slab index (sub-edge midpoint classification),
-///  - the flattened edge array with per-ring index ranges and ring MBRs
-///    (arrangement construction and ring-level quick rejects),
-///  - an EdgeSlabIndex over those edges (boundary intersection discovery),
+///  - the flattened edge array and an EdgeSlabIndex over it (boundary
+///    intersection discovery),
 ///  - the memoized PointOnSurface representative point (the interior/
-///    interior containment fallback, which shared-boundary pairs hit on
-///    nearly every refinement).
+///    interior containment fallback).
 ///
-/// Every component is a deterministic pure function of the polygon, so a
-/// relate computed through a PreparedPolygon — fresh, cached, or reused a
-/// thousand times — is byte-identical to the cold two-polygon path, which
-/// itself delegates through one-shot PreparedPolygons.
+/// A PreparedPolygon starts bare: the relate engine scans a bare side's
+/// edges instead of querying an index, with the same exact answers. Warm()
+/// builds the indexes. A bare side builds them itself once it has been
+/// scanned kIndexAfterScans times (CountScan), counting the scans its
+/// object had in earlier pairs when the Pipeline passes them in; the
+/// Pipeline also warms both sides of a pair of two large polygons. Every
+/// component is a deterministic pure function of the polygon, so a relate
+/// is byte-identical whichever sides are indexed, and whenever a side
+/// becomes indexed.
 ///
-/// Components build lazily on first use, so a one-shot PreparedPolygon costs
-/// no more than the cold path it replaced; Warm() materialises the locator
-/// and edge index eagerly for cache insertion (the representative point
-/// stays lazy: not every pair needs it, and memoization amortises it just
-/// as well). Lazy state is mutable and NOT thread-safe: a PreparedPolygon
-/// is per-worker state (see the Pipeline prepared cache) and must not be
+/// Warm(), the scan count and the lazily memoized representative point
+/// write mutable state, which is NOT thread-safe: a PreparedPolygon is
+/// per-worker state (see the Pipeline prepared cache) and must not be
 /// shared across threads.
 ///
-/// The referenced Polygon (and any external locator) must outlive the
-/// PreparedPolygon.
+/// The referenced Polygon must outlive the PreparedPolygon.
 class PreparedPolygon {
  public:
-  /// Edges [begin, end) of one ring in Edges() order, with the ring's MBR.
-  struct RingRange {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    Box bounds = Box::Empty();
-  };
-
   PreparedPolygon() = default;
-  explicit PreparedPolygon(const Polygon& poly) : poly_(&poly) {}
-
-  /// As above but classifying against a caller-owned locator instead of
-  /// building one (the RelateEngine locator-overload compatibility path).
-  PreparedPolygon(const Polygon& poly, const PolygonLocator* locator)
-      : poly_(&poly), external_locator_(locator) {}
+  /// \p scans: passes already made over the object's edges while it was
+  /// bare, in earlier pairs; they count towards kIndexAfterScans.
+  explicit PreparedPolygon(const Polygon& poly, uint32_t scans = 0)
+      : poly_(&poly), scans_(scans) {}
 
   PreparedPolygon(PreparedPolygon&&) = default;
   PreparedPolygon& operator=(PreparedPolygon&&) = default;
@@ -67,27 +56,50 @@ class PreparedPolygon {
   const Polygon& Geometry() const { return *poly_; }
   const Box& Bounds() const { return poly_->Bounds(); }
 
-  /// The point-location slab index (built on first use).
+  /// True once Warm() has built the locator, edge array and edge index.
+  bool Indexed() const { return index_ != nullptr; }
+
+  /// The point-location slab index. Requires Indexed().
   const PolygonLocator& Locator() const;
 
   /// All edges, flattened in ForEachEdge order: outer ring, then holes.
+  /// Requires Indexed().
   const std::vector<Segment>& Edges() const;
 
-  /// Per-ring [begin, end) ranges into Edges(), with ring MBRs.
-  const std::vector<RingRange>& Rings() const;
-
-  /// The y-slab intersection-discovery index over Edges() (built on first
-  /// use, over the polygon's own bounds).
+  /// The y-slab intersection-discovery index over Edges(), slabbed over the
+  /// polygon's own bounds. Requires Indexed().
   const EdgeSlabIndex& EdgeIndex() const;
 
   /// The memoized PointOnSurface representative interior point, or nullptr
   /// for degenerate polygons. Computed at most once per object.
   const Point* InteriorPoint() const;
 
-  /// Materialises the locator, edge array, and edge index now — called on
-  /// cache insertion so the build cost lands in one place (and in the
-  /// prepared_build_seconds stat) instead of inside the first relate.
+  /// Builds the locator, edge array and edge index (once; later calls do
+  /// nothing) and records how long that took (BuildSeconds).
   void Warm() const;
+
+  /// Wall seconds Warm() took; 0 while bare. The Pipeline sums it into
+  /// prepared_build_seconds.
+  double BuildSeconds() const { return build_seconds_; }
+
+  /// Scans after which a bare polygon builds its indexes. A build costs
+  /// as much as 50 to 57 crossing-count passes over the same polygon at
+  /// 256 to 16,384 vertices, and 23 to 33 at 16 to 64 vertices, where both
+  /// are cheap (BM_PreparedBuildOnly against BM_LocateUnindexed in
+  /// bench/bench_micro_relate.cpp). So a large object is indexed once
+  /// scanning it has cost about one build: the rent-or-buy rule, about
+  /// twice the work of the better choice made in hindsight.
+  static constexpr uint32_t kIndexAfterScans = 64;
+
+  /// Passes over this polygon's edges while it was bare — the scans it was
+  /// constructed with, plus one per window scan and one per point located
+  /// by crossing count — up to kIndexAfterScans.
+  uint32_t Scans() const { return scans_; }
+
+  /// Counts one pass over the bare polygon's edges. The count that reaches
+  /// kIndexAfterScans calls Warm() instead, so a caller checks Indexed()
+  /// after counting and then uses the indexes rather than scanning.
+  void CountScan() const;
 
   /// Deterministic accounting estimate of the fully-warmed memory footprint
   /// (edge array + locator slabs + edge index + fixed overhead), used by the
@@ -96,15 +108,12 @@ class PreparedPolygon {
   static size_t EstimateBytes(const Polygon& poly);
 
  private:
-  void BuildEdges() const;
-
   const Polygon* poly_ = nullptr;
-  const PolygonLocator* external_locator_ = nullptr;
   mutable std::unique_ptr<PolygonLocator> locator_;
   mutable std::unique_ptr<EdgeSlabIndex> index_;
   mutable std::vector<Segment> edges_;
-  mutable std::vector<RingRange> rings_;
-  mutable bool edges_built_ = false;
+  mutable uint32_t scans_ = 0;
+  mutable double build_seconds_ = 0.0;
   mutable bool interior_computed_ = false;
   mutable std::optional<Point> interior_;
 };

@@ -29,6 +29,7 @@ void MergeStats(const PipelineStats& from, PipelineStats* into) {
   into->fallback_refined += from.fallback_refined;
   into->prepared_hits += from.prepared_hits;
   into->prepared_misses += from.prepared_misses;
+  into->prepared_builds += from.prepared_builds;
   into->checkins += from.checkins;
   into->deadline_hits += from.deadline_hits;
   into->cancel_latency_us =
@@ -104,40 +105,55 @@ bool Pipeline::AprilFor(const DatasetView& view, DecodedAprilCache* cache,
 }
 
 const PreparedPolygon& Pipeline::PreparedFor(PreparedCache* cache,
-                                             const DatasetView& view,
-                                             uint32_t idx,
+                                             const Polygon& poly,
+                                             uint32_t idx, bool index_now,
                                              PreparedPolygon* scratch) {
-  const Polygon& poly = (*view.objects)[idx].geometry;
-  if (options_.prepared_cache_bytes == 0) {
-    // Caching disabled: a lazy one-shot wrapper — exactly the cold path.
-    *scratch = PreparedPolygon(poly);
-    return *scratch;
-  }
   if (const PreparedPolygon* hit = cache->Find(idx)) {
     ++stats_.prepared_hits;
     return *hit;
   }
   ++stats_.prepared_misses;
-  ScopedStageTime timing(options_.time_stages,
-                         &stats_.prepared_build_seconds);
-  PreparedPolygon prepared(poly);
-  prepared.Warm();
-  return *cache->Insert(idx, std::move(prepared),
-                        PreparedPolygon::EstimateBytes(poly));
+  *scratch = PreparedPolygon(poly, cache->Scans(idx));
+  if (index_now) scratch->Warm();
+  return *scratch;
+}
+
+void Pipeline::SettleMiss(PreparedCache* cache, uint32_t idx,
+                          PreparedPolygon* scratch) {
+  cache->SetScans(idx, scratch->Scans());
+  if (!scratch->Indexed()) return;
+  ++stats_.prepared_builds;
+  if (options_.time_stages) {
+    stats_.prepared_build_seconds += scratch->BuildSeconds();
+  }
+  const size_t bytes = PreparedPolygon::EstimateBytes(scratch->Geometry());
+  cache->Insert(idx, std::move(*scratch), bytes);
+}
+
+de9im::Matrix Pipeline::RelatePair(uint32_t r_idx, uint32_t s_idx) {
+  ++stats_.refined;
+  const Polygon& r_poly = (*r_view_.objects)[r_idx].geometry;
+  const Polygon& s_poly = (*s_view_.objects)[s_idx].geometry;
+  if (options_.prepared_cache_bytes == 0) {
+    return de9im::RelateEngine::Relate(r_poly, s_poly);
+  }
+  const bool index_both = de9im::RelateEngine::IndexBoth(r_poly, s_poly);
+  PreparedPolygon r_scratch;
+  PreparedPolygon s_scratch;
+  const PreparedPolygon& r =
+      PreparedFor(&r_prepared_, r_poly, r_idx, index_both, &r_scratch);
+  const PreparedPolygon& s =
+      PreparedFor(&s_prepared_, s_poly, s_idx, index_both, &s_scratch);
+  const de9im::Matrix matrix = de9im::RelateEngine::Relate(r, s);
+  if (&r == &r_scratch) SettleMiss(&r_prepared_, r_idx, &r_scratch);
+  if (&s == &s_scratch) SettleMiss(&s_prepared_, s_idx, &s_scratch);
+  return matrix;
 }
 
 Relation Pipeline::Refine(uint32_t r_idx, uint32_t s_idx,
                           RelationSet candidates) {
   ScopedStageTime timing(options_.time_stages, &stats_.refine_seconds);
-  ++stats_.refined;
-  PreparedPolygon r_scratch;
-  PreparedPolygon s_scratch;
-  const PreparedPolygon& r =
-      PreparedFor(&r_prepared_, r_view_, r_idx, &r_scratch);
-  const PreparedPolygon& s =
-      PreparedFor(&s_prepared_, s_view_, s_idx, &s_scratch);
-  const de9im::Matrix matrix = de9im::RelateEngine::Relate(r, s);
-  return MostSpecificRelation(matrix, candidates);
+  return MostSpecificRelation(RelatePair(r_idx, s_idx), candidates);
 }
 
 Pipeline::FilterOutcome Pipeline::FilterStage(uint32_t r_idx, uint32_t s_idx) {
@@ -276,14 +292,7 @@ Relation Pipeline::FindRelation(uint32_t r_idx, uint32_t s_idx) {
 bool Pipeline::RefineStagePredicate(uint32_t r_idx, uint32_t s_idx,
                                     Relation p) {
   ScopedStageTime timing(options_.time_stages, &stats_.refine_seconds);
-  ++stats_.refined;
-  PreparedPolygon r_scratch;
-  PreparedPolygon s_scratch;
-  const PreparedPolygon& r =
-      PreparedFor(&r_prepared_, r_view_, r_idx, &r_scratch);
-  const PreparedPolygon& s =
-      PreparedFor(&s_prepared_, s_view_, s_idx, &s_scratch);
-  return RelationHolds(p, de9im::RelateEngine::Relate(r, s));
+  return RelationHolds(p, RelatePair(r_idx, s_idx));
 }
 
 RelateAnswer Pipeline::FilterStagePredicate(uint32_t r_idx, uint32_t s_idx,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/de9im/matrix.h"
 #include "src/de9im/relation.h"
 #include "src/geometry/polygon.h"
 #include "src/geometry/prepared_polygon.h"
@@ -43,10 +44,10 @@ struct DatasetView {
   const CompressedAprilStore* cstore = nullptr;
 };
 
-/// Default per-worker prepared-geometry cache budget. Sized so the working
-/// set of a Hilbert-ordered refinement schedule (the objects of a few
-/// consecutive blocks) stays resident: at the ~96 B/vertex estimate this
-/// holds roughly 300k polygon vertices per worker.
+/// Default per-worker prepared-geometry cache budget. Sized so the indexed
+/// working set of a Hilbert-ordered refinement schedule (the reused objects
+/// of a few consecutive blocks) stays resident: at the ~96 B/vertex
+/// estimate this holds roughly 300k polygon vertices per worker.
 inline constexpr size_t kDefaultPreparedCacheBytes = size_t{32} << 20;
 
 /// Execution knobs of one Pipeline (one refinement worker).
@@ -57,9 +58,9 @@ struct PipelineOptions {
   /// Byte budget of the per-worker PreparedPolygon cache that amortises
   /// locator/edge-index/representative-point construction across the
   /// candidate pairs an object participates in. 0 disables caching: every
-  /// refinement builds one-shot prepared wrappers, exactly the pre-cache
-  /// behaviour. The cache is a pure performance layer — results are
-  /// byte-identical for every budget.
+  /// refinement is a one-shot RelateEngine::Relate of the two polygons. The
+  /// cache is a pure performance layer — results are byte-identical for
+  /// every budget.
   size_t prepared_cache_bytes = kDefaultPreparedCacheBytes;
 };
 
@@ -77,11 +78,15 @@ struct PipelineStats {
   /// for that many pairs.
   uint64_t fallback_refined = 0;
   /// Prepared-geometry cache telemetry: each refined pair performs two
-  /// lookups (one per side), each counted as a hit (cached PreparedPolygon
-  /// reused) or a miss (built and inserted). Both stay zero when the cache
-  /// is disabled (prepared_cache_bytes == 0).
+  /// lookups (one per side), each counted as a hit (cached, indexed
+  /// PreparedPolygon reused) or a miss. A missed side is related bare
+  /// unless the pair is large on both sides or its object's scans reach
+  /// PreparedPolygon::kIndexAfterScans during the pair; then its indexes
+  /// are built (counted in prepared_builds) and cached. All three stay zero
+  /// when the cache is disabled (prepared_cache_bytes == 0).
   uint64_t prepared_hits = 0;
   uint64_t prepared_misses = 0;
+  uint64_t prepared_builds = 0;  ///< Always <= prepared_misses.
   /// ExecContext watchdog counters for this stage (exec_context.h), merged
   /// across workers like the prepared_* telemetry. All zero when the join
   /// ran without an ExecContext.
@@ -104,8 +109,8 @@ struct PipelineStats {
   uint64_t decoded_corrupt = 0;
   double filter_seconds = 0.0;  ///< MBR + intermediate filter time.
   double refine_seconds = 0.0;  ///< DE-9IM computation + mask matching time.
-  /// Time spent building PreparedPolygon indexes on cache misses — a subset
-  /// of refine_seconds. Only filled when time_stages is on.
+  /// Time spent building PreparedPolygon indexes (the prepared_builds) — a
+  /// subset of refine_seconds. Only filled when time_stages is on.
   double prepared_build_seconds = 0.0;
 
   double UndeterminedPercent() const {
@@ -125,13 +130,21 @@ void MergeStats(const PipelineStats& from, PipelineStats* into);
 ///
 /// The pipeline owns no data; it references the two datasets of a join
 /// scenario. Refinement computes the DE-9IM matrix with the from-scratch
-/// relate engine and matches it against the masks of the surviving candidate
-/// relations in specific-to-general order. Per-object refinement indexes
-/// (locator, edge index, representative point) are served from two bounded
-/// per-worker PreparedPolygon caches, so objects that participate in many
-/// candidate pairs — which the Hilbert-ordered parallel schedule keeps
-/// adjacent — pay index construction once instead of once per pair. The
-/// cache changes no result: every path funnels into the same prepared
+/// relate engine and matches it against the masks of the surviving
+/// candidate relations in specific-to-general order. The engine relates
+/// only the boundary inside MBR(r) ∩ MBR(s) and works on each side either
+/// through that object's indexes (locator, edge index) or bare, by
+/// scanning its edges. Indexes come from two bounded per-worker
+/// PreparedPolygon caches. An object is indexed, and cached, once this
+/// worker has spent about an index's build cost scanning it bare
+/// (PreparedPolygon::kIndexAfterScans, counted across its pairs and
+/// within one), so an object that recurs in many candidate pairs — which
+/// the Hilbert-ordered parallel schedule keeps adjacent — or that many
+/// points are located against is indexed once, and an object met a few
+/// times never pays for an index. A pair of two
+/// large polygons (RelateEngine::IndexBoth) indexes both sides at once,
+/// because scanning one against the other grows with the product of their
+/// sizes. No choice changes a result: every path funnels into the same
 /// relate body.
 ///
 /// Degraded mode: when a pair's APRIL approximation is missing (no vector,
@@ -201,13 +214,26 @@ class Pipeline {
   de9im::Relation Refine(uint32_t r_idx, uint32_t s_idx,
                          de9im::RelationSet candidates);
 
-  /// The PreparedPolygon for object \p idx of \p view: the cached instance
-  /// when the cache holds it (hit), a freshly built-and-inserted one on a
-  /// miss, or a lazy one-shot wrapper placed in \p scratch when caching is
-  /// disabled. The reference is valid for the current pair only.
-  const PreparedPolygon& PreparedFor(PreparedCache* cache,
-                                     const DatasetView& view, uint32_t idx,
+  /// Counts a refined pair and computes its DE-9IM matrix, each side
+  /// served by PreparedFor (or both bare, or both indexed when large, with
+  /// the cache disabled).
+  de9im::Matrix RelatePair(uint32_t r_idx, uint32_t s_idx);
+
+  /// The PreparedPolygon for object \p idx (geometry \p poly) on the side
+  /// of \p cache: the cached, indexed instance on a hit; on a miss, a new
+  /// one in \p scratch carrying the object's pass count, indexed now when
+  /// \p index_now is set and otherwise bare until the relate's scans
+  /// reach PreparedPolygon::kIndexAfterScans. The reference is valid for
+  /// the current pair only.
+  const PreparedPolygon& PreparedFor(PreparedCache* cache, const Polygon& poly,
+                                     uint32_t idx, bool index_now,
                                      PreparedPolygon* scratch);
+
+  /// After the relate of a pair that missed object \p idx: stores its pass
+  /// count, and when \p scratch was indexed during the pair, counts and
+  /// times the build and moves it into \p cache.
+  void SettleMiss(PreparedCache* cache, uint32_t idx,
+                  PreparedPolygon* scratch);
 
   /// Fetches the approximation of object \p idx on one side into \p out
   /// and returns true, or returns false when it is missing (no storage,

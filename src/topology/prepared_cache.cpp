@@ -1,5 +1,6 @@
 #include "src/topology/prepared_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
@@ -34,6 +35,15 @@ const PreparedPolygon* PreparedCache::Find(uint32_t key) {
     PushFront(handle);
   }
   return &pool_[handle]->prepared;
+}
+
+void PreparedCache::SetScans(uint32_t key, uint32_t scans) {
+  static_assert(PreparedPolygon::kIndexAfterScans <= UINT8_MAX,
+                "a pass count takes one byte");
+  if (scans == Scans(key)) return;
+  if (key >= scans_.size()) scans_.resize(size_t{key} + 1, 0);
+  scans_[key] = static_cast<uint8_t>(
+      std::min(PreparedPolygon::kIndexAfterScans, scans));
 }
 
 const PreparedPolygon* PreparedCache::Insert(uint32_t key,

@@ -10,13 +10,28 @@
 
 namespace stj {
 
-/// Bounded per-worker cache of PreparedPolygons keyed by object index.
+/// Bounded per-worker cache of indexed PreparedPolygons keyed by object
+/// index.
+///
+/// Admission: until its index is built, an object is related bare, and
+/// each bare relate passes over its edges a few times (one window scan, one
+/// crossing count per point located against it). The cache keeps each
+/// object's count of those passes (Scans/SetScans); the Pipeline seeds a
+/// missed object's PreparedPolygon with it and stores it back after the
+/// pair. The pass that brings the count to
+/// PreparedPolygon::kIndexAfterScans, about what building the index costs,
+/// builds it instead — in whichever pair that happens, even midway — and
+/// the Pipeline inserts the indexed object here. So an object is indexed
+/// once this worker has spent an index's worth of work scanning it (the
+/// rent-or-buy rule). The counts take one byte per key up to the largest
+/// key seen (the side's object count) and are never reset, so an evicted
+/// object is indexed again at its first scan after its next miss.
 ///
 /// Layout: an open-addressed (linear-probing, backward-shift deletion) hash
 /// table maps keys to handles into a stable entry pool; the live entries are
 /// threaded onto an intrusive LRU list. Eviction is by memory budget, using
 /// PreparedPolygon::EstimateBytes accounting. The entry being inserted is
-/// always admitted — older entries are evicted to make room, but a budget
+/// always kept — older entries are evicted to make room, but a budget
 /// smaller than a single object still keeps exactly one entry warm, which
 /// preserves the consecutive-pair reuse the Hilbert-ordered refinement
 /// schedule produces.
@@ -41,6 +56,16 @@ class PreparedCache {
   /// The returned pointer stays valid until the entry is evicted (i.e. at
   /// most until the next Insert).
   const PreparedPolygon* Find(uint32_t key);
+
+  /// The edge passes \p key's object has had while bare in this worker
+  /// (0 if none), at most PreparedPolygon::kIndexAfterScans.
+  uint32_t Scans(uint32_t key) const {
+    return key < scans_.size() ? scans_[key] : 0;
+  }
+
+  /// Records \p key's pass count, capped at
+  /// PreparedPolygon::kIndexAfterScans.
+  void SetScans(uint32_t key, uint32_t scans);
 
   /// Inserts an entry (the key must not already be present) and returns it,
   /// evicting least-recently-used entries until the budget is respected
@@ -93,6 +118,7 @@ class PreparedCache {
   std::vector<uint32_t> free_;  // recycled pool handles
   uint32_t lru_head_ = kNil;    // most recently used
   uint32_t lru_tail_ = kNil;    // least recently used
+  std::vector<uint8_t> scans_;  // key -> edge passes made bare, capped
 };
 
 }  // namespace stj

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/geometry/point_in_polygon.h"
+#include "src/geometry/prepared_polygon.h"
 #include "tests/test_support.h"
 
 namespace stj::de9im {
@@ -18,9 +19,12 @@ TEST(BoundaryArrangement, DisjointPolygonsKeepWholeEdges) {
   EXPECT_FALSE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
   EXPECT_FALSE(arr.s.has_shared_piece);
-  // One midpoint per edge, no splits.
-  EXPECT_EQ(arr.r.midpoints.size(), 4u);
-  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  // The MBRs are disjoint, so the window is empty: every edge is outside it
+  // and stays whole, unsplit and unlocated.
+  EXPECT_EQ(arr.r.midpoints.size(), 0u);
+  EXPECT_EQ(arr.s.midpoints.size(), 0u);
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_TRUE(arr.s.outside_window);
 }
 
 TEST(BoundaryArrangement, ProperCrossingSplitsEdges) {
@@ -30,9 +34,12 @@ TEST(BoundaryArrangement, ProperCrossingSplitsEdges) {
   const Arrangement arr = ComputeArrangement(a, b);
   EXPECT_TRUE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
-  // Two of a's edges split once each: 4 + 2 midpoints.
-  EXPECT_EQ(arr.r.midpoints.size(), 6u);
-  EXPECT_EQ(arr.s.midpoints.size(), 6u);
+  // The window is [1,2]^2: two edges of each square meet it and split once
+  // each (2 + 2 midpoints); the other two are outside it.
+  EXPECT_EQ(arr.r.midpoints.size(), 4u);
+  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_TRUE(arr.s.outside_window);
 }
 
 TEST(BoundaryArrangement, SharedEdgeIsDetectedCombinatorially) {
@@ -42,10 +49,13 @@ TEST(BoundaryArrangement, SharedEdgeIsDetectedCombinatorially) {
   EXPECT_TRUE(arr.boundaries_touch);
   EXPECT_TRUE(arr.r.has_shared_piece);
   EXPECT_TRUE(arr.s.has_shared_piece);
-  // The shared edge produces no midpoint (it is classified as boundary
-  // directly); the other 3 edges of each square produce one midpoint each.
-  EXPECT_EQ(arr.r.midpoints.size(), 3u);
-  EXPECT_EQ(arr.s.midpoints.size(), 3u);
+  // The window is the shared edge x=1. The shared edge produces no
+  // midpoint (it is classified as boundary directly); the two edges that
+  // touch its ends produce one midpoint each, and the far edge is outside.
+  EXPECT_EQ(arr.r.midpoints.size(), 2u);
+  EXPECT_EQ(arr.s.midpoints.size(), 2u);
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_TRUE(arr.s.outside_window);
 }
 
 TEST(BoundaryArrangement, PartialEdgeOverlapSplitsAroundSharedPiece) {
@@ -56,9 +66,14 @@ TEST(BoundaryArrangement, PartialEdgeOverlapSplitsAroundSharedPiece) {
   const Arrangement arr = ComputeArrangement(a, b);
   EXPECT_TRUE(arr.r.has_shared_piece);
   EXPECT_TRUE(arr.s.has_shared_piece);
-  // a: 3 whole edges + right edge splits into [0,1) shared-free piece.
-  EXPECT_EQ(arr.r.midpoints.size(), 4u);
-  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  // The window is x=2, y in [1,2]. a: its top edge stays whole and its
+  // right edge keeps one shared-free piece, y in [0,1]; the bottom and left
+  // edges are outside. b likewise: its bottom edge and the y in [2,3] piece
+  // of its left edge.
+  EXPECT_EQ(arr.r.midpoints.size(), 2u);
+  EXPECT_EQ(arr.s.midpoints.size(), 2u);
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_TRUE(arr.s.outside_window);
   // All midpoints must be off the other polygon's boundary in exact terms.
   for (const Point& mid : arr.r.midpoints) {
     EXPECT_NE(Locate(mid, b), Location::kBoundary);
@@ -73,6 +88,8 @@ TEST(BoundaryArrangement, IdenticalPolygonsHaveOnlySharedPieces) {
   EXPECT_TRUE(arr.s.has_shared_piece);
   EXPECT_TRUE(arr.r.midpoints.empty());
   EXPECT_TRUE(arr.s.midpoints.empty());
+  EXPECT_FALSE(arr.r.outside_window);
+  EXPECT_FALSE(arr.s.outside_window);
 }
 
 TEST(BoundaryArrangement, VertexTouchRecordsNoSplitInteriorToEdges) {
@@ -82,9 +99,13 @@ TEST(BoundaryArrangement, VertexTouchRecordsNoSplitInteriorToEdges) {
   const Arrangement arr = ComputeArrangement(a, b);
   EXPECT_TRUE(arr.boundaries_touch);
   EXPECT_FALSE(arr.r.has_shared_piece);
-  // The touch is at existing vertices: edges stay whole.
-  EXPECT_EQ(arr.r.midpoints.size(), 3u);
-  EXPECT_EQ(arr.s.midpoints.size(), 3u);
+  // The touch is at existing vertices: edges stay whole. The window is the
+  // line y=1, which the two edges at the shared vertex meet and the third
+  // edge of each triangle misses.
+  EXPECT_EQ(arr.r.midpoints.size(), 2u);
+  EXPECT_EQ(arr.s.midpoints.size(), 2u);
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_TRUE(arr.s.outside_window);
 }
 
 TEST(BoundaryArrangement, TJunctionSplitsTheThroughEdge) {
@@ -98,6 +119,57 @@ TEST(BoundaryArrangement, TJunctionSplitsTheThroughEdge) {
   // y=0 for x in [1,2] -> shared piece!
   EXPECT_TRUE(arr.r.has_shared_piece);
   EXPECT_TRUE(arr.s.has_shared_piece);
+}
+
+TEST(BoundaryArrangement, WindowHoldingWholePolygonHasNoOutsideEdge) {
+  // b lies inside a's MBR, so every edge of b is windowed; a's edges all
+  // miss the window [1,2]^2.
+  const Polygon a = Square(0, 0, 4, 4);
+  const Polygon b = Square(1, 1, 2, 2);
+  const Arrangement arr = ComputeArrangement(a, b);
+  EXPECT_FALSE(arr.boundaries_touch);
+  EXPECT_TRUE(arr.r.midpoints.empty());
+  EXPECT_TRUE(arr.r.outside_window);
+  EXPECT_EQ(arr.s.midpoints.size(), 4u);
+  EXPECT_FALSE(arr.s.outside_window);
+}
+
+TEST(BoundaryArrangement, BackEndsGiveIdenticalArrangements) {
+  // Indexed or bare, on either side: the same midpoints in the same order
+  // and the same flags, because cuts are ordered by (parameter, point) and
+  // not by the order the back end discovers them in. The last two shapes
+  // are an invalid polygon whose hole leaves its shell and a square whose
+  // edge x = 12 crosses that hole outside their window: an indexed side's
+  // probe must skip such an edge, as the bare nested loop does.
+  const Polygon shapes[] = {
+      Square(0, 0, 2, 2), Square(1, 1, 3, 3), Square(1, 0, 2, 2),
+      test::SquareWithHole(0, 0, 6, 6, 2),
+      Triangle(Point{0, 0}, Point{6, 0}, Point{3, 5}),
+      Triangle(Point{1, 0}, Point{3, -2}, Point{3, 0}),
+      Polygon(Ring({Point{0, 0}, Point{10, 0}, Point{10, 10}, Point{0, 10}}),
+              {Ring({Point{9, 2}, Point{14, 2}, Point{14, 4}, Point{9, 4}})}),
+      Polygon(Ring({Point{12, 6}, Point{8, 6}, Point{8, 0}, Point{12, 0}}))};
+  for (const Polygon& a : shapes) {
+    for (const Polygon& b : shapes) {
+      const Arrangement bare = ComputeArrangement(a, b);
+      for (const bool a_indexed : {false, true}) {
+        for (const bool b_indexed : {false, true}) {
+          const PreparedPolygon pa(a);
+          const PreparedPolygon pb(b);
+          if (a_indexed) pa.Warm();
+          if (b_indexed) pb.Warm();
+          const Arrangement arr = ComputeArrangement(pa, pb);
+          EXPECT_EQ(arr.r.midpoints, bare.r.midpoints);
+          EXPECT_EQ(arr.s.midpoints, bare.s.midpoints);
+          EXPECT_EQ(arr.r.has_shared_piece, bare.r.has_shared_piece);
+          EXPECT_EQ(arr.s.has_shared_piece, bare.s.has_shared_piece);
+          EXPECT_EQ(arr.r.outside_window, bare.r.outside_window);
+          EXPECT_EQ(arr.s.outside_window, bare.s.outside_window);
+          EXPECT_EQ(arr.boundaries_touch, bare.boundaries_touch);
+        }
+      }
+    }
+  }
 }
 
 TEST(BoundaryArrangement, MidpointsClassifyCleanly) {

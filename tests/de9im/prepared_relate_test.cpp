@@ -1,9 +1,9 @@
 // Differential tests for the prepared-geometry refinement path: a relate
 // computed through PreparedPolygons — fresh, reused across pairs, or served
 // from a Pipeline cache of any budget — must be byte-identical to the cold
-// two-polygon path for every pair. The cold path itself delegates through
-// one-shot prepared wrappers, so these tests pin the whole equivalence
-// class: cold == locator-overload == prepared == cached-prepared.
+// two-polygon path for every pair: cold == prepared == cached-prepared.
+// WindowedRelate (windowed_relate_test.cpp) covers the indexed/bare back
+// end combinations against the whole-boundary oracle.
 
 #include <gtest/gtest.h>
 
@@ -23,22 +23,17 @@
 namespace stj::de9im {
 namespace {
 
-/// Asserts the full matrix equivalence class for one pair: cold 2-arg,
-/// caller-locator 4-arg, fresh prepared, and the provided (possibly reused)
-/// prepared objects all agree.
+/// Asserts the matrix equivalence class for one pair: cold 2-arg, fresh
+/// (bare) prepared, and the provided (possibly reused, indexed) prepared
+/// objects all agree.
 void ExpectAllPathsAgree(const Polygon& r, const Polygon& s,
                          const PreparedPolygon& pr, const PreparedPolygon& ps,
                          const std::string& label) {
   const Matrix cold = RelateEngine::Relate(r, s);
-  const PolygonLocator r_locator(r);
-  const PolygonLocator s_locator(s);
-  const Matrix with_locators =
-      RelateEngine::Relate(r, r_locator, s, s_locator);
   const PreparedPolygon fresh_r(r);
   const PreparedPolygon fresh_s(s);
   const Matrix fresh = RelateEngine::Relate(fresh_r, fresh_s);
   const Matrix reused = RelateEngine::Relate(pr, ps);
-  EXPECT_EQ(cold.ToString(), with_locators.ToString()) << label;
   EXPECT_EQ(cold.ToString(), fresh.ToString()) << label;
   EXPECT_EQ(cold.ToString(), reused.ToString()) << label;
 }
@@ -56,19 +51,22 @@ TEST(PreparedRelateTest, RandomBlobPairsMatchColdPath) {
         /*hole_probability=*/0.3);
     const PreparedPolygon pa(a);
     const PreparedPolygon pb(b);
+    pa.Warm();
+    pb.Warm();
     ExpectAllPathsAgree(a, b, pa, pb, "blob pair " + std::to_string(i));
   }
 }
 
 TEST(PreparedRelateTest, PreparedObjectsReusedAcrossManyPairs) {
-  // One prepared object relates against a stream of partners — the cache's
-  // access pattern. Every answer must equal the per-pair cold computation,
-  // including after the lazy components and the memoized interior point have
-  // been materialised by earlier pairs.
+  // One indexed object relates against a stream of bare partners — the
+  // cache's access pattern. Every answer must equal the per-pair cold
+  // computation, including after the memoized interior point has been
+  // materialised by earlier pairs.
   Rng rng(223);
   const Polygon pivot = test::RandomBlob(&rng, Point{5, 5}, 2.0, 96,
                                          /*hole_probability=*/1.0);
   const PreparedPolygon prepared_pivot(pivot);
+  prepared_pivot.Warm();
   for (int i = 0; i < 40; ++i) {
     const Polygon partner = test::RandomBlob(
         &rng, Point{rng.Uniform(2, 8), rng.Uniform(2, 8)},
@@ -95,7 +93,10 @@ TEST(PreparedRelateTest, TessellationNeighborsMatchColdPath) {
   const std::vector<Polygon> cells = MakeTessellation(&rng, params);
   std::vector<PreparedPolygon> prepared;
   prepared.reserve(cells.size());
-  for (const Polygon& cell : cells) prepared.emplace_back(cell);
+  for (const Polygon& cell : cells) {
+    prepared.emplace_back(cell);
+    prepared.back().Warm();
+  }
   for (size_t i = 0; i < cells.size(); ++i) {
     for (const size_t j : {i + 1, i + 5}) {  // right and upper neighbours
       if (j >= cells.size()) continue;
@@ -116,6 +117,8 @@ TEST(PreparedRelateTest, SharedBoundaryEqualAndFilledPairs) {
     const Polygon filled = FillHoles(blob);  // equals blob when no holes
     const PreparedPolygon pb(blob);
     const PreparedPolygon pf(filled);
+    pb.Warm();
+    pf.Warm();
     ExpectAllPathsAgree(blob, filled, pb, pf, "filled " + std::to_string(i));
     ExpectAllPathsAgree(blob, blob, pb, pb, "self " + std::to_string(i));
   }
@@ -141,6 +144,65 @@ TEST(PreparedCacheTest, OneEntryBudgetKeepsExactlyOneEntry) {
       EXPECT_EQ(cache.Find(i - 1), nullptr);  // predecessor evicted
     }
   }
+}
+
+TEST(PreparedCacheTest, KeepsEachKeysPassCount) {
+  PreparedCache cache(kDefaultPreparedCacheBytes);
+  constexpr uint32_t kIndexCost = PreparedPolygon::kIndexAfterScans;
+  EXPECT_EQ(cache.Scans(7), 0u);  // never stored
+  cache.SetScans(7, kIndexCost - 1);
+  cache.SetScans(1000, 1);  // keys are counted independently
+  EXPECT_EQ(cache.Scans(7), kIndexCost - 1);
+  EXPECT_EQ(cache.Scans(1000), 1u);
+  EXPECT_EQ(cache.Scans(999), 0u);
+  cache.SetScans(7, 1000);  // capped: an evicted key re-indexes at once
+  EXPECT_EQ(cache.Scans(7), kIndexCost);
+  EXPECT_EQ(cache.size(), 0u);  // counting inserts nothing
+}
+
+TEST(PreparedRelateTest, ABareSideIsIndexedOnceItsScansCostAnIndex) {
+  // A bar across a comb's 50 teeth: its two long edges are cut 102 times
+  // each, and every piece's midpoint is located against the comb. The
+  // comb (103 vertices) and the bar (4) are not both large, so the comb
+  // starts bare; it indexes itself at its kIndexAfterScans-th scan instead
+  // of being scanned once per piece.
+  const Polygon comb = test::Comb(50);
+  const Polygon bar = test::Square(-1, 5, 101, 6);
+  ASSERT_FALSE(RelateEngine::IndexBoth(bar, comb));
+  const PreparedPolygon bare_comb(comb);
+  const PreparedPolygon bare_bar(bar);
+  const Matrix matrix = RelateEngine::Relate(bare_bar, bare_comb);
+  EXPECT_TRUE(bare_comb.Indexed());
+  EXPECT_EQ(bare_comb.Scans(), PreparedPolygon::kIndexAfterScans);
+  EXPECT_GT(bare_comb.BuildSeconds(), 0.0);
+  const PreparedPolygon indexed_comb(comb);
+  indexed_comb.Warm();
+  EXPECT_EQ(matrix, RelateEngine::Relate(PreparedPolygon(bar), indexed_comb));
+
+  // The scans an object had in earlier pairs count: one short of the
+  // threshold, its next scan (the window scan) indexes it.
+  const Polygon outer = test::Square(0, 0, 10, 10);
+  const Polygon inner = test::Square(4, 4, 5, 5);
+  const PreparedPolygon seeded(outer, PreparedPolygon::kIndexAfterScans - 1);
+  EXPECT_FALSE(seeded.Indexed());
+  RelateEngine::Relate(PreparedPolygon(inner), seeded);
+  EXPECT_TRUE(seeded.Indexed());
+}
+
+TEST(PreparedRelateTest, OnlyBareSidesCountScans) {
+  // Window scans and points located by crossing count are charged to a
+  // bare side; an indexed side is never scanned.
+  const Polygon outer = test::Square(0, 0, 10, 10);
+  const Polygon inner = test::Square(4, 4, 5, 5);
+  const PreparedPolygon bare_outer(outer);
+  const PreparedPolygon bare_inner(inner);
+  RelateEngine::Relate(bare_inner, bare_outer);
+  EXPECT_GT(bare_outer.Scans(), 1u);  // a window scan + located midpoints
+  EXPECT_GT(bare_inner.Scans(), 0u);
+  const PreparedPolygon indexed_outer(outer);
+  indexed_outer.Warm();
+  RelateEngine::Relate(bare_inner, indexed_outer);
+  EXPECT_EQ(indexed_outer.Scans(), 0u);
 }
 
 TEST(PreparedCacheTest, LruEvictionOrderUnderByteBudget) {
@@ -197,6 +259,7 @@ TEST(PreparedPipelineTest, CacheBudgetsAndThreadCountsAgree) {
   ASSERT_GT(reference.stats.refined, 0u);
   EXPECT_EQ(reference.stats.prepared_hits, 0u);    // cache disabled:
   EXPECT_EQ(reference.stats.prepared_misses, 0u);  // no lookups recorded
+  EXPECT_EQ(reference.stats.prepared_builds, 0u);
 
   for (const size_t budget : {size_t{1}, kDefaultPreparedCacheBytes}) {
     for (const unsigned threads : {1u, 2u, 4u}) {
@@ -219,6 +282,9 @@ TEST(PreparedPipelineTest, CacheBudgetsAndThreadCountsAgree) {
       // notwithstanding.
       EXPECT_EQ(run.stats.prepared_hits + run.stats.prepared_misses,
                 2 * run.stats.refined)
+          << label;
+      // Only a miss builds an index, at most once per lookup.
+      EXPECT_LE(run.stats.prepared_builds, run.stats.prepared_misses)
           << label;
     }
   }

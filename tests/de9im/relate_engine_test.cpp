@@ -171,14 +171,5 @@ TEST(RelateEngine, EdgeThroughVertexCrossing) {
   EXPECT_EQ(MostSpecificRelation(m), Relation::kIntersects);
 }
 
-TEST(RelateEngine, ReusedLocatorsGiveSameResult) {
-  const Polygon a = SquareWithHole(0, 0, 6, 6, 2);
-  const Polygon b = Square(1, 1, 5, 5);
-  const PolygonLocator la(a);
-  const PolygonLocator lb(b);
-  EXPECT_EQ(RelateEngine::Relate(a, la, b, lb).ToString(),
-            RelateMatrix(a, b).ToString());
-}
-
 }  // namespace
 }  // namespace stj::de9im

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/datasets/blob.h"
@@ -59,6 +60,17 @@ inline Polygon SquareWithHole(double x0, double y0, double x1, double y1,
 /// A simple triangle.
 inline Polygon Triangle(Point a, Point b, Point c) {
   return Polygon(Ring({a, b, c}));
+}
+
+/// A sawtooth "comb" on [0, 2n] x [0, 10]: a flat bottom edge and n teeth
+/// reaching y = 10 with notches down to y = 2, so 2n + 3 vertices. A
+/// horizontal line at 2 < y < 10 crosses its boundary 2n + 2 times.
+inline Polygon Comb(int n) {
+  std::vector<Point> vertices = {Point{0, 0}, Point{2.0 * n, 0}};
+  for (int x = 2 * n; x >= 0; --x) {
+    vertices.push_back(Point{double(x), x % 2 == 0 ? 10.0 : 2.0});
+  }
+  return Polygon(Ring(std::move(vertices)));
 }
 
 /// Random star-shaped blob for property tests.

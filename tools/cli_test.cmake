@@ -114,6 +114,11 @@ list(LENGTH load_lines load_count)
 if(NOT load_count EQUAL 2)
   message(FATAL_ERROR "join printed ${load_count} [load] lines, expected 2:\n${pc_err}")
 endif()
+# The prepared-cache line: per-side lookups, and the indexes built for them.
+if(NOT pc_err MATCHES
+   "\\[join\\] prepared cache: [0-9]+ hits / [0-9]+ misses, [0-9]+ built\n")
+  message(FATAL_ERROR "join printed no 'prepared cache: H hits / M misses, B built' line:\n${pc_err}")
+endif()
 execute_process(COMMAND ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt
                 --method=st2 --grid-order=10
                 RESULT_VARIABLE rc OUTPUT_VARIABLE st2_out)

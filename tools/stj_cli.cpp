@@ -495,19 +495,18 @@ void HandleInterrupt(int) {
   std::signal(SIGINT, SIG_DFL);  // a second Ctrl-C kills the process
 }
 
-/// Prints the prepared-geometry cache summary for a join (hits/misses are
-/// per-side lookups: two per refined pair). Silent when nothing was
-/// refined.
+/// Prints the prepared-geometry cache summary for a join: hits and misses
+/// are per-side lookups (two per refined pair), and a miss builds an index
+/// only when both polygons are large or the object's scans reach the cost
+/// of one during the pair.
+/// Silent when nothing was refined.
 void ReportPreparedStats(const PipelineStats& stats) {
-  const uint64_t lookups = stats.prepared_hits + stats.prepared_misses;
-  if (lookups == 0) return;
+  if (stats.prepared_hits + stats.prepared_misses == 0) return;
   std::fprintf(stderr,
-               "[join] prepared cache: %llu hits / %llu misses (%.1f%% hit "
-               "rate)\n",
+               "[join] prepared cache: %llu hits / %llu misses, %llu built\n",
                static_cast<unsigned long long>(stats.prepared_hits),
                static_cast<unsigned long long>(stats.prepared_misses),
-               100.0 * static_cast<double>(stats.prepared_hits) /
-                   static_cast<double>(lookups));
+               static_cast<unsigned long long>(stats.prepared_builds));
 }
 
 /// Prints the --time-stages summary: per-stage seconds plus the decoded
