@@ -148,12 +148,24 @@ bool LoadLine(std::string_view text, uint64_t line, const LoadOptions& options,
     return true;
   }
 
-  // Structural soundness: strict mode accepts whatever parses (validation
-  // is opt-in below); permissive mode repairs what it can and skips the
-  // rest so one mangled row never discards the dataset.
+  // Structural soundness: strict mode rejects a ring of zero area (the
+  // O(n) part of validation; the rest is opt-in below); permissive mode
+  // repairs what it can and skips the rest so one mangled row never
+  // discards the dataset.
   bool was_repaired = false;
   std::string repairs;
-  if (permissive) {
+  if (!permissive) {
+    const ValidationResult areas = ValidateRingAreas(*polygon);
+    if (!areas.valid) {
+      Status error = Status::InvalidArgument("degenerate polygon: " +
+                                             areas.reason);
+      error.WithLine(line);
+      RecordIssue(options, &report, line, LineIssue::Action::kRejected,
+                  error.message());
+      range->error = std::move(error);
+      return false;
+    }
+  } else {
     Polygon repaired;
     switch (RepairPolygon(*polygon, &repaired, &repairs)) {
       case RepairOutcome::kUnchanged:

@@ -24,8 +24,10 @@ bool SaveWktDataset(const std::string& path, const Dataset& dataset,
 
 /// How LoadWktDataset reacts to lines that fail to parse or validate.
 enum class LoadMode : uint8_t {
-  /// The whole load fails on the first bad line; the Status names the file,
-  /// line number, and byte offset of the problem.
+  /// The whole load fails on the first bad line — one that does not parse,
+  /// or a polygon with a ring of zero area (ValidateRingAreas) — and the
+  /// Status names the file, the line number and, for a parse error, the
+  /// byte offset of the problem.
   kStrict,
   /// Bad lines are repaired when possible (RepairPolygon) and skipped
   /// otherwise; the LoadReport records every decision. Real-world polygon

@@ -136,7 +136,7 @@ void EmitSide(const std::vector<Segment>& edges, SideSplits* splits,
 }
 
 // The edges of one polygon whose MBR meets the window, in
-// PreparedPolygon::Edges() order.
+// EdgeSlabIndex::Edges() order.
 struct WindowEdges {
   std::vector<Segment> edges;
   std::vector<uint32_t> ids;  // indexed side: each edge's position in Edges()
@@ -149,8 +149,9 @@ WindowEdges CollectWindow(const PreparedPolygon& side, const Box& window) {
   if (side.Indexed()) {
     // Every edge that meets the window overlaps its y-range, so the edge
     // index's probe finds them all; sorting restores Edges() order.
-    const std::vector<Segment>& edges = side.Edges();
-    side.EdgeIndex().Probe(window.min.y, window.max.y, [&](uint32_t id) {
+    const EdgeSlabIndex& index = side.EdgeIndex();
+    const std::vector<Segment>& edges = index.Edges();
+    index.Probe(window.min.y, window.max.y, [&](uint32_t id) {
       if (edges[id].Bounds().Intersects(window)) out.ids.push_back(id);
     });
     std::sort(out.ids.begin(), out.ids.end());
@@ -190,11 +191,12 @@ template <typename Visit>
 void ProbeIndexed(const WindowEdges& probing, const PreparedPolygon& indexed,
                   const WindowEdges& indexed_window, const Box& window,
                   const Visit& visit) {
-  const std::vector<Segment>& edges = indexed.Edges();
+  const EdgeSlabIndex& index = indexed.EdgeIndex();
+  const std::vector<Segment>& edges = index.Edges();
   const std::vector<uint32_t>& ids = indexed_window.ids;
   for (uint32_t i = 0; i < probing.edges.size(); ++i) {
     const Box box = probing.edges[i].Bounds();
-    indexed.EdgeIndex().Probe(box.min.y, box.max.y, [&](uint32_t id) {
+    index.Probe(box.min.y, box.max.y, [&](uint32_t id) {
       const Box id_box = edges[id].Bounds();
       if (!id_box.Intersects(box) || !id_box.Intersects(window)) return;
       const auto it = std::lower_bound(ids.begin(), ids.end(), id);

@@ -1,7 +1,7 @@
 #include "src/de9im/relate_engine.h"
 
 #include "src/de9im/boundary_arrangement.h"
-#include "src/geometry/locator.h"
+#include "src/geometry/edge_slab_index.h"
 #include "src/geometry/prepared_polygon.h"
 
 namespace stj::de9im {
@@ -16,7 +16,7 @@ struct SideFlags {
   bool on_boundary = false;  // some sub-edge lies on the other's boundary
 };
 
-// Locates p against one side through its slab locator when the side is
+// Locates p against one side through its edge index when the side is
 // indexed, else by the exact crossing count over all its edges: a counted
 // scan unless p is outside the side's MBR, and the count that reaches
 // PreparedPolygon::kIndexAfterScans indexes the side for the rest of the
@@ -28,7 +28,7 @@ Location LocateIn(const PreparedPolygon& side, const Point& p) {
     side.CountScan();
     if (!side.Indexed()) return LocateUnindexed(side.Geometry(), p);
   }
-  return side.Locator().Locate(p);
+  return side.EdgeIndex().Locate(p);
 }
 
 SideFlags ClassifySide(const ArrangementSide& side,

@@ -38,24 +38,22 @@ inline constexpr size_t kIndexBothAbove = 64;
 /// already places the whole interior there.
 ///
 /// Back ends: each side is either indexed (PreparedPolygon::Warm) or bare.
-/// An indexed side is probed through its edge slab index and located
-/// through its slab locator; a bare side's windowed edges are tested
-/// directly and a point is located against it by an exact crossing count
-/// over all its edges (LocateUnindexed — the +x ray leaves W). A bare side
-/// counts those passes and indexes itself at the
-/// PreparedPolygon::kIndexAfterScans-th, midway through a pair if need
-/// be. The matrix is identical for every combination and whenever a side
-/// becomes indexed.
+/// An indexed side is probed and located through its edge slab index; a
+/// bare side's windowed edges are tested directly and a point is located
+/// against it by an exact crossing count over all its edges
+/// (LocateUnindexed — the +x ray leaves W). A bare side counts those
+/// passes and indexes itself at the PreparedPolygon::kIndexAfterScans-th,
+/// midway through a pair if need be. The matrix is identical for every
+/// combination and whenever a side becomes indexed.
 ///
 /// Cost: with n_w, m_w windowed edges and k intersections, O(n + m) to
 /// window both boundaries, plus discovery — O((n_w + k) * slab) against an
 /// indexed side, O(n_w * m_w) between two bare ones — plus one locate per
 /// windowed sub-edge midpoint: about sqrt(size) against an indexed side,
 /// linear in its size against a bare one, for at most kIndexAfterScans
-/// locates. Building a side's indexes costs O(size) with a larger
-/// constant, about that many scans; it pays when the object is refined
-/// against several partners, when many points are located against it, or
-/// when both sides are large.
+/// locates. Building a side's index costs O(size), about 6 to 9 scans; it
+/// pays when the object is refined against several partners, when many
+/// points are located against it, or when both sides are large.
 class RelateEngine {
  public:
   /// Computes the DE-9IM matrix of (r, s): both sides bare, or both

@@ -6,16 +6,6 @@
 
 namespace stj {
 
-const PolygonLocator& PreparedPolygon::Locator() const {
-  STJ_DCHECK_MSG(Indexed(), "Locator() before Warm()");
-  return *locator_;
-}
-
-const std::vector<Segment>& PreparedPolygon::Edges() const {
-  STJ_DCHECK_MSG(Indexed(), "Edges() before Warm()");
-  return edges_;
-}
-
 const EdgeSlabIndex& PreparedPolygon::EdgeIndex() const {
   STJ_DCHECK_MSG(Indexed(), "EdgeIndex() before Warm()");
   return *index_;
@@ -33,10 +23,7 @@ const Point* PreparedPolygon::InteriorPoint() const {
 void PreparedPolygon::Warm() const {
   if (Indexed()) return;
   const Timer timer;
-  edges_.reserve(poly_->VertexCount());
-  poly_->ForEachEdge([this](const Segment& e) { edges_.push_back(e); });
-  locator_ = std::make_unique<PolygonLocator>(*poly_);
-  index_ = std::make_unique<EdgeSlabIndex>(edges_, poly_->Bounds());
+  index_ = std::make_unique<const EdgeSlabIndex>(*poly_);
   build_seconds_ = timer.ElapsedSeconds();
 }
 
@@ -49,14 +36,14 @@ void PreparedPolygon::CountScan() const {
 }
 
 size_t PreparedPolygon::EstimateBytes(const Polygon& poly) {
-  // Per vertex: one Segment in the edge array (32 B), one Edge{a, b} in a
-  // locator slab (32 B, edges spanning slabs counted once), one uint32 slab
-  // entry + one uint32 visited stamp in the edge index (8 B), plus ~24 B of
-  // slab-vector overhead across both indexes at ~4 edges per slab.
-  constexpr size_t kBytesPerVertex = 96;
-  constexpr size_t kFixedOverhead = 512;
-  return sizeof(PreparedPolygon) + kFixedOverhead +
-         poly.VertexCount() * kBytesPerVertex;
+  // The EdgeSlabIndex's CSR layout: per edge one Segment and its slab ids
+  // (1.0 to 1.75 per edge on the generated datasets, counted as 2), per
+  // four edges one slab offset, plus both objects.
+  constexpr size_t kIdsPerEdge = 2;
+  const size_t n = poly.VertexCount();
+  return sizeof(PreparedPolygon) + sizeof(EdgeSlabIndex) +
+         n * (sizeof(Segment) + kIdsPerEdge * sizeof(uint32_t)) +
+         (n / 4 + 2) * sizeof(uint32_t);
 }
 
 }  // namespace stj

@@ -4,29 +4,26 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/geometry/box.h"
 #include "src/geometry/edge_slab_index.h"
-#include "src/geometry/locator.h"
 #include "src/geometry/point.h"
 #include "src/geometry/polygon.h"
-#include "src/geometry/segment.h"
 
 namespace stj {
 
-/// A polygon with the per-object indexes DE-9IM refinement can use, so
-/// that an object refined against many partners pays their build once:
+/// A polygon with the per-object state DE-9IM refinement can reuse, so that
+/// an object refined against many partners pays its build once:
 ///
-///  - the PolygonLocator slab index (sub-edge midpoint classification),
-///  - the flattened edge array and an EdgeSlabIndex over it (boundary
-///    intersection discovery),
+///  - its EdgeSlabIndex (the flattened edges in one CSR slab layout), which
+///    serves both sub-edge midpoint location and boundary intersection
+///    discovery,
 ///  - the memoized PointOnSurface representative point (the interior/
 ///    interior containment fallback).
 ///
 /// A PreparedPolygon starts bare: the relate engine scans a bare side's
 /// edges instead of querying an index, with the same exact answers. Warm()
-/// builds the indexes. A bare side builds them itself once it has been
+/// builds the index. A bare side builds it itself once it has been
 /// scanned kIndexAfterScans times (CountScan), counting the scans its
 /// object had in earlier pairs when the Pipeline passes them in; the
 /// Pipeline also warms both sides of a pair of two large polygons. Every
@@ -56,39 +53,36 @@ class PreparedPolygon {
   const Polygon& Geometry() const { return *poly_; }
   const Box& Bounds() const { return poly_->Bounds(); }
 
-  /// True once Warm() has built the locator, edge array and edge index.
+  /// True once Warm() has built the edge index.
   bool Indexed() const { return index_ != nullptr; }
 
-  /// The point-location slab index. Requires Indexed().
-  const PolygonLocator& Locator() const;
-
-  /// All edges, flattened in ForEachEdge order: outer ring, then holes.
+  /// The edge index: the flattened edges (outer ring, then holes), point
+  /// location and y-range probes, slabbed over the polygon's own bounds.
   /// Requires Indexed().
-  const std::vector<Segment>& Edges() const;
-
-  /// The y-slab intersection-discovery index over Edges(), slabbed over the
-  /// polygon's own bounds. Requires Indexed().
   const EdgeSlabIndex& EdgeIndex() const;
 
   /// The memoized PointOnSurface representative interior point, or nullptr
   /// for degenerate polygons. Computed at most once per object.
   const Point* InteriorPoint() const;
 
-  /// Builds the locator, edge array and edge index (once; later calls do
-  /// nothing) and records how long that took (BuildSeconds).
+  /// Builds the edge index (once; later calls do nothing) and records how
+  /// long that took (BuildSeconds).
   void Warm() const;
 
   /// Wall seconds Warm() took; 0 while bare. The Pipeline sums it into
   /// prepared_build_seconds.
   double BuildSeconds() const { return build_seconds_; }
 
-  /// Scans after which a bare polygon builds its indexes. A build costs
-  /// as much as 50 to 57 crossing-count passes over the same polygon at
-  /// 256 to 16,384 vertices, and 23 to 33 at 16 to 64 vertices, where both
-  /// are cheap (BM_PreparedBuildOnly against BM_LocateUnindexed in
-  /// bench/bench_micro_relate.cpp). So a large object is indexed once
-  /// scanning it has cost about one build: the rent-or-buy rule, about
-  /// twice the work of the better choice made in hindsight.
+  /// Scans after which a bare polygon builds its index. A build now costs
+  /// as much as 6 to 9 crossing-count passes over the same polygon at 16 to
+  /// 16,384 vertices (BM_PreparedBuildOnly against BM_LocateUnindexed in
+  /// bench/bench_micro_relate.cpp), so rent-or-buy alone would index at
+  /// about the 8th scan. The threshold stays at 64 because an index pays
+  /// only for an object that is met again: on obe-ope, indexing at the
+  /// 12th scan built 1,875 indexes that served 825 hits (16 and 7 at 64)
+  /// and took about 30% more refinement time for no wall-time gain, and
+  /// tc-tz did not move beyond noise (EXPERIMENTS.md, "One slab index, one
+  /// per-worker LRU").
   static constexpr uint32_t kIndexAfterScans = 64;
 
   /// Passes over this polygon's edges while it was bare — the scans it was
@@ -98,20 +92,18 @@ class PreparedPolygon {
 
   /// Counts one pass over the bare polygon's edges. The count that reaches
   /// kIndexAfterScans calls Warm() instead, so a caller checks Indexed()
-  /// after counting and then uses the indexes rather than scanning.
+  /// after counting and then uses the index rather than scanning.
   void CountScan() const;
 
-  /// Deterministic accounting estimate of the fully-warmed memory footprint
-  /// (edge array + locator slabs + edge index + fixed overhead), used by the
-  /// prepared cache's byte budget. Independent of which components are
-  /// currently materialised.
+  /// Deterministic accounting estimate of the indexed memory footprint
+  /// (the EdgeSlabIndex's edges, slab ids and offsets, and both objects),
+  /// used by the prepared cache's byte budget. Independent of whether the
+  /// index is built yet.
   static size_t EstimateBytes(const Polygon& poly);
 
  private:
   const Polygon* poly_ = nullptr;
-  mutable std::unique_ptr<PolygonLocator> locator_;
-  mutable std::unique_ptr<EdgeSlabIndex> index_;
-  mutable std::vector<Segment> edges_;
+  mutable std::unique_ptr<const EdgeSlabIndex> index_;
   mutable uint32_t scans_ = 0;
   mutable double build_seconds_ = 0.0;
   mutable bool interior_computed_ = false;

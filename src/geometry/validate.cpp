@@ -72,6 +72,19 @@ ValidationResult ValidateRing(const Ring& ring) {
   return ValidationResult::Ok();
 }
 
+ValidationResult ValidateRingAreas(const Polygon& poly) {
+  if (poly.Outer().SignedArea2() == 0.0) {
+    return ValidationResult::Fail("outer ring has zero area");
+  }
+  for (size_t h = 0; h < poly.Holes().size(); ++h) {
+    if (poly.Holes()[h].SignedArea2() == 0.0) {
+      return ValidationResult::Fail("hole " + std::to_string(h) +
+                                    " has zero area");
+    }
+  }
+  return ValidationResult::Ok();
+}
+
 namespace {
 
 // Removes repeated consecutive vertices, treating the ring as closed (so a

@@ -28,6 +28,12 @@ ValidationResult ValidateRing(const Ring& ring);
 /// the outer ring, and that rings do not cross each other.
 ValidationResult ValidatePolygon(const Polygon& poly);
 
+/// The O(n) check strict loading applies to every parsed polygon: fails,
+/// naming the ring, when the outer ring or a hole encloses zero area (fewer
+/// than 3 distinct vertices, or all of them collinear) — the rings
+/// RepairPolygon cannot keep.
+ValidationResult ValidateRingAreas(const Polygon& poly);
+
 /// Outcome of RepairPolygon.
 enum class RepairOutcome : uint8_t {
   kUnchanged,     ///< Already structurally sound; *out is a copy of the input.

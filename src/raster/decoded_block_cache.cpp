@@ -25,57 +25,35 @@ DecodedAprilCache::FetchOutcome DecodedAprilCache::Fetch(
   // metadata — no cache traffic, exactly like the flat storages.
   if (idx >= store.Count() || !store.Usable(idx)) return FetchOutcome::kAbsent;
 
-  const auto it = entries_.find(idx);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);  // touch: becomes MRU
-    const Entry& entry = *it->second;
-    if (entry.bad) {
-      ++stats_.corrupt;
-      return FetchOutcome::kCorrupt;
-    }
-    ++stats_.hits;
-    *out = AprilView(
-        IntervalView(entry.conservative.data(), entry.conservative.size()),
-        IntervalView(entry.progressive.data(), entry.progressive.size()));
-    return FetchOutcome::kHit;
+  if (const Record* hit = lru_.Find(idx)) {
+    return Serve(*hit, FetchOutcome::kHit, out);
   }
 
   ++stats_.misses;
-  Entry entry;
-  entry.key = idx;
-  entry.bad = !store.DecodeRecord(idx, &entry.conservative, &entry.progressive);
-  if (entry.bad) {
+  Record record;
+  if (!store.DecodeRecord(idx, &record.conservative, &record.progressive)) {
     // Negative entry: keep only the marker, not the partial decode.
-    entry.conservative.clear();
-    entry.conservative.shrink_to_fit();
-    entry.progressive.clear();
-    entry.progressive.shrink_to_fit();
+    record = Record{};
+    record.bad = true;
   }
-  entry.bytes = EntryBytes(entry.conservative, entry.progressive);
+  const size_t bytes = EntryBytes(record.conservative, record.progressive);
+  const Record* inserted = lru_.Insert(idx, std::move(record), bytes);
+  stats_.evictions = lru_.evictions();
+  return Serve(*inserted, FetchOutcome::kMiss, out);
+}
 
-  lru_.push_front(std::move(entry));
-  entries_[idx] = lru_.begin();
-  bytes_ += lru_.front().bytes;
-
-  // Evict from the LRU tail until the budget holds — but never the entry
-  // just inserted, so one record always stays warm.
-  while (bytes_ > budget_ && lru_.size() > 1) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.bytes;
-    entries_.erase(victim.key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-
-  const Entry& front = lru_.front();
-  if (front.bad) {
+DecodedAprilCache::FetchOutcome DecodedAprilCache::Serve(const Record& record,
+                                                         FetchOutcome outcome,
+                                                         AprilView* out) {
+  if (record.bad) {
     ++stats_.corrupt;
     return FetchOutcome::kCorrupt;
   }
+  if (outcome == FetchOutcome::kHit) ++stats_.hits;
   *out = AprilView(
-      IntervalView(front.conservative.data(), front.conservative.size()),
-      IntervalView(front.progressive.data(), front.progressive.size()));
-  return FetchOutcome::kMiss;
+      IntervalView(record.conservative.data(), record.conservative.size()),
+      IntervalView(record.progressive.data(), record.progressive.size()));
+  return outcome;
 }
 
 }  // namespace stj

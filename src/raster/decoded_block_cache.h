@@ -2,14 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "src/interval/interval_list.h"
 #include "src/raster/april.h"
 #include "src/raster/april_compressed.h"
 #include "src/util/thread_annotations.h"
+#include "src/util/worker_lru.h"
 
 namespace stj {
 
@@ -48,9 +47,10 @@ struct DecodedCacheStats {
 /// signal as a usable=false placeholder — without re-attempting the decode.
 /// The malformed record never feeds a filter and never aborts the join.
 ///
-/// Eviction is by byte budget over the decoded interval payloads; the entry
-/// just inserted is always admitted (a budget smaller than one record still
-/// keeps exactly one record warm, preserving consecutive-pair reuse).
+/// The records live in a WorkerLru under a byte budget over the decoded
+/// interval payloads; the entry just inserted is always admitted (a budget
+/// smaller than one record still keeps exactly one record warm, preserving
+/// consecutive-pair reuse).
 ///
 /// Not thread-safe by design: one instance per Pipeline side, one Pipeline
 /// per worker (the same confinement contract as PreparedCache).
@@ -70,7 +70,7 @@ class DecodedAprilCache {
     kAbsent,   ///< No such record, or flagged unusable by the store.
   };
 
-  explicit DecodedAprilCache(size_t budget_bytes) : budget_(budget_bytes) {}
+  explicit DecodedAprilCache(size_t budget_bytes) : lru_(budget_bytes) {}
 
   /// Serves the decoded flat views of record \p idx from \p store into
   /// *out, decoding on a miss. kCorrupt/kAbsent mean the record cannot feed
@@ -82,24 +82,26 @@ class DecodedAprilCache {
                      AprilView* out);
 
   const DecodedCacheStats& Stats() const { return stats_; }
-  size_t budget_bytes() const { return budget_; }
-  size_t bytes() const { return bytes_; }
-  size_t size() const { return entries_.size(); }
+  size_t budget_bytes() const { return lru_.budget_bytes(); }
+  size_t bytes() const { return lru_.bytes(); }
+  size_t size() const { return lru_.size(); }
+
+  /// WorkerLru::ValidateInvariants over the cached records.
+  void ValidateInvariants() const { lru_.ValidateInvariants(); }
 
  private:
-  struct Entry {
-    uint32_t key = 0;
+  struct Record {
     bool bad = false;  ///< Negative entry: payload failed to decode.
-    size_t bytes = 0;
     std::vector<CellInterval> conservative;
     std::vector<CellInterval> progressive;
   };
 
-  /// MRU at the front; the map points into the list for O(1) touch.
-  std::list<Entry> lru_;
-  std::unordered_map<uint32_t, std::list<Entry>::iterator> entries_;
-  size_t budget_;
-  size_t bytes_ = 0;
+  /// Serves \p record into *out as \p outcome, or as kCorrupt when it is a
+  /// negative entry, and counts the lookup.
+  FetchOutcome Serve(const Record& record, FetchOutcome outcome,
+                     AprilView* out);
+
+  WorkerLru<Record> lru_;
   DecodedCacheStats stats_;
 };
 

@@ -46,8 +46,9 @@ struct DatasetView {
 
 /// Default per-worker prepared-geometry cache budget. Sized so the indexed
 /// working set of a Hilbert-ordered refinement schedule (the reused objects
-/// of a few consecutive blocks) stays resident: at the ~96 B/vertex
-/// estimate this holds roughly 300k polygon vertices per worker.
+/// of a few consecutive blocks) stays resident: at the ~41 B/vertex
+/// estimate (PreparedPolygon::EstimateBytes) this holds roughly 800k
+/// polygon vertices per worker and side.
 inline constexpr size_t kDefaultPreparedCacheBytes = size_t{32} << 20;
 
 /// Execution knobs of one Pipeline (one refinement worker).
@@ -56,7 +57,7 @@ struct PipelineOptions {
   /// harness, off for pure throughput runs).
   bool time_stages = false;
   /// Byte budget of the per-worker PreparedPolygon cache that amortises
-  /// locator/edge-index/representative-point construction across the
+  /// edge-index/representative-point construction across the
   /// candidate pairs an object participates in. 0 disables caching: every
   /// refinement is a one-shot RelateEngine::Relate of the two polygons. The
   /// cache is a pure performance layer — results are byte-identical for
@@ -133,7 +134,7 @@ void MergeStats(const PipelineStats& from, PipelineStats* into);
 /// relate engine and matches it against the masks of the surviving
 /// candidate relations in specific-to-general order. The engine relates
 /// only the boundary inside MBR(r) ∩ MBR(s) and works on each side either
-/// through that object's indexes (locator, edge index) or bare, by
+/// through that object's edge index or bare, by
 /// scanning its edges. Indexes come from two bounded per-worker
 /// PreparedPolygon caches. An object is indexed, and cached, once this
 /// worker has spent about an index's build cost scanning it bare

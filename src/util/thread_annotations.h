@@ -21,10 +21,12 @@
 ///    STJ_ACQUIRED_BEFORE; tools/stj_analyzer.py derives the observed
 ///    lock-order graph from nested guard scopes and fails on any cycle
 ///    between observed and declared edges.
-///  - Classes that are intentionally single-threaded (Pipeline and its
-///    PreparedCaches, the DecodedAprilCache: one instance per worker)
-///    declare STJ_THREAD_CONFINED("...") in their class body naming the
-///    confinement that replaces the lock annotations they do not need.
+///  - Classes that are intentionally single-threaded (Pipeline, its
+///    PreparedCaches and DecodedAprilCaches, and the WorkerLru both run on:
+///    one instance per worker) declare STJ_THREAD_CONFINED("...") in their
+///    class body naming the confinement that replaces the lock annotations
+///    they do not need. A built EdgeSlabIndex needs neither: it has no
+///    mutable state, so any number of threads may query one.
 
 #if defined(__clang__) && defined(__has_attribute)
 #define STJ_THREAD_ANNOTATION(x) __attribute__((x))

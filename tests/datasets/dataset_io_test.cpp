@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include "tests/test_support.h"
 
 namespace stj {
@@ -103,6 +104,38 @@ TEST(DatasetIo, StrictStatusNamesLineAndOffset) {
   EXPECT_EQ(status.file(), path);
   EXPECT_EQ(status.line(), 3u);
   EXPECT_TRUE(status.has_offset());
+  std::remove(path.c_str());
+}
+
+TEST(DatasetIo, StrictRejectsZeroAreaRings) {
+  // A hole or outer ring of zero area fails a strict load at its line (the
+  // O(n) area test, no ValidatePolygon), as permissive mode drops the hole
+  // or skips the polygon.
+  const std::string path = test::TempPath("strict_zero_area.wkt");
+  for (const auto& [wkt, reason] :
+       {std::pair<std::string, std::string>{
+            "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 1 1))",
+            "hole 0 has zero area"},
+        {"POLYGON ((0 0, 0 0, 0 0, 0 0))", "outer ring has zero area"},
+        {"POLYGON ((0 0, 2 2, 4 4, 0 0))", "outer ring has zero area"}}) {
+    {
+      std::ofstream out(path);
+      out << "POLYGON ((0 0, 1 0, 1 1))\n" << wkt << "\n";
+    }
+    Dataset loaded;
+    LoadReport report;
+    const Status status =
+        LoadWktDataset(path, "test", LoadOptions{}, &loaded, &report);
+    ASSERT_FALSE(status.ok()) << wkt;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << wkt;
+    EXPECT_EQ(status.file(), path);
+    EXPECT_EQ(status.line(), 2u);
+    EXPECT_NE(status.message().find(reason), std::string::npos)
+        << status.ToString();
+    EXPECT_TRUE(loaded.objects.empty());
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].action, LineIssue::Action::kRejected);
+  }
   std::remove(path.c_str());
 }
 

@@ -228,8 +228,8 @@ TEST(PreparedCacheTest, LruEvictionOrderUnderByteBudget) {
   EXPECT_NE(cache.Find(0), nullptr);
   EXPECT_NE(cache.Find(2), nullptr);
   EXPECT_NE(cache.Find(3), nullptr);
-  // Many more inserts than slots: exercises table growth, backward-shift
-  // deletion, and handle recycling without losing entries.
+  // Many more inserts than entries fit: eviction churn without losing the
+  // entry just inserted.
   for (uint32_t round = 0; round < 64; ++round) {
     const uint32_t key = round % 8;
     if (cache.Find(key) == nullptr) insert(key);

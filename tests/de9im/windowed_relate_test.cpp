@@ -2,10 +2,11 @@
 // boundary inside W = MBR(r) ∩ MBR(s), and works on each side through that
 // object's indexes or bare; whatever the combination, and with r and s
 // swapped, the matrix must be exactly what the whole-boundary engine it
-// replaced returns. That engine is kept below as the oracle: the
-// arrangement over all edges of both polygons, slab locators for every
-// sub-edge midpoint, and both representative points whenever boundary
-// evidence leaves an interior entry open. The pairs are every MBR-join
+// replaced returns. That engine is kept below as the oracle, independent
+// of the production indexes: the arrangement over every pair of edges of
+// the two polygons (MBR test first), the plain ring-by-ring Locate of
+// point_in_polygon.h for every sub-edge midpoint, and both representative
+// points whenever boundary evidence leaves an interior entry open. The pairs are every MBR-join
 // candidate of the seven scenarios: what an ST2 join refines, and so a
 // superset of the pairs the P+C filter leaves to refinement for
 // find-relation or for a relate_p `inside` query.
@@ -16,7 +17,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -24,8 +24,7 @@
 
 #include "src/datasets/scenarios.h"
 #include "src/de9im/relate_engine.h"
-#include "src/geometry/edge_slab_index.h"
-#include "src/geometry/locator.h"
+#include "src/geometry/point_in_polygon.h"
 #include "src/geometry/point_on_surface.h"
 #include "src/geometry/prepared_polygon.h"
 #include "src/geometry/segment.h"
@@ -36,28 +35,11 @@ namespace {
 
 // ------------------------------------------------------------------ oracle
 
-// Every index the whole-boundary engine built per object: the flattened
-// edges with per-ring ranges and MBRs, the edge slab index over them, the
-// slab locator, and the representative point.
+// What the whole-boundary engine kept per object: the flattened edges and
+// the representative point.
 struct OraclePolygon {
-  struct RingRange {
-    uint32_t begin = 0;
-    uint32_t end = 0;
-    Box bounds = Box::Empty();
-  };
-
-  explicit OraclePolygon(const Polygon& p) : poly(&p), locator(p) {
-    const auto add_ring = [this](const Ring& ring) {
-      RingRange range;
-      range.begin = static_cast<uint32_t>(edges.size());
-      for (size_t i = 0; i < ring.Size(); ++i) edges.push_back(ring.Edge(i));
-      range.end = static_cast<uint32_t>(edges.size());
-      range.bounds = ring.Bounds();
-      rings.push_back(range);
-    };
-    add_ring(p.Outer());
-    for (const Ring& hole : p.Holes()) add_ring(hole);
-    index = std::make_unique<EdgeSlabIndex>(edges, p.Bounds());
+  explicit OraclePolygon(const Polygon& p) : poly(&p) {
+    p.ForEachEdge([this](const Segment& e) { edges.push_back(e); });
     Point point;
     if (PointOnSurface(p, &point)) interior = point;
   }
@@ -66,12 +48,10 @@ struct OraclePolygon {
   const Point* InteriorPoint() const {
     return interior.has_value() ? &*interior : nullptr;
   }
+  Location LocateIn(const Point& p) const { return Locate(p, *poly); }
 
   const Polygon* poly;
   std::vector<Segment> edges;
-  std::vector<RingRange> rings;
-  std::unique_ptr<EdgeSlabIndex> index;
-  PolygonLocator locator;
   std::optional<Point> interior;
 };
 
@@ -179,38 +159,27 @@ OracleArrangement ComputeOracleArrangement(const OraclePolygon& r,
   std::vector<EdgeSplits> r_splits(r_edges.size());
   std::vector<EdgeSplits> s_splits(s_edges.size());
 
-  const Box overlap = r.Bounds().Intersection(s.Bounds());
-  if (!overlap.IsEmpty()) {
-    const Box& s_bounds = s.Bounds();
-    const EdgeSlabIndex& s_index = *s.index;
-    for (const OraclePolygon::RingRange& ring : r.rings) {
-      if (!ring.bounds.Intersects(s_bounds)) continue;
-      for (uint32_t i = ring.begin; i < ring.end; ++i) {
-        const Segment& re = r_edges[i];
-        const Box re_box = re.Bounds();
-        if (!re_box.Intersects(s_bounds)) continue;
-        s_index.Probe(std::min(re.a.y, re.b.y), std::max(re.a.y, re.b.y),
-                      [&](uint32_t j) {
-          const Segment& se = s_edges[j];
-          if (!re_box.Intersects(se.Bounds())) return;
-          const SegIntersection isect =
-              IntersectSegments(re.a, re.b, se.a, se.b);
-          if (isect.kind == SegIntersectKind::kNone) return;
-          out.boundaries_touch = true;
-          if (isect.kind == SegIntersectKind::kPoint) {
-            RecordCut(&r_splits[i], ParamOnSegment(isect.p0, re.a, re.b),
-                      isect.p0);
-            RecordCut(&s_splits[j], ParamOnSegment(isect.p0, se.a, se.b),
-                      isect.p0);
-          } else {
-            RecordShared(&r_splits[i],
-                         ParamOnSegment(isect.p0, re.a, re.b), isect.p0,
-                         ParamOnSegment(isect.p1, re.a, re.b), isect.p1);
-            RecordShared(&s_splits[j],
-                         ParamOnSegment(isect.p0, se.a, se.b), isect.p0,
-                         ParamOnSegment(isect.p1, se.a, se.b), isect.p1);
-          }
-        });
+  for (size_t i = 0; i < r_edges.size(); ++i) {
+    const Segment& re = r_edges[i];
+    const Box re_box = re.Bounds();
+    for (size_t j = 0; j < s_edges.size(); ++j) {
+      const Segment& se = s_edges[j];
+      if (!re_box.Intersects(se.Bounds())) continue;
+      const SegIntersection isect = IntersectSegments(re.a, re.b, se.a, se.b);
+      if (isect.kind == SegIntersectKind::kNone) continue;
+      out.boundaries_touch = true;
+      if (isect.kind == SegIntersectKind::kPoint) {
+        RecordCut(&r_splits[i], ParamOnSegment(isect.p0, re.a, re.b),
+                  isect.p0);
+        RecordCut(&s_splits[j], ParamOnSegment(isect.p0, se.a, se.b),
+                  isect.p0);
+      } else {
+        RecordShared(&r_splits[i], ParamOnSegment(isect.p0, re.a, re.b),
+                     isect.p0, ParamOnSegment(isect.p1, re.a, re.b),
+                     isect.p1);
+        RecordShared(&s_splits[j], ParamOnSegment(isect.p0, se.a, se.b),
+                     isect.p0, ParamOnSegment(isect.p1, se.a, se.b),
+                     isect.p1);
       }
     }
   }
@@ -226,12 +195,12 @@ struct SideFlags {
   bool on_boundary = false;
 };
 
-SideFlags ClassifySide(const OracleSide& side, const PolygonLocator& other) {
+SideFlags ClassifySide(const OracleSide& side, const OraclePolygon& other) {
   SideFlags flags;
   flags.on_boundary = side.has_shared_piece;
   for (const Point& mid : side.midpoints) {
     if (flags.in_interior && flags.in_exterior && flags.on_boundary) break;
-    switch (other.Locate(mid)) {
+    switch (other.LocateIn(mid)) {
       case Location::kInterior: flags.in_interior = true; break;
       case Location::kExterior: flags.in_exterior = true; break;
       case Location::kBoundary: flags.on_boundary = true; break;
@@ -254,8 +223,8 @@ Matrix OracleRelate(const OraclePolygon& r, const OraclePolygon& s) {
   if (!r.Bounds().Intersects(s.Bounds())) return DisjointMatrix();
 
   const OracleArrangement arr = ComputeOracleArrangement(r, s);
-  const SideFlags rb = ClassifySide(arr.r, s.locator);
-  const SideFlags sb = ClassifySide(arr.s, r.locator);
+  const SideFlags rb = ClassifySide(arr.r, s);
+  const SideFlags sb = ClassifySide(arr.s, r);
 
   Matrix m;
   m.Set(Part::kExterior, Part::kExterior, Dim::k2);
@@ -272,13 +241,13 @@ Matrix OracleRelate(const OraclePolygon& r, const OraclePolygon& s) {
   bool ii = rb.in_interior || sb.in_interior;
   if (!ii) {
     const Point* pr = r.InteriorPoint();
-    if (pr != nullptr && s.locator.Locate(*pr) == Location::kInterior) {
+    if (pr != nullptr && s.LocateIn(*pr) == Location::kInterior) {
       ii = true;
     }
   }
   if (!ii) {
     const Point* ps = s.InteriorPoint();
-    if (ps != nullptr && r.locator.Locate(*ps) == Location::kInterior) {
+    if (ps != nullptr && r.LocateIn(*ps) == Location::kInterior) {
       ii = true;
     }
   }
@@ -287,7 +256,7 @@ Matrix OracleRelate(const OraclePolygon& r, const OraclePolygon& s) {
   bool ie = rb.in_exterior || sb.in_interior;
   if (!ie) {
     const Point* pr = r.InteriorPoint();
-    if (pr != nullptr && s.locator.Locate(*pr) == Location::kExterior) {
+    if (pr != nullptr && s.LocateIn(*pr) == Location::kExterior) {
       ie = true;
     }
   }
@@ -296,7 +265,7 @@ Matrix OracleRelate(const OraclePolygon& r, const OraclePolygon& s) {
   bool ei = sb.in_exterior || rb.in_interior;
   if (!ei) {
     const Point* ps = s.InteriorPoint();
-    if (ps != nullptr && r.locator.Locate(*ps) == Location::kExterior) {
+    if (ps != nullptr && r.LocateIn(*ps) == Location::kExterior) {
       ei = true;
     }
   }

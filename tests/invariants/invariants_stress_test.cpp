@@ -1,7 +1,7 @@
 // Structure-churn drills for the deep ValidateInvariants() validators.
 // Each test hammers one data structure through the operations most likely to
-// break its invariants (eviction, handle recycling, table growth, CSR
-// appends, degraded-mode placeholders) and runs the validator at every
+// break its invariants (LRU eviction and reordering, CSR appends,
+// degraded-mode placeholders) and runs the validator at every
 // step. The validators are compiled in all build modes, so this test runs
 // under the default preset too; the `invariants` preset additionally turns
 // on their automatic invocation inside the library.
@@ -27,8 +27,8 @@ namespace {
 
 TEST(InvariantsStress, PreparedCacheEvictionChurn) {
   // A budget small enough to force constant eviction, keys reused in a
-  // pattern that exercises hit-path LRU reordering, backward-shift deletion,
-  // free-list recycling, and table growth.
+  // pattern that exercises hit-path LRU reordering and evictions of one or
+  // several entries per insert.
   const Polygon poly = test::Square(0, 0, 1, 1);
   PreparedCache cache(/*budget_bytes=*/4096);
   Rng rng(1234);

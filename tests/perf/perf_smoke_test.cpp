@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/datasets/scenarios.h"
+#include "src/geometry/edge_slab_index.h"
 #include "src/join/mbr_join.h"
 #include "src/topology/parallel.h"
+#include "src/util/rng.h"
+#include "tests/test_support.h"
 
 // Fast smoke tests for the parallel hot stages (ctest label: perf_smoke).
 // They assert the one property the perf work must never trade away — the
@@ -53,8 +59,8 @@ TEST_F(PerfSmoke, ParallelFindRelationMatchesSingleThread) {
 TEST_F(PerfSmoke, PreparedCacheMatchesUncachedRefinement) {
   // The prepared-geometry cache is a refinement-only perf layer; this pins
   // its no-result-change contract under the sanitizer presets (asan/ubsan
-  // see the open-addressed table, LRU relinking, and eviction churn; the
-  // 1-byte budget maximises that churn).
+  // see the LRU's relinking and eviction churn; the 1-byte budget
+  // maximises that churn).
   ASSERT_FALSE(scenario_.candidates.empty());
   const JoinOptions uncached{.num_threads = 1,
                              .time_stages = false,
@@ -86,6 +92,35 @@ TEST_F(PerfSmoke, ParallelRelateMatchesSingleThread) {
       Method::kPC, scenario_.RView(), scenario_.SView(), scenario_.candidates,
       de9im::Relation::kIntersects, JoinOptions{.num_threads = 4});
   EXPECT_EQ(serial.matches, parallel.matches);
+}
+
+TEST(EdgeSlabIndexConcurrency, FourThreadsQueryOneIndexLikeOne) {
+  // A built index is immutable: four threads locating points and probing
+  // y-ranges on one shared index see what one thread sees (and, under
+  // TSan, race on nothing).
+  Rng rng(67);
+  const Polygon poly = test::RandomBlob(&rng, Point{0, 0}, 10.0, 2000,
+                                        /*hole_probability=*/0.8);
+  const EdgeSlabIndex index(poly);
+  std::vector<Point> points;
+  for (int i = 0; i < 4000; ++i) {
+    points.push_back(Point{rng.Uniform(-12, 12), rng.Uniform(-12, 12)});
+  }
+  const auto run = [&](size_t first, size_t step, std::vector<int64_t>* out) {
+    for (size_t i = first; i < points.size(); i += step) {
+      int64_t probed = 0;
+      index.Probe(points[i].y - 0.5, points[i].y + 0.5,
+                  [&](uint32_t id) { probed += id + 1; });
+      (*out)[i] = probed * 3 + static_cast<int64_t>(index.Locate(points[i]));
+    }
+  };
+  std::vector<int64_t> serial(points.size());
+  run(0, 1, &serial);
+  std::vector<int64_t> parallel(points.size());
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < 4; ++t) workers.emplace_back(run, t, 4, &parallel);
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace

@@ -89,6 +89,7 @@ TEST(DecodedAprilCacheTest, TinyBudgetEvictsButAlwaysServes) {
   for (int round = 0; round < 3; ++round) {
     for (uint32_t r = 0; r < kRecords; ++r) {
       ExpectServes(&cache, store, r, 64);
+      cache.ValidateInvariants();
     }
   }
   EXPECT_GT(cache.Stats().evictions, 0u);

@@ -42,8 +42,9 @@ void SerialRecordIssue(const LoadOptions& options, LoadReport* report,
   }
 }
 
-/// The serial loader the ranged one replaced, kept verbatim as the oracle:
-/// one std::getline pass on the calling thread.
+/// The serial loader the ranged one replaced, kept as the oracle — one
+/// std::getline pass on the calling thread — with the strict rule added
+/// since: a ring of zero area rejects the line.
 Status SerialLoad(const std::string& path, const std::string& name,
                   const LoadOptions& options, Dataset* out,
                   LoadReport* report) {
@@ -81,7 +82,18 @@ Status SerialLoad(const std::string& path, const std::string& name,
 
     bool was_repaired = false;
     std::string repairs;
-    if (permissive) {
+    if (!permissive) {
+      const ValidationResult areas = ValidateRingAreas(*polygon);
+      if (!areas.valid) {
+        Status error = Status::InvalidArgument("degenerate polygon: " +
+                                               areas.reason);
+        error.WithFile(path).WithLine(line_number);
+        SerialRecordIssue(options, report, line_number,
+                          LineIssue::Action::kRejected, error.message());
+        out->objects.clear();
+        return error;
+      }
+    } else {
       Polygon repaired;
       switch (RepairPolygon(*polygon, &repaired, &repairs)) {
         case RepairOutcome::kUnchanged:

@@ -259,10 +259,39 @@ if(NOT EXISTS ${WORK}/dirty.april)
   message(FATAL_ERROR "permissive load must produce an output file")
 endif()
 
+file(WRITE ${WORK}/unit_square.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
+
+# A ring of zero area is bad data too: a strict load fails naming the file
+# and line (exit 4), as does a `relate` argument with one. Permissive loads
+# drop such a hole (and answer as if it were absent) or skip such a polygon.
+file(WRITE ${WORK}/flat_hole.wkt
+     "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 1 1))\n")
+file(WRITE ${WORK}/flat_outer.wkt "POLYGON ((0 0, 0 0, 0 0, 0 0))\n")
+file(WRITE ${WORK}/square4.wkt "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))\n")
+run_expect(4 "flat_hole.wkt:1: degenerate polygon: hole 0 has zero area"
+           ${CLI} join ${WORK}/flat_hole.wkt ${WORK}/square4.wkt)
+run_expect(4 "flat_outer.wkt:1: degenerate polygon: outer ring has zero area"
+           ${CLI} join ${WORK}/flat_outer.wkt ${WORK}/unit_square.wkt)
+run_expect(4 "<argument 2>: degenerate polygon: hole 0 has zero area"
+           ${CLI} relate "POLYGON ((0 0, 4 0, 4 4, 0 4))"
+           "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), (1 1, 3 1, 1 1))")
+run_expect(4 "<argument 1>: degenerate polygon: outer ring has zero area"
+           ${CLI} relate "POLYGON ((0 0, 0 0, 0 0, 0 0))"
+           "POLYGON ((0 0, 1 0, 1 1, 0 1))")
+execute_process(COMMAND ${CLI} join ${WORK}/flat_hole.wkt ${WORK}/square4.wkt
+                --permissive
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 equals\n" OR
+   NOT err MATCHES "0 accepted, 1 repaired, 0 skipped")
+  message(FATAL_ERROR "permissive zero-area hole join failed (${rc}):\n${out}\n${err}")
+endif()
+run_expect(0 "0 accepted, 0 repaired, 1 skipped"
+           ${CLI} join ${WORK}/flat_outer.wkt ${WORK}/unit_square.wkt
+           --permissive)
+
 # Non-finite coordinates are malformed: std::from_chars reads "nan" and
 # "inf", and the parser rejects them. Strict: exit 4 naming the line and the
 # byte. Permissive: the line is skipped and the rest is answered.
-file(WRITE ${WORK}/unit_square.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
 file(WRITE ${WORK}/nonfinite.wkt
 "POLYGON ((0.5 0.5, 1.5 0.5, 1.5 1.5, 0.5 1.5))
 POLYGON ((0 0, nan 0, 1 1, 0 1, 0 0))

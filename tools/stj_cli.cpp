@@ -72,7 +72,9 @@
 // the file, and each load prints a "[load] <path>: <n> objects, <v>
 // vertices, <MB> MB in <s>s" line to stderr. Loads are strict by default:
 // the first malformed line (including a nan or inf coordinate) aborts with
-// a message naming the file, line, and byte offset. With --permissive, bad
+// a message naming the file, line, and byte offset, and so does the first
+// polygon with a ring of zero area (naming the file and line; `relate`
+// rejects such an argument too). With --permissive, bad
 // lines are repaired or skipped (reported to stderr) and the run continues
 // on the clean remainder. Neither result depends on --threads.
 //
@@ -104,6 +106,7 @@
 #include "src/datasets/dataset_io.h"
 #include "src/datasets/scenarios.h"
 #include "src/de9im/relate_engine.h"
+#include "src/geometry/validate.h"
 #include "src/geometry/wkt.h"
 #include "src/raster/april_io.h"
 #include "src/raster/grid.h"
@@ -466,16 +469,25 @@ int CmdAprilCheck(int argc, char** argv) {
   return report.Degraded() ? kExitDegraded : kExitOk;
 }
 
+/// Parses a `relate` argument under the strict load rule: it must parse and
+/// have no ring of zero area.
+Result<Polygon> ParseRelateArgument(const char* wkt, const char* name) {
+  Result<Polygon> polygon = ParseWktPolygon(wkt);
+  if (!polygon.has_value()) return Status(polygon.status()).WithFile(name);
+  const ValidationResult areas = ValidateRingAreas(*polygon);
+  if (!areas.valid) {
+    return Status::InvalidArgument("degenerate polygon: " + areas.reason)
+        .WithFile(name);
+  }
+  return polygon;
+}
+
 int CmdRelate(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const Result<Polygon> a = ParseWktPolygon(argv[2]);
-  if (!a.has_value()) {
-    return FailWith(Status(a.status()).WithFile("<argument 1>"));
-  }
-  const Result<Polygon> b = ParseWktPolygon(argv[3]);
-  if (!b.has_value()) {
-    return FailWith(Status(b.status()).WithFile("<argument 2>"));
-  }
+  const Result<Polygon> a = ParseRelateArgument(argv[2], "<argument 1>");
+  if (!a.has_value()) return FailWith(a.status());
+  const Result<Polygon> b = ParseRelateArgument(argv[3], "<argument 2>");
+  if (!b.has_value()) return FailWith(b.status());
   const de9im::Matrix matrix = de9im::RelateMatrix(*a, *b);
   std::printf("DE-9IM:   %s\n", matrix.ToString().c_str());
   std::printf("relation: %s\n",
