@@ -1,10 +1,12 @@
 // Micro-benchmarks for the raster substrate: Hilbert curve evaluation and
-// APRIL construction cost (the once-per-object preprocessing), plus the
-// Hilbert-vs-row-major interval count ablation from DESIGN.md.
+// APRIL construction cost (the once-per-object preprocessing) whole and
+// split into its two halves, rasterisation and the quadrant decomposition,
+// plus the Hilbert-vs-row-major interval count ablation from DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
 #include "src/datasets/blob.h"
+#include "src/datasets/tessellation.h"
 #include "src/raster/april.h"
 #include "src/util/rng.h"
 
@@ -37,6 +39,57 @@ void BM_AprilBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AprilBuild)->RangeMultiplier(4)->Range(16, 16384);
+
+// The split build benchmarks run on a grid of order 12 over [0, 100]²,
+// like BM_AprilBuild, with two inputs: 0 is a tessellation cell of a TZ zip
+// code's size and vertex count at perfbench's tc-tz scale (144 × 144 cells
+// over the region, 12 points per shared edge; about 28 × 28 grid cells),
+// and 1 is a fine blob (4,096 vertices, radius 10).
+Polygon SplitInput(int64_t which, benchmark::State* state) {
+  if (which == 0) {
+    state->SetLabel("tessellation cell");
+    Rng rng(27);
+    TessellationParams params;
+    const double side = 100.0 / 144.0;
+    params.region = Box::Of(Point{50, 50}, Point{50 + 3 * side, 50 + 3 * side});
+    params.cols = 3;
+    params.rows = 3;
+    params.edge_points = 12;
+    return MakeTessellation(&rng, params)[4];  // The middle cell.
+  }
+  state->SetLabel("fine blob");
+  Rng rng(29);
+  BlobParams params;
+  params.center = Point{50, 50};
+  params.mean_radius = 10.0;
+  params.vertices = 4096;
+  return MakeBlob(&rng, params);
+}
+
+void BM_Rasterize(benchmark::State& state) {
+  const Polygon poly = SplitInput(state.range(0), &state);
+  const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 12);
+  Rasterizer rasterizer(&grid);
+  RasterCoverage coverage;
+  for (auto _ : state) {
+    rasterizer.Rasterize(poly, &coverage);
+    benchmark::DoNotOptimize(coverage.partial_by_row.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Rasterize)->Arg(0)->Arg(1);
+
+// The coverage is rasterised once, outside the timed loop.
+void BM_DecomposeQuadrants(benchmark::State& state) {
+  const Polygon poly = SplitInput(state.range(0), &state);
+  const RasterGrid grid(Box::Of(Point{0, 0}, Point{100, 100}), 12);
+  const RasterCoverage coverage = Rasterizer(&grid).Rasterize(poly);
+  const AprilBuilder builder(&grid);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(builder.FromCoverageQuadrants(coverage));
+  }
+}
+BENCHMARK(BM_DecomposeQuadrants)->Arg(0)->Arg(1);
 
 void BM_AprilBuildByGridOrder(benchmark::State& state) {
   Rng rng(23);

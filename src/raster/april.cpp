@@ -1,6 +1,7 @@
 #include "src/raster/april.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -42,6 +43,13 @@ void MergeRowRanges(const std::vector<uint32_t>& partial, const RowRuns& full,
   }
 }
 
+/// The first run of \p runs that ends at or after column \p x.
+RowRuns::const_iterator FirstRunReaching(const RowRuns& runs, uint32_t x) {
+  return std::partition_point(
+      runs.begin(), runs.end(),
+      [x](const std::pair<uint32_t, uint32_t>& run) { return run.second < x; });
+}
+
 // Curve frames. The curve index (hilbert.cpp) reads a cell's coordinate bits
 // from the top down and, after each level, maps the remaining low bits into
 // the canonical frame of the subquadrant it entered (Rotate). So every
@@ -62,6 +70,60 @@ constexpr uint32_t kChildU[4] = {0, 0, 1, 1};
 constexpr uint32_t kChildV[4] = {0, 1, 1, 0};
 constexpr uint32_t kEnterFrame[4] = {1, 0, 0, 3};
 
+/// Grid-local offset bits of a child quadrant.
+struct ChildOffset {
+  uint32_t u;
+  uint32_t v;
+};
+
+/// The grid child of curve step \p h in a quadrant with frame \p frame:
+/// the frame applied to (kChildU[h], kChildV[h]).
+constexpr ChildOffset GridChild(uint32_t frame, uint32_t h) {
+  const uint32_t flip = (frame >> 1) & 1u;
+  const uint32_t u = kChildU[h] ^ flip;
+  const uint32_t v = kChildV[h] ^ flip;
+  return (frame & 1u) != 0 ? ChildOffset{v, u} : ChildOffset{u, v};
+}
+
+// Leaf kernel tables. The recursion stops at 8×8 quadrants (order 3), whose
+// four 4×4 sub-blocks are mapped to curve order by table lookup:
+// kLeafMasks.bits[f][r][nibble] holds, as bits 0-15, the curve positions
+// within a 4×4 block of frame f of the cells of its grid-local row r whose
+// columns are set in nibble. The positions come from two steps of the
+// recursion's own GridChild/kEnterFrame descent, so the table and the
+// recursion cannot disagree about the curve.
+constexpr uint32_t kLeafOrder = 3;
+
+struct LeafMasks {
+  uint16_t bits[4][4][16];
+};
+
+constexpr LeafMasks MakeLeafMasks() {
+  LeafMasks table{};
+  for (uint32_t f = 0; f < 4; ++f) {
+    uint32_t position[4][4] = {};  // [row][column] within the 4×4 block.
+    for (uint32_t h = 0; h < 4; ++h) {
+      const ChildOffset outer = GridChild(f, h);
+      for (uint32_t h1 = 0; h1 < 4; ++h1) {
+        const ChildOffset inner = GridChild(f ^ kEnterFrame[h], h1);
+        position[2 * outer.v + inner.v][2 * outer.u + inner.u] = 4 * h + h1;
+      }
+    }
+    for (uint32_t r = 0; r < 4; ++r) {
+      for (uint32_t nibble = 0; nibble < 16; ++nibble) {
+        uint32_t mask = 0;
+        for (uint32_t u = 0; u < 4; ++u) {
+          if ((nibble >> u) & 1u) mask |= 1u << position[r][u];
+        }
+        table.bits[f][r][nibble] = static_cast<uint16_t>(mask);
+      }
+    }
+  }
+  return table;
+}
+
+constexpr LeafMasks kLeafMasks = MakeLeafMasks();
+
 /// Recursive quadrant decomposition of a row-range region into sorted
 /// canonical Hilbert intervals.
 ///
@@ -76,8 +138,12 @@ constexpr uint32_t kEnterFrame[4] = {1, 0, 0, 3};
 /// output-sensitive: interiors collapse to their quadtree blocks instead of
 /// fragmenting into Θ(cells) per-row curve intervals.
 ///
-/// Each quadrant carries its curve frame (below), so visiting the children in
-/// curve order needs no curve-index computation and no sort.
+/// Each quadrant carries its curve frame (above), so visiting the children in
+/// curve order needs no curve-index computation and no sort. The recursion
+/// ends at 8×8 quadrants (Leaf), which read their rows as column bit masks
+/// and map them to curve order by table, so quadrants of 4×4 cells and
+/// less are never visited. Grids of order 1-2 are smaller than a leaf and
+/// recurse down to single cells.
 class BlockDecomposer {
  public:
   BlockDecomposer(uint32_t order, const RowRuns* rows, size_t num_rows,
@@ -128,11 +194,7 @@ class BlockDecomposer {
     const uint32_t row_hi = std::min(y_hi, y_end_);
     for (uint32_t y = row_lo; y <= row_hi; ++y) {
       const RowRuns& runs = rows_[y - y0_];
-      const auto it = std::partition_point(
-          runs.begin(), runs.end(),
-          [x_lo](const std::pair<uint32_t, uint32_t>& run) {
-            return run.second < x_lo;
-          });
+      const auto it = FirstRunReaching(runs, x_lo);
       if (it == runs.end() || it->first > x_hi) {
         seen_empty = true;
       } else if (it->first <= x_lo && it->second >= x_hi) {
@@ -153,10 +215,63 @@ class BlockDecomposer {
     }
   }
 
+  /// The 8×8 quadrant at (x, y), with first curve position \p dbase and
+  /// frame \p frame: its covered cells become one 64-bit mask in curve
+  /// order (bit i is position dbase + i), whose runs of set bits are
+  /// emitted in order.
+  void Leaf(uint32_t x, uint32_t y, uint64_t dbase, uint32_t frame) {
+    constexpr uint32_t kSpan = (1u << kLeafOrder) - 1;
+    if (x + kSpan < min_x_ || x > max_x_ || y + kSpan < y0_ || y > y_end_) {
+      return;
+    }
+    // Bit i of row_bits[j]: cell (x + i, y + j) is covered.
+    uint32_t row_bits[8] = {};
+    const uint32_t row_lo = std::max(y, y0_);
+    const uint32_t row_hi = std::min(y + kSpan, y_end_);
+    for (uint32_t row = row_lo; row <= row_hi; ++row) {
+      const RowRuns& runs = rows_[row - y0_];
+      uint32_t bits = 0;
+      for (auto it = FirstRunReaching(runs, x);
+           it != runs.end() && it->first <= x + kSpan; ++it) {
+        const uint32_t lo = std::max(it->first, x) - x;
+        const uint32_t hi = std::min(it->second, x + kSpan) - x;
+        bits |= (2u << hi) - (1u << lo);
+      }
+      row_bits[row - y] = bits;
+    }
+    // The four 4×4 sub-blocks in curve order, each through the table of its
+    // frame, one row nibble at a time.
+    uint64_t mask = 0;
+    for (uint32_t h = 0; h < 4; ++h) {
+      const ChildOffset child = GridChild(frame, h);
+      const auto& table = kLeafMasks.bits[frame ^ kEnterFrame[h]];
+      const uint32_t* rows = row_bits + 4 * child.v;
+      const uint32_t shift = 4 * child.u;
+      uint32_t block = 0;
+      for (uint32_t r = 0; r < 4; ++r) {
+        block |= table[r][(rows[r] >> shift) & 0xFu];
+      }
+      mask |= uint64_t{block} << (16 * h);
+    }
+    while (mask != 0) {
+      // Adding the lowest set bit clears the lowest run and sets the bit
+      // above it; it wraps to 0 when the run reaches bit 63.
+      const uint64_t carry = mask + (mask & (~mask + 1));
+      const auto begin = static_cast<uint64_t>(std::countr_zero(mask));
+      const auto end = static_cast<uint64_t>(std::countr_zero(carry));
+      Emit(dbase + begin, dbase + end);
+      mask &= carry;
+    }
+  }
+
   /// \p dbase is the first curve position of the quadrant of size 2^m whose
   /// bottom-left cell is (x, y), and \p frame its curve frame (see above).
   void Visit(uint32_t m, uint32_t x, uint32_t y, uint64_t dbase,
              uint32_t frame) {
+    if (m == kLeafOrder) {
+      Leaf(x, y, dbase, frame);
+      return;
+    }
     const uint32_t span = (1u << m) - 1;
     switch (Classify(x, x + span, y, y + span)) {
       case Cover::kEmpty:
@@ -169,12 +284,9 @@ class BlockDecomposer {
     }
     const uint32_t half = 1u << (m - 1);
     const uint64_t quarter = uint64_t{1} << (2 * (m - 1));
-    const uint32_t flip = (frame >> 1) & 1u;
     for (uint32_t h = 0; h < 4; ++h) {
-      uint32_t gu = kChildU[h] ^ flip;
-      uint32_t gv = kChildV[h] ^ flip;
-      if ((frame & 1u) != 0) std::swap(gu, gv);
-      Visit(m - 1, x + gu * half, y + gv * half, dbase + h * quarter,
+      const ChildOffset child = GridChild(frame, h);
+      Visit(m - 1, x + child.u * half, y + child.v * half, dbase + h * quarter,
             frame ^ kEnterFrame[h]);
     }
   }

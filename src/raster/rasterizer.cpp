@@ -97,6 +97,12 @@ void Rasterizer::RasterizeInto(const Polygon& poly,
       const uint32_t cx_hi = grid_->CellX(seg_xhi);
       if (cx_lo > 0 && seg_xlo == grid_->ColumnX(cx_lo)) --cx_lo;
       auto& row_cells = out->partial_by_row[row - wy0];
+      // Consecutive short edges often end in the cell the previous one
+      // marked; the row is sorted and de-duplicated below, so skipping
+      // that repeat changes nothing but the push.
+      if (cx_lo == cx_hi && !row_cells.empty() && row_cells.back() == cx_lo) {
+        continue;
+      }
       for (uint32_t cx = cx_lo; cx <= cx_hi; ++cx) row_cells.push_back(cx);
     }
 

@@ -1,5 +1,7 @@
 #include "src/raster/grid.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace stj {
@@ -16,6 +18,23 @@ TEST(RasterGrid, CellLookupCoversDataspace) {
   // Out-of-range values are clamped.
   EXPECT_EQ(grid.CellX(-1000.0), 0u);
   EXPECT_EQ(grid.CellX(1000.0), 15u);
+}
+
+TEST(RasterGrid, FarOffGridCoordinatesClampBeforeTheCast) {
+  // 1e12 is about 2^40 cells past this grid: the lookup must clamp in
+  // double, before the conversion to a cell index would overflow (UBSan's
+  // float-cast-overflow). NaN lands on cell 0 the same way.
+  const RasterGrid grid(Box::Of(Point{0, 0}, Point{10, 10}), 4);
+  for (const double far :
+       {1e12, 1e300, std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(grid.CellX(far), 15u) << far;
+    EXPECT_EQ(grid.CellY(far), 15u) << far;
+    EXPECT_EQ(grid.CellX(-far), 0u) << -far;
+    EXPECT_EQ(grid.CellY(-far), 0u) << -far;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.CellX(nan), 0u);
+  EXPECT_EQ(grid.CellY(nan), 0u);
 }
 
 TEST(RasterGrid, CellBoxesTileTheSpace) {

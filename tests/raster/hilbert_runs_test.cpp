@@ -3,8 +3,8 @@
 // because both emit the canonical interval form of the same cell set. These
 // tests throw synthetic coverages, blobs, tessellations, slivers, and
 // degenerate single-cell polygons at both constructions across grid orders
-// and seeds, and pin down the thread-count invariance of the parallel
-// builder.
+// and seeds, test the recursion's 8×8 leaf kernel exhaustively on 4×4
+// blocks, and pin down the thread-count invariance of the parallel builder.
 
 #include <algorithm>
 #include <vector>
@@ -51,6 +51,182 @@ void AddRow(Rng* rng, uint32_t lo, uint32_t hi, double density, double full,
     } else {
       runs.emplace_back(x, x);
     }
+  }
+}
+
+/// True when the quadrant decomposition of \p coverage gives the per-cell
+/// oracle's lists.
+bool MatchesOracle(const AprilBuilder& builder, const RasterCoverage& coverage) {
+  const AprilApproximation oracle = builder.FromCoverage(coverage);
+  const AprilApproximation fast = builder.FromCoverageQuadrants(coverage);
+  return oracle.conservative == fast.conservative &&
+         oracle.progressive == fast.progressive;
+}
+
+/// The coverage of a block of at most 8 × 8 cells at (x0, y0): cell
+/// (x0 + i, y0 + j) is covered when bit j * width + i of \p cells is set, and
+/// full when that bit of \p full is set too; the rest are partial.
+RasterCoverage BlockCoverage(uint32_t x0, uint32_t y0, uint32_t width,
+                             uint32_t height, uint64_t cells, uint64_t full) {
+  RasterCoverage coverage;
+  coverage.y0 = y0;
+  for (uint32_t j = 0; j < height; ++j) {
+    std::vector<uint32_t>& partial = coverage.partial_by_row.emplace_back();
+    std::vector<std::pair<uint32_t, uint32_t>>& runs =
+        coverage.full_runs_by_row.emplace_back();
+    for (uint32_t i = 0; i < width; ++i) {
+      const uint32_t bit = j * width + i;
+      const uint32_t x = x0 + i;
+      if (((cells >> bit) & 1u) == 0) continue;
+      if (((full >> bit) & 1u) == 0) {
+        partial.push_back(x);
+      } else if (!runs.empty() && runs.back().second + 1 == x) {
+        runs.back().second = x;
+      } else {
+        runs.emplace_back(x, x);
+      }
+    }
+  }
+  return coverage;
+}
+
+/// A random 64-bit mask whose bits are set with probability \p density.
+uint64_t RandomMask(Rng* rng, double density) {
+  uint64_t mask = 0;
+  for (uint32_t bit = 0; bit < 64; ++bit) {
+    if (rng->Bernoulli(density)) mask |= uint64_t{1} << bit;
+  }
+  return mask;
+}
+
+TEST(HilbertRuns, LeafKernelMatchesOracleOnEvery4x4PatternInEveryFrame) {
+  // A 4×4 block is visited by the curve in one of four orders, one per
+  // frame; grid orders 3 and 4 reach all four. Blocks are told apart by
+  // the order in which the curve index (not the decomposer's frame table)
+  // visits their cells, and each frame gets every one of the 65,536 cell
+  // patterns, as full cells so that P and C both carry the pattern.
+  std::vector<std::vector<uint32_t>> frames_seen;
+  for (const uint32_t order : {3u, 4u}) {
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const uint32_t n = 1u << order;
+    for (uint32_t by = 0; by < n; by += 4) {
+      for (uint32_t bx = 0; bx < n; bx += 4) {
+        std::vector<std::pair<CellId, uint32_t>> cells;
+        for (uint32_t cell = 0; cell < 16; ++cell) {
+          cells.emplace_back(grid.CellIdOf(bx + cell % 4, by + cell / 4),
+                             cell);
+        }
+        std::sort(cells.begin(), cells.end());
+        std::vector<uint32_t> visit_order;
+        for (const auto& [id, cell] : cells) visit_order.push_back(cell);
+        if (std::find(frames_seen.begin(), frames_seen.end(), visit_order) !=
+            frames_seen.end()) {
+          continue;
+        }
+        frames_seen.push_back(visit_order);
+        for (uint64_t pattern = 0; pattern < (uint64_t{1} << 16); ++pattern) {
+          ASSERT_TRUE(MatchesOracle(
+              builder, BlockCoverage(bx, by, 4, 4, pattern, pattern)))
+              << "order " << order << " block (" << bx << ", " << by
+              << ") pattern " << pattern;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(frames_seen.size(), 4u);
+}
+
+TEST(HilbertRuns, LeafKernelMatchesOracleOnRandom8x8Blocks) {
+  // Random 8×8-aligned blocks with random partial and full cells, fully
+  // covered blocks included: a full block is one 64-cell run of the leaf's
+  // mask, the case a shift by 64 would break.
+  constexpr double kDensities[] = {0.1, 0.5, 0.9, 1.0};
+  constexpr double kFullShares[] = {0.0, 0.5, 1.0};
+  Rng rng(4244);
+  for (int iter = 0; iter < 4000; ++iter) {
+    const auto order = static_cast<uint32_t>(rng.UniformInt(3, 12));
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const int64_t blocks = int64_t{1} << (order - 3);
+    const auto bx = static_cast<uint32_t>(8 * rng.UniformInt(0, blocks - 1));
+    const auto by = static_cast<uint32_t>(8 * rng.UniformInt(0, blocks - 1));
+    const uint64_t cells = RandomMask(&rng, kDensities[rng.NextBounded(4)]);
+    const uint64_t full =
+        cells & RandomMask(&rng, kFullShares[rng.NextBounded(3)]);
+    ASSERT_TRUE(
+        MatchesOracle(builder, BlockCoverage(bx, by, 8, 8, cells, full)))
+        << "order " << order << " block (" << bx << ", " << by << ") cells "
+        << cells << " full " << full;
+  }
+  for (const uint32_t order : {3u, 4u, 9u, 16u}) {
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const uint32_t last = (1u << order) - 8;
+    for (const uint32_t b : {0u, last}) {
+      const RasterCoverage block = BlockCoverage(b, b, 8, 8, ~uint64_t{0},
+                                                 ~uint64_t{0});
+      EXPECT_TRUE(MatchesOracle(builder, block)) << order << " at " << b;
+      EXPECT_EQ(builder.FromCoverageQuadrants(block).progressive.Size(), 1u)
+          << order << " at " << b;
+    }
+  }
+}
+
+TEST(HilbertRuns, LeafKernelMatchesOracleOnWindowsCutInsideLeaves) {
+  // Coverage windows whose first and last rows fall inside an 8×8 block,
+  // half of them ending at the grid's last column, so the leaf reads rows
+  // and columns past the window's bounding box.
+  Rng rng(4245);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const auto order = static_cast<uint32_t>(rng.UniformInt(4, 10));
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const int64_t n = int64_t{1} << order;
+    const int64_t x_hi = rng.Bernoulli(0.5) ? n - 1 : rng.UniformInt(0, n - 1);
+    const int64_t x_lo = rng.UniformInt(std::max<int64_t>(0, x_hi - 20), x_hi);
+    int64_t y0 = rng.UniformInt(0, n - 2);
+    if (y0 % 8 == 0) ++y0;
+    int64_t rows = rng.UniformInt(1, std::min<int64_t>(n - y0, 20));
+    if ((y0 + rows) % 8 == 0) --rows;
+    if (rows == 0) continue;
+    RasterCoverage coverage;
+    coverage.y0 = static_cast<uint32_t>(y0);
+    const double density = rng.Bernoulli(0.5) ? 1.0 : 0.6;
+    const double full = rng.Bernoulli(0.5) ? 1.0 : 0.5;
+    for (int64_t row = 0; row < rows; ++row) {
+      AddRow(&rng, static_cast<uint32_t>(x_lo), static_cast<uint32_t>(x_hi),
+             density, full, &coverage);
+    }
+    ASSERT_TRUE(MatchesOracle(builder, coverage))
+        << "order=" << order << " window=[" << x_lo << "," << x_hi
+        << "] y0=" << y0 << " rows=" << rows;
+  }
+}
+
+TEST(HilbertRuns, SmallGridsMatchOracleAtAndBelowTheLeaf) {
+  // Orders 1 and 2 are smaller than a leaf and recurse to single cells;
+  // at order 3 the whole grid is one leaf. Orders 1 and 2 get every cell
+  // pattern, each with a random subset of full cells.
+  Rng rng(4246);
+  for (const uint32_t order : {1u, 2u}) {
+    const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), order);
+    const AprilBuilder builder(&grid);
+    const uint32_t n = 1u << order;
+    for (uint64_t cells = 0; cells < (uint64_t{1} << (n * n)); ++cells) {
+      const uint64_t full = cells & RandomMask(&rng, 0.5);
+      ASSERT_TRUE(MatchesOracle(builder, BlockCoverage(0, 0, n, n, cells, full)))
+          << "order " << order << " cells " << cells << " full " << full;
+    }
+  }
+  const RasterGrid grid(Box::Of(Point{0, 0}, Point{1, 1}), 3);
+  const AprilBuilder builder(&grid);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const uint64_t cells =
+        iter == 0 ? ~uint64_t{0} : RandomMask(&rng, rng.Uniform(0.0, 1.0));
+    const uint64_t full = cells & RandomMask(&rng, rng.Uniform(0.0, 1.0));
+    ASSERT_TRUE(MatchesOracle(builder, BlockCoverage(0, 0, 8, 8, cells, full)))
+        << "order 3 cells " << cells << " full " << full;
   }
 }
 
