@@ -1,12 +1,14 @@
 // Micro-benchmarks for the raster substrate: Hilbert curve evaluation and
 // APRIL construction cost (the once-per-object preprocessing) whole and
 // split into its two halves, rasterisation and the quadrant decomposition,
-// plus the Hilbert-vs-row-major interval count ablation from DESIGN.md.
+// the WKT parse that precedes them, plus the Hilbert-vs-row-major interval
+// count ablation from DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
 #include "src/datasets/blob.h"
 #include "src/datasets/tessellation.h"
+#include "src/geometry/wkt.h"
 #include "src/raster/april.h"
 #include "src/util/rng.h"
 
@@ -78,6 +80,26 @@ void BM_Rasterize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Rasterize)->Arg(0)->Arg(1);
+
+// Parses one polygon's WKT as the loader does, on a blob of range(0)
+// vertices written by ToWkt (%.17g coordinates, as `stj_cli generate`
+// writes them).
+void BM_ParseWktPolygon(benchmark::State& state) {
+  Rng rng(31);
+  BlobParams params;
+  params.center = Point{50, 50};
+  params.mean_radius = 10.0;
+  params.vertices = static_cast<size_t>(state.range(0));
+  const std::string wkt = ToWkt(MakeBlob(&rng, params));
+  for (auto _ : state) {
+    Result<Polygon> polygon = ParseWktPolygon(wkt);
+    benchmark::DoNotOptimize(polygon);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(wkt.size()));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ParseWktPolygon)->Arg(1000)->Arg(16384);
 
 // The coverage is rasterised once, outside the timed loop.
 void BM_DecomposeQuadrants(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "src/datasets/scenarios.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <numbers>
@@ -10,8 +11,10 @@
 #include "src/datasets/buildings.h"
 #include "src/datasets/tessellation.h"
 #include "src/geometry/point_on_surface.h"
+#include "src/util/check.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
+#include "src/util/thread_annotations.h"
 
 namespace stj {
 
@@ -422,44 +425,52 @@ Dataset BuildDataset(std::string_view name, double scale, uint64_t seed) {
 
 std::vector<AprilApproximation> BuildAprilApproximations(
     const Dataset& dataset, const RasterGrid& grid, unsigned num_threads,
-    ExecContext* exec) {
+    ExecContext* exec, const std::vector<uint8_t>* demand) {
+  const size_t count = dataset.objects.size();
+  STJ_CHECK(demand == nullptr || demand->size() == count);
+  // Every record starts unusable and Build() sets the flag of each one it
+  // completes, so a record left out by the demand mask, or abandoned by a
+  // trip, reads as degraded: a pair that still reaches it refines instead
+  // of filtering on empty lists.
+  std::vector<AprilApproximation> out(count);
+  for (AprilApproximation& a : out) a.usable = false;
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Pre-sized output + static chunking: worker w owns the w-th contiguous
-  // object range (RunChunks contract) and writes each result at its object
-  // index, so the vector is identical for every thread count. Each worker
-  // constructs its own AprilBuilder because a builder's scratch buffers are
-  // not shareable across threads.
-  std::vector<AprilApproximation> out(dataset.objects.size());
-  if (exec != nullptr) {
-    // Cancellable build: pre-flag every slot unusable so records abandoned
-    // by a trip read as degraded (the pipeline then refines those pairs
-    // instead of filtering on empty interval lists). Build() overwrites the
-    // flag for every record it completes.
-    for (AprilApproximation& a : out) a.usable = false;
-  }
-  // Rasterising one object is the expensive work unit here, so each worker
-  // checks in on every object; the builder (and its scratch) stays one per
-  // chunk as before.
-  internal::RunChunks(num_threads, dataset.objects.size(),
-                      [&](unsigned /*worker*/, size_t begin, size_t end) {
-                        const AprilBuilder builder(&grid);
-                        ExecContext::Scope scope(exec);
-                        for (size_t i = begin; i < end; ++i) {
-                          if (scope.CheckIn()) return;
-                          out[i] = builder.Build(dataset.objects[i].geometry);
-                          if (exec != nullptr &&
-                              !exec->TryCharge(out[i].ByteSize())) {
-                            // Budget trip: drop the record that overflowed
-                            // the budget; the next check-in stops the other
-                            // workers.
-                            out[i] = AprilApproximation{};
-                            out[i].usable = false;
-                            return;
-                          }
-                        }
-                      });
+  // Objects differ in cost by orders of magnitude, so workers claim blocks
+  // of them from one cursor, as the join does, rather than owning static
+  // chunks. Results are written at their object index, so the vector does
+  // not depend on which worker built what. Each worker owns an
+  // AprilBuilder because a builder's scratch is not shareable.
+  constexpr size_t kBlock = 16;
+  const auto workers = static_cast<unsigned>(
+      std::min<size_t>(num_threads, (count + kBlock - 1) / kBlock));
+  STJ_ATOMIC_DOC(
+      "object-block cursor; fetch_add by every worker, each block is "
+      "claimed once; the records are read after RunWorkers joins");
+  std::atomic<size_t> next{0};
+  internal::RunWorkers(workers, [&](unsigned /*worker*/) {
+    const AprilBuilder builder(&grid);
+    ExecContext::Scope scope(exec);
+    for (size_t begin = next.fetch_add(kBlock); begin < count;
+         begin = next.fetch_add(kBlock)) {
+      const size_t end = std::min(count, begin + kBlock);
+      for (size_t i = begin; i < end; ++i) {
+        if (demand != nullptr && (*demand)[i] == 0) continue;
+        // Rasterising one object is the expensive work unit: check in on
+        // every one.
+        if (scope.CheckIn()) return;
+        out[i] = builder.Build(dataset.objects[i].geometry);
+        if (exec != nullptr && !exec->TryCharge(out[i].ByteSize())) {
+          // Budget trip: drop the record that overflowed the budget; the
+          // next check-in stops the other workers.
+          out[i] = AprilApproximation{};
+          out[i].usable = false;
+          return;
+        }
+      }
+    }
+  });
   return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,12 +92,17 @@ Dataset BuildDataset(std::string_view name, double scale, uint64_t seed);
 ScenarioData BuildScenario(std::string_view name,
                            const ScenarioOptions& options = ScenarioOptions());
 
-/// Builds APRIL approximations for every object of \p dataset on \p grid,
-/// fanning the objects out over \p num_threads workers (0 = hardware
-/// concurrency, 1 = serial). Each worker owns its own AprilBuilder — and so
-/// its own rasterizer and merge scratch — and writes results index-aligned
-/// into a pre-sized output, so the returned vector is byte-identical
-/// regardless of thread count.
+/// Builds APRIL approximations for the objects of \p dataset on \p grid,
+/// fanning them out over \p num_threads workers (0 = hardware concurrency,
+/// 1 = serial) that claim blocks of objects from a shared cursor. Each
+/// worker owns its own AprilBuilder — and so its own rasterizer and merge
+/// scratch — and writes results index-aligned into a pre-sized output, so
+/// the returned vector is byte-identical regardless of thread count.
+///
+/// \p demand (optional, one byte per object) restricts the build to the
+/// objects with a nonzero byte, as FilterDemandOf (pipeline.h) computes
+/// them for a join; every other record is left empty and usable=false.
+/// Null builds every object.
 ///
 /// \p exec (optional) makes the build cancellable: workers check in once
 /// per rasterised object and charge each record's interval payload against
@@ -107,6 +113,6 @@ ScenarioData BuildScenario(std::string_view name,
 /// ToStatus() to distinguish a partial build from a complete one.
 std::vector<AprilApproximation> BuildAprilApproximations(
     const Dataset& dataset, const RasterGrid& grid, unsigned num_threads = 1,
-    ExecContext* exec = nullptr);
+    ExecContext* exec = nullptr, const std::vector<uint8_t>* demand = nullptr);
 
 }  // namespace stj

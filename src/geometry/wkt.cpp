@@ -1,7 +1,5 @@
 #include "src/geometry/wkt.h"
 
-#include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +33,13 @@ void AppendRing(std::string* out, const Ring& ring) {
   out->push_back(')');
 }
 
+/// The C locale's white space: ' ', '\t', '\n', '\v', '\f' and '\r'. Tested
+/// inline rather than through std::isspace, which costs a call per byte
+/// and follows the process locale (some locales count 0x1C or 0xA0).
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Minimal recursive-descent scanner over a WKT string. Tracks the byte
 /// position so parse errors can name the exact offset that failed.
 class Scanner {
@@ -42,17 +47,17 @@ class Scanner {
   explicit Scanner(std::string_view text) : text_(text) {}
 
   void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
   }
 
+  /// Matches the upper-case keyword \p kw in either case.
   bool ConsumeKeyword(std::string_view kw) {
     SkipSpace();
     if (text_.size() - pos_ < kw.size()) return false;
     for (size_t i = 0; i < kw.size(); ++i) {
-      if (std::toupper(static_cast<unsigned char>(text_[pos_ + i])) != kw[i]) {
+      const char c = text_[pos_ + i];
+      if ((c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c) !=
+          kw[i]) {
         return false;
       }
     }
@@ -85,19 +90,6 @@ class Scanner {
     return true;
   }
 
-  /// The vertex count of a well-formed ring whose '(' was just consumed:
-  /// one per ',' before the next ')', plus the first. A vertex takes at
-  /// least four bytes ("0 0,"), so the cap at a quarter of the ring's bytes
-  /// changes no well-formed count and keeps a run of commas from reserving
-  /// more than four times its own size.
-  size_t RingVertexBound() const {
-    const std::string_view rest = text_.substr(pos_);
-    const std::string_view ring = rest.substr(0, rest.find(')'));
-    const auto commas =
-        static_cast<size_t>(std::count(ring.begin(), ring.end(), ','));
-    return std::min(commas, ring.size() / 4) + 1;
-  }
-
   bool AtEnd() {
     SkipSpace();
     return pos_ == text_.size();
@@ -128,18 +120,21 @@ class Scanner {
 
 Status ParseRing(Scanner* sc, Ring* out) {
   if (!sc->ConsumeChar('(')) return sc->Error("'(' to open a ring");
-  // Growing the vector instead leaves freed blocks behind in every load
-  // worker's malloc arena.
-  std::vector<Point> pts;
-  pts.reserve(sc->RingVertexBound());
+  // One pass over the ring's bytes: the vertices go to this thread's
+  // scratch vector, and the ring gets a copy of exactly their count.
+  // Growing the ring's own vector instead would leave freed blocks behind
+  // in every load worker's malloc arena.
+  thread_local std::vector<Point> scratch;
+  scratch.clear();
   do {
     Point p;
     if (!sc->ParseDouble(&p.x)) return sc->Error("x coordinate");
     if (!sc->ParseDouble(&p.y)) return sc->Error("y coordinate");
-    pts.push_back(p);
+    scratch.push_back(p);
   } while (sc->ConsumeChar(','));
   if (!sc->ConsumeChar(')')) return sc->Error("',' or ')' in ring");
-  *out = Ring(std::move(pts));  // Ring() drops an explicit closing vertex.
+  // Ring() drops an explicit closing vertex.
+  *out = Ring(std::vector<Point>(scratch.begin(), scratch.end()));
   return Status::Ok();
 }
 

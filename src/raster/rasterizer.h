@@ -24,10 +24,13 @@ struct RasterCoverage {
 
 /// Rasterises polygons onto a RasterGrid.
 ///
-/// Boundary (partial) cells are found by walking each edge through the rows
-/// it spans and marking the contiguous column range the edge covers within
-/// each row — a closed supercover, erring on the side of marking more cells,
-/// which preserves the conservativeness of the C list. Interior (full) cells
+/// Boundary (partial) cells are found by walking each ring's vertices, each
+/// vertex's cell computed once, and each edge through the rows it spans,
+/// marking the contiguous column range the edge covers within each row — a
+/// closed supercover, erring on the side of marking more cells, which
+/// preserves the conservativeness of the C list. An edge inside one row's
+/// open slab (most edges of fine polygons) skips the per-row loop with the
+/// same result (DESIGN.md §9). Interior (full) cells
 /// are found per row by a scanline parity fill over the gaps between partial
 /// cells: the polygon boundary crosses a row's centre line only inside
 /// partial cells, so each gap is uniformly interior or exterior and a single

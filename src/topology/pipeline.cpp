@@ -21,6 +21,29 @@ const char* ToString(Method method) {
   return "?";
 }
 
+FilterDemand FilterDemandOf(Method method,
+                            std::optional<de9im::Relation> predicate,
+                            const std::vector<SpatialObject>& r_objects,
+                            const std::vector<SpatialObject>& s_objects,
+                            const std::vector<CandidatePair>& pairs) {
+  FilterDemand demand{.r = std::vector<uint8_t>(r_objects.size(), 0),
+                      .s = std::vector<uint8_t>(s_objects.size(), 0)};
+  const bool reads_lists =
+      method == Method::kPC || (method == Method::kApril && !predicate);
+  if (!reads_lists) return demand;
+  for (const CandidatePair& pair : pairs) {
+    if (predicate &&
+        RelateFromMbrs(*predicate, r_objects[pair.r_idx].geometry.Bounds(),
+                       s_objects[pair.s_idx].geometry.Bounds()) !=
+            RelateAnswer::kInconclusive) {
+      continue;
+    }
+    demand.r[pair.r_idx] = 1;
+    demand.s[pair.s_idx] = 1;
+  }
+  return demand;
+}
+
 void MergeStats(const PipelineStats& from, PipelineStats* into) {
   into->pairs += from.pairs;
   into->decided_by_mbr += from.decided_by_mbr;
@@ -302,26 +325,26 @@ RelateAnswer Pipeline::FilterStagePredicate(uint32_t r_idx, uint32_t s_idx,
   const Box& s_mbr = (*s_view_.objects)[s_idx].geometry.Bounds();
 
   if (method_ == Method::kPC) {
-    AprilView ra;
-    AprilView sa;
-    if (PairAprilFor(r_idx, s_idx, &ra, &sa)) {
-      ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-      const RelateAnswer answer =
-          RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
-      if (answer != RelateAnswer::kInconclusive) ++stats_.decided_by_filter;
-      return answer;
-    }
-    // Degraded mode: fall through to the approximation-free path below.
+    // The MBR case first: a pair it decides reads no list, which is why
+    // FilterDemandOf leaves its objects out.
+    RelateAnswer answer;
     {
       ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
-      if (!r_mbr.Intersects(s_mbr)) {
-        ++stats_.decided_by_mbr;
-        return p == Relation::kDisjoint ? RelateAnswer::kYes
-                                        : RelateAnswer::kNo;
-      }
+      answer = RelateFromMbrs(p, r_mbr, s_mbr);
     }
-    ++stats_.fallback_refined;
-    return RelateAnswer::kInconclusive;
+    if (answer == RelateAnswer::kInconclusive) {
+      AprilView ra;
+      AprilView sa;
+      if (!PairAprilFor(r_idx, s_idx, &ra, &sa)) {
+        // Degraded mode: without both approximations the pair refines.
+        ++stats_.fallback_refined;
+        return RelateAnswer::kInconclusive;
+      }
+      ScopedStageTime timing(options_.time_stages, &stats_.filter_seconds);
+      answer = RelatePredicateFilter(p, r_mbr, ra, s_mbr, sa);
+    }
+    if (answer != RelateAnswer::kInconclusive) ++stats_.decided_by_filter;
+    return answer;
   }
 
   // Other methods answer relate_p through their find-relation machinery:

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/de9im/matrix.h"
 #include "src/de9im/relation.h"
 #include "src/geometry/polygon.h"
 #include "src/geometry/prepared_polygon.h"
+#include "src/join/mbr_join.h"
 #include "src/raster/april.h"
 #include "src/raster/april_compressed.h"
 #include "src/raster/april_store.h"
@@ -27,6 +29,26 @@ enum class Method : uint8_t {
 };
 
 const char* ToString(Method method);
+
+/// The approximations a join's filter stage reads: r[i] is 1 when some
+/// candidate's filter fetches the lists of object i of R, s[j] likewise
+/// for S. Find-relation (no \p predicate) with kPC or kApril reads both
+/// objects of every candidate. A kPC relate_p query reads only the objects
+/// of candidates that RelateFromMbrs leaves inconclusive, the rule
+/// Pipeline::FilterStagePredicate applies before it fetches any list.
+/// kST2, kOP2 and the other relate_p methods read none. A join over
+/// approximations built for exactly these objects (the demand mask of
+/// BuildAprilApproximations) answers every pair as over a full build,
+/// without a fallback_refined pair.
+struct FilterDemand {
+  std::vector<uint8_t> r;
+  std::vector<uint8_t> s;
+};
+FilterDemand FilterDemandOf(Method method,
+                            std::optional<de9im::Relation> predicate,
+                            const std::vector<SpatialObject>& r_objects,
+                            const std::vector<SpatialObject>& s_objects,
+                            const std::vector<CandidatePair>& pairs);
 
 /// One side of a join: objects plus (for kApril/kPC) their approximations.
 /// Approximations come from one of three storages, index-aligned with

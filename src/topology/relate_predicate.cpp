@@ -68,12 +68,21 @@ RelateAnswer EqualsFromLists(const AprilView& r, const AprilView& s) {
 
 }  // namespace
 
-RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
-                                   const AprilView& r_april, const Box& s_mbr,
-                                   const AprilView& s_april) {
+RelateAnswer RelateFromMbrs(de9im::Relation p, const Box& r_mbr,
+                            const Box& s_mbr) {
   const BoxRelation boxes = ClassifyBoxes(r_mbr, s_mbr);
   if (!RelateFeasible(p, boxes)) return RelateAnswer::kNo;
   if (RelateCertain(p, boxes)) return RelateAnswer::kYes;
+  return RelateAnswer::kInconclusive;
+}
+
+RelateAnswer RelatePredicateFilter(de9im::Relation p, const Box& r_mbr,
+                                   const AprilView& r_april, const Box& s_mbr,
+                                   const AprilView& s_april) {
+  if (const RelateAnswer answer = RelateFromMbrs(p, r_mbr, s_mbr);
+      answer != RelateAnswer::kInconclusive) {
+    return answer;
+  }
   switch (p) {
     case Relation::kIntersects:
       return IntersectsFromLists(r_april, s_april);

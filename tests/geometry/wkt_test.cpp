@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
 #include <string>
+#include <vector>
 
 #include "src/util/rng.h"
 #include "tests/test_support.h"
@@ -116,6 +118,108 @@ TEST(Wkt, RejectsNonFiniteCoordinates) {
     EXPECT_TRUE(ParseWktPoint("POINT (" + good + " 1)").has_value()) << good;
     EXPECT_TRUE(ParseWktPoint("POINT (1 " + good + ")").has_value()) << good;
   }
+}
+
+/// "POLYGON(( 0 0, 1 0, 1 1), (0.2 0.2, 0.4 0.2, 0.4 0.4))" with \p sep
+/// before and after every token, lower-case keyword included.
+std::string SpacedPolygon(const std::string& sep) {
+  std::string out;
+  for (const char* token :
+       {"polygon", "(", "(", "0", "0", ",", "1", "0", ",", "1", "1", ")", ",",
+        "(", "0.25", "0.25", ",", "0.5", "0.25", ",", "0.5", "0.5", ")",
+        ")"}) {
+    out += sep;
+    out += token;
+  }
+  return out + sep;
+}
+
+TEST(WktScanner, EveryCLocaleWhitespaceByteSeparatesEveryToken) {
+  const Polygon want(Ring({Point{0, 0}, Point{1, 0}, Point{1, 1}}),
+                     {Ring({Point{0.25, 0.25}, Point{0.5, 0.25},
+                            Point{0.5, 0.5}})});
+  for (const char space : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    for (const std::string& sep : {std::string(1, space), std::string(3, space)}) {
+      const auto parsed = ParseWktPolygon(SpacedPolygon(sep));
+      ASSERT_TRUE(parsed.has_value())
+          << int(space) << ": " << parsed.status().ToString();
+      EXPECT_EQ(parsed->Outer(), want.Outer()) << int(space);
+      ASSERT_EQ(parsed->Holes().size(), 1u) << int(space);
+      EXPECT_EQ(parsed->Holes()[0], want.Holes()[0]) << int(space);
+    }
+    const std::string s(1, space);
+    EXPECT_TRUE(ParseWktPolygon(s + "Polygon" + s + "Empty" + s).has_value())
+        << int(space);
+    const auto point = ParseWktPoint(s + "pOiNt" + s + "(" + s + "3" + s + "4" +
+                                     s + ")" + s);
+    ASSERT_TRUE(point.has_value()) << int(space);
+    EXPECT_EQ(*point, (Point{3, 4}));
+  }
+}
+
+TEST(WktScanner, OtherSpaceBytesFailAtTheirOffsetInEveryLocale) {
+  // 0x1C (file separator) and 0xA0 (no-break space in Latin-1) are white
+  // space in some locales' isspace, but not in the C locale WKT uses, so a
+  // parse must stop on them whatever locale the process set. Locales that
+  // are not installed are skipped; the C locale always runs.
+  const std::string before = std::setlocale(LC_CTYPE, nullptr);
+  for (const char* locale :
+       {"C", "C.UTF-8", "en_US.UTF-8", "en_US.ISO-8859-1", "de_DE.ISO-8859-1"}) {
+    if (std::setlocale(LC_CTYPE, locale) == nullptr) continue;
+    for (const char bad : {'\x1c', '\xa0'}) {
+      const std::string text = SpacedPolygon(" ");
+      // Insert the byte in every gap between tokens (each ' ').
+      for (size_t at = 0; at < text.size(); ++at) {
+        if (text[at] != ' ') continue;
+        std::string mangled = text;
+        mangled[at] = bad;
+        const auto parsed = ParseWktPolygon(mangled);
+        ASSERT_FALSE(parsed.has_value()) << locale << " byte at " << at;
+        EXPECT_EQ(parsed.status().offset(), at) << locale << " " << mangled;
+      }
+    }
+  }
+  std::setlocale(LC_CTYPE, before.c_str());
+}
+
+TEST(WktScanner, RingsAreExactSizeAfterLargeAndFailedRings) {
+  // The parser reads each ring into one scratch vector per thread and gives
+  // the ring a copy of exactly its vertices; Ring() then drops an explicit
+  // closing vertex, so a ring's capacity is at most its size + 1. A large
+  // ring, and one that fails halfway, leave nothing behind in the next.
+  const auto expect_tight = [](const Ring& ring) {
+    EXPECT_LE(ring.Vertices().capacity(), ring.Size() + 1);
+  };
+  constexpr size_t kLarge = 100000;
+  std::string large = "POLYGON ((";
+  for (size_t i = 0; i < kLarge; ++i) {
+    large += std::to_string(i) + " " + std::to_string(i % 7) + ", ";
+  }
+  large += "0 0))";  // closes the ring
+  const auto big = ParseWktPolygon(large);
+  ASSERT_TRUE(big.has_value()) << big.status().ToString();
+  EXPECT_EQ(big->Outer().Size(), kLarge);
+  expect_tight(big->Outer());
+
+  std::string failing = "POLYGON ((";
+  for (size_t i = 0; i < kLarge / 2; ++i) {
+    failing += std::to_string(i) + " 1, ";
+  }
+  failing += "x 1))";
+  const auto failed = ParseWktPolygon(failing);
+  ASSERT_FALSE(failed.has_value());
+  EXPECT_EQ(failed.status().offset(), failing.size() - 5);
+
+  const auto small =
+      ParseWktPolygon("POLYGON ((5 5, 6 5, 6 6), (5.5 5.2, 5.8 5.2, 5.8 5.5, "
+                      "5.5 5.2))");
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->Outer().Vertices(),
+            (std::vector<Point>{Point{5, 5}, Point{6, 5}, Point{6, 6}}));
+  expect_tight(small->Outer());
+  ASSERT_EQ(small->Holes().size(), 1u);
+  EXPECT_EQ(small->Holes()[0].Size(), 3u);
+  expect_tight(small->Holes()[0]);
 }
 
 }  // namespace

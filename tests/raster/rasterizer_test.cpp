@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -140,6 +141,25 @@ TEST(RasterizerProperty, CoverageInvariantsOnRandomBlobs) {
       break;  // one sample per polygon keeps the test fast
     }
   }
+}
+
+TEST(Rasterizer, HoleLeavingItsShellStaysInTheWindow) {
+  // A strict load accepts a hole that crosses its shell; the raster window
+  // covers the hole's rows too, so the coverage (and the sanitizer builds'
+  // bounds checks) hold for it.
+  const RasterGrid grid(Box::Of(Point{0, 0}, Point{32, 32}), 5);
+  const Rasterizer rasterizer(&grid);
+  const Polygon poly(
+      Ring({Point{0.5, 0.5}, Point{10.5, 0.5}, Point{10.5, 10.5},
+            Point{0.5, 10.5}}),
+      {Ring({Point{2.5, 2.5}, Point{4.5, 2.5}, Point{4.5, 20.5},
+             Point{2.5, 20.5}})});
+  const RasterCoverage cov = rasterizer.Rasterize(poly);
+  EXPECT_EQ(cov.y0, grid.CellY(0.5));
+  ASSERT_EQ(cov.partial_by_row.size(), grid.CellY(20.5) - cov.y0 + 1);
+  // The hole's top edge is marked in its own row, above the shell.
+  const auto& top = cov.partial_by_row[grid.CellY(20.5) - cov.y0];
+  EXPECT_TRUE(std::binary_search(top.begin(), top.end(), grid.CellX(3.5)));
 }
 
 TEST(Rasterizer, EmptyPolygon) {

@@ -136,6 +136,37 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "predicate join failed")
 endif()
 
+# The in-memory join builds approximations only for the objects its filter
+# reads, after the MBR filter: "[april] built R/total + S/total". ST2 reads
+# none, so it builds and charges nothing, and a 1 MB budget (which the lists
+# of these inputs at grid order 16 overflow) still answers every pair.
+run_checked(${CLI} generate OLE ${WORK}/ole11.wkt --scale=0.02 --seed=11)
+run_checked(${CLI} generate OPE ${WORK}/ope11.wkt --scale=0.02 --seed=11)
+execute_process(COMMAND ${CLI} join ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                --method=st2 --grid-order=16
+                RESULT_VARIABLE rc OUTPUT_VARIABLE st2_free_out
+                ERROR_VARIABLE st2_free_err)
+if(NOT rc EQUAL 0 OR st2_free_out STREQUAL "")
+  message(FATAL_ERROR "unbudgeted st2 join failed (${rc}):\n${st2_free_err}")
+endif()
+execute_process(COMMAND ${CLI} join ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                --method=st2 --max-memory-mb=1 --grid-order=16
+                RESULT_VARIABLE rc OUTPUT_VARIABLE st2_budget_out
+                ERROR_VARIABLE st2_budget_err)
+if(NOT rc EQUAL 0 OR NOT st2_budget_out STREQUAL st2_free_out)
+  message(FATAL_ERROR "budgeted st2 join (${rc}) differs from the unbudgeted one:\n${st2_budget_err}")
+endif()
+if(NOT st2_budget_err MATCHES
+   "\\[filter\\] [^\n]*\n\\[april\\] built 0/[0-9]+ \\+ 0/[0-9]+ approximations")
+  message(FATAL_ERROR "st2 join built approximations, or before the filter:\n${st2_budget_err}")
+endif()
+execute_process(COMMAND ${CLI} join ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                --method=pc --max-memory-mb=1 --grid-order=16
+                RESULT_VARIABLE rc ERROR_VARIABLE pc_budget_err)
+if(NOT rc EQUAL 9 OR NOT pc_budget_err MATCHES "stopped during preprocessing")
+  message(FATAL_ERROR "a P+C join over the budget must stop while building (${rc}):\n${pc_budget_err}")
+endif()
+
 # Canonical output: the links come out sorted by (r, s), so the serial loop
 # and the 4-thread block loop print the same bytes, and --time-stages adds
 # its stage summary to stderr only.

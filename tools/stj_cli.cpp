@@ -37,7 +37,9 @@
 //                [--deadline-ms=D] [--max-memory-mb=B]
 //                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
 //       Run the full topology join between two WKT files: MBR filter join,
-//       then find-relation (default) or a relate_p predicate join. --grid-order
+//       APRIL approximations of just the objects the method's filter reads
+//       (none for st2 and op2, nor for a relate_p join with april), then
+//       find-relation (default) or a relate_p predicate join. --grid-order
 //       and --threads take the same ranges as for `april`, and every flag is
 //       checked before the inputs are read: a numeric value that is not a
 //       number in its range exits 2, naming the range. Prints
@@ -89,6 +91,7 @@
 // loads but with one or more corrupt tiles (failed segment checksum,
 // structural damage, or a manifest/file disagreement).
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -607,28 +610,46 @@ int CmdJoin(int argc, char** argv) {
     std::signal(SIGINT, HandleInterrupt);
   }
 
-  Timer timer;
-  std::vector<AprilApproximation> r_april =
-      BuildAprilApproximations(r, grid, flags.threads, exec_ptr);
-  std::vector<AprilApproximation> s_april =
-      BuildAprilApproximations(s, grid, flags.threads, exec_ptr);
-  std::fprintf(stderr, "[april] built %zu+%zu approximations (preprocess "
-               "%.2fs)\n",
-               r_april.size(), s_april.size(), timer.ElapsedSeconds());
-  if (exec_ptr != nullptr && exec_ptr->StopRequested()) {
-    std::fprintf(stderr, "[join] stopped during preprocessing: no pairs "
-                 "answered\n");
-    return FailWith(exec_ptr->ToStatus());
-  }
+  // Builds the approximations of both sides, each restricted to its
+  // demand mask when one is given, and prints the "[april] built R/total +
+  // S/total" line. False when the build was cut short.
+  std::vector<AprilApproximation> r_april;
+  std::vector<AprilApproximation> s_april;
+  const auto build_april = [&](const FilterDemand* demand) {
+    const Timer build_timer;
+    r_april = BuildAprilApproximations(r, grid, flags.threads, exec_ptr,
+                                       demand ? &demand->r : nullptr);
+    s_april = BuildAprilApproximations(s, grid, flags.threads, exec_ptr,
+                                       demand ? &demand->s : nullptr);
+    const auto built = [](const std::vector<AprilApproximation>& april) {
+      return static_cast<size_t>(
+          std::count_if(april.begin(), april.end(),
+                        [](const AprilApproximation& a) { return a.usable; }));
+    };
+    std::fprintf(stderr,
+                 "[april] built %zu/%zu + %zu/%zu approximations (preprocess "
+                 "%.2fs)\n",
+                 built(r_april), r_april.size(), built(s_april),
+                 s_april.size(), build_timer.ElapsedSeconds());
+    if (exec_ptr != nullptr && exec_ptr->StopRequested()) {
+      std::fprintf(stderr, "[join] stopped during preprocessing: no pairs "
+                   "answered\n");
+      return false;
+    }
+    return true;
+  };
 
   const JoinOptions join_options{.num_threads = flags.threads,
                                  .time_stages = flags.time_stages,
                                  .exec = exec_ptr};
 
+  Timer timer;
   if (!flags.shard_dir.empty()) {
     // Out-of-core path: persist both sides as shard sets, then join tile
     // pair by tile pair with a bounded resident-shard cache. Same links as
-    // the in-memory join below, in the same (r, s) order.
+    // the in-memory join below, in the same (r, s) order. The shard files
+    // carry every object's lists, so every object is built.
+    if (!build_april(nullptr)) return FailWith(exec_ptr->ToStatus());
     timer.Reset();
     PartitionOptions partition_options;
     partition_options.units_per_tile = flags.partition_units;
@@ -734,6 +755,11 @@ int CmdJoin(int argc, char** argv) {
                  "answered\n");
     return FailWith(exec_ptr->ToStatus());
   }
+
+  // Only the objects whose lists the filter will read are built.
+  const FilterDemand demand =
+      FilterDemandOf(*method, predicate, r.objects, s.objects, pairs);
+  if (!build_april(&demand)) return FailWith(exec_ptr->ToStatus());
 
   const DatasetView r_view{&r.objects, &r_april};
   const DatasetView s_view{&s.objects, &s_april};
