@@ -101,6 +101,25 @@ void BM_ParseWktPolygon(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseWktPolygon)->Arg(1000)->Arg(16384);
 
+// Writes the same blobs as BM_ParseWktPolygon with ToWkt, as
+// `stj_cli generate` and SaveWktDataset format each line.
+void BM_ToWktPolygon(benchmark::State& state) {
+  Rng rng(31);
+  BlobParams params;
+  params.center = Point{50, 50};
+  params.mean_radius = 10.0;
+  params.vertices = static_cast<size_t>(state.range(0));
+  const Polygon blob = MakeBlob(&rng, params);
+  const size_t bytes = ToWkt(blob).size();
+  for (auto _ : state) {
+    std::string wkt = ToWkt(blob);
+    benchmark::DoNotOptimize(wkt);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ToWktPolygon)->Arg(1000)->Arg(16384);
+
 // The coverage is rasterised once, outside the timed loop.
 void BM_DecomposeQuadrants(benchmark::State& state) {
   const Polygon poly = SplitInput(state.range(0), &state);

@@ -2,17 +2,24 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <vector>
+
+#include "src/util/check.h"
 
 namespace stj {
 
 namespace {
 
+/// Appends \p v as printf's "%.17g" would in the C locale: the standard
+/// defines to_chars with chars_format::general and a precision as exactly
+/// that conversion, and it ignores the process locale. The longest result
+/// is 24 bytes ("-2.2250738585072014e-308").
 void AppendCoord(std::string* out, double v) {
   char buf[32];
-  const int len = std::snprintf(buf, sizeof buf, "%.17g", v);
-  out->append(buf, static_cast<size_t>(len));
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::general, 17);
+  STJ_DCHECK(ec == std::errc());
+  out->append(buf, end);
 }
 
 void AppendRing(std::string* out, const Ring& ring) {

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <clocale>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/datasets/scenarios.h"
 #include "src/util/rng.h"
 #include "tests/test_support.h"
 
@@ -220,6 +226,127 @@ TEST(WktScanner, RingsAreExactSizeAfterLargeAndFailedRings) {
   ASSERT_EQ(small->Holes().size(), 1u);
   EXPECT_EQ(small->Holes()[0].Size(), 3u);
   expect_tight(small->Holes()[0]);
+}
+
+// The writer's oracle: printf's "%.17g", the format ToWkt writes. Call it
+// in the C locale only; snprintf follows LC_NUMERIC.
+std::string Printf17g(double v) {
+  char buf[64];
+  const int len = std::snprintf(buf, sizeof buf, "%.17g", v);
+  return std::string(buf, static_cast<size_t>(len));
+}
+
+std::string OracleRing(const Ring& ring) {
+  std::string out = "(";
+  for (size_t i = 0; i < ring.Size(); ++i) {
+    out += Printf17g(ring[i].x) + " " + Printf17g(ring[i].y) + ", ";
+  }
+  // The closing vertex repeats the first.
+  if (ring.Size() > 0) out += Printf17g(ring[0].x) + " " + Printf17g(ring[0].y);
+  return out + ")";
+}
+
+std::string OracleWkt(const Polygon& poly) {
+  if (poly.Empty()) return "POLYGON EMPTY";
+  std::string out = "POLYGON (" + OracleRing(poly.Outer());
+  for (const Ring& hole : poly.Holes()) out += ", " + OracleRing(hole);
+  return out + ")";
+}
+
+/// Whether ToWkt(Point) writes both coordinates as the oracle does.
+testing::AssertionResult PointMatchesPrintf(double x, double y) {
+  const std::string got = ToWkt(Point{x, y});
+  const std::string want = "POINT (" + Printf17g(x) + " " + Printf17g(y) + ")";
+  if (got == want) return testing::AssertionSuccess();
+  return testing::AssertionFailure()
+         << got << " != " << want << " (bits " << std::bit_cast<uint64_t>(x)
+         << " " << std::bit_cast<uint64_t>(y) << ")";
+}
+
+TEST(WktWriter, SpecialValuesMatchPrintf) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  // Signed zeros and units; %.17g switches between fixed and exponent
+  // notation between 1e-5 and 1e-4 and between 1e16 and 1e17 (which the
+  // 17-digit 99999999999999999 rounds to); +-1e-100 and +-1e100 are the
+  // parser's magnitude bounds.
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1e-5, 1e-4, 1e16, 1e17,
+      99999999999999999.0, 1e-100, -1e-100, 1e100, -1e100,
+      std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX, -DBL_MAX,
+      kInf, -kInf, kNan, -kNan};
+  for (const double x : values) {
+    for (const double y : values) ASSERT_TRUE(PointMatchesPrintf(x, y));
+  }
+  // The longest %.17g double fits the writer's buffer.
+  EXPECT_EQ(ToWkt(Point{-DBL_MIN, 1}), "POINT (-2.2250738585072014e-308 1)");
+}
+
+TEST(WktWriter, RandomBitPatternsAndUniformValuesMatchPrintf) {
+  Rng rng(17);
+  for (int i = 0; i < 500000; ++i) {
+    ASSERT_TRUE(PointMatchesPrintf(std::bit_cast<double>(rng.NextU64()),
+                                   std::bit_cast<double>(rng.NextU64())));
+  }
+  for (int i = 0; i < 500000; ++i) {
+    ASSERT_TRUE(
+        PointMatchesPrintf(rng.Uniform(-200, 200), rng.Uniform(-200, 200)));
+  }
+}
+
+TEST(WktWriter, EveryGeneratedCoordinateMatchesPrintf) {
+  for (const std::string& name : DatasetNames()) {
+    const Dataset dataset = BuildDataset(name, 0.01, 7);
+    ASSERT_FALSE(dataset.objects.empty()) << name;
+    for (const SpatialObject& object : dataset.objects) {
+      ASSERT_EQ(ToWkt(object.geometry), OracleWkt(object.geometry))
+          << name << " object " << object.id;
+    }
+  }
+}
+
+TEST(WktWriter, WholeLinesMatchTheOracleAndTheFormat) {
+  const Polygon poly = test::SquareWithHole(0.1, -2.5, 4, 1e-5, 0.25);
+  EXPECT_EQ(ToWkt(poly), OracleWkt(poly));
+  EXPECT_EQ(ToWkt(Point{1.5, -2.25}), "POINT (1.5 -2.25)");
+  EXPECT_EQ(ToWkt(Point{0.1, 1e-5}),
+            "POINT (0.10000000000000001 1.0000000000000001e-05)");
+  EXPECT_EQ(ToWkt(Point{1e16, -1e100}), "POINT (10000000000000000 -1e+100)");
+  EXPECT_EQ(ToWkt(test::SquareWithHole(0, 0, 4, 4, 1)),
+            "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0), "
+            "(1 3, 3 3, 3 1, 1 1, 1 3))");
+  EXPECT_EQ(ToWkt(Polygon(Ring({Point{0.5, 0}, Point{1e17, 0},
+                                Point{1e17, 2.75}}))),
+            "POLYGON ((0.5 0, 1e+17 0, 1e+17 2.75, 0.5 0))");
+}
+
+TEST(WktWriter, OutputIsTheSameInEveryLocale) {
+  // snprintf follows LC_NUMERIC: under a locale with a decimal comma it
+  // writes "12,5 3,25", which the parser rejects. The writer must not
+  // follow it. Locales that are not installed are skipped; the C locale
+  // always runs.
+  const std::string before = std::setlocale(LC_NUMERIC, nullptr);
+  std::setlocale(LC_NUMERIC, "C");
+  Rng rng(5);
+  std::vector<Polygon> polygons = {test::SquareWithHole(0, 0, 12.5, 3.25, 1)};
+  for (int i = 0; i < 20; ++i) {
+    polygons.push_back(test::RandomBlob(
+        &rng, Point{rng.Uniform(-100, 100), rng.Uniform(-100, 100)},
+        rng.LogUniform(0.001, 100.0), 16, /*hole_probability=*/0.5));
+  }
+  std::vector<std::string> want;
+  for (const Polygon& poly : polygons) want.push_back(OracleWkt(poly));
+  for (const char* locale :
+       {"C", "de_DE.UTF-8", "fr_FR.UTF-8", "de_DE.ISO-8859-1"}) {
+    if (std::setlocale(LC_NUMERIC, locale) == nullptr) continue;
+    for (size_t i = 0; i < polygons.size(); ++i) {
+      const std::string got = ToWkt(polygons[i]);
+      EXPECT_EQ(got, want[i]) << locale;
+      EXPECT_TRUE(ParseWktPolygon(got).has_value()) << locale << ": " << got;
+    }
+    EXPECT_EQ(ToWkt(Point{12.5, -3.25}), "POINT (12.5 -3.25)") << locale;
+  }
+  std::setlocale(LC_NUMERIC, before.c_str());
 }
 
 }  // namespace

@@ -90,6 +90,26 @@ if(NOT EXISTS ${WORK}/ole.april)
   message(FATAL_ERROR "missing ole.april")
 endif()
 
+# generate says where its time went: one [generate] and one [write] line.
+run_expect(0 "\\[generate\\] OBE: 2500 objects, [0-9]+ vertices in [0-9.]+s\n\\[write\\] [^\n]*obe_blocks\\.wkt: [0-9.]+ MB in [0-9.]+s\n"
+           ${CLI} generate OBE ${WORK}/obe_blocks.wkt --scale=0.05 --seed=3)
+# april builds and compresses 1,024-object blocks: an input of 2,500 objects
+# spans three, and the file is the same at any --threads and passes
+# aprilcheck.
+foreach(threads 1 4)
+  run_expect(0 "wrote 2500 approximations"
+             ${CLI} april ${WORK}/obe_blocks.wkt ${WORK}/obe_${threads}.april
+             --threads=${threads})
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORK}/obe_1.april ${WORK}/obe_4.april
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "april wrote different bytes at 1 and 4 threads")
+endif()
+run_expect(0 "2500 declared, 2500 verified, 0 corrupt, 0 codec-corrupt"
+           ${CLI} aprilcheck ${WORK}/obe_4.april)
+
 # relate two inline polygons
 execute_process(
   COMMAND ${CLI} relate "POLYGON ((0 0, 4 0, 4 4, 0 4))"

@@ -7,7 +7,9 @@
 //       OLE, OPE, OBN, OLN, OPN) as one WKT polygon per line. --scale takes
 //       a number greater than 0 (default 1) and --seed an integer from 0 to
 //       2^63 - 1 (default 7). --threads formats the polygons on T workers;
-//       the file's bytes do not depend on it.
+//       the file's bytes do not depend on it. Prints "[generate] <name>:
+//       <n> objects, <v> vertices in <s>s" and "[write] <path>: <MB> MB in
+//       <s>s" to stderr.
 //
 //   stj_cli april <in.wkt> <out.april> [--grid-order=N] [--threads=T]
 //                 [--permissive]
@@ -16,7 +18,9 @@
 //       version-3 file: framed, checksummed records in the block codec.
 //       --grid-order takes 1 to 16 (default 12). --threads fans the load
 //       and the build out over T workers (0 = all cores, at most 1024); the
-//       output is identical for every thread count.
+//       output is identical for every thread count. The objects are built
+//       and compressed in blocks of at least 1,024 (at most 16 blocks), so
+//       only one block's flat lists are resident at a time.
 //
 //   stj_cli aprilcheck <in.april | shard-dir | shard-dir/manifest.stj>
 //       Verify an APRIL file record by record and report corruption, then
@@ -286,22 +290,19 @@ int Usage() {
   return kExitUsage;
 }
 
-/// Encodes a set of approximations into the blocked codec, keeping corrupt
-/// entries as placeholders (shared by `april` and the sharded join path,
-/// which both persist the compressed form).
-CompressedAprilStore CompressApproximations(
-    const std::vector<AprilApproximation>& april) {
-  CompressedAprilStore cstore;
-  cstore.Reserve(april.size(), /*blocks=*/0, /*payload_bytes=*/0);
-  for (const AprilApproximation& a : april) {
-    if (!a.usable) {
-      cstore.AppendCorruptPlaceholder();
+/// Appends records [begin, end) of \p april to \p cstore in the blocked
+/// codec, keeping unusable entries as placeholders (shared by `april` and
+/// the sharded join path, which both persist the compressed form).
+void AppendCompressed(const std::vector<AprilApproximation>& april,
+                      size_t begin, size_t end, CompressedAprilStore* cstore) {
+  for (size_t i = begin; i < end; ++i) {
+    if (!april[i].usable) {
+      cstore->AppendCorruptPlaceholder();
       continue;
     }
-    const AprilView view(a);
-    cstore.AppendEncoded(view.conservative, view.progressive);
+    const AprilView view(april[i]);
+    cstore->AppendEncoded(view.conservative, view.progressive);
   }
-  return cstore;
 }
 
 /// The grid of \p order over the joint bounds of \p inputs.
@@ -361,7 +362,9 @@ Status LoadInput(const std::string& path, const std::string& name,
 int CmdGenerate(int argc, char** argv) {
   if (argc < 4) return Usage();
   const Flags flags = ParseFlags(argc, argv, 4);
+  Timer timer;
   const Dataset dataset = BuildDataset(argv[2], flags.scale, flags.seed);
+  const double generate_seconds = timer.ElapsedSeconds();
   if (dataset.objects.empty()) {
     std::fprintf(stderr, "unknown dataset '%s' (expected one of", argv[2]);
     for (const std::string& name : DatasetNames()) {
@@ -370,11 +373,18 @@ int CmdGenerate(int argc, char** argv) {
     std::fprintf(stderr, ")\n");
     return kExitBadName;
   }
+  std::fprintf(stderr, "[generate] %s: %zu objects, %zu vertices in %.2fs\n",
+               argv[2], dataset.objects.size(), dataset.TotalVertices(),
+               generate_seconds);
+  timer.Reset();
   if (!SaveWktDataset(argv[3], dataset, flags.threads)) {
     return FailWith(Status::IoError("cannot write dataset").WithFile(argv[3]));
   }
-  std::fprintf(stderr, "wrote %zu polygons (%zu vertices) to %s\n",
-               dataset.objects.size(), dataset.TotalVertices(), argv[3]);
+  std::error_code size_error;
+  const uintmax_t bytes = std::filesystem::file_size(argv[3], size_error);
+  std::fprintf(stderr, "[write] %s: %.1f MB in %.2fs\n", argv[3],
+               size_error ? 0.0 : static_cast<double>(bytes) / 1e6,
+               timer.ElapsedSeconds());
   return kExitOk;
 }
 
@@ -387,19 +397,34 @@ int CmdApril(int argc, char** argv) {
   }
   const RasterGrid grid = GridOver({&dataset}, flags.grid_order);
   Timer timer;
-  const std::vector<AprilApproximation> april =
-      BuildAprilApproximations(dataset, grid, flags.threads);
+  // Builds, compresses and frees the flat lists one block of objects at a
+  // time (through BuildAprilApproximations' demand mask), so only one
+  // block's lists and the growing compressed store are resident. Each
+  // build returns an n-sized vector, so there are at most 16 blocks.
+  const size_t n = dataset.objects.size();
+  const size_t block = std::max<size_t>(1024, (n + 15) / 16);
+  CompressedAprilStore cstore;
+  cstore.Reserve(n, /*blocks=*/0, /*payload_bytes=*/0);
+  std::vector<uint8_t> demand(n, 0);
+  size_t bytes = 0;
+  for (size_t begin = 0; begin < n; begin += block) {
+    const size_t end = std::min(n, begin + block);
+    std::fill(demand.data() + begin, demand.data() + end, 1);
+    const std::vector<AprilApproximation> april = BuildAprilApproximations(
+        dataset, grid, flags.threads, /*exec=*/nullptr, &demand);
+    std::fill(demand.data() + begin, demand.data() + end, 0);
+    for (size_t i = begin; i < end; ++i) bytes += april[i].ByteSize();
+    AppendCompressed(april, begin, end, &cstore);
+  }
   const double preprocess_seconds = timer.ElapsedSeconds();
-  if (!SaveAprilStoreBlocked(argv[3], CompressApproximations(april))) {
+  if (!SaveAprilStoreBlocked(argv[3], cstore)) {
     return FailWith(
         Status::IoError("cannot write APRIL file").WithFile(argv[3]));
   }
-  size_t bytes = 0;
-  for (const AprilApproximation& a : april) bytes += a.ByteSize();
   std::fprintf(stderr,
                "wrote %zu approximations (%.2f MB of intervals) to %s "
                "(version 3, preprocess %.2fs)\n",
-               april.size(), static_cast<double>(bytes) / 1e6, argv[3],
+               n, static_cast<double>(bytes) / 1e6, argv[3],
                preprocess_seconds);
   return kExitOk;
 }
@@ -658,10 +683,12 @@ int CmdJoin(int argc, char** argv) {
             const std::vector<AprilApproximation>& april) -> Status {
       TilePartition partition;
       ShardWriteStats write_stats;
+      CompressedAprilStore cstore;
+      cstore.Reserve(april.size(), /*blocks=*/0, /*payload_bytes=*/0);
+      AppendCompressed(april, 0, april.size(), &cstore);
       Status st = BuildShardSet(flags.shard_dir + sub, dataset.objects,
-                                CompressApproximations(april),
-                                partition_options, &partition, &write_stats,
-                                flags.threads);
+                                cstore, partition_options, &partition,
+                                &write_stats, flags.threads);
       if (!st.ok()) return st;
       std::fprintf(stderr,
                    "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
