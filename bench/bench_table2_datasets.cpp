@@ -9,7 +9,7 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/raster/april_io.h"
+#include "src/raster/april_compressed.h"
 #include "src/util/stats.h"
 
 namespace stj::bench {
@@ -21,7 +21,7 @@ void Run(const BenchOptions& options) {
   PrintTitle("Table 2: dataset descriptions");
   std::printf("%-6s %-44s %12s %12s %12s %12s %14s\n", "name", "entity type",
               "# polygons", "size (MB)", "MBRs (MB)", "P+C (MB)",
-              "P+C.v3 (MB)");
+              "P+C.codec (MB)");
   for (const std::string& name : DatasetNames()) {
     const Dataset dataset = BuildDataset(name, options.scale, options.seed);
     // Per-dataset grid over its own bounds, as each scenario would grid it.
@@ -34,19 +34,11 @@ void Run(const BenchOptions& options) {
         BuildAprilApproximations(dataset, grid);
     size_t april_bytes = 0;
     for (const AprilApproximation& a : april) april_bytes += a.ByteSize();
-    // On-disk footprint of the APRIL file (version 3, block codec).
-    const std::string tmp = "/tmp/stj_table2_probe.april";
-    size_t compressed_bytes = 0;
-    if (SaveAprilStoreBlocked(tmp, CompressedAprilStore::FromStore(
-                                       AprilStore::FromApproximations(april)))) {
-      std::FILE* f = std::fopen(tmp.c_str(), "rb");
-      if (f != nullptr) {
-        std::fseek(f, 0, SEEK_END);
-        compressed_bytes = static_cast<size_t>(std::ftell(f));
-        std::fclose(f);
-      }
-      std::remove(tmp.c_str());
-    }
+    // The same lists in the block codec, as the shard files store them:
+    // the compressed store's arenas, offset tables and flags.
+    const size_t compressed_bytes =
+        CompressedAprilStore::FromStore(AprilStore::FromApproximations(april))
+            .ByteSize();
     std::printf("%-6s %-44s %12s %12.1f %12.2f %12.2f %14.2f\n",
                 dataset.name.c_str(), dataset.description.c_str(),
                 FormatApproxCount(dataset.objects.size()).c_str(),

@@ -25,8 +25,10 @@ namespace {
 /// hold a longer line; the file as a whole is never resident.
 constexpr size_t kWindowBytes = size_t{1} << 20;
 
-/// Objects a SaveWktDataset worker formats per slice.
-constexpr size_t kSaveSlice = 1024;
+/// Vertices a SaveWktDataset worker formats per slice (about 2.5 MB of
+/// text): the text held at a time is bounded by the thread count times this,
+/// whatever the objects' sizes.
+constexpr size_t kSaveSliceVertices = size_t{1} << 16;
 
 unsigned ResolveThreads(unsigned requested) {
   return requested != 0 ? requested
@@ -281,27 +283,36 @@ bool SaveWktDataset(const std::string& path, const Dataset& dataset,
   bool ok = std::fwrite(header.data(), 1, header.size(), file.get()) ==
             header.size();
   const size_t threads = ResolveThreads(num_threads);
-  const size_t n = dataset.objects.size();
-  std::vector<std::string> slices(threads);
-  for (size_t base = 0; base < n && ok; base += threads * kSaveSlice) {
-    const size_t count =
-        std::min(threads, (n - base + kSaveSlice - 1) / kSaveSlice);
+  // Slice k holds objects [cuts[k], cuts[k + 1]): consecutive objects up to
+  // kSaveSliceVertices vertices, at least one.
+  std::vector<size_t> cuts{0};
+  size_t vertices = 0;
+  for (size_t i = 0; i < dataset.objects.size(); ++i) {
+    vertices += dataset.objects[i].geometry.VertexCount();
+    if (vertices >= kSaveSliceVertices || i + 1 == dataset.objects.size()) {
+      cuts.push_back(i + 1);
+      vertices = 0;
+    }
+  }
+  const size_t num_slices = cuts.size() - 1;
+  std::vector<std::string> texts(threads);
+  for (size_t base = 0; base < num_slices && ok; base += threads) {
+    const size_t count = std::min(threads, num_slices - base);
     internal::RunChunks(
         static_cast<unsigned>(threads), count,
         [&](unsigned /*worker*/, size_t first, size_t last) {
           for (size_t k = first; k < last; ++k) {
-            std::string& text = slices[k];
+            std::string& text = texts[k];
             text.clear();
-            const size_t end = std::min(n, base + (k + 1) * kSaveSlice);
-            for (size_t i = base + k * kSaveSlice; i < end; ++i) {
+            for (size_t i = cuts[base + k]; i < cuts[base + k + 1]; ++i) {
               text += ToWkt(dataset.objects[i].geometry);
               text += '\n';
             }
           }
         });
     for (size_t k = 0; k < count && ok; ++k) {
-      ok = std::fwrite(slices[k].data(), 1, slices[k].size(), file.get()) ==
-           slices[k].size();
+      ok = std::fwrite(texts[k].data(), 1, texts[k].size(), file.get()) ==
+           texts[k].size();
     }
   }
   return std::fclose(file.release()) == 0 && ok;

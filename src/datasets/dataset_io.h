@@ -15,10 +15,11 @@ namespace stj {
 /// makes the synthetic datasets inspectable with standard GIS tooling.
 
 /// Writes every object of \p dataset to \p path, one WKT polygon per line,
-/// after a '#' header line. Slices of 1,024 objects are formatted on
-/// \p num_threads workers (0 = hardware concurrency) and written in object
-/// order, so the file's bytes do not depend on the thread count. Returns
-/// false on I/O error.
+/// after a '#' header line. Slices of consecutive objects, cut by vertex
+/// count, are formatted on \p num_threads workers (0 = hardware
+/// concurrency) and written in object order, so the file's bytes do not
+/// depend on the thread count and the text held at a time does not grow
+/// with the dataset. Returns false on I/O error.
 bool SaveWktDataset(const std::string& path, const Dataset& dataset,
                     unsigned num_threads = 0);
 

@@ -8,10 +8,10 @@
 
 namespace stj {
 
-/// Delta/varint block codec for canonical interval lists — the APRIL v3
-/// record representation on disk and in shard files (PAPERS.md: compressed
-/// APRIL variants). It is a storage encoding only: the filters read records
-/// decoded back to flat lists (DecodedAprilCache, AprilStore loads).
+/// Delta/varint block codec for canonical interval lists — the APRIL record
+/// representation in shard files (PAPERS.md: compressed APRIL variants). It
+/// is a storage encoding only: the filters read records decoded back to
+/// flat lists (DecodedAprilCache).
 ///
 /// A list is chunked into fixed runs of kCodecBlockIntervals intervals (the
 /// last block may be shorter). Each block gets a fixed-size header carrying
@@ -98,9 +98,9 @@ class CompressedIntervalList {
   /// a payload beyond the 32-bit per-list offset space.
   static CompressedIntervalList Encode(IntervalView list);
 
-  /// Adopts already-encoded parts (the v3 file loader's path). No validation
-  /// here — callers must run ValidateCompressed on the view before trusting
-  /// the data.
+  /// Adopts already-encoded parts (tests build malformed lists with it). No
+  /// validation here — callers must run ValidateCompressed on the view
+  /// before trusting the data.
   static CompressedIntervalList FromParts(
       std::vector<IntervalBlockHeader> headers, std::vector<uint8_t> bytes,
       uint64_t num_intervals) {
@@ -141,7 +141,7 @@ class CompressedIntervalList {
 /// counts and offsets, interval total) plus a full decode of every block
 /// verifying payload/header consistency and canonical form across block
 /// boundaries. Returns an explanation for the first defect, or "" when the
-/// view is well-formed. Used by the v3 loader and the aprilcheck codec audit.
+/// view is well-formed. Used by CompressedAprilStore::DeepValidateRecord.
 std::string ValidateCompressed(const CompressedIntervalView& view);
 
 /// Decodes the whole view into \p out (cleared first). Returns false on any
@@ -151,7 +151,7 @@ bool DecodeCompressed(const CompressedIntervalView& view,
 
 namespace codec {
 
-/// LEB128 varint helpers shared with the v3 file format (april_io.cpp).
+/// LEB128 varint helpers of the block payload.
 void AppendVarint(std::vector<uint8_t>* out, uint64_t value);
 
 /// Reads one varint from [*p, end), advancing *p. Returns false on

@@ -24,10 +24,10 @@ struct AprilApproximation {
   IntervalList conservative;  ///< C list.
   IntervalList progressive;   ///< P list.
 
-  /// False when the record is known to be unusable (the APRIL loaders in
-  /// april_io.h flag checksum or codec failures the same way). The pipeline must
-  /// then treat the pair as undetermined and fall back to refinement rather
-  /// than filter on garbage intervals. Note an *empty* conservative list with
+  /// False when the record is known to be unusable (a shard record that
+  /// fails its record sum is treated the same way). The pipeline must then
+  /// treat the pair as undetermined and fall back to refinement rather than
+  /// filter on garbage intervals. Note an *empty* conservative list with
   /// usable=true is legitimate (the object covers no cell at this grid
   /// resolution is impossible, but slivers can have empty P lists).
   bool usable = true;

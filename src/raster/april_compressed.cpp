@@ -5,6 +5,7 @@
 
 #include "src/interval/interval_algebra.h"
 #include "src/util/check.h"
+#include "src/util/fnv1a.h"
 
 namespace stj {
 
@@ -30,6 +31,7 @@ void CompressedAprilStore::RefreshSpans() {
   span_.c_intervals = c_intervals_.data();
   span_.p_intervals = p_intervals_.data();
   span_.usable = usable_.data();
+  span_.record_fnv = nullptr;  // only a mapped store carries record sums
   span_.count = p_hdr_begin_.size();
 }
 
@@ -221,8 +223,27 @@ CompressedAprilStore CompressedAprilStore::FromStore(const AprilStore& store) {
 bool CompressedAprilStore::DecodeRecord(
     size_t i, std::vector<CellInterval>* conservative,
     std::vector<CellInterval>* progressive) const {
+  if (span_.record_fnv != nullptr &&
+      RecordChecksum(i) != span_.record_fnv[i]) {
+    return false;
+  }
   return DecodeCompressed(Conservative(i), conservative) &&
          DecodeCompressed(Progressive(i), progressive);
+}
+
+uint64_t CompressedAprilStore::RecordChecksum(size_t i) const {
+  const CompressedStoreSpans& s = span_;
+  uint64_t h = Fnv1a64(s.usable + i, 1);
+  h = Fnv1a64(s.c_intervals + i, sizeof(uint64_t), h);
+  h = Fnv1a64(s.p_intervals + i, sizeof(uint64_t), h);
+  // A record's C run is followed by its P run in both arenas, so one span
+  // per arena hashes C then P.
+  h = Fnv1a64(s.headers + s.hdr_begin[i],
+              (s.hdr_begin[i + 1] - s.hdr_begin[i]) *
+                  sizeof(IntervalBlockHeader),
+              h);
+  return Fnv1a64(s.bytes + s.byte_begin[i],
+                 s.byte_begin[i + 1] - s.byte_begin[i], h);
 }
 
 std::string CompressedAprilStore::DeepValidateRecord(size_t i) const {

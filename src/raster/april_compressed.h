@@ -11,7 +11,7 @@
 
 namespace stj {
 
-/// The nine flat arrays a CompressedAprilStore reads through. In the owning
+/// The flat arrays a CompressedAprilStore reads through. In the owning
 /// mode they point into the store's own vectors; in the mapped mode
 /// (FromSpans) they point into externally owned memory — a shard file
 /// mapping (shard_io.h) — and the store serves views zero-copy off it.
@@ -30,11 +30,15 @@ struct CompressedStoreSpans {
   const uint64_t* c_intervals = nullptr;   ///< count entries.
   const uint64_t* p_intervals = nullptr;   ///< count entries.
   const uint8_t* usable = nullptr;         ///< count entries.
+  /// count entries: each record's RecordChecksum as its writer stored it.
+  /// Only a mapped store has them (null in the owning mode); DecodeRecord
+  /// then checks each record against its sum.
+  const uint64_t* record_fnv = nullptr;
   uint64_t count = 0;                      ///< Record count.
 };
 
 /// Arena-backed storage for a dataset's APRIL approximations in the blocked
-/// codec (interval_codec.h) — the APRIL v3 in-memory form.
+/// codec (interval_codec.h) — the form the shard files persist.
 ///
 /// Mirrors AprilStore's CSR design with two arenas instead of one: all block
 /// headers live in one flat array and all payload bytes in another;
@@ -56,7 +60,9 @@ struct CompressedStoreSpans {
 /// contract violation (STJ_CHECK).
 ///
 /// Corruption isolation matches AprilStore: records can be appended as
-/// usable=false placeholders and Usable(i) gates every view.
+/// usable=false placeholders and Usable(i) gates every view. A mapped
+/// store also carries one checksum per record (CompressedStoreSpans::
+/// record_fnv): a record that fails it does not decode, so its pairs refine.
 class CompressedAprilStore {
  public:
   CompressedAprilStore() { RefreshSpans(); }
@@ -137,9 +143,17 @@ class CompressedAprilStore {
   static CompressedAprilStore FromStore(const AprilStore& store);
 
   /// Decodes record i back to flat canonical form. Returns false on any
-  /// malformed block (cannot happen for records built by AppendEncoded).
+  /// malformed block (cannot happen for records built by AppendEncoded) and,
+  /// on a store with record sums, when record i does not match its sum.
   bool DecodeRecord(size_t i, std::vector<CellInterval>* conservative,
                     std::vector<CellInterval>* progressive) const;
+
+  /// FNV-1a64 (src/util/fnv1a.h) over record i's usable byte, its C and P
+  /// interval counts, its C and P header runs and its C and P payload
+  /// bytes, in that order. Header byte offsets are relative to their list,
+  /// so the sum does not depend on where the record sits in its arena: a
+  /// record copied into several shard tiles has one sum.
+  uint64_t RecordChecksum(size_t i) const;
 
   /// Full audit of record i for the aprilcheck codec validation: deep codec
   /// validation of both lists (ValidateCompressed), P ⊆ C on the decoded

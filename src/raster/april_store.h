@@ -19,15 +19,16 @@ namespace stj {
 ///   P_i = arena[p_begin[i]   .. rec_begin[i+1])
 ///
 /// Compared with a vector<AprilApproximation> (two heap vectors per object),
-/// the arena costs three allocations total, keeps a whole dataset's
-/// approximations contiguous for scan-friendly filtering, and loads from an
-/// APRIL file in one pass (april_io.h). Records are read out as
-/// lightweight non-owning IntervalView / AprilView values — the same types
-/// the interval algebra and the intermediate filters consume — so the
-/// topology layer is agnostic to which storage a dataset uses.
+/// the arena costs three allocations total and keeps a whole dataset's
+/// approximations contiguous for scan-friendly filtering. It is an
+/// in-memory form only: no file loads into it (a prepared dataset is a
+/// shard set, src/raster/shard_io.h, read through CompressedAprilStore).
+/// Records are read out as lightweight non-owning IntervalView / AprilView
+/// values — the same types the interval algebra and the intermediate
+/// filters consume — so the topology layer is agnostic to which storage a
+/// dataset uses.
 ///
-/// The store preserves the corruption-isolation semantics of the I/O layer:
-/// a record can be appended as usable=false (placeholder keeping later
+/// A record can be appended as usable=false (placeholder keeping later
 /// records index-aligned), and Usable(i) must gate any use of its views.
 class AprilStore {
  public:

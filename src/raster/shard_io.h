@@ -7,24 +7,28 @@
 #include "src/geometry/polygon.h"
 #include "src/geometry/tile_grid.h"
 #include "src/raster/april_compressed.h"
+#include "src/raster/grid.h"
 #include "src/util/mmap_file.h"
 #include "src/util/status.h"
 
 namespace stj {
 
 /// Tile-sharded, mmap-backed persistence of one dataset — the out-of-core
-/// storage layer (ROADMAP item 2). A *shard set* is a directory holding one
-/// manifest plus one shard file per tile of a TileGrid partition
-/// (src/join/partitioner.h computes the grid; this layer only persists it).
+/// storage layer and the project's one on-disk form of a prepared dataset
+/// (`stj_cli prepare` writes it, `stj_cli join` maps it). A *shard set* is a
+/// directory holding one manifest plus one shard file per tile of a
+/// TileGrid partition (src/join/partitioner.h computes the grid; this layer
+/// only persists it).
 ///
-/// Layout (all integers native-endian, like the APRIL file format):
+/// Layout (all integers native-endian):
 ///
 ///   <dir>/manifest.stj
 ///     "SHDM" magic | u32 version | u64 payload_bytes | u64 fnv1a64(payload)
-///     | payload — the APRIL framed+checksummed convention. The payload
-///     carries the dataset object count, the TileGrid (domain, columns,
-///     rows, boundary runs) and per tile: object count, computational
-///     units, shard file byte size.
+///     | payload. The payload carries the dataset object count, the raster
+///     grid the APRIL lists were built on (u32 order, 0 = none recorded, and
+///     the dataspace as four f64), the TileGrid (domain, columns, rows,
+///     boundary runs) and per tile: object count, computational units,
+///     shard file byte size.
 ///
 ///   <dir>/tile_NNNNNN.shard      (one per tile, NNNNNN = tile id)
 ///     header   "SHRD" | u32 version | u64 tile_id | u64 object_count
@@ -35,8 +39,9 @@ namespace stj {
 ///
 /// Segments persist the tile's slice of the dataset: the global object
 /// indices, the serialised geometry (an offset index plus a ring/vertex
-/// blob — deserialised on load), and the nine CSR arrays of the tile's
-/// CompressedAprilStore written verbatim. Page alignment makes every typed
+/// blob — deserialised on load), the nine CSR arrays of the tile's
+/// CompressedAprilStore written verbatim, and one checksum per APRIL record
+/// (CompressedAprilStore::RecordChecksum). Page alignment makes every typed
 /// array directly addressable in the mapping, so LoadTile serves the APRIL
 /// arenas *zero-copy*: the tile's CompressedAprilStore is
 /// CompressedAprilStore::FromSpans over pointers into the mapping, pages
@@ -47,11 +52,17 @@ namespace stj {
 /// checksums, and the shard header checksums its own segment table. The
 /// join path verifies only the structural layer it must trust (header,
 /// table, array bounds/CSR tails) — checksumming segment payloads at load
-/// would fault every page in and defeat laziness. ValidateShardSet (the
-/// aprilcheck path) does read and verify every payload checksum.
+/// would fault every page in and defeat laziness. Instead each APRIL record
+/// is checked against its record sum when a worker decodes it: a record
+/// that fails does not feed the filter, and its pairs refine (the
+/// degraded mode of PipelineStats::fallback_refined). Geometry has only the
+/// structural checks; a malformed geometry record fails its tile's load.
+/// ValidateShardSet (the aprilcheck path) reads and verifies every payload
+/// checksum, the record sums' segment included.
 namespace shard {
 
-inline constexpr uint32_t kVersion = 1;
+/// Version 2 added the raster grid to the manifest and the record sums.
+inline constexpr uint32_t kVersion = 2;
 inline constexpr size_t kPageAlign = 4096;
 
 /// Segment kinds of a shard file, in table order.
@@ -69,10 +80,21 @@ enum SegmentKind : uint32_t {
   kAprilCIntervals = 10,  ///< u64[n].
   kAprilPIntervals = 11,  ///< u64[n].
   kAprilUsable = 12,      ///< u8[n].
+  kAprilRecordFnv = 13,   ///< u64[n] RecordChecksum of each record.
 };
-inline constexpr uint32_t kNumSegments = 12;
+inline constexpr uint32_t kNumSegments = 13;
 
 }  // namespace shard
+
+/// The raster grid a shard set's APRIL lists were built on, as its manifest
+/// records it. Two prepared sides can be joined only when their lists come
+/// from one grid: compare with ==, which is bitwise.
+struct ShardRasterGrid {
+  uint32_t order = 0;  ///< 0 when the writer recorded no grid.
+  Box dataspace;       ///< RasterGrid::Dataspace() of the grid.
+
+  friend bool operator==(const ShardRasterGrid& a, const ShardRasterGrid& b);
+};
 
 /// Per-tile accounting carried by the manifest.
 struct ShardTileInfo {
@@ -100,7 +122,9 @@ struct ShardWriteStats {
 /// (0 = hardware concurrency), each tile streamed segment by segment to its
 /// file; the manifest is written last, once every tile is on disk. Every
 /// file's bytes are the same at any thread count. On failure the lowest
-/// failing tile's Status is returned and no manifest is written.
+/// failing tile's Status is returned and no manifest is written. The
+/// manifest records \p raster_grid, the grid \p store's lists were built
+/// on; a set written without one records none (order 0).
 [[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
                      const std::vector<uint32_t>& entries,
@@ -108,7 +132,8 @@ struct ShardWriteStats {
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
                      ShardWriteStats* stats = nullptr,
-                     unsigned num_threads = 0);
+                     unsigned num_threads = 0,
+                     const RasterGrid* raster_grid = nullptr);
 
 /// One tile, resident: the mapping plus everything deserialised off it.
 /// The cstore references the mapping (zero-copy) — LoadedShard must be kept
@@ -119,7 +144,8 @@ struct LoadedShard {
   std::vector<uint32_t> ids;           ///< Global dataset indices, ascending.
   std::vector<SpatialObject> objects;  ///< Deserialised geometry, local order.
   std::vector<Box> mbrs;               ///< Local MBRs (filter input).
-  CompressedAprilStore cstore;         ///< Mapped (FromSpans) APRIL slice.
+  /// Mapped (FromSpans) APRIL slice, record sums included.
+  CompressedAprilStore cstore;
   /// Cache/budget footprint: mapped bytes plus the deserialised heap
   /// estimate. What the scheduler charges against ExecContext::TryCharge.
   size_t resident_bytes = 0;
@@ -139,6 +165,8 @@ class ShardSet {
 
   const std::string& Dir() const { return dir_; }
   const TileGrid& Grid() const { return grid_; }
+  /// The raster grid the manifest records (order 0 when none).
+  const ShardRasterGrid& RasterGridRecord() const { return raster_; }
   uint32_t Tiles() const { return static_cast<uint32_t>(tiles_.size()); }
   uint64_t TotalObjects() const { return total_objects_; }
   const ShardTileInfo& Tile(uint32_t t) const { return tiles_[t]; }
@@ -156,6 +184,7 @@ class ShardSet {
  private:
   std::string dir_;
   TileGrid grid_;
+  ShardRasterGrid raster_;
   std::vector<ShardTileInfo> tiles_;
   uint64_t total_objects_ = 0;
 };
@@ -178,14 +207,13 @@ struct ShardCheckReport {
 /// cross-checks against the manifest (object counts, file sizes). Unlike
 /// the join path this reads every byte. A non-ok Status means the manifest
 /// itself was unreadable (structural failure); per-tile corruption is
-/// reported through \p report, mirroring the APRIL record-isolation
-/// behaviour at tile granularity.
+/// reported through \p report, so one bad tile does not hide the others.
 [[nodiscard]] Status ValidateShardSet(const std::string& dir, ShardCheckReport* report);
 
-/// True when \p path names a shard set the aprilcheck command should route
-/// to ValidateShardSet: a directory containing manifest.stj (detected by
-/// opening it — no platform directory APIs), or the manifest file itself.
-/// \p dir receives the shard-set directory.
+/// True when \p path names a shard set: a directory containing
+/// manifest.stj (detected by opening it — no platform directory APIs), or
+/// the manifest file itself. \p dir receives the shard-set directory. The
+/// join command tells prepared sides from WKT files with it.
 [[nodiscard]] bool ResolveShardSetDir(const std::string& path, std::string* dir);
 
 }  // namespace stj

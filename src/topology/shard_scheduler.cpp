@@ -326,7 +326,8 @@ Status BuildShardSet(const std::string& dir,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out,
-                     ShardWriteStats* stats_out, unsigned num_threads) {
+                     ShardWriteStats* stats_out, unsigned num_threads,
+                     const RasterGrid* raster_grid) {
   STJ_CHECK_MSG(store.Count() == objects.size(),
                 "shard build needs an APRIL record per object");
   std::vector<Box> mbrs;
@@ -344,7 +345,7 @@ Status BuildShardSet(const std::string& dir,
   TilePartition partition = BuildCostBalancedPartition(mbrs, units, options);
   Status st = WriteShardSet(dir, partition.grid, partition.tile_begin,
                             partition.entries, partition.tile_units, objects,
-                            store, stats_out, num_threads);
+                            store, stats_out, num_threads, raster_grid);
   if (!st.ok()) return st;
   if (partition_out != nullptr) *partition_out = std::move(partition);
   return Status::Ok();

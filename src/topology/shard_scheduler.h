@@ -108,13 +108,15 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
 /// TilePartition, and persists the dataset as a shard set under \p dir,
 /// writing the tiles on \p num_threads workers (0 = hardware concurrency;
 /// see WriteShardSet). \p partition_out (optional) receives the partition
-/// for inspection.
+/// for inspection. The manifest records \p raster_grid (see
+/// WriteShardSet), which a prepared join checks on both sides.
 Status BuildShardSet(const std::string& dir,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out = nullptr,
                      ShardWriteStats* stats_out = nullptr,
-                     unsigned num_threads = 0);
+                     unsigned num_threads = 0,
+                     const RasterGrid* raster_grid = nullptr);
 
 }  // namespace stj

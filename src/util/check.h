@@ -15,7 +15,7 @@
 ///    For contracts that are too hot or too deep for release builds.
 ///  - Status::Internal(...): for invariant violations detected on fallible
 ///    paths (I/O, parsing) where the caller can isolate the damage — see the
-///    corruption-isolation machinery in april_io.h.
+///    corruption isolation of the shard layer (src/raster/shard_io.h).
 ///
 /// Deep structure validators (IntervalList::ValidateInvariants and friends)
 /// are always *compiled* — tests call them in any build — but their

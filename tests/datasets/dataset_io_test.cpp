@@ -34,10 +34,11 @@ TEST(DatasetIo, RoundTripPreservesGeometry) {
 }
 
 TEST(DatasetIo, SavedBytesDoNotDependOnThreadCount) {
-  // 5,000 objects: four workers format more than one round of 1,024-object
-  // slices, the last one partial.
-  const Dataset dataset = BuildDataset("OBE", 0.1, 5);
-  ASSERT_GT(dataset.objects.size(), 4u * 1024u);
+  // The writer cuts slices of about 2^16 vertices: with over 4 x 2^16
+  // vertices, four workers format more than one round of slices, the last
+  // one partial.
+  const Dataset dataset = BuildDataset("OPE", 0.05, 5);
+  ASSERT_GT(dataset.TotalVertices(), 4u * (size_t{1} << 16));
   const auto bytes = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in), {});

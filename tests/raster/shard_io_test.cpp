@@ -13,6 +13,7 @@
 #include "src/datasets/scenarios.h"
 #include "src/join/partitioner.h"
 #include "src/util/mmap_file.h"
+#include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
 namespace stj {
@@ -54,24 +55,6 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& data) {
     ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
   }
   std::fclose(f);
-}
-
-// Locates the segment-table entry of `kind` in a raw shard file image.
-// Layout per shard_io.h: 40-byte header, then 32-byte entries of
-// { u32 kind | u32 pad | u64 offset | u64 bytes | u64 fnv }.
-bool FindSegment(const std::vector<uint8_t>& file, uint32_t kind,
-                 uint64_t* offset, uint64_t* bytes) {
-  constexpr size_t kHeader = 40, kEntry = 32;
-  for (size_t e = 0; e < shard::kNumSegments; ++e) {
-    const size_t at = kHeader + e * kEntry;
-    uint32_t k;
-    std::memcpy(&k, file.data() + at, sizeof(k));
-    if (k != kind) continue;
-    std::memcpy(offset, file.data() + at + 8, sizeof(*offset));
-    std::memcpy(bytes, file.data() + at + 16, sizeof(*bytes));
-    return true;
-  }
-  return false;
 }
 
 class ShardIoTest : public ::testing::Test {
@@ -279,7 +262,8 @@ TEST_F(ShardIoTest, PayloadCorruptionCaughtByValidateNotByLoad) {
   std::vector<uint8_t> file = ReadFile(path);
   ASSERT_FALSE(file.empty());
   uint64_t offset = 0, bytes = 0;
-  ASSERT_TRUE(FindSegment(file, shard::kAprilBytes, &offset, &bytes));
+  ASSERT_TRUE(
+      test::FindShardSegment(file.data(), shard::kAprilBytes, &offset, &bytes));
   ASSERT_GT(bytes, 0u) << "tile 0 has an empty codec arena; pick a bigger "
                           "scenario scale";
   file[offset] ^= 0xFF;
@@ -293,6 +277,99 @@ TEST_F(ShardIoTest, PayloadCorruptionCaughtByValidateNotByLoad) {
   EXPECT_TRUE(report.Corrupt());
   EXPECT_EQ(report.tiles_corrupt, 1u);
   ASSERT_FALSE(report.issues.empty());
+}
+
+TEST_F(ShardIoTest, ManifestRecordsTheRasterGrid) {
+  // A prepared side records the grid its lists were built on, bit for bit;
+  // a set written without one records none.
+  const RasterGrid grid(Box::Of(Point{-1.5, 2}, Point{7, 9.25}), 11);
+  const std::string with = Dir("with_grid");
+  ASSERT_TRUE(WriteShardSet(with, partition_.grid, partition_.tile_begin,
+                            partition_.entries, partition_.tile_units,
+                            scenario_.r.objects, cstore_, nullptr, 0, &grid)
+                  .ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(with, &set).ok());
+  EXPECT_TRUE(set.RasterGridRecord() ==
+              (ShardRasterGrid{grid.Order(), grid.Dataspace()}));
+  EXPECT_FALSE(set.RasterGridRecord() ==
+               (ShardRasterGrid{grid.Order() - 1, grid.Dataspace()}));
+
+  const std::string without = Dir("without_grid");
+  ASSERT_TRUE(Write(without).ok());
+  ASSERT_TRUE(ShardSet::Open(without, &set).ok());
+  EXPECT_EQ(set.RasterGridRecord().order, 0u);
+}
+
+TEST_F(ShardIoTest, OtherVersionsAreDataLoss) {
+  // Version 1 sets (no grid, no record sums) are refused, not half-read: the
+  // manifest's version and each shard's version are checked.
+  const std::string dir = Dir("version_1");
+  ASSERT_TRUE(Write(dir).ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+  const uint32_t old_version = 1;
+  std::vector<uint8_t> tile = ReadFile(set.TilePath(0));
+  std::memcpy(tile.data() + 4, &old_version, sizeof old_version);
+  WriteFile(set.TilePath(0), tile);
+  LoadedShard shard;
+  Status status = set.LoadTile(0, &shard);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+
+  std::vector<uint8_t> manifest = ReadFile(dir + "/manifest.stj");
+  std::memcpy(manifest.data() + 4, &old_version, sizeof old_version);
+  WriteFile(dir + "/manifest.stj", manifest);
+  status = ShardSet::Open(dir, &set);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.ToString().find("version 1"), std::string::npos);
+}
+
+TEST_F(ShardIoTest, RecordSumsGateDecodingOfMappedRecords) {
+  const std::string dir = Dir("record_sums");
+  ASSERT_TRUE(Write(dir).ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+  std::vector<CellInterval> c;
+  std::vector<CellInterval> p;
+  // Each stored sum is its dataset record's: a record copied into several
+  // tiles hashes the same in each.
+  for (uint32_t t = 0; t < set.Tiles(); ++t) {
+    LoadedShard shard;
+    ASSERT_TRUE(set.LoadTile(t, &shard).ok());
+    const CompressedStoreSpans& spans = shard.cstore.Spans();
+    ASSERT_NE(spans.record_fnv, nullptr);
+    for (size_t k = 0; k < shard.ids.size(); ++k) {
+      EXPECT_EQ(spans.record_fnv[k], cstore_.RecordChecksum(shard.ids[k]))
+          << "tile " << t << " record " << k;
+      EXPECT_TRUE(shard.cstore.DecodeRecord(k, &c, &p));
+    }
+  }
+  // An owning store has no sums and decodes without them.
+  EXPECT_EQ(cstore_.Spans().record_fnv, nullptr);
+
+  // Flip the first payload byte of one record of tile 0: the load succeeds
+  // (sums are not read at load), and that record alone no longer decodes.
+  std::vector<uint8_t> file = ReadFile(set.TilePath(0));
+  uint64_t begin_at = 0, begin_bytes = 0, payload_at = 0, payload_bytes = 0;
+  ASSERT_TRUE(test::FindShardSegment(file.data(), shard::kAprilByteBegin,
+                                     &begin_at, &begin_bytes));
+  ASSERT_TRUE(test::FindShardSegment(file.data(), shard::kAprilBytes,
+                                     &payload_at, &payload_bytes));
+  const uint64_t n = set.Tile(0).object_count;
+  const uint64_t* byte_begin =
+      reinterpret_cast<const uint64_t*>(file.data() + begin_at);
+  uint64_t victim = n;
+  for (uint64_t k = 0; k < n && victim == n; ++k) {
+    if (byte_begin[k + 1] > byte_begin[k]) victim = k;
+  }
+  ASSERT_LT(victim, n);
+  file[payload_at + byte_begin[victim]] ^= 0x01;
+  WriteFile(set.TilePath(0), file);
+  LoadedShard shard;
+  ASSERT_TRUE(set.LoadTile(0, &shard).ok());
+  for (uint64_t k = 0; k < n; ++k) {
+    EXPECT_EQ(shard.cstore.DecodeRecord(k, &c, &p), k != victim) << k;
+  }
 }
 
 TEST_F(ShardIoTest, TableCorruptionFailsLoadAndValidate) {

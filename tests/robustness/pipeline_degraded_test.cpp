@@ -1,20 +1,20 @@
 #include <gtest/gtest.h>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/datasets/scenarios.h"
-#include "src/raster/april_io.h"
 #include "src/topology/parallel.h"
+#include "src/topology/shard_scheduler.h"
 #include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
-// Degraded-mode correctness: when APRIL approximations are missing or flagged
-// corrupt, the kApril/kPC pipelines must fall back to refinement for the
-// affected pairs and still produce results identical to the approximation-free
-// kOP2 ground truth, with the fallbacks surfaced in
-// PipelineStats::fallback_refined.
+// Degraded-mode correctness: when APRIL approximations are missing, flagged
+// corrupt, or fail their record sums in a prepared shard set, the kApril/kPC
+// pipelines must fall back to refinement for the affected pairs and still
+// produce results identical to the approximation-free kOP2 ground truth,
+// with the fallbacks surfaced in PipelineStats::fallback_refined.
 
 namespace stj {
 namespace {
@@ -32,7 +32,13 @@ class PipelineDegradedTest : public ::testing::Test {
                              JoinOptions{.num_threads = 1});
   }
 
-  void ExpectMatchesGroundTruthWithFallback(const ParallelJoinResult& result,
+  ~PipelineDegradedTest() override {
+    std::error_code ignored;
+    std::filesystem::remove_all(shard_dir_, ignored);
+  }
+
+  template <typename Result>
+  void ExpectMatchesGroundTruthWithFallback(const Result& result,
                                             const char* label) {
     ASSERT_EQ(result.relations.size(), ground_truth_.relations.size()) << label;
     for (size_t i = 0; i < result.relations.size(); ++i) {
@@ -43,36 +49,68 @@ class PipelineDegradedTest : public ::testing::Test {
     EXPECT_LE(result.stats.fallback_refined, result.stats.refined) << label;
   }
 
+  /// Prepares both sides as shard sets (the form `stj_cli prepare` writes)
+  /// and flips the first payload byte of every \p stride-th list record of
+  /// every R tile. Returns how many records were flipped.
+  size_t PrepareWithFlippedRecords(size_t stride) {
+    shard_dir_ = test::TempPath("pipeline_degraded_shards");
+    PartitionOptions poptions;
+    poptions.target_tiles = 4;
+    EXPECT_TRUE(BuildShardSet(shard_dir_ + "/r", scenario_.r.objects,
+                              CompressedAprilStore::FromStore(
+                                  AprilStore::FromApproximations(
+                                      scenario_.r_april)),
+                              poptions)
+                    .ok());
+    EXPECT_TRUE(BuildShardSet(shard_dir_ + "/s", scenario_.s.objects,
+                              CompressedAprilStore::FromStore(
+                                  AprilStore::FromApproximations(
+                                      scenario_.s_april)),
+                              poptions)
+                    .ok());
+    ShardSet r_set;
+    EXPECT_TRUE(ShardSet::Open(shard_dir_ + "/r", &r_set).ok());
+    size_t flipped = 0;
+    for (uint32_t t = 0; t < r_set.Tiles(); ++t) {
+      std::string bytes = test::ReadFileBytes(r_set.TilePath(t));
+      uint64_t begin_at = 0, begin_bytes = 0, payload_at = 0, payload_bytes = 0;
+      EXPECT_TRUE(test::FindShardSegment(bytes.data(), shard::kAprilByteBegin,
+                                         &begin_at, &begin_bytes));
+      EXPECT_TRUE(test::FindShardSegment(bytes.data(), shard::kAprilBytes,
+                                         &payload_at, &payload_bytes));
+      for (uint64_t i = 0; i < r_set.Tile(t).object_count; i += stride) {
+        uint64_t lo = 0, hi = 0;
+        std::memcpy(&lo, bytes.data() + begin_at + 8 * i, sizeof lo);
+        std::memcpy(&hi, bytes.data() + begin_at + 8 * (i + 1), sizeof hi);
+        if (lo == hi) continue;
+        bytes = test::WithFlippedByte(bytes, payload_at + lo);
+        ++flipped;
+      }
+      test::WriteFileBytes(r_set.TilePath(t), bytes);
+    }
+    return flipped;
+  }
+
+  /// Joins the two prepared sides, as `stj_cli join <dir>/r <dir>/s` does.
+  ShardJoinResult JoinPrepared(Method method) {
+    ShardSet r_set;
+    ShardSet s_set;
+    EXPECT_TRUE(ShardSet::Open(shard_dir_ + "/r", &r_set).ok());
+    EXPECT_TRUE(ShardSet::Open(shard_dir_ + "/s", &s_set).ok());
+    ShardJoinOptions options;
+    options.join.num_threads = 2;
+    ShardJoinResult result =
+        ShardedFindRelation(method, r_set, s_set, options);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    // The candidates are in the sharded result's canonical (r, s) order.
+    EXPECT_TRUE(result.pairs == scenario_.candidates);
+    return result;
+  }
+
   ScenarioData scenario_;
   ParallelJoinResult ground_truth_;
+  std::string shard_dir_;
 };
-
-/// Writes the R approximations as an APRIL file, flips the first payload
-/// byte of every \p stride-th record, and returns how many were flipped.
-size_t SaveWithFlippedRecords(const std::string& path,
-                              const std::vector<AprilApproximation>& april,
-                              size_t stride) {
-  EXPECT_TRUE(SaveAprilStoreBlocked(
-      path, CompressedAprilStore::FromStore(
-                AprilStore::FromApproximations(april))));
-  std::string bytes = test::ReadFileBytes(path);
-  constexpr size_t kHeaderSize = 16;
-  size_t off = kHeaderSize;
-  size_t flipped = 0;
-  for (size_t i = 0; i < april.size(); ++i) {
-    uint64_t payload_size = 0;
-    EXPECT_LE(off + 16, bytes.size());
-    if (off + 16 > bytes.size()) return flipped;
-    std::memcpy(&payload_size, bytes.data() + off, sizeof payload_size);
-    if (i % stride == 0 && payload_size > 0) {
-      bytes = test::WithFlippedByte(bytes, off + 16);  // first payload byte
-      ++flipped;
-    }
-    off += 16 + payload_size;
-  }
-  test::WriteFileBytes(path, bytes);
-  return flipped;
-}
 
 TEST_F(PipelineDegradedTest, HealthyRunHasZeroFallbacks) {
   for (const Method method : {Method::kApril, Method::kPC}) {
@@ -127,69 +165,31 @@ TEST_F(PipelineDegradedTest, ShortAprilVectorFallsBack) {
 }
 
 TEST_F(PipelineDegradedTest, DiskCorruptionEndToEnd) {
-  // Save the real R approximations, flip one payload byte in every 5th
-  // record, reload through the corruption-safe reader, and join with the
-  // damaged store: results must still match ground truth exactly.
-  const std::string path = test::TempPath("pipeline_degraded.april");
-  const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 5);
+  // Prepare both sides, flip one list payload byte in every 5th record of
+  // every R tile, and join the damaged sets: each flipped record fails its
+  // record sum when a worker decodes it, so its pairs refine, and the
+  // results still match ground truth exactly.
+  const size_t flipped = PrepareWithFlippedRecords(5);
   ASSERT_GT(flipped, 0u);
-
-  AprilStore damaged;
-  AprilLoadReport report;
-  const Status status = LoadAprilStore(path, &damaged, &report);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_TRUE(report.Degraded());
-  EXPECT_EQ(report.corrupt, flipped);
-  ASSERT_EQ(damaged.Count(), scenario_.r_april.size());
-
-  const DatasetView r_view{&scenario_.r.objects, nullptr, &damaged};
-  const ParallelJoinResult result =
-      ParallelFindRelation(Method::kPC, r_view, scenario_.SView(),
-                           scenario_.candidates, JoinOptions{.num_threads = 2});
+  const ShardJoinResult result = JoinPrepared(Method::kPC);
   ExpectMatchesGroundTruthWithFallback(result, "disk corruption");
-  std::remove(path.c_str());
+  EXPECT_GT(result.stats.decoded_corrupt, 0u);
 }
 
 TEST_F(PipelineDegradedTest, PermissiveStoreLoadKeepsFilterDecisionsActive) {
-  // Degradation must stay *isolated*: after a permissive load of a file
-  // with a few corrupt records, the healthy majority still decides pairs at
-  // the APRIL filter stage — corruption must not silently push the whole
-  // join onto the refinement path. Save the R approximations, flip one
-  // payload byte in every 7th record, reload into both store forms, and
-  // join straight from each.
-  const std::string path = test::TempPath("pipeline_store_degraded.april");
-  const size_t flipped = SaveWithFlippedRecords(path, scenario_.r_april, 7);
+  // Degradation must stay *isolated*: with a few corrupt list records in a
+  // prepared set, the healthy majority still decides pairs at the APRIL
+  // filter stage — corruption must not silently push the whole join onto
+  // the refinement path. Flip one payload byte in every 7th record of every
+  // R tile and join the damaged sets with both filtering methods.
+  const size_t flipped = PrepareWithFlippedRecords(7);
   ASSERT_GT(flipped, 0u);
-
-  AprilStore store;
-  AprilLoadReport report;
-  const Status status = LoadAprilStore(path, &store, &report);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_TRUE(report.Degraded());
-  EXPECT_EQ(report.corrupt, flipped);
-  ASSERT_EQ(store.Count(), scenario_.r_april.size());
-  CompressedAprilStore cstore;
-  ASSERT_TRUE(LoadCompressedAprilStore(path, &cstore, &report).ok());
-  EXPECT_EQ(report.corrupt, flipped);
-  ASSERT_EQ(cstore.Count(), scenario_.r_april.size());
-
-  const DatasetView r_views[] = {
-      DatasetView{&scenario_.r.objects, nullptr, &store},
-      DatasetView{&scenario_.r.objects, nullptr, nullptr, &cstore}};
-  for (const DatasetView& r_view : r_views) {
-    for (const Method method : {Method::kApril, Method::kPC}) {
-      const std::string label = std::string(ToString(method)) +
-                                (r_view.cstore != nullptr ? " compressed"
-                                                          : " flat");
-      const ParallelJoinResult result = ParallelFindRelation(
-          method, r_view, scenario_.SView(), scenario_.candidates,
-          JoinOptions{.num_threads = 2});
-      ExpectMatchesGroundTruthWithFallback(result, label.c_str());
-      // The healthy records kept the filter stage in play.
-      EXPECT_GT(result.stats.decided_by_filter, 0u) << label;
-    }
+  for (const Method method : {Method::kApril, Method::kPC}) {
+    const ShardJoinResult result = JoinPrepared(method);
+    ExpectMatchesGroundTruthWithFallback(result, ToString(method));
+    // The healthy records kept the filter stage in play.
+    EXPECT_GT(result.stats.decided_by_filter, 0u) << ToString(method);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(PipelineDegradedTest, RelatePredicateDegradesExactly) {

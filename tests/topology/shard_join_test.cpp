@@ -11,6 +11,7 @@
 
 #include "src/datasets/scenarios.h"
 #include "src/util/exec_context.h"
+#include "tests/robustness/corrupter.h"
 #include "tests/test_support.h"
 
 namespace stj {
@@ -361,6 +362,113 @@ TEST_F(ShardJoinTest, BuildShardSetReportsPartitionAndStats) {
   EXPECT_TRUE(set.Grid() == partition.grid);
   EXPECT_EQ(set.TotalObjects(), scenario_.r.objects.size());
   EXPECT_GT(set.TotalShardBytes(), 0u);
+}
+
+TEST(ShardRecordSumTest, EveryListByteFlipFailsTheLoadOrKeepsTheLinks) {
+  // Per-record isolation: flip, one at a time, every byte of one R tile's
+  // list segments — headers, payload, offset tables, interval counts,
+  // usable flags and record sums. Each flip must either fail the tile's
+  // load with kDataLoss (the structural checks) or leave every pair's
+  // relation as it was: a record that fails its sum refines its pairs.
+  ScenarioOptions options;
+  options.scale = 0.01;
+  options.grid_order = 10;
+  const ScenarioData scenario = BuildScenario("OLE-OPE", options);
+  const std::string dir = test::TempPath("record_sums");
+  PartitionOptions poptions;
+  poptions.target_tiles = 8;
+  ASSERT_TRUE(BuildShardSet(dir + "/r", scenario.r.objects,
+                            Compress(scenario.r_april), poptions)
+                  .ok());
+  poptions.target_tiles = 2;
+  ASSERT_TRUE(BuildShardSet(dir + "/s", scenario.s.objects,
+                            Compress(scenario.s_april), poptions)
+                  .ok());
+  ShardSet r_set, s_set;
+  ASSERT_TRUE(ShardSet::Open(dir + "/r", &r_set).ok());
+  ASSERT_TRUE(ShardSet::Open(dir + "/s", &s_set).ok());
+  ShardJoinOptions join_options;
+  join_options.join.num_threads = 1;
+  const ShardJoinResult reference =
+      ShardedFindRelation(Method::kPC, r_set, s_set, join_options);
+  ASSERT_TRUE(reference.status.ok());
+  ASSERT_EQ(reference.stats.fallback_refined, 0u);
+
+  constexpr uint32_t kListSegments[] = {
+      shard::kAprilHeaders,    shard::kAprilBytes,
+      shard::kAprilHdrBegin,   shard::kAprilPHdrBegin,
+      shard::kAprilByteBegin,  shard::kAprilPByteBegin,
+      shard::kAprilCIntervals, shard::kAprilPIntervals,
+      shard::kAprilUsable,     shard::kAprilRecordFnv};
+  const auto list_bytes = [&](const std::string& file) {
+    uint64_t total = 0;
+    for (const uint32_t kind : kListSegments) {
+      uint64_t at = 0, bytes = 0;
+      EXPECT_TRUE(test::FindShardSegment(file.data(), kind, &at, &bytes));
+      total += bytes;
+    }
+    return total;
+  };
+  // The sweep runs on the tile with the fewest list bytes among those
+  // whose lists the join reads: with every record of a tile flagged
+  // unusable, some of its pairs must refine.
+  const auto lists_are_read = [&](uint32_t t) {
+    const std::string file = test::ReadFileBytes(r_set.TilePath(t));
+    uint64_t at = 0, bytes = 0;
+    EXPECT_TRUE(test::FindShardSegment(file.data(), shard::kAprilUsable, &at,
+                                       &bytes));
+    std::string unusable = file;
+    std::fill_n(unusable.begin() + static_cast<std::ptrdiff_t>(at), bytes,
+                '\0');
+    test::WriteFileBytes(r_set.TilePath(t), unusable);
+    const ShardJoinResult probe =
+        ShardedFindRelation(Method::kPC, r_set, s_set, join_options);
+    test::WriteFileBytes(r_set.TilePath(t), file);
+    return probe.status.ok() && probe.stats.fallback_refined != 0;
+  };
+  uint32_t tile = r_set.Tiles();
+  uint64_t fewest = UINT64_MAX;
+  for (uint32_t t = 0; t < r_set.Tiles(); ++t) {
+    const uint64_t bytes = list_bytes(test::ReadFileBytes(r_set.TilePath(t)));
+    if (bytes < fewest && lists_are_read(t)) {
+      tile = t;
+      fewest = bytes;
+    }
+  }
+  ASSERT_LT(tile, r_set.Tiles());
+
+  const std::string path = r_set.TilePath(tile);
+  const std::string original = test::ReadFileBytes(path);
+  size_t load_failures = 0;
+  size_t refined_flips = 0;
+  for (const uint32_t kind : kListSegments) {
+    uint64_t at = 0, bytes = 0;
+    ASSERT_TRUE(test::FindShardSegment(original.data(), kind, &at, &bytes));
+    for (uint64_t offset = at; offset < at + bytes; ++offset) {
+      SCOPED_TRACE(::testing::Message() << "segment " << kind << " byte "
+                                        << offset - at);
+      test::WriteFileBytes(path, test::WithFlippedByte(original, offset));
+      LoadedShard shard;
+      const Status load = r_set.LoadTile(tile, &shard);
+      if (!load.ok()) {
+        ASSERT_EQ(load.code(), StatusCode::kDataLoss) << load.ToString();
+        ++load_failures;
+        continue;
+      }
+      const ShardJoinResult result =
+          ShardedFindRelation(Method::kPC, r_set, s_set, join_options);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      ASSERT_TRUE(result.pairs == reference.pairs);
+      ASSERT_TRUE(result.relations == reference.relations);
+      if (result.stats.fallback_refined != 0) ++refined_flips;
+    }
+  }
+  test::WriteFileBytes(path, original);
+  // Both defences were exercised.
+  EXPECT_GT(load_failures, 0u);
+  EXPECT_GT(refined_flips, 0u);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 # End-to-end smoke test of stj_cli, driven by ctest:
-#   generate -> april -> relate -> join (find-relation and predicate modes),
-#   plus the malformed-input exit paths (strict vs permissive loading,
-#   aprilcheck, distinct exit codes).
+#   generate -> prepare -> relate -> join (find-relation and predicate modes,
+#   in memory, with --shard-dir, and over prepared sides), plus the
+#   malformed-input exit paths (strict vs permissive loading, aprilcheck,
+#   corrupt and mismatched prepared sides, per-command flag lists, distinct
+#   exit codes).
 # Invoked as: cmake -DCLI=<path-to-stj_cli> -DWORK=<scratch-dir> -P cli_test.cmake
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK)
@@ -66,10 +68,11 @@ foreach(f ole.wkt ope.wkt)
   endif()
 endforeach()
 
-# generate formats 1,024-polygon slices on --threads workers and writes them
-# in order: the file's bytes do not depend on the thread count (OBE at 0.1
-# has 5,000 polygons, so 4 workers format more than one round of slices).
-foreach(spec "OPE;0.01" "OBE;0.1")
+# generate formats slices of about 2^16 vertices on --threads workers and
+# writes them in order: the file's bytes do not depend on the thread count
+# (OPE at 0.05 has about 430,000 vertices, so 4 workers format more than one
+# round of slices).
+foreach(spec "OPE;0.01" "OPE;0.05")
   list(GET spec 0 name)
   list(GET spec 1 scale)
   foreach(threads 1 4)
@@ -84,31 +87,35 @@ foreach(spec "OPE;0.01" "OBE;0.1")
   endif()
 endforeach()
 
-# april precomputation
-run_checked(${CLI} april ${WORK}/ole.wkt ${WORK}/ole.april --grid-order=10)
-if(NOT EXISTS ${WORK}/ole.april)
-  message(FATAL_ERROR "missing ole.april")
-endif()
-
 # generate says where its time went: one [generate] and one [write] line.
 run_expect(0 "\\[generate\\] OBE: 2500 objects, [0-9]+ vertices in [0-9.]+s\n\\[write\\] [^\n]*obe_blocks\\.wkt: [0-9.]+ MB in [0-9.]+s\n"
            ${CLI} generate OBE ${WORK}/obe_blocks.wkt --scale=0.05 --seed=3)
-# april builds and compresses 1,024-object blocks: an input of 2,500 objects
-# spans three, and the file is the same at any --threads and passes
-# aprilcheck.
+
+# prepare writes both sides as shard sets over their joint grid: the files
+# are the same at any --threads, and both sets pass aprilcheck.
 foreach(threads 1 4)
-  run_expect(0 "wrote 2500 approximations"
-             ${CLI} april ${WORK}/obe_blocks.wkt ${WORK}/obe_${threads}.april
-             --threads=${threads})
+  file(REMOVE_RECURSE ${WORK}/prep_t${threads})
+  run_expect(0 "\\[april\\] built 70/70 \\+ 90/90 [^\n]*\n\\[shard\\] [^\n]*/r: [0-9]+ tiles"
+             ${CLI} prepare ${WORK}/ole.wkt ${WORK}/ope.wkt ${WORK}/prep_t${threads}
+             --grid-order=10 --partition-units=2000 --threads=${threads})
 endforeach()
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK}/obe_1.april ${WORK}/obe_4.april
-                RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "april wrote different bytes at 1 and 4 threads")
-endif()
-run_expect(0 "2500 declared, 2500 verified, 0 corrupt, 0 codec-corrupt"
-           ${CLI} aprilcheck ${WORK}/obe_4.april)
+foreach(side r s)
+  file(GLOB prep_files RELATIVE ${WORK}/prep_t1/${side} ${WORK}/prep_t1/${side}/*)
+  list(LENGTH prep_files prep_file_count)
+  if(prep_file_count LESS 3)
+    message(FATAL_ERROR "expected several tiles under prep_t1/${side}: ${prep_files}")
+  endif()
+  foreach(f ${prep_files})
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                            ${WORK}/prep_t1/${side}/${f}
+                            ${WORK}/prep_t4/${side}/${f}
+                    RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "prepare wrote ${side}/${f} differently at 1 and 4 threads")
+    endif()
+  endforeach()
+  run_expect(0 "shard set, .* 0 corrupt" ${CLI} aprilcheck ${WORK}/prep_t4/${side})
+endforeach()
 
 # relate two inline polygons
 execute_process(
@@ -186,6 +193,25 @@ execute_process(COMMAND ${CLI} join ${WORK}/ole11.wkt ${WORK}/ope11.wkt
 if(NOT rc EQUAL 9 OR NOT pc_budget_err MATCHES "stopped during preprocessing")
   message(FATAL_ERROR "a P+C join over the budget must stop while building (${rc}):\n${pc_budget_err}")
 endif()
+# The prepare half of --shard-dir gives back the budget its freed lists
+# held, so under a budget the prepared join of these inputs fits in, the
+# --shard-dir join answers every pair too.
+file(REMOVE_RECURSE ${WORK}/prep16 ${WORK}/shards16)
+run_checked(${CLI} prepare ${WORK}/ole11.wkt ${WORK}/ope11.wkt ${WORK}/prep16
+            --grid-order=16)
+execute_process(COMMAND ${CLI} join ${WORK}/prep16/r ${WORK}/prep16/s
+                --shard-cache-mb=1 --max-memory-mb=16
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL st2_free_out)
+  message(FATAL_ERROR "a prepared join under a 16 MB budget failed (${rc}):\n${err}")
+endif()
+execute_process(COMMAND ${CLI} join ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                --grid-order=16 --shard-dir=${WORK}/shards16 --shard-cache-mb=1
+                --max-memory-mb=16
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL st2_free_out)
+  message(FATAL_ERROR "a --shard-dir join under the budget its prepared join fits in failed (${rc}):\n${err}")
+endif()
 
 # Canonical output: the links come out sorted by (r, s), so the serial loop
 # and the 4-thread block loop print the same bytes, and --time-stages adds
@@ -223,6 +249,9 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT pc_out STREQUAL shard_out)
   message(FATAL_ERROR "sharded join diverged from in-memory join:\n--- in-memory\n${pc_out}\n--- sharded\n${shard_out}")
+endif()
+if(shard_err MATCHES "degraded")
+  message(FATAL_ERROR "a healthy sharded join reported degraded pairs:\n${shard_err}")
 endif()
 if(NOT shard_err MATCHES "\\[shard\\] .*/r: .* tiles" OR
    NOT shard_err MATCHES "tasks, .* loads / .* hits")
@@ -265,11 +294,67 @@ foreach(side r s)
   endforeach()
 endforeach()
 
+# A join over prepared sides prints the bytes of the in-memory and the
+# --shard-dir joins, at every --threads.
+foreach(threads 1 4)
+  execute_process(COMMAND ${CLI} join ${WORK}/prep_t1/r ${WORK}/prep_t1/s
+                  --shard-cache-mb=1 --threads=${threads}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE prep_out
+                  ERROR_VARIABLE prep_err)
+  if(NOT rc EQUAL 0 OR NOT prep_out STREQUAL pc_out OR
+     NOT prep_out STREQUAL shard_out)
+    message(FATAL_ERROR "prepared join at --threads=${threads} (${rc}) differs from the in-memory join:\n${prep_err}")
+  endif()
+  if(prep_err MATCHES "\\[load\\]|\\[april\\]" OR
+     NOT prep_err MATCHES "\\[join\\] [0-9]+ links .*sharded")
+    message(FATAL_ERROR "prepared join loaded or built, or printed no [join] line:\n${prep_err}")
+  endif()
+endforeach()
+
+# Sides prepared on different grids cannot be joined: exit 12, naming both
+# grids.
+file(REMOVE_RECURSE ${WORK}/prep_11)
+run_checked(${CLI} prepare ${WORK}/ole.wkt ${WORK}/ope.wkt ${WORK}/prep_11
+            --grid-order=11)
+run_rejected(12 "prep_t1/r has grid order 10 over .*prep_11/s has grid order 11 over"
+             ${CLI} join ${WORK}/prep_t1/r ${WORK}/prep_11/s)
+
+# Both join arguments are WKT files or both prepared sides, and a prepared
+# join reads only its own flags: exit 2, naming the flag and the command.
+run_rejected(2 "two WKT files or two prepared shard sets"
+             ${CLI} join ${WORK}/prep_t1/r ${WORK}/ope.wkt)
+run_rejected(2 "two WKT files or two prepared shard sets"
+             ${CLI} join ${WORK}/ole.wkt ${WORK}/prep_t1/s)
+foreach(flag --grid-order=10 --predicate=inside --permissive
+        --shard-dir=${WORK}/shards4 --partition-units=5)
+  string(REGEX REPLACE "=.*" "" flag_name "${flag}")
+  run_rejected(2 "join over prepared sides does not read ${flag_name}"
+               ${CLI} join ${WORK}/prep_t1/r ${WORK}/prep_t1/s ${flag})
+endforeach()
+
+# A shard set of another version is bad data (exit 4), for aprilcheck and
+# the join alike.
+file(REMOVE_RECURSE ${WORK}/prep_v1)
+file(COPY ${WORK}/prep_t1/r DESTINATION ${WORK}/prep_v1)
+execute_process(
+  COMMAND sh -c "printf '\\001' | dd of='${WORK}/prep_v1/r/manifest.stj' bs=1 seek=4 count=1 conv=notrunc status=none"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot patch the manifest version")
+endif()
+run_expect(4 "unsupported manifest version 1" ${CLI} aprilcheck ${WORK}/prep_v1/r)
+run_expect(4 "unsupported manifest version 1"
+           ${CLI} join ${WORK}/prep_v1/r ${WORK}/prep_t1/s)
+
 # aprilcheck understands shard manifests: the directory and the manifest
-# path both route to the shard-set audit.
+# path both route to the shard-set audit; any other path has no manifest
+# (exit 3).
 run_expect(0 "shard set, .* 0 corrupt" ${CLI} aprilcheck ${WORK}/shards/r)
 run_expect(0 "shard set, .* 0 corrupt"
            ${CLI} aprilcheck ${WORK}/shards/s/manifest.stj)
+
+run_expect(3 "ole.wkt/manifest.stj" ${CLI} aprilcheck ${WORK}/ole.wkt)
+run_expect(3 "no_such_dir/manifest.stj" ${CLI} aprilcheck ${WORK}/no_such_dir)
 
 # Shard corruption is a distinct failure class: exit 11, naming the tile.
 file(APPEND ${WORK}/shards/r/tile_000000.shard "garbage past the layout")
@@ -295,22 +380,25 @@ POLYGON ((10 10, 12 10, 12 10, 12 12, 10 12))
 POLYGON ((5 5, 6 6, 5 5, 6 6))
 ")
 
+file(WRITE ${WORK}/unit_square.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
+
 # Strict load: exit 4 (bad data), message names file, line 2, and the offset.
-file(REMOVE ${WORK}/dirty.april)  # scratch dir is reused across runs
+file(REMOVE_RECURSE ${WORK}/dirty_prep)  # scratch dir is reused across runs
 run_expect(4 "dirty.wkt:2.*expected"
-           ${CLI} april ${WORK}/dirty.wkt ${WORK}/dirty.april)
-if(EXISTS ${WORK}/dirty.april)
-  message(FATAL_ERROR "strict load must not produce an output file")
+           ${CLI} prepare ${WORK}/dirty.wkt ${WORK}/unit_square.wkt
+           ${WORK}/dirty_prep)
+if(EXISTS ${WORK}/dirty_prep)
+  message(FATAL_ERROR "strict load must not produce an output")
 endif()
 
 # Permissive load: succeeds on the clean remainder and reports the triage.
 run_expect(0 "1 repaired, 2 skipped"
-           ${CLI} april ${WORK}/dirty.wkt ${WORK}/dirty.april --permissive)
-if(NOT EXISTS ${WORK}/dirty.april)
-  message(FATAL_ERROR "permissive load must produce an output file")
+           ${CLI} prepare ${WORK}/dirty.wkt ${WORK}/unit_square.wkt
+           ${WORK}/dirty_prep --permissive)
+if(NOT EXISTS ${WORK}/dirty_prep/r/manifest.stj OR
+   NOT EXISTS ${WORK}/dirty_prep/s/manifest.stj)
+  message(FATAL_ERROR "permissive load must produce both shard sets")
 endif()
-
-file(WRITE ${WORK}/unit_square.wkt "POLYGON ((0 0, 1 0, 1 1, 0 1))\n")
 
 # A ring of zero area is bad data too: a strict load fails naming the file
 # and line (exit 4), as does a `relate` argument with one. Permissive loads
@@ -401,9 +489,14 @@ foreach(order 12 16)
   endforeach()
 endforeach()
 
-# Missing input file: exit 3 (I/O), message names the file.
+# Missing input file: exit 3 (I/O), message names the file, and nothing is
+# written.
 run_expect(3 "no_such_file.wkt"
-           ${CLI} april ${WORK}/no_such_file.wkt ${WORK}/x.april)
+           ${CLI} prepare ${WORK}/ole.wkt ${WORK}/no_such_file.wkt
+           ${WORK}/missing_prep)
+if(EXISTS ${WORK}/missing_prep)
+  message(FATAL_ERROR "a prepare with a missing input must not write")
+endif()
 
 # Inline WKT parse error: exit 4 with a byte offset.
 run_expect(4 "@byte" ${CLI} relate "POLYGON ((0 0, 1 0" "POINT (1 1)")
@@ -427,19 +520,64 @@ if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n")
   message(FATAL_ERROR "squares join at grid order 16 failed (${rc}):\n${out}\n${err}")
 endif()
 
+# A flipped byte in a prepared tile's list payload fails that record's
+# checksum when the join decodes it: the pair refines to the same link, a
+# `degraded` line counts it, and aprilcheck names the tile (exit 11). The
+# squares' one pair overlaps, so the filter reads record 0 of R's tile 0.
+file(REMOVE_RECURSE ${WORK}/prep_flip)
+run_checked(${CLI} prepare ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+            ${WORK}/prep_flip)
+set(flip_tile ${WORK}/prep_flip/r/tile_000000.shard)
+file(READ ${flip_tile} tile_hex HEX)
+# The payload segment (kind 5) has the fifth 32-byte table entry after the
+# 40-byte header; its offset is the little-endian u64 at byte 176.
+string(SUBSTRING "${tile_hex}" 352 8 offset_le)
+set(offset_be "")
+foreach(at 6 4 2 0)
+  string(SUBSTRING "${offset_le}" ${at} 2 hex_byte)
+  string(APPEND offset_be ${hex_byte})
+endforeach()
+math(EXPR payload_at "0x${offset_be}")
+math(EXPR payload_hex_at "2 * ${payload_at}")
+string(SUBSTRING "${tile_hex}" ${payload_hex_at} 2 payload_byte)
+if(payload_byte STREQUAL "ff")
+  set(flip "\\000")
+else()
+  set(flip "\\377")
+endif()
+execute_process(
+  COMMAND sh -c "printf '${flip}' | dd of='${flip_tile}' bs=1 seek=${payload_at} count=1 conv=notrunc status=none"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot flip a byte of ${flip_tile}")
+endif()
+foreach(threads 1 4)
+  run_expect(0 "\\[join\\] degraded: [1-9][0-9]* pairs fell back to refinement"
+             ${CLI} join ${WORK}/prep_flip/r ${WORK}/prep_flip/s
+             --threads=${threads})
+  execute_process(COMMAND ${CLI} join ${WORK}/prep_flip/r ${WORK}/prep_flip/s
+                  --threads=${threads}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out STREQUAL "0 0 intersects\n")
+    message(FATAL_ERROR "join over a flipped list record changed the links (${rc}):\n${out}\n${err}")
+  endif()
+endforeach()
+run_expect(11 "tile 0: segment 5 checksum mismatch"
+           ${CLI} aprilcheck ${WORK}/prep_flip/r)
+
 # --grid-order outside 1..16 and --threads outside 0..1024 (or not an
 # integer) are usage errors: exit 2, before the inputs are loaded.
-file(REMOVE ${WORK}/rejected.april)
+file(REMOVE_RECURSE ${WORK}/rejected_prep)
 foreach(order 0 17 31 32 40 -1 12x "")
   run_rejected(2 "--grid-order must be an integer from 1 to 16"
                ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
                --grid-order=${order})
   run_rejected(2 "--grid-order must be an integer from 1 to 16"
-               ${CLI} april ${WORK}/square_a.wkt ${WORK}/rejected.april
-               --grid-order=${order})
+               ${CLI} prepare ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+               ${WORK}/rejected_prep --grid-order=${order})
 endforeach()
-if(EXISTS ${WORK}/rejected.april)
-  message(FATAL_ERROR "a rejected april run must not write its output")
+if(EXISTS ${WORK}/rejected_prep)
+  message(FATAL_ERROR "a rejected prepare run must not write its output")
 endif()
 foreach(threads -1 1025 4294967295 two "")
   run_rejected(2 "--threads must be an integer from 0 to 1024"
@@ -505,51 +643,36 @@ run_expect(2 "unknown flag"
 run_expect(2 "unknown flag"
            ${CLI} join ${WORK}/ole.wkt ${WORK}/ope.wkt --prepared-cache-mb=8)
 run_expect(2 "unknown flag"
-           ${CLI} april ${WORK}/ole.wkt ${WORK}/x.april --codec=blocked)
+           ${CLI} prepare ${WORK}/ole.wkt ${WORK}/ope.wkt ${WORK}/x --codec=blocked)
 
-# Writes raw bytes given as printf(1) escapes: CMake strings cannot hold
-# the NUL bytes of binary headers.
-function(write_bytes path escapes)
-  execute_process(COMMAND sh -c "printf '${escapes}' > '${path}'"
-                  RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "cannot write ${path}")
-  endif()
-endfunction()
+# The retired `april` command is gone: a usage error.
+run_rejected(2 "usage: stj_cli" ${CLI} april ${WORK}/ole.wkt ${WORK}/x.april)
 
-# aprilcheck: `april` writes version 3, the only format, and the file passes
-# the deep codec audit; garbage and truncated headers are structural errors
-# (exit 4).
-run_expect(0 "version 3 \\(blocked\\).*0 corrupt, 0 codec-corrupt"
-           ${CLI} aprilcheck ${WORK}/ole.april)
-
-# A flipped byte past the first frame header (16-byte file header + 16-byte
-# frame) fails one record's checksum: exit 6, naming the object.
-file(READ ${WORK}/ole.april ole_hex HEX)
-string(SUBSTRING "${ole_hex}" 80 2 byte_40)
-if(byte_40 STREQUAL "ff")
-  set(flip "\\000")
-else()
-  set(flip "\\377")
+# Every command reads only its own flags: any other known flag exits 2,
+# naming the flag and the command, before any input is read or output
+# written.
+run_rejected(2 "stj_cli join without --shard-dir does not read --partition-units"
+             ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+             --partition-units=5 --shard-cache-mb=3)
+run_rejected(2 "stj_cli join without --shard-dir does not read --shard-cache-mb"
+             ${CLI} join ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+             --shard-cache-mb=3)
+run_rejected(2 "stj_cli generate does not read --grid-order"
+             ${CLI} generate OBE ${WORK}/rejected.wkt --grid-order=3
+             --shard-dir=/nonexistent)
+if(EXISTS ${WORK}/rejected.wkt)
+  message(FATAL_ERROR "a rejected generate run must not write its output")
 endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${WORK}/ole.april
-                        ${WORK}/flipped.april)
-execute_process(
-  COMMAND sh -c "printf '${flip}' | dd of='${WORK}/flipped.april' bs=1 seek=40 count=1 conv=notrunc status=none"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "cannot corrupt flipped.april")
-endif()
-run_expect(6 "1 corrupt.*corrupt record: object 0"
-           ${CLI} aprilcheck ${WORK}/flipped.april)
-
-file(WRITE ${WORK}/garbage.april "this is not an april file at all")
-run_expect(4 "bad magic" ${CLI} aprilcheck ${WORK}/garbage.april)
-file(WRITE ${WORK}/short.april "APRB")
-run_expect(4 "too short" ${CLI} aprilcheck ${WORK}/short.april)
-# The retired version-2 layout ("APRL", u32 version 2, u64 count 1) is a
-# structural error, not a half-read file.
-write_bytes(${WORK}/v2.april "APRL\\002\\000\\000\\000\\001\\000\\000\\000\\000\\000\\000\\000")
-run_expect(4 "bad magic" ${CLI} aprilcheck ${WORK}/v2.april)
+run_rejected(2 "stj_cli prepare does not read --method"
+             ${CLI} prepare ${WORK}/square_a.wkt ${WORK}/square_b.wkt
+             ${WORK}/rejected_prep --method=pc)
+run_rejected(2 "stj_cli aprilcheck does not read --threads"
+             ${CLI} aprilcheck ${WORK}/prep_t1/r --threads=2)
+run_rejected(2 "stj_cli relate does not read --threads"
+             ${CLI} relate "POLYGON ((0 0, 4 0, 4 4, 0 4))"
+             "POLYGON ((1 1, 2 1, 2 2, 1 2))" --threads=2)
+run_rejected(2 "unknown flag: extra"
+             ${CLI} relate "POLYGON ((0 0, 4 0, 4 4, 0 4))"
+             "POLYGON ((1 1, 2 1, 2 2, 1 2))" extra)
 
 message(STATUS "stj_cli end-to-end test passed")

@@ -4,15 +4,14 @@
 #   tools/lint.sh                       # lint the tree (CI runs this)
 #   tools/lint.sh --self-test           # verify the lints catch violations
 #   tools/lint.sh --allow-missing-tools # degrade instead of failing when
-#                                       # clang-tidy / libclang are absent
+#                                       # clang-tidy is absent
 #
 # Three layers, strongest available always runs:
 #   1. tools/stj_analyzer.py — the one project-rule tool (DESIGN.md §16):
 #      compiler-free rules (layer-order, naked-new, void-discard,
 #      platform-confined) plus the semantic checks (status-discard,
-#      scope-checkin, loop-alloc, mutex-order, atomic-doc). Always runs;
-#      prefers the libclang frontend, falls back to its built-in lexical
-#      frontend when libclang is unusable.
+#      scope-checkin, loop-alloc, mutex-order, atomic-doc), all on its one
+#      lexical frontend. Always runs; needs only python3.
 #   2. Negative-compile tripwire — src/de9im/model_check.cpp must compile
 #      cleanly as-is and must FAIL to compile with -DSTJ_MODEL_CORRUPT_BIT
 #      (which flips one bit of the `equals` DE-9IM mask). Proves the
@@ -21,8 +20,8 @@
 #
 # Missing tools are a HARD ERROR by default: a lint gate that silently
 # skips its strongest layers reads as green while checking less, which is
-# how regressions slip in between machines. Dev boxes without clang-tidy /
-# libclang opt out explicitly with --allow-missing-tools (or
+# how regressions slip in between machines. Dev boxes without clang-tidy
+# opt out explicitly with --allow-missing-tools (or
 # STJ_LINT_ALLOW_MISSING=1) — the degradation is then stated, not silent.
 #
 # Exit status is non-zero if any layer finds a problem.
@@ -85,18 +84,7 @@ run_model_tripwire() {
 
 run_analyzer() {
   say "stj_analyzer (project checks)"
-  local frontend_flag="--frontend=libclang"
-  if ! python3 tools/stj_analyzer.py --probe-libclang >/dev/null 2>&1; then
-    # libclang is the analyzer's strongest frontend; without it the
-    # status-discard check degrades to the lexical scanner. Every other
-    # check is compiler-free, so the analyzer still runs (and the missing
-    # tool still fails the gate unless --allow-missing-tools).
-    missing_tool "libclang (python clang bindings)" \
-      "Install clang + python3-clang (Debian); CI's static-analysis job does." \
-      || true
-    frontend_flag="--frontend=lexical"
-  fi
-  if ! python3 tools/stj_analyzer.py "$frontend_flag"; then
+  if ! python3 tools/stj_analyzer.py; then
     fail=1
   fi
 }

@@ -9,19 +9,15 @@ least) a parse of the code: result-discard detection beyond
 discipline in hot loops, lock-order consistency, and the STJ_ATOMIC_DOC
 convention for lock-free fields.
 
-Frontends
----------
-The analyzer prefers **libclang** (`clang.cindex`) when it is importable
-and a libclang shared library can be loaded: the `status-discard` check
-then runs on the real AST (catching discards through references, ternary
-selections, and any other expression shape, because it tests the *type* of
-each unused-value expression, not the callee's name). When libclang is
-absent it falls back to the built-in **lexical** frontend — a
-comment/string-aware statement scanner driven by the project's own
-function inventory — so the analyzer runs everywhere the test suite runs.
-`tools/lint.sh` treats a missing libclang as a hard error unless invoked
-with --allow-missing-tools; this script itself degrades loudly, not
-silently (the active frontend is always printed).
+Frontend
+--------
+One **lexical** frontend — a comment/string-aware statement scanner driven
+by the project's own function inventory — so the analyzer needs nothing
+beyond Python and runs everywhere the test suite runs. For the
+`status-discard` rule it works with the compiler: `Status` and `Result<T>`
+are `[[nodiscard]]` classes (src/util/status.h), so under -Werror GCC
+already rejects a bare discarded call; the compiler says nothing about a
+discarded ternary (`c ? F() : G();`), which only this rule catches.
 
 Checks
 ------
@@ -48,14 +44,11 @@ Checks
                    A new platform dependency belongs behind the MappedFile
                    seam, not inline.
   status-discard   A call to a function returning stj::Status or
-                   stj::Result<T> whose value is discarded. Goes beyond the
-                   class-level [[nodiscard]] warning: the lexical frontend
-                   flags bare-call statements and both arms of discarded
-                   ternaries; the libclang frontend flags *any*
-                   unused-value expression of those types, including calls
-                   reached through function references. `(void)` casts are
-                   exempt (void-discard requires their justification
-                   comment).
+                   stj::Result<T> whose value is discarded: bare-call
+                   statements and both arms of discarded ternaries (the
+                   arms are what the class-level [[nodiscard]] warning
+                   misses). `(void)` casts are exempt (void-discard
+                   requires their justification comment).
   scope-checkin    Every internal::RunWorkers worker body must poll
                    cooperative cancellation: the lambda must create an
                    ExecContext::Scope or call CheckIn(). RunWorkers is the
@@ -93,14 +86,10 @@ Usage
   tools/stj_analyzer.py                 # analyze the tree, exit 1 on findings
   tools/stj_analyzer.py --self-test     # every check must catch its seeded
                                         # violations and pass clean files
-  tools/stj_analyzer.py --frontend=lexical|libclang|auto
-  tools/stj_analyzer.py --probe-libclang  # exit 0 iff libclang is usable
   tools/stj_analyzer.py --lock-table    # print the derived lock-order table
 """
 
 import argparse
-import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -336,7 +325,7 @@ DECL_RE = re.compile(
 )
 
 # Functions whose names collide with common identifiers enough to make the
-# lexical name-match noisy. The libclang frontend needs no such list.
+# lexical name-match noisy.
 INVENTORY_SKIP = {"Ok", "Get", "ToStatus"}
 
 STMT_KEYWORD_RE = re.compile(
@@ -444,116 +433,6 @@ def check_status_discard_lexical(files, errors):
                         f"handle it or cast to (void) with a justification"
                     )
                     break
-
-
-# ---------------------------------------------------------------------------
-# Check: status-discard (libclang)
-# ---------------------------------------------------------------------------
-
-class LibclangFrontend:
-    """AST frontend over clang.cindex. Instantiation raises RuntimeError with
-    a human-readable reason when libclang is unusable."""
-
-    LIB_GLOBS = (
-        "/usr/lib/llvm-*/lib/libclang.so*",
-        "/usr/lib/*/libclang.so*",
-        "/usr/local/lib/libclang.so*",
-    )
-
-    def __init__(self):
-        try:
-            import clang.cindex as cindex  # noqa: PLC0415
-        except ImportError as e:
-            raise RuntimeError(f"python clang bindings not importable: {e}")
-        self.cindex = cindex
-        try:
-            self.index = cindex.Index.create()
-        except Exception:  # library not found at the default name
-            import glob
-            for pattern in self.LIB_GLOBS:
-                for lib in sorted(glob.glob(pattern), reverse=True):
-                    try:
-                        cindex.Config.loaded = False
-                        cindex.Config.set_library_file(lib)
-                        self.index = cindex.Index.create()
-                        break
-                    except Exception:
-                        continue
-                else:
-                    continue
-                break
-            else:
-                raise RuntimeError("no loadable libclang shared library found")
-
-    def compile_args(self):
-        """Per-file compile args: from build/compile_commands.json when
-        present, a plain -std=c++20 -I. fallback otherwise."""
-        args = {}
-        ccdb = REPO / "build" / "compile_commands.json"
-        if ccdb.is_file():
-            for entry in json.loads(ccdb.read_text()):
-                flags = [a for a in entry["command"].split()[1:]
-                         if not a.endswith(".o") and a not in ("-c", "-o")]
-                args[os.path.realpath(entry["file"])] = flags
-        return args
-
-    def unused_status_calls(self, path):
-        """Yields (line, callee_spelling) for unused-value expressions of
-        type stj::Status / stj::Result<...> in one TU."""
-        cindex = self.cindex
-        args = self.compile_args().get(
-            os.path.realpath(str(path)),
-            ["-std=c++20", f"-I{REPO}"])
-        tu = self.index.parse(str(path), args=args)
-        findings = []
-
-        def result_typed(node):
-            t = node.type.spelling
-            return ("Status" in t or "Result<" in t) and "*" not in t
-
-        def walk(node, parent_is_compound):
-            is_stmt_child = parent_is_compound
-            if node.kind == cindex.CursorKind.COMPOUND_STMT:
-                for child in node.get_children():
-                    walk(child, True)
-                return
-            if is_stmt_child and node.kind in (
-                    cindex.CursorKind.CALL_EXPR,
-                    cindex.CursorKind.CONDITIONAL_OPERATOR):
-                if result_typed(node):
-                    findings.append((node.location.line, node.spelling or
-                                     "<expression>"))
-            for child in node.get_children():
-                walk(child, False)
-
-        cursor = tu.cursor
-        for node in cursor.walk_preorder():
-            if (node.kind == cindex.CursorKind.COMPOUND_STMT and
-                    node.location.file and
-                    os.path.realpath(node.location.file.name) ==
-                    os.path.realpath(str(path))):
-                for child in node.get_children():
-                    walk(child, True)
-        return findings
-
-
-def check_status_discard_libclang(files, errors, frontend):
-    for f in files:
-        if f.path.suffix != ".cpp":
-            continue
-        try:
-            findings = frontend.unused_status_calls(f.path)
-        except Exception as e:  # parse failure: fall back loudly
-            errors.append(f"{f.rel}: [status-discard] libclang parse failed: "
-                          f"{e}")
-            continue
-        for line, callee in findings:
-            if f.allowed(line, "status-discard"):
-                continue
-            errors.append(
-                f"{f.rel}:{line}: [status-discard] unused Status/Result value "
-                f"from '{callee}' (libclang)"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -794,25 +673,7 @@ def check_atomic_doc(files, errors):
 # Driver
 # ---------------------------------------------------------------------------
 
-def make_frontend(kind):
-    """Returns (name, frontend_or_None). Raises SystemExit(2) when a forced
-    libclang frontend is unavailable."""
-    if kind == "lexical":
-        return "lexical", None
-    try:
-        fe = LibclangFrontend()
-        return "libclang", fe
-    except RuntimeError as e:
-        if kind == "libclang":
-            print(f"stj_analyzer: libclang frontend required but unusable: "
-                  f"{e}", file=sys.stderr)
-            raise SystemExit(2)
-        print(f"stj_analyzer: libclang unavailable ({e}); "
-              f"falling back to the lexical frontend", file=sys.stderr)
-        return "lexical", None
-
-
-def run_checks(files, checks, frontend_kind, frontend, print_table=False):
+def run_checks(files, checks, print_table=False):
     errors = []
     for name, check in (("layer-order", check_layer_order),
                         ("naked-new", check_naked_new),
@@ -822,13 +683,7 @@ def run_checks(files, checks, frontend_kind, frontend, print_table=False):
             check(files, errors)
     files = [f for f in files if f.rel.parts[0] in SHIPPED_DIRS]
     if "status-discard" in checks:
-        if frontend is not None:
-            check_status_discard_libclang(files, errors, frontend)
-            # The lexical pass still runs on headers (not in the ccdb).
-            check_status_discard_lexical(
-                [f for f in files if f.path.suffix == ".h"], errors)
-        else:
-            check_status_discard_lexical(files, errors)
+        check_status_discard_lexical(files, errors)
     if "scope-checkin" in checks:
         check_scope_checkin(files, errors)
     if "loop-alloc" in checks:
@@ -841,19 +696,17 @@ def run_checks(files, checks, frontend_kind, frontend, print_table=False):
 
 
 def run_tree(args):
-    frontend_kind, frontend = make_frontend(args.frontend)
     files = collect_files()
     checks = args.checks.split(",") if args.checks else list(CHECKS)
     for c in checks:
         if c not in CHECKS:
             print(f"stj_analyzer: unknown check '{c}'", file=sys.stderr)
             return 2
-    errors = run_checks(files, checks, frontend_kind, frontend,
-                        print_table=args.lock_table)
+    errors = run_checks(files, checks, print_table=args.lock_table)
     for e in errors:
         print(e)
     print(
-        f"stj_analyzer[{frontend_kind}]: {len(files)} files, "
+        f"stj_analyzer: {len(files)} files, "
         f"{len(checks)} checks, {len(errors)} finding(s)",
         file=sys.stderr,
     )
@@ -1037,7 +890,7 @@ SELF_TEST_CLEAN = [
 ]
 
 
-def self_test(frontend_choice):
+def self_test():
     import tempfile
 
     global REPO
@@ -1051,7 +904,7 @@ def self_test(frontend_choice):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(content)
                 files = [CodeFile(path, path.relative_to(Path(tmp)))]
-                errors = run_checks(files, [tag], "lexical", None)
+                errors = run_checks(files, [tag])
                 hits = [e for e in errors if f"[{tag}]" in e]
                 if len(hits) < expected:
                     failures.append(
@@ -1064,35 +917,12 @@ def self_test(frontend_choice):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(content)
                 files = [CodeFile(path, path.relative_to(Path(tmp)))]
-                errors = run_checks(files, list(CHECKS), "lexical", None)
+                errors = run_checks(files, list(CHECKS))
                 if errors:
                     failures.append(f"clean file {rel} flagged: {errors}")
                 path.unlink()
         finally:
             REPO = real_repo
-
-    # When libclang is present, the AST backend must also catch the seeded
-    # status discards (it subsumes the lexical findings).
-    if frontend_choice != "lexical":
-        try:
-            fe = LibclangFrontend()
-        except RuntimeError:
-            fe = None
-        if fe is not None:
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / "bad.cpp"
-                path.write_text(
-                    "namespace stj { struct Status { bool ok() const; }; }\n"
-                    "stj::Status DoWrite(int);\n"
-                    "void F() { DoWrite(1); }\n")
-                try:
-                    found = fe.unused_status_calls(path)
-                except Exception as e:
-                    found = []
-                    failures.append(f"libclang self-test parse failed: {e}")
-                if not any(line == 3 for line, _ in found):
-                    failures.append(
-                        "libclang backend missed the seeded status discard")
 
     for failure in failures:
         print(f"stj_analyzer self-test FAILED: {failure}", file=sys.stderr)
@@ -1106,27 +936,14 @@ def main():
                                      add_help=True,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--self-test", action="store_true")
-    parser.add_argument("--frontend", choices=("auto", "lexical", "libclang"),
-                        default="auto")
-    parser.add_argument("--probe-libclang", action="store_true",
-                        help="exit 0 iff the libclang frontend is usable")
     parser.add_argument("--checks", default=None,
                         help="comma-separated subset of: " + ",".join(CHECKS))
     parser.add_argument("--lock-table", action="store_true",
                         help="print the derived lock-order table")
     args = parser.parse_args()
 
-    if args.probe_libclang:
-        try:
-            LibclangFrontend()
-        except RuntimeError as e:
-            print(f"stj_analyzer: libclang unusable: {e}", file=sys.stderr)
-            return 2
-        print("stj_analyzer: libclang usable")
-        return 0
-
     if args.self_test:
-        return self_test(args.frontend)
+        return self_test()
     return run_tree(args)
 
 

@@ -11,25 +11,25 @@
 //       <n> objects, <v> vertices in <s>s" and "[write] <path>: <MB> MB in
 //       <s>s" to stderr.
 //
-//   stj_cli april <in.wkt> <out.april> [--grid-order=N] [--threads=T]
-//                 [--permissive]
-//       Precompute APRIL P/C interval lists for every polygon of a WKT file
-//       (grid over the file's own bounds) and store them as an APRIL
-//       version-3 file: framed, checksummed records in the block codec.
-//       --grid-order takes 1 to 16 (default 12). --threads fans the load
-//       and the build out over T workers (0 = all cores, at most 1024); the
-//       output is identical for every thread count. The objects are built
-//       and compressed in blocks of at least 1,024 (at most 16 blocks), so
-//       only one block's flat lists are resident at a time.
+//   stj_cli prepare <r.wkt> <s.wkt> <dir> [--grid-order=N] [--threads=T]
+//                   [--partition-units=U] [--permissive]
+//                   [--deadline-ms=D] [--max-memory-mb=B]
+//       Precompute the APRIL P/C lists of every polygon of both inputs on
+//       their joint grid (--grid-order 1 to 16, default 12) and write each
+//       side as a shard set, <dir>/r and <dir>/s: cost-balanced tiles
+//       (--partition-units targets computational units per tile; 0 = auto)
+//       written on the --threads workers (0 = all cores, at most 1024), each
+//       file the same at every thread count. Each manifest records the
+//       grid, and each list record carries its own checksum. Prints the
+//       `[load]`, `[april]` and `[shard]` lines of the sharded join. A load
+//       error, a tripped deadline or an exhausted budget stops it before any
+//       manifest is written.
 //
-//   stj_cli aprilcheck <in.april | shard-dir | shard-dir/manifest.stj>
-//       Verify an APRIL file record by record and report corruption, then
-//       run the deep codec audit on every usable record (block-header
-//       consistency, P inside C, re-encode round-trip byte equality). Given
-//       a shard-set directory (or its manifest.stj), audits the shard set
-//       instead: manifest frame, every tile's header + segment table, and
-//       every segment's payload checksum, with per-tile corruption isolation
-//       mirroring the per-record behaviour of APRIL files.
+//   stj_cli aprilcheck <shard-dir | shard-dir/manifest.stj>
+//       Audit a shard set: the manifest frame, every tile's header and
+//       segment table, and every segment's payload checksum (the record
+//       sums' segment included). Tiles fail independently; a corrupt tile
+//       exits 11 and names the tile.
 //
 //   stj_cli relate <wkt-polygon-1> <wkt-polygon-2>
 //       Print the DE-9IM matrix and the most specific relation of two
@@ -39,13 +39,16 @@
 //                [--grid-order=N] [--predicate=<relation>] [--threads=T]
 //                [--time-stages] [--permissive]
 //                [--deadline-ms=D] [--max-memory-mb=B]
-//                [--shard-dir=D] [--shard-cache-mb=M] [--partition-units=U]
+//                [--shard-dir=D [--shard-cache-mb=M] [--partition-units=U]]
+//   stj_cli join <r-dir> <s-dir> [--method=...] [--threads=T]
+//                [--shard-cache-mb=M] [--time-stages]
+//                [--deadline-ms=D] [--max-memory-mb=B]
 //       Run the full topology join between two WKT files: MBR filter join,
 //       APRIL approximations of just the objects the method's filter reads
 //       (none for st2 and op2, nor for a relate_p join with april), then
 //       find-relation (default) or a relate_p predicate join. --grid-order
-//       and --threads take the same ranges as for `april`, and every flag is
-//       checked before the inputs are read: a numeric value that is not a
+//       and --threads take the same ranges as for `prepare`, and every flag
+//       is checked before the inputs are read: a numeric value that is not a
 //       number in its range exits 2, naming the range. Prints
 //       one "r_index s_index relation" line per non-disjoint pair, sorted
 //       by (r, s) — the same bytes at every --threads value — plus a
@@ -61,18 +64,24 @@
 //       reports how much of the join was answered, and exits with the
 //       matching code below.
 //
-//       --shard-dir=D switches the join to the out-of-core tile-sharded
-//       path: both inputs are cost-balanced into tiles (--partition-units
-//       targets computational units per tile; 0 = auto), persisted as
-//       mmap-backed shard sets under D/r and D/s with the tiles written on
-//       the --threads workers, and then freed from memory. The tile pairs
-//       are joined on the --threads workers, each claiming whole tasks, with
-//       about --shard-cache-mb (at least 1, default 256) of shards resident
-//       beyond the pinned shards of the running tasks; each worker decodes
-//       the compressed records it filters through a per-worker
-//       decoded-record cache. The output is byte-identical to the in-memory
-//       join's at every --threads. Find-relation only — --predicate cannot
-//       be combined with it.
+//       Given two prepared sides (shard sets written by `prepare`), the
+//       join maps them and joins tile pair by tile pair on the --threads
+//       workers, each claiming whole tasks, with about --shard-cache-mb (at
+//       least 1, default 256) of shards resident beyond the pinned shards of
+//       the running tasks; each worker decodes the list records it filters
+//       through a per-worker decoded-record cache. A record that fails its
+//       checksum is not filtered on: its pairs refine, and a `[join]
+//       degraded: N pairs ...` line counts them. Both sides must record the
+//       same grid (exit 12 otherwise), and both arguments must be WKT files
+//       or both shard sets (exit 2 otherwise). Find-relation only.
+//
+//       --shard-dir=D runs `prepare` into D and then the prepared join of
+//       D/r and D/s in one process, freeing the inputs in between. The
+//       output is byte-identical to the in-memory join's at every
+//       --threads. --predicate cannot be combined with it.
+//
+// Every command reads only its own flags: any other flag exits 2, naming
+// the flag and the command.
 //
 // Input files are loaded on --threads workers, each parsing a byte range of
 // the file, and each load prints a "[load] <path>: <n> objects, <v>
@@ -85,15 +94,15 @@
 // on the clean remainder. Neither result depends on --threads.
 //
 // Exit codes: 0 success; 2 usage error; 3 missing/unreadable/unwritable
-// file; 4 malformed content (WKT parse error, APRIL structural corruption);
-// 5 unknown dataset/method/predicate name; 6 (aprilcheck) file loads
-// but contains corrupt or missing records; 7 query deadline exceeded
-// (--deadline-ms); 8 query cancelled (SIGINT); 9 query memory budget
-// exhausted (--max-memory-mb); 10 (aprilcheck) APRIL file whose frames
-// verify but whose block codec fails validation — a writer bug or targeted
-// corruption rather than bit rot; 11 (aprilcheck) shard set whose manifest
-// loads but with one or more corrupt tiles (failed segment checksum,
-// structural damage, or a manifest/file disagreement).
+// file; 4 malformed content (WKT parse error, structural damage to a shard
+// set, an unsupported shard version); 5 unknown dataset/method/predicate
+// name; 7 query deadline exceeded (--deadline-ms); 8 query cancelled
+// (SIGINT); 9 query memory budget exhausted (--max-memory-mb); 11
+// (aprilcheck) shard set whose manifest loads but with one or more corrupt
+// tiles (failed segment checksum, structural damage, or a manifest/file
+// disagreement); 12 prepared sides recorded on different raster grids, or
+// on none. Codes 6 and 10 belonged to the retired `.april` file format and
+// are not reused.
 
 #include <algorithm>
 #include <cerrno>
@@ -115,7 +124,6 @@
 #include "src/de9im/relate_engine.h"
 #include "src/geometry/validate.h"
 #include "src/geometry/wkt.h"
-#include "src/raster/april_io.h"
 #include "src/raster/grid.h"
 #include "src/raster/shard_io.h"
 #include "src/topology/parallel.h"
@@ -134,12 +142,11 @@ enum ExitCode : int {
   kExitIo = 3,
   kExitBadData = 4,
   kExitBadName = 5,
-  kExitDegraded = 6,
   kExitDeadline = 7,
   kExitCancelled = 8,
   kExitBudget = 9,
-  kExitCodecCorrupt = 10,
   kExitShardCorrupt = 11,
+  kExitGridMismatch = 12,
 };
 
 /// Maps a library Status to the documented exit codes.
@@ -163,6 +170,60 @@ int FailWith(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return ExitCodeFor(status);
 }
+
+/// One bit per flag: each command accepts a set of them.
+enum FlagBit : uint32_t {
+  kFlagScale = 1u << 0,
+  kFlagSeed = 1u << 1,
+  kFlagGridOrder = 1u << 2,
+  kFlagMethod = 1u << 3,
+  kFlagPredicate = 1u << 4,
+  kFlagThreads = 1u << 5,
+  kFlagTimeStages = 1u << 6,
+  kFlagPermissive = 1u << 7,
+  kFlagDeadlineMs = 1u << 8,
+  kFlagMaxMemoryMb = 1u << 9,
+  kFlagShardDir = 1u << 10,
+  kFlagShardCacheMb = 1u << 11,
+  kFlagPartitionUnits = 1u << 12,
+};
+
+/// The flags each command reads.
+constexpr uint32_t kGenerateFlags = kFlagScale | kFlagSeed | kFlagThreads;
+constexpr uint32_t kPrepareFlags = kFlagGridOrder | kFlagThreads |
+                                   kFlagPartitionUnits | kFlagPermissive |
+                                   kFlagDeadlineMs | kFlagMaxMemoryMb;
+constexpr uint32_t kJoinFlags = kFlagMethod | kFlagGridOrder | kFlagPredicate |
+                                kFlagThreads | kFlagTimeStages |
+                                kFlagPermissive | kFlagDeadlineMs |
+                                kFlagMaxMemoryMb | kFlagShardDir;
+/// Read by a WKT join only together with --shard-dir.
+constexpr uint32_t kShardDirFlags = kFlagShardCacheMb | kFlagPartitionUnits;
+constexpr uint32_t kPreparedJoinFlags = kFlagMethod | kFlagThreads |
+                                        kFlagShardCacheMb | kFlagDeadlineMs |
+                                        kFlagMaxMemoryMb | kFlagTimeStages;
+
+/// Name and bit of every flag; `value` flags are spelled --name=value.
+struct FlagSpec {
+  const char* name;
+  FlagBit bit;
+  bool value;
+};
+constexpr FlagSpec kFlagSpecs[] = {
+    {"--scale", kFlagScale, true},
+    {"--seed", kFlagSeed, true},
+    {"--grid-order", kFlagGridOrder, true},
+    {"--method", kFlagMethod, true},
+    {"--predicate", kFlagPredicate, true},
+    {"--threads", kFlagThreads, true},
+    {"--time-stages", kFlagTimeStages, false},
+    {"--permissive", kFlagPermissive, false},
+    {"--deadline-ms", kFlagDeadlineMs, true},
+    {"--max-memory-mb", kFlagMaxMemoryMb, true},
+    {"--shard-dir", kFlagShardDir, true},
+    {"--shard-cache-mb", kFlagShardCacheMb, true},
+    {"--partition-units", kFlagPartitionUnits, true},
+};
 
 struct Flags {
   double scale = 1.0;
@@ -222,46 +283,69 @@ double ParseScale(const char* value) {
   return parsed;
 }
 
-Flags ParseFlags(int argc, char** argv, int first) {
+/// Parses argv[first..] as flags of \p command, which reads the flags in
+/// \p accepted. An unknown flag, or one the command does not read, exits
+/// with the usage code and names both.
+Flags ParseFlags(int argc, char** argv, int first, const char* command,
+                 uint32_t accepted) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      flags.scale = ParseScale(arg + 8);
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      flags.seed = static_cast<uint64_t>(
-          ParseBounded("--seed", arg + 7, 0, INT64_MAX));
-    } else if (std::strncmp(arg, "--grid-order=", 13) == 0) {
-      flags.grid_order = static_cast<uint32_t>(
-          ParseBounded("--grid-order", arg + 13, 1, kMaxGridOrder));
-    } else if (std::strncmp(arg, "--method=", 9) == 0) {
-      flags.method = arg + 9;
-    } else if (std::strncmp(arg, "--predicate=", 12) == 0) {
-      flags.predicate = arg + 12;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      flags.threads = static_cast<unsigned>(
-          ParseBounded("--threads", arg + 10, 0, kMaxThreads));
-    } else if (std::strcmp(arg, "--time-stages") == 0) {
-      flags.time_stages = true;
-    } else if (std::strcmp(arg, "--permissive") == 0) {
-      flags.permissive = true;
-    } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
-      flags.deadline_ms = static_cast<uint64_t>(
-          ParseBounded("--deadline-ms", arg + 14, 0, kMaxDeadlineMs));
-    } else if (std::strncmp(arg, "--max-memory-mb=", 16) == 0) {
-      flags.max_memory_mb = static_cast<size_t>(
-          ParseBounded("--max-memory-mb", arg + 16, 0, kMaxMegabytes));
-    } else if (std::strncmp(arg, "--shard-dir=", 12) == 0) {
-      flags.shard_dir = arg + 12;
-    } else if (std::strncmp(arg, "--shard-cache-mb=", 17) == 0) {
-      flags.shard_cache_mb = static_cast<size_t>(
-          ParseBounded("--shard-cache-mb", arg + 17, 1, kMaxMegabytes));
-    } else if (std::strncmp(arg, "--partition-units=", 18) == 0) {
-      flags.partition_units = static_cast<uint64_t>(
-          ParseBounded("--partition-units", arg + 18, 0, INT64_MAX));
-    } else {
+    const FlagSpec* spec = nullptr;
+    const char* value = nullptr;
+    for (const FlagSpec& candidate : kFlagSpecs) {
+      const size_t len = std::strlen(candidate.name);
+      if (std::strncmp(arg, candidate.name, len) != 0) continue;
+      if (candidate.value ? arg[len] == '=' : arg[len] == '\0') {
+        spec = &candidate;
+        value = arg + len + 1;
+        break;
+      }
+    }
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       std::exit(kExitUsage);
+    }
+    if ((accepted & spec->bit) == 0) {
+      std::fprintf(stderr, "stj_cli %s does not read %s\n", command,
+                   spec->name);
+      std::exit(kExitUsage);
+    }
+    switch (spec->bit) {
+      case kFlagScale: flags.scale = ParseScale(value); break;
+      case kFlagSeed:
+        flags.seed =
+            static_cast<uint64_t>(ParseBounded("--seed", value, 0, INT64_MAX));
+        break;
+      case kFlagGridOrder:
+        flags.grid_order = static_cast<uint32_t>(
+            ParseBounded("--grid-order", value, 1, kMaxGridOrder));
+        break;
+      case kFlagMethod: flags.method = value; break;
+      case kFlagPredicate: flags.predicate = value; break;
+      case kFlagThreads:
+        flags.threads = static_cast<unsigned>(
+            ParseBounded("--threads", value, 0, kMaxThreads));
+        break;
+      case kFlagTimeStages: flags.time_stages = true; break;
+      case kFlagPermissive: flags.permissive = true; break;
+      case kFlagDeadlineMs:
+        flags.deadline_ms = static_cast<uint64_t>(
+            ParseBounded("--deadline-ms", value, 0, kMaxDeadlineMs));
+        break;
+      case kFlagMaxMemoryMb:
+        flags.max_memory_mb = static_cast<size_t>(
+            ParseBounded("--max-memory-mb", value, 0, kMaxMegabytes));
+        break;
+      case kFlagShardDir: flags.shard_dir = value; break;
+      case kFlagShardCacheMb:
+        flags.shard_cache_mb = static_cast<size_t>(
+            ParseBounded("--shard-cache-mb", value, 1, kMaxMegabytes));
+        break;
+      case kFlagPartitionUnits:
+        flags.partition_units = static_cast<uint64_t>(
+            ParseBounded("--partition-units", value, 0, INT64_MAX));
+        break;
     }
   }
   return flags;
@@ -285,31 +369,30 @@ std::optional<de9im::Relation> ParseRelation(const std::string& name) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: stj_cli <generate|april|aprilcheck|relate|join> ... "
+               "usage: stj_cli <generate|prepare|aprilcheck|relate|join> ... "
                "(see source header for details)\n");
   return kExitUsage;
 }
 
-/// Appends records [begin, end) of \p april to \p cstore in the blocked
-/// codec, keeping unusable entries as placeholders (shared by `april` and
-/// the sharded join path, which both persist the compressed form).
+/// Appends every record of \p april to \p cstore in the blocked codec,
+/// keeping unusable entries as placeholders — the form a shard set
+/// persists.
 void AppendCompressed(const std::vector<AprilApproximation>& april,
-                      size_t begin, size_t end, CompressedAprilStore* cstore) {
-  for (size_t i = begin; i < end; ++i) {
-    if (!april[i].usable) {
+                      CompressedAprilStore* cstore) {
+  for (const AprilApproximation& approximation : april) {
+    if (!approximation.usable) {
       cstore->AppendCorruptPlaceholder();
       continue;
     }
-    const AprilView view(april[i]);
+    const AprilView view(approximation);
     cstore->AppendEncoded(view.conservative, view.progressive);
   }
 }
 
-/// The grid of \p order over the joint bounds of \p inputs.
-RasterGrid GridOver(std::initializer_list<const Dataset*> inputs,
-                    uint32_t order) {
+/// The grid of \p order over the joint bounds of \p r and \p s.
+RasterGrid GridOver(const Dataset& r, const Dataset& s, uint32_t order) {
   Box bounds;
-  for (const Dataset* dataset : inputs) {
+  for (const Dataset* dataset : {&r, &s}) {
     for (const SpatialObject& object : dataset->objects) {
       bounds.Expand(object.geometry.Bounds());
     }
@@ -361,7 +444,7 @@ Status LoadInput(const std::string& path, const std::string& name,
 
 int CmdGenerate(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const Flags flags = ParseFlags(argc, argv, 4);
+  const Flags flags = ParseFlags(argc, argv, 4, "generate", kGenerateFlags);
   Timer timer;
   const Dataset dataset = BuildDataset(argv[2], flags.scale, flags.seed);
   const double generate_seconds = timer.ElapsedSeconds();
@@ -388,51 +471,14 @@ int CmdGenerate(int argc, char** argv) {
   return kExitOk;
 }
 
-int CmdApril(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const Flags flags = ParseFlags(argc, argv, 4);
-  Dataset dataset;
-  if (Status st = LoadInput(argv[2], "input", flags, &dataset); !st.ok()) {
-    return FailWith(st);
-  }
-  const RasterGrid grid = GridOver({&dataset}, flags.grid_order);
-  Timer timer;
-  // Builds, compresses and frees the flat lists one block of objects at a
-  // time (through BuildAprilApproximations' demand mask), so only one
-  // block's lists and the growing compressed store are resident. Each
-  // build returns an n-sized vector, so there are at most 16 blocks.
-  const size_t n = dataset.objects.size();
-  const size_t block = std::max<size_t>(1024, (n + 15) / 16);
-  CompressedAprilStore cstore;
-  cstore.Reserve(n, /*blocks=*/0, /*payload_bytes=*/0);
-  std::vector<uint8_t> demand(n, 0);
-  size_t bytes = 0;
-  for (size_t begin = 0; begin < n; begin += block) {
-    const size_t end = std::min(n, begin + block);
-    std::fill(demand.data() + begin, demand.data() + end, 1);
-    const std::vector<AprilApproximation> april = BuildAprilApproximations(
-        dataset, grid, flags.threads, /*exec=*/nullptr, &demand);
-    std::fill(demand.data() + begin, demand.data() + end, 0);
-    for (size_t i = begin; i < end; ++i) bytes += april[i].ByteSize();
-    AppendCompressed(april, begin, end, &cstore);
-  }
-  const double preprocess_seconds = timer.ElapsedSeconds();
-  if (!SaveAprilStoreBlocked(argv[3], cstore)) {
-    return FailWith(
-        Status::IoError("cannot write APRIL file").WithFile(argv[3]));
-  }
-  std::fprintf(stderr,
-               "wrote %zu approximations (%.2f MB of intervals) to %s "
-               "(version 3, preprocess %.2fs)\n",
-               n, static_cast<double>(bytes) / 1e6, argv[3],
-               preprocess_seconds);
-  return kExitOk;
-}
-
-/// aprilcheck over a shard set: the full integrity audit (every segment's
+/// aprilcheck: the full integrity audit of a shard set (every segment's
 /// payload checksum is read and verified). Tiles fail independently; any
 /// corrupt tile yields the distinct shard-corruption exit code.
-int CheckShardSet(const std::string& dir) {
+int CmdAprilCheck(int argc, char** argv) {
+  if (argc < 3) return Usage();
+  ParseFlags(argc, argv, 3, "aprilcheck", 0);
+  std::string dir;
+  if (!ResolveShardSetDir(argv[2], &dir)) dir = argv[2];
   ShardCheckReport report;
   if (Status st = ValidateShardSet(dir, &report); !st.ok()) {
     return FailWith(st);
@@ -454,49 +500,6 @@ int CheckShardSet(const std::string& dir) {
   return report.Corrupt() ? kExitShardCorrupt : kExitOk;
 }
 
-int CmdAprilCheck(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  if (std::string shard_dir; ResolveShardSetDir(argv[2], &shard_dir)) {
-    return CheckShardSet(shard_dir);
-  }
-  CompressedAprilStore cstore;
-  AprilLoadReport report;
-  const Status status = LoadCompressedAprilStore(argv[2], &cstore, &report);
-  if (!status.ok()) return FailWith(status);
-  std::fprintf(stderr,
-               "%s: version %u (blocked), %llu declared, %llu verified, "
-               "%llu corrupt, %llu codec-corrupt%s\n",
-               argv[2], report.version,
-               static_cast<unsigned long long>(report.declared_count),
-               static_cast<unsigned long long>(report.loaded),
-               static_cast<unsigned long long>(report.corrupt),
-               static_cast<unsigned long long>(report.codec_corrupt),
-               report.truncated ? ", TRUNCATED" : "");
-  for (const uint64_t index : report.corrupt_indices) {
-    std::fprintf(stderr, "  corrupt record: object %llu\n",
-                 static_cast<unsigned long long>(index));
-  }
-  // Deep codec audit of every usable record, beyond what the loader already
-  // validated: P inside C and re-encode round-trip byte equality, which
-  // catches valid-but-non-minimal varint encodings a tampered writer could
-  // produce.
-  uint64_t deep_bad = 0;
-  for (size_t i = 0; i < cstore.Count(); ++i) {
-    if (!cstore.Usable(i)) continue;
-    if (const std::string err = cstore.DeepValidateRecord(i); !err.empty()) {
-      ++deep_bad;
-      std::fprintf(stderr, "  codec corrupt record: object %zu: %s\n", i,
-                   err.c_str());
-    }
-  }
-  if (deep_bad != 0) {
-    std::fprintf(stderr, "  deep codec audit: %llu record(s) failed\n",
-                 static_cast<unsigned long long>(deep_bad));
-  }
-  if (report.codec_corrupt != 0 || deep_bad != 0) return kExitCodecCorrupt;
-  return report.Degraded() ? kExitDegraded : kExitOk;
-}
-
 /// Parses a `relate` argument under the strict load rule: it must parse and
 /// have no ring of zero area.
 Result<Polygon> ParseRelateArgument(const char* wkt, const char* name) {
@@ -512,6 +515,7 @@ Result<Polygon> ParseRelateArgument(const char* wkt, const char* name) {
 
 int CmdRelate(int argc, char** argv) {
   if (argc < 4) return Usage();
+  ParseFlags(argc, argv, 4, "relate", 0);
   const Result<Polygon> a = ParseRelateArgument(argv[2], "<argument 1>");
   if (!a.has_value()) return FailWith(a.status());
   const Result<Polygon> b = ParseRelateArgument(argv[3], "<argument 2>");
@@ -523,8 +527,8 @@ int CmdRelate(int argc, char** argv) {
   return kExitOk;
 }
 
-/// The join command's ExecContext, reachable from the SIGINT handler. The
-/// handler only performs a lock-free CAS plus clock_gettime (both
+/// The running command's ExecContext, reachable from the SIGINT handler.
+/// The handler only performs a lock-free CAS plus clock_gettime (both
 /// async-signal-safe), which is exactly what cooperative cancellation is
 /// for: the workers notice at their next check-in and stop at a pair
 /// boundary.
@@ -533,6 +537,122 @@ ExecContext* g_join_exec = nullptr;
 void HandleInterrupt(int) {
   if (g_join_exec != nullptr) g_join_exec->Cancel();
   std::signal(SIGINT, SIG_DFL);  // a second Ctrl-C kills the process
+}
+
+/// Arms \p exec with --deadline-ms and --max-memory-mb and returns it, or
+/// returns null when neither flag is set. Either flag makes the whole
+/// command cancellable; Ctrl-C then cancels cooperatively instead of
+/// killing the process mid-write.
+ExecContext* BoundedContext(const Flags& flags, ExecContext* exec) {
+  if (!flags.Bounded()) return nullptr;
+  if (flags.deadline_ms != 0) {
+    exec->SetDeadlineAfter(std::chrono::milliseconds(flags.deadline_ms));
+  }
+  if (flags.max_memory_mb != 0) {
+    exec->SetMemoryBudget(flags.max_memory_mb << 20);
+  }
+  g_join_exec = exec;
+  std::signal(SIGINT, HandleInterrupt);
+  return exec;
+}
+
+/// Builds the approximations of both sides over \p grid, each restricted to
+/// its demand mask when \p demand is given, and prints the "[april] built
+/// R/total + S/total" line. False when \p exec cut the build short.
+bool BuildBothSides(const Dataset& r, const Dataset& s, const RasterGrid& grid,
+                    unsigned threads, ExecContext* exec,
+                    const FilterDemand* demand,
+                    std::vector<AprilApproximation>* r_april,
+                    std::vector<AprilApproximation>* s_april) {
+  const Timer build_timer;
+  *r_april = BuildAprilApproximations(r, grid, threads, exec,
+                                      demand ? &demand->r : nullptr);
+  *s_april = BuildAprilApproximations(s, grid, threads, exec,
+                                      demand ? &demand->s : nullptr);
+  const auto built = [](const std::vector<AprilApproximation>& april) {
+    return static_cast<size_t>(
+        std::count_if(april.begin(), april.end(),
+                      [](const AprilApproximation& a) { return a.usable; }));
+  };
+  std::fprintf(stderr,
+               "[april] built %zu/%zu + %zu/%zu approximations (preprocess "
+               "%.2fs)\n",
+               built(*r_april), r_april->size(), built(*s_april),
+               s_april->size(), build_timer.ElapsedSeconds());
+  return exec == nullptr || !exec->StopRequested();
+}
+
+/// The first half of the out-of-core path: loads both WKT inputs, builds
+/// every object's lists over their joint grid, and writes <dir>/r and
+/// <dir>/s as shard sets whose manifests record that grid. Each side's
+/// inputs are freed once its set is written, and everything is freed when
+/// it returns. A load error or a tripped \p exec stops it before any
+/// manifest is written. Returns the exit code.
+int PrepareSides(const char* r_path, const char* s_path,
+                 const std::string& dir, const Flags& flags,
+                 ExecContext* exec) {
+  Dataset r;
+  Dataset s;
+  if (Status st = LoadInput(r_path, "R", flags, &r); !st.ok()) {
+    return FailWith(st);
+  }
+  if (Status st = LoadInput(s_path, "S", flags, &s); !st.ok()) {
+    return FailWith(st);
+  }
+  const RasterGrid grid = GridOver(r, s, flags.grid_order);
+  std::vector<AprilApproximation> r_april;
+  std::vector<AprilApproximation> s_april;
+  if (!BuildBothSides(r, s, grid, flags.threads, exec, /*demand=*/nullptr,
+                      &r_april, &s_april)) {
+    std::fprintf(stderr, "[shard] stopped during preprocessing: no shard set "
+                 "written\n");
+    return FailWith(exec->ToStatus());
+  }
+  const Timer timer;
+  PartitionOptions partition_options;
+  partition_options.units_per_tile = flags.partition_units;
+  struct Side {
+    const char* sub;
+    Dataset* dataset;
+    std::vector<AprilApproximation>* april;
+  };
+  for (const Side& side : {Side{"/r", &r, &r_april}, Side{"/s", &s, &s_april}}) {
+    CompressedAprilStore cstore;
+    cstore.Reserve(side.april->size(), /*blocks=*/0, /*payload_bytes=*/0);
+    AppendCompressed(*side.april, &cstore);
+    // The build charged every list to the memory budget: give back what
+    // is freed, so the join half has the budget a prepared join has.
+    size_t list_bytes = 0;
+    for (const AprilApproximation& april : *side.april) {
+      list_bytes += april.ByteSize();
+    }
+    *side.april = std::vector<AprilApproximation>();
+    if (exec != nullptr) exec->Release(list_bytes);
+    TilePartition partition;
+    ShardWriteStats write_stats;
+    if (Status st = BuildShardSet(dir + side.sub, side.dataset->objects, cstore,
+                                  partition_options, &partition, &write_stats,
+                                  flags.threads, &grid);
+        !st.ok()) {
+      return FailWith(st);
+    }
+    *side.dataset = Dataset();
+    std::fprintf(stderr, "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
+                 dir.c_str(), side.sub, write_stats.tiles,
+                 static_cast<double>(write_stats.bytes_written) / 1e6,
+                 partition.MaxImbalance());
+  }
+  std::fprintf(stderr, "[shard] built both shard sets in %.2fs\n",
+               timer.ElapsedSeconds());
+  return kExitOk;
+}
+
+int CmdPrepare(int argc, char** argv) {
+  if (argc < 5) return Usage();
+  const Flags flags = ParseFlags(argc, argv, 5, "prepare", kPrepareFlags);
+  ExecContext exec;
+  return PrepareSides(argv[2], argv[3], argv[4], flags,
+                      BoundedContext(flags, &exec));
 }
 
 /// Prints the prepared-geometry cache summary for a join: hits and misses
@@ -571,6 +691,16 @@ void ReportStageStats(const PipelineStats& stats, bool time_stages) {
   }
 }
 
+/// Prints how many pairs refined because their approximations were missing
+/// or failed their checksums. Silent when none did.
+void ReportDegraded(const PipelineStats& stats) {
+  if (stats.fallback_refined == 0) return;
+  std::fprintf(stderr,
+               "[join] degraded: %llu pairs fell back to refinement "
+               "(missing/corrupt approximations)\n",
+               static_cast<unsigned long long>(stats.fallback_refined));
+}
+
 /// Reports a cut-short refinement stage. Every printed pair was fully
 /// verified before the cut (loss-less cancellation), so the partial output
 /// is a correct subset of the full answer.
@@ -587,9 +717,113 @@ int ReportStopped(const Status& status, const PartialResult& partial,
   return ExitCodeFor(status);
 }
 
+/// "grid order N over (x0 y0, x1 y1)", or "no grid".
+std::string DescribeGrid(const ShardRasterGrid& grid) {
+  if (grid.order == 0) return "no grid";
+  char text[192];
+  std::snprintf(text, sizeof text, "grid order %u over (%.17g %.17g, %.17g "
+                "%.17g)",
+                grid.order, grid.dataspace.min.x, grid.dataspace.min.y,
+                grid.dataspace.max.x, grid.dataspace.max.y);
+  return text;
+}
+
+/// The second half of the out-of-core path: maps two prepared sides and
+/// joins them tile pair by tile pair with a bounded resident-shard cache.
+/// Same links as the in-memory join, in the same (r, s) order. Sides that
+/// record different raster grids, or none, exit 12 before the join.
+int JoinPreparedSides(const std::string& r_dir, const std::string& s_dir,
+                      Method method, const Flags& flags, ExecContext* exec) {
+  ShardSet r_shards;
+  ShardSet s_shards;
+  if (Status st = ShardSet::Open(r_dir, &r_shards); !st.ok()) {
+    return FailWith(st);
+  }
+  if (Status st = ShardSet::Open(s_dir, &s_shards); !st.ok()) {
+    return FailWith(st);
+  }
+  const ShardRasterGrid& r_grid = r_shards.RasterGridRecord();
+  const ShardRasterGrid& s_grid = s_shards.RasterGridRecord();
+  if (r_grid.order == 0 || !(r_grid == s_grid)) {
+    std::fprintf(stderr,
+                 "error: prepared sides must record one raster grid: %s has "
+                 "%s, %s has %s\n",
+                 r_dir.c_str(), DescribeGrid(r_grid).c_str(), s_dir.c_str(),
+                 DescribeGrid(s_grid).c_str());
+    return kExitGridMismatch;
+  }
+
+  const Timer timer;
+  ShardJoinOptions shard_options;
+  shard_options.join = JoinOptions{.num_threads = flags.threads,
+                                   .time_stages = flags.time_stages,
+                                   .exec = exec};
+  shard_options.shard_cache_bytes = flags.shard_cache_mb << 20;
+  const ShardJoinResult result =
+      ShardedFindRelation(method, r_shards, s_shards, shard_options);
+  size_t links = 0;
+  for (size_t i = 0; i < result.pairs.size(); ++i) {
+    if (result.relations[i] == de9im::Relation::kDisjoint) continue;
+    ++links;
+    std::printf("%u %u %s\n", result.pairs[i].r_idx, result.pairs[i].s_idx,
+                ToString(result.relations[i]));
+  }
+  const ShardStats& ss = result.shard_stats;
+  std::fprintf(stderr,
+               "[join] %zu links from %llu answered pairs in %.2fs "
+               "(%.1f%% refined, method %s, sharded)\n",
+               links, static_cast<unsigned long long>(ss.pairs_emitted),
+               timer.ElapsedSeconds(), result.stats.UndeterminedPercent(),
+               ToString(method));
+  std::fprintf(stderr,
+               "[shard] %llu/%llu tasks, %llu loads / %llu hits, "
+               "%llu evictions, %.2f MB mapped, %.2f MB faulted eagerly, "
+               "cache peak %.2f MB, %llu pairs deduped\n",
+               static_cast<unsigned long long>(ss.tasks_run),
+               static_cast<unsigned long long>(ss.tasks),
+               static_cast<unsigned long long>(ss.shard_loads),
+               static_cast<unsigned long long>(ss.shard_hits),
+               static_cast<unsigned long long>(ss.shards_evicted),
+               static_cast<double>(ss.bytes_mapped) / 1e6,
+               static_cast<double>(ss.bytes_faulted) / 1e6,
+               static_cast<double>(ss.cache_peak_bytes) / 1e6,
+               static_cast<unsigned long long>(ss.pairs_deduped));
+  ReportPreparedStats(result.stats);
+  ReportStageStats(result.stats, flags.time_stages);
+  ReportDegraded(result.stats);
+  if (!result.status.ok()) {
+    std::fprintf(stderr,
+                 "[join] stopped early: %s — %llu pairs answered before "
+                 "the cut (all printed links are final)\n",
+                 result.status.ToString().c_str(),
+                 static_cast<unsigned long long>(ss.pairs_emitted));
+    return ExitCodeFor(result.status);
+  }
+  return kExitOk;
+}
+
 int CmdJoin(int argc, char** argv) {
   if (argc < 4) return Usage();
-  const Flags flags = ParseFlags(argc, argv, 4);
+  // Both arguments are WKT files, or both are prepared sides.
+  std::string r_dir;
+  std::string s_dir;
+  const bool prepared = ResolveShardSetDir(argv[2], &r_dir);
+  if (prepared != ResolveShardSetDir(argv[3], &s_dir)) {
+    std::fprintf(stderr,
+                 "join takes two WKT files or two prepared shard sets, got "
+                 "one of each: %s, %s\n",
+                 argv[2], argv[3]);
+    return kExitUsage;
+  }
+  const bool sharded = std::any_of(argv + 4, argv + argc, [](const char* arg) {
+    return std::strncmp(arg, "--shard-dir=", 12) == 0;
+  });
+  const Flags flags =
+      prepared  ? ParseFlags(argc, argv, 4, "join over prepared sides",
+                             kPreparedJoinFlags)
+      : sharded ? ParseFlags(argc, argv, 4, "join", kJoinFlags | kShardDirFlags)
+                : ParseFlags(argc, argv, 4, "join without --shard-dir",
+                             kJoinFlags);
   const auto method = ParseMethod(flags.method);
   if (!method) {
     std::fprintf(stderr, "unknown method '%s'\n", flags.method.c_str());
@@ -609,6 +843,25 @@ int CmdJoin(int argc, char** argv) {
       return kExitUsage;
     }
   }
+
+  ExecContext exec;
+  ExecContext* const exec_ptr = BoundedContext(flags, &exec);
+  if (prepared) {
+    return JoinPreparedSides(r_dir, s_dir, *method, flags, exec_ptr);
+  }
+  if (!flags.shard_dir.empty()) {
+    // One out-of-core path: prepare, free the inputs, join the prepared
+    // sides. The shard files carry every object's lists, so every object
+    // is built.
+    if (const int rc = PrepareSides(argv[2], argv[3], flags.shard_dir, flags,
+                                    exec_ptr);
+        rc != kExitOk) {
+      return rc;
+    }
+    return JoinPreparedSides(flags.shard_dir + "/r", flags.shard_dir + "/s",
+                             *method, flags, exec_ptr);
+  }
+
   Dataset r;
   Dataset s;
   if (Status st = LoadInput(argv[2], "R", flags, &r); !st.ok()) {
@@ -617,157 +870,12 @@ int CmdJoin(int argc, char** argv) {
   if (Status st = LoadInput(argv[3], "S", flags, &s); !st.ok()) {
     return FailWith(st);
   }
-  const RasterGrid grid = GridOver({&r, &s}, flags.grid_order);
-
-  // Either bounding flag makes the whole query cancellable; Ctrl-C then
-  // cancels cooperatively instead of killing the process mid-write.
-  ExecContext exec;
-  ExecContext* exec_ptr = nullptr;
-  if (flags.Bounded()) {
-    if (flags.deadline_ms != 0) {
-      exec.SetDeadlineAfter(std::chrono::milliseconds(flags.deadline_ms));
-    }
-    if (flags.max_memory_mb != 0) {
-      exec.SetMemoryBudget(flags.max_memory_mb << 20);
-    }
-    exec_ptr = &exec;
-    g_join_exec = &exec;
-    std::signal(SIGINT, HandleInterrupt);
-  }
-
-  // Builds the approximations of both sides, each restricted to its
-  // demand mask when one is given, and prints the "[april] built R/total +
-  // S/total" line. False when the build was cut short.
-  std::vector<AprilApproximation> r_april;
-  std::vector<AprilApproximation> s_april;
-  const auto build_april = [&](const FilterDemand* demand) {
-    const Timer build_timer;
-    r_april = BuildAprilApproximations(r, grid, flags.threads, exec_ptr,
-                                       demand ? &demand->r : nullptr);
-    s_april = BuildAprilApproximations(s, grid, flags.threads, exec_ptr,
-                                       demand ? &demand->s : nullptr);
-    const auto built = [](const std::vector<AprilApproximation>& april) {
-      return static_cast<size_t>(
-          std::count_if(april.begin(), april.end(),
-                        [](const AprilApproximation& a) { return a.usable; }));
-    };
-    std::fprintf(stderr,
-                 "[april] built %zu/%zu + %zu/%zu approximations (preprocess "
-                 "%.2fs)\n",
-                 built(r_april), r_april.size(), built(s_april),
-                 s_april.size(), build_timer.ElapsedSeconds());
-    if (exec_ptr != nullptr && exec_ptr->StopRequested()) {
-      std::fprintf(stderr, "[join] stopped during preprocessing: no pairs "
-                   "answered\n");
-      return false;
-    }
-    return true;
-  };
-
+  const RasterGrid grid = GridOver(r, s, flags.grid_order);
   const JoinOptions join_options{.num_threads = flags.threads,
                                  .time_stages = flags.time_stages,
                                  .exec = exec_ptr};
 
   Timer timer;
-  if (!flags.shard_dir.empty()) {
-    // Out-of-core path: persist both sides as shard sets, then join tile
-    // pair by tile pair with a bounded resident-shard cache. Same links as
-    // the in-memory join below, in the same (r, s) order. The shard files
-    // carry every object's lists, so every object is built.
-    if (!build_april(nullptr)) return FailWith(exec_ptr->ToStatus());
-    timer.Reset();
-    PartitionOptions partition_options;
-    partition_options.units_per_tile = flags.partition_units;
-    const auto build_side =
-        [&](const char* sub, const Dataset& dataset,
-            const std::vector<AprilApproximation>& april) -> Status {
-      TilePartition partition;
-      ShardWriteStats write_stats;
-      CompressedAprilStore cstore;
-      cstore.Reserve(april.size(), /*blocks=*/0, /*payload_bytes=*/0);
-      AppendCompressed(april, 0, april.size(), &cstore);
-      Status st = BuildShardSet(flags.shard_dir + sub, dataset.objects,
-                                cstore, partition_options, &partition,
-                                &write_stats, flags.threads);
-      if (!st.ok()) return st;
-      std::fprintf(stderr,
-                   "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
-                   flags.shard_dir.c_str(), sub, write_stats.tiles,
-                   static_cast<double>(write_stats.bytes_written) / 1e6,
-                   partition.MaxImbalance());
-      return st;
-    };
-    if (Status st = build_side("/r", r, r_april); !st.ok()) {
-      return FailWith(st);
-    }
-    if (Status st = build_side("/s", s, s_april); !st.ok()) {
-      return FailWith(st);
-    }
-    // The join reads only the shard files: free the inputs before it runs.
-    r = Dataset();
-    s = Dataset();
-    r_april = std::vector<AprilApproximation>();
-    s_april = std::vector<AprilApproximation>();
-    ShardSet r_shards;
-    ShardSet s_shards;
-    if (Status st = ShardSet::Open(flags.shard_dir + "/r", &r_shards);
-        !st.ok()) {
-      return FailWith(st);
-    }
-    if (Status st = ShardSet::Open(flags.shard_dir + "/s", &s_shards);
-        !st.ok()) {
-      return FailWith(st);
-    }
-    std::fprintf(stderr, "[shard] built both shard sets in %.2fs\n",
-                 timer.ElapsedSeconds());
-
-    timer.Reset();
-    ShardJoinOptions shard_options;
-    shard_options.join = join_options;
-    shard_options.shard_cache_bytes = flags.shard_cache_mb << 20;
-    const ShardJoinResult result =
-        ShardedFindRelation(*method, r_shards, s_shards, shard_options);
-    size_t links = 0;
-    for (size_t i = 0; i < result.pairs.size(); ++i) {
-      if (result.relations[i] == de9im::Relation::kDisjoint) continue;
-      ++links;
-      std::printf("%u %u %s\n", result.pairs[i].r_idx, result.pairs[i].s_idx,
-                  ToString(result.relations[i]));
-    }
-    const ShardStats& ss = result.shard_stats;
-    std::fprintf(stderr,
-                 "[join] %zu links from %llu answered pairs in %.2fs "
-                 "(%.1f%% refined, method %s, sharded)\n",
-                 links, static_cast<unsigned long long>(ss.pairs_emitted),
-                 timer.ElapsedSeconds(),
-                 result.stats.UndeterminedPercent(), ToString(*method));
-    std::fprintf(stderr,
-                 "[shard] %llu/%llu tasks, %llu loads / %llu hits, "
-                 "%llu evictions, %.2f MB mapped, %.2f MB faulted eagerly, "
-                 "cache peak %.2f MB, %llu pairs deduped\n",
-                 static_cast<unsigned long long>(ss.tasks_run),
-                 static_cast<unsigned long long>(ss.tasks),
-                 static_cast<unsigned long long>(ss.shard_loads),
-                 static_cast<unsigned long long>(ss.shard_hits),
-                 static_cast<unsigned long long>(ss.shards_evicted),
-                 static_cast<double>(ss.bytes_mapped) / 1e6,
-                 static_cast<double>(ss.bytes_faulted) / 1e6,
-                 static_cast<double>(ss.cache_peak_bytes) / 1e6,
-                 static_cast<unsigned long long>(ss.pairs_deduped));
-    ReportPreparedStats(result.stats);
-    ReportStageStats(result.stats, flags.time_stages);
-    if (!result.status.ok()) {
-      std::fprintf(stderr,
-                   "[join] stopped early: %s — %llu pairs answered before "
-                   "the cut (all printed links are final)\n",
-                   result.status.ToString().c_str(),
-                   static_cast<unsigned long long>(ss.pairs_emitted));
-      return ExitCodeFor(result.status);
-    }
-    return kExitOk;
-  }
-
-  timer.Reset();
   MbrJoin::Options filter_options;
   filter_options.num_threads = flags.threads;  // 0 = hardware concurrency
   filter_options.exec = exec_ptr;
@@ -786,7 +894,14 @@ int CmdJoin(int argc, char** argv) {
   // Only the objects whose lists the filter will read are built.
   const FilterDemand demand =
       FilterDemandOf(*method, predicate, r.objects, s.objects, pairs);
-  if (!build_april(&demand)) return FailWith(exec_ptr->ToStatus());
+  std::vector<AprilApproximation> r_april;
+  std::vector<AprilApproximation> s_april;
+  if (!BuildBothSides(r, s, grid, flags.threads, exec_ptr, &demand, &r_april,
+                      &s_april)) {
+    std::fprintf(stderr, "[join] stopped during preprocessing: no pairs "
+                 "answered\n");
+    return FailWith(exec_ptr->ToStatus());
+  }
 
   const DatasetView r_view{&r.objects, &r_april};
   const DatasetView s_view{&s.objects, &s_april};
@@ -808,6 +923,7 @@ int CmdJoin(int argc, char** argv) {
                  timer.ElapsedSeconds(), result.stats.UndeterminedPercent());
     ReportPreparedStats(result.stats);
     ReportStageStats(result.stats, flags.time_stages);
+    ReportDegraded(result.stats);
     if (!result.status.ok()) {
       return ReportStopped(result.status, result.partial, result.stats);
     }
@@ -829,13 +945,7 @@ int CmdJoin(int argc, char** argv) {
                  result.stats.UndeterminedPercent(), ToString(*method));
     ReportPreparedStats(result.stats);
     ReportStageStats(result.stats, flags.time_stages);
-    if (result.stats.fallback_refined != 0) {
-      std::fprintf(stderr,
-                   "[join] degraded: %llu pairs fell back to refinement "
-                   "(missing/corrupt approximations)\n",
-                   static_cast<unsigned long long>(
-                       result.stats.fallback_refined));
-    }
+    ReportDegraded(result.stats);
     if (!result.status.ok()) {
       return ReportStopped(result.status, result.partial, result.stats);
     }
@@ -848,7 +958,7 @@ int CmdJoin(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   if (std::strcmp(argv[1], "generate") == 0) return CmdGenerate(argc, argv);
-  if (std::strcmp(argv[1], "april") == 0) return CmdApril(argc, argv);
+  if (std::strcmp(argv[1], "prepare") == 0) return CmdPrepare(argc, argv);
   if (std::strcmp(argv[1], "aprilcheck") == 0) {
     return CmdAprilCheck(argc, argv);
   }
