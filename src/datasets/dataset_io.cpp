@@ -107,14 +107,21 @@ class LineReader {
   bool failed_ = false;
 };
 
-/// What one byte range of the file produced. Line numbers, in the issues
-/// and in the error, count from 1 at the range's first line; MergeRanges
-/// adds the lines of the ranges before it.
+/// What one byte range of the file produced; its objects went to the sink.
+/// Line numbers, in the issues and in the error, count from 1 at the
+/// range's first line; MergeRanges adds the lines of the ranges before it.
 struct RangeLoad {
-  std::vector<SpatialObject> objects;  ///< Ids are assigned by the merge.
   LoadReport report;  ///< Issues capped at max_issues, like the merge.
   uint64_t line_count = 0;  ///< Every line that starts in the range.
-  Status error;  ///< Strict rejection or read failure; ends the range.
+  /// Strict rejection, read failure, or the sink's refusal; ends the range.
+  Status error;
+  bool sink_error = false;  ///< error is the sink's, about no line.
+};
+
+/// Where a range hands its accepted objects.
+struct RangeSink {
+  WktObjectSink* sink;
+  size_t range;
 };
 
 void RecordIssue(const LoadOptions& options, LoadReport* report, uint64_t line,
@@ -129,7 +136,7 @@ void RecordIssue(const LoadOptions& options, LoadReport* report, uint64_t line,
 /// Loads one non-blank, non-comment line. Returns false when the line ends
 /// a strict load; range->error then says why.
 bool LoadLine(std::string_view text, uint64_t line, const LoadOptions& options,
-              RangeLoad* range) {
+              const RangeSink& to, RangeLoad* range) {
   LoadReport& report = range->report;
   const bool permissive = options.mode == LoadMode::kPermissive;
   ++report.lines;
@@ -209,7 +216,11 @@ bool LoadLine(std::string_view text, uint64_t line, const LoadOptions& options,
   } else {
     ++report.accepted;
   }
-  range->objects.push_back(SpatialObject{0, std::move(*polygon)});
+  if (Status st = to.sink->Accept(to.range, &*polygon); !st.ok()) {
+    range->error = std::move(st);
+    range->sink_error = true;
+    return false;
+  }
   return true;
 }
 
@@ -218,7 +229,8 @@ bool LoadLine(std::string_view text, uint64_t line, const LoadOptions& options,
 /// byte 0 begins just past the first '\n' at or after begin - 1, so each
 /// line belongs to the range that holds its first byte.
 void LoadRange(std::FILE* file, uint64_t begin, uint64_t end,
-               const LoadOptions& options, RangeLoad* range) {
+               const LoadOptions& options, const RangeSink& to,
+               RangeLoad* range) {
   const uint64_t start = begin == 0 ? 0 : begin - 1;
   // A window larger than the range would only hold other ranges' bytes.
   LineReader reader(file, start, std::min<uint64_t>(kWindowBytes, end - start));
@@ -228,23 +240,21 @@ void LoadRange(std::FILE* file, uint64_t begin, uint64_t end,
   while (reader.offset() < end && reader.Next(&text)) {
     ++range->line_count;
     if (text.empty() || text[0] == '#') continue;
-    if (!LoadLine(text, range->line_count, options, range)) return;
+    if (!LoadLine(text, range->line_count, options, to, range)) return;
   }
   if (reader.failed()) {
     range->error = Status::IoError("read error").WithLine(range->line_count);
   }
 }
 
-/// Concatenates the ranges in file order into what one pass over the file
-/// would have produced: the earliest failing range ends the merge, with
-/// its counters stopped at the failing line and no objects kept.
+/// Merges the ranges' reports in file order into what one pass over the
+/// file would have produced: the earliest failing range ends the merge,
+/// with its counters stopped at the failing line.
 Status MergeRanges(std::vector<RangeLoad>* ranges, const std::string& path,
-                   const LoadOptions& options, Dataset* out,
-                   LoadReport* report) {
+                   const LoadOptions& options, LoadReport* report) {
   LoadReport merged;
   Status status;
   uint64_t base = 0;  // lines in the ranges before this one
-  uint32_t id = 0;
   for (RangeLoad& range : *ranges) {
     merged.lines += range.report.lines;
     merged.accepted += range.report.accepted;
@@ -257,20 +267,44 @@ Status MergeRanges(std::vector<RangeLoad>* ranges, const std::string& path,
     }
     if (!range.error.ok()) {
       status = std::move(range.error);
-      status.WithFile(path).WithLine(base + status.line());
-      out->objects.clear();
+      if (!range.sink_error) {
+        status.WithFile(path).WithLine(base + status.line());
+      }
       break;
     }
-    for (SpatialObject& object : range.objects) {
-      object.id = id++;
-      out->objects.push_back(std::move(object));
-    }
-    range.objects = {};
     base += range.line_count;
   }
   if (report != nullptr) *report = std::move(merged);
   return status;
 }
+
+/// Keeps LoadWktDataset's objects, range by range.
+class CollectingSink final : public WktObjectSink {
+ public:
+  void StartRanges(size_t ranges) override { ranges_.resize(ranges); }
+  Status Accept(size_t range, Polygon* polygon) override {
+    ranges_[range].push_back(SpatialObject{0, std::move(*polygon)});
+    return Status::Ok();
+  }
+  /// Moves every object into \p out in file order and numbers them.
+  void MoveTo(std::vector<SpatialObject>* out) {
+    size_t total = 0;
+    for (const std::vector<SpatialObject>& range : ranges_) {
+      total += range.size();
+    }
+    out->reserve(total);
+    for (std::vector<SpatialObject>& range : ranges_) {
+      for (SpatialObject& object : range) {
+        object.id = static_cast<uint32_t>(out->size());
+        out->push_back(std::move(object));
+      }
+      range = {};
+    }
+  }
+
+ private:
+  std::vector<std::vector<SpatialObject>> ranges_;
+};
 
 }  // namespace
 
@@ -318,11 +352,8 @@ bool SaveWktDataset(const std::string& path, const Dataset& dataset,
   return std::fclose(file.release()) == 0 && ok;
 }
 
-Status LoadWktDataset(const std::string& path, const std::string& name,
-                      const LoadOptions& options, Dataset* out,
-                      LoadReport* report) {
-  out->objects.clear();
-  out->name = name;
+Status StreamWktDataset(const std::string& path, const LoadOptions& options,
+                        WktObjectSink* sink, LoadReport* report) {
   if (report != nullptr) *report = LoadReport{};
   // Range 0 reads through this handle, so a pipe is opened only once.
   File first(std::fopen(path.c_str(), "rb"));
@@ -341,6 +372,7 @@ Status LoadWktDataset(const std::string& path, const std::string& name,
   const auto range_begin = [&](uint64_t i) {
     return size / ranges * i + size % ranges * i / ranges;
   };
+  sink->StartRanges(ranges);
   std::vector<RangeLoad> loads(ranges);
   internal::RunChunks(
       static_cast<unsigned>(ranges), ranges,
@@ -360,9 +392,20 @@ Status LoadWktDataset(const std::string& path, const std::string& name,
           }
         }
         LoadRange(i == 0 ? first.get() : own.get(), begin, end, options,
-                  &loads[i]);
+                  RangeSink{sink, i}, &loads[i]);
       });
-  return MergeRanges(&loads, path, options, out, report);
+  return MergeRanges(&loads, path, options, report);
+}
+
+Status LoadWktDataset(const std::string& path, const std::string& name,
+                      const LoadOptions& options, Dataset* out,
+                      LoadReport* report) {
+  out->objects.clear();
+  out->name = name;
+  CollectingSink sink;
+  Status status = StreamWktDataset(path, options, &sink, report);
+  if (status.ok()) sink.MoveTo(&out->objects);
+  return status;
 }
 
 bool LoadWktDataset(const std::string& path, const std::string& name,

@@ -91,6 +91,29 @@ Status LoadWktDataset(const std::string& path, const std::string& name,
                       const LoadOptions& options, Dataset* out,
                       LoadReport* report = nullptr);
 
+/// Receives the objects a ranged WKT load accepts (StreamWktDataset). The
+/// file is cut into byte ranges parsed concurrently, one worker each;
+/// concatenating the ranges' objects in range order gives the objects in
+/// file order, which is id order.
+class WktObjectSink {
+ public:
+  virtual ~WktObjectSink() = default;
+  /// Called once, before any Accept, with the number of ranges.
+  virtual void StartRanges(size_t ranges) = 0;
+  /// Takes the next accepted polygon of range \p range, which may be moved
+  /// from. Called on that range's worker, so calls for different ranges run
+  /// concurrently while one range's come in file order. A non-ok Status ends
+  /// the range, and so the load, with that Status.
+  virtual Status Accept(size_t range, Polygon* polygon) = 0;
+};
+
+/// LoadWktDataset's loader with each accepted object handed to \p sink
+/// instead of kept, so the file's objects need never be resident at once.
+/// The Status and \p report are LoadWktDataset's; when the load fails, the
+/// sink has seen an unspecified part of the file's objects.
+Status StreamWktDataset(const std::string& path, const LoadOptions& options,
+                        WktObjectSink* sink, LoadReport* report = nullptr);
+
 /// Strict-mode convenience wrapper. Returns false on I/O error or if any
 /// non-comment line fails to parse; in that case *out is left cleared.
 bool LoadWktDataset(const std::string& path, const std::string& name,

@@ -113,34 +113,44 @@ Status WritePieces(const std::string& path, const FilePiece* pieces,
   return ok ? Status::Ok() : Status::IoError("short write").WithFile(path);
 }
 
-/// Bytes AppendObjectGeometry writes for \p o.
-size_t GeometryBytes(const SpatialObject& o) {
-  size_t bytes = 8 + 4 + 16 * o.geometry.Outer().Size();
-  for (const Ring& hole : o.geometry.Holes()) bytes += 4 + 16 * hole.Size();
-  return bytes;
-}
+/// Bytes a spill appender holds before it writes them at the spill's end.
+constexpr size_t kSpillBlockBytes = size_t{1} << 20;
+/// A tile writer's output buffer, and about the most spill bytes it reads
+/// at a time (a longer record is read whole).
+constexpr size_t kWriteBufferBytes = size_t{1} << 20;
+constexpr size_t kReadBufferBytes = size_t{1} << 20;
 
-/// Serialises one object's geometry: u32 id, u32 ring count, then per ring
-/// a u32 vertex count and the (x, y) doubles. Unaligned by design — the
-/// blob is deserialised (memcpy) on load, never cast.
-void AppendObjectGeometry(std::vector<uint8_t>* out, const SpatialObject& o) {
-  AppendU32(out, o.id);
-  AppendU32(out, static_cast<uint32_t>(o.geometry.RingCount()));
+static_assert(sizeof(Point) == 16, "a record's vertex is (f64 x, f64 y)");
+
+/// Serialises a polygon record: u32 ring count, then per ring a u32 vertex
+/// count and the (x, y) doubles. Unaligned by design — the blob is
+/// deserialised (memcpy) on load, never cast.
+void AppendPolygonRecord(std::vector<uint8_t>* out, const Polygon& polygon) {
+  AppendU32(out, static_cast<uint32_t>(polygon.RingCount()));
   const auto append_ring = [out](const Ring& ring) {
     AppendU32(out, static_cast<uint32_t>(ring.Size()));
-    for (const Point& p : ring.Vertices()) {
-      AppendF64(out, p.x);
-      AppendF64(out, p.y);
-    }
+    AppendRaw(out, ring.Vertices().data(), ring.Size() * sizeof(Point));
   };
-  append_ring(o.geometry.Outer());
-  for (const Ring& hole : o.geometry.Holes()) append_ring(hole);
+  append_ring(polygon.Outer());
+  for (const Ring& hole : polygon.Holes()) append_ring(hole);
 }
 
-bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
-  uint32_t id = 0;
+/// The ring of \p vertices exactly: a ring whose last vertex repeats its
+/// first is kept whole, where Ring(vertices) would drop that vertex.
+Ring ExactRing(std::vector<Point> vertices) {
+  if (vertices.size() < 2 || !(vertices.front() == vertices.back())) {
+    return Ring(std::move(vertices));
+  }
+  Ring ring;
+  for (const Point& p : vertices) ring.PushBack(p);
+  return ring;
+}
+
+/// Parses one polygon record (AppendPolygonRecord) into the polygon it was
+/// written from.
+bool ParsePolygonRecord(ByteReader* r, Polygon* out) {
   uint32_t ring_count = 0;
-  if (!r->ReadU32(&id) || !r->ReadU32(&ring_count)) return false;
+  if (!r->ReadU32(&ring_count)) return false;
   if (ring_count == 0) return false;
   // Each ring takes at least its 4-byte vertex count: a corrupt ring count
   // the remaining span cannot hold must not drive a huge allocation.
@@ -155,19 +165,21 @@ bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
     if (static_cast<uint64_t>(vertex_count) * 16 > r->size - r->off) {
       return false;
     }
-    std::vector<Point> vertices;
-    vertices.reserve(vertex_count);
-    for (uint32_t v = 0; v < vertex_count; ++v) {
-      Point p;
-      if (!r->ReadF64(&p.x) || !r->ReadF64(&p.y)) return false;
-      vertices.push_back(p);
-    }
-    rings.emplace_back(std::move(vertices));
+    std::vector<Point> vertices(vertex_count);
+    r->Read(vertices.data(), vertex_count * sizeof(Point));
+    rings.push_back(ExactRing(std::move(vertices)));
   }
   Ring outer = std::move(rings.front());
   rings.erase(rings.begin());
+  *out = Polygon(std::move(outer), std::move(rings));
+  return true;
+}
+
+/// Parses one tile geometry record: u32 id, then the polygon record.
+bool ParseObjectGeometry(ByteReader* r, SpatialObject* out) {
+  uint32_t id = 0;
+  if (!r->ReadU32(&id) || !ParsePolygonRecord(r, &out->geometry)) return false;
   out->id = id;
-  out->geometry = Polygon(std::move(outer), std::move(rings));
   return true;
 }
 
@@ -324,77 +336,229 @@ Status CheckSegmentShapes(const ShardLayout& layout, const uint8_t* data,
   return Status::Ok();
 }
 
-/// Formats tile \p t — the \p n objects \p ids names — and streams its
-/// shard file to \p path: header, segment table, then each segment at its
-/// page-aligned offset, straight from the buffers that hold it.
-/// \p file_bytes receives the file's size.
-Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
-                      uint64_t n, const std::vector<SpatialObject>& objects,
-                      const CompressedAprilStore& store,
-                      uint64_t* file_bytes) {
-  // Eager segments: global ids and the serialised geometry, the blob
-  // reserved at its exact size.
-  size_t blob_bytes = 0;
-  for (uint64_t i = 0; i < n; ++i) blob_bytes += GeometryBytes(objects[ids[i]]);
-  std::vector<uint8_t> geom_blob;
-  geom_blob.reserve(blob_bytes);
-  std::vector<uint8_t> geom_index;
-  geom_index.reserve((n + 1) * 8);
-  AppendU64(&geom_index, 0);
-  for (uint64_t i = 0; i < n; ++i) {
-    AppendObjectGeometry(&geom_blob, objects[ids[i]]);
-    AppendU64(&geom_index, geom_blob.size());
+/// One shard file written front to back through a bounded buffer, keeping
+/// the FNV-1a of the segment being written; the head (header and segment
+/// table) is written over the zeros at its start last.
+class TileStream {
+ public:
+  TileStream(const std::string& path, std::vector<uint8_t>* buffer)
+      : path_(path), buffer_(buffer) {
+    file_ = std::fopen(path.c_str(), "wb");
+    opened_ = ok_ = file_ != nullptr;
+    buffer_->clear();
+  }
+  ~TileStream() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+  TileStream(const TileStream&) = delete;
+  TileStream& operator=(const TileStream&) = delete;
+
+  /// Zero-fills up to \p offset (not hashed).
+  void PadTo(uint64_t offset) {
+    static constexpr uint8_t kZeros[shard::kPageAlign] = {};
+    while (at_ < offset) {
+      const size_t gap = std::min<uint64_t>(offset - at_, sizeof(kZeros));
+      Raw(kZeros, gap);
+    }
+  }
+  /// Starts the next segment's checksum.
+  void BeginSegment() { fnv_ = kFnv1a64Basis; }
+  void Put(const void* data, size_t bytes) {
+    fnv_ = Fnv1a64(data, bytes, fnv_);
+    Raw(data, bytes);
+  }
+  void PutU64(uint64_t v) { Put(&v, sizeof(v)); }
+  uint64_t Checksum() const { return fnv_; }
+  uint64_t At() const { return at_; }
+  bool Opened() const { return opened_; }
+
+  /// Flushes, writes \p head at offset 0 and closes the file.
+  Status Finish(const std::vector<uint8_t>& head) {
+    Drain();
+    if (ok_) {
+      ok_ = std::fseek(file_, 0, SEEK_SET) == 0 &&
+            std::fwrite(head.data(), 1, head.size(), file_) == head.size();
+    }
+    if (file_ != nullptr) {
+      ok_ = std::fclose(file_) == 0 && ok_;
+      file_ = nullptr;
+    }
+    if (!ok_) {
+      return Status::IoError("short write").WithFile(path_);
+    }
+    return Status::Ok();
   }
 
-  // APRIL slice: verbatim record copies, so the per-tile arenas are
-  // byte-identical to the dataset records they came from.
-  CompressedAprilStore slice;
-  for (uint64_t i = 0; i < n; ++i) slice.AppendRecordFrom(store, ids[i]);
-  const CompressedStoreSpans& s = slice.Spans();
-  std::vector<uint64_t> record_fnv(n);
-  for (uint64_t i = 0; i < n; ++i) record_fnv[i] = slice.RecordChecksum(i);
+ private:
+  void Raw(const void* data, size_t bytes) {
+    at_ += bytes;
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    while (bytes != 0) {
+      const size_t room = kWriteBufferBytes - buffer_->size();
+      const size_t take = std::min(room, bytes);
+      buffer_->insert(buffer_->end(), p, p + take);
+      p += take;
+      bytes -= take;
+      if (buffer_->size() == kWriteBufferBytes) Drain();
+    }
+  }
+  void Drain() {
+    if (ok_ && !buffer_->empty()) {
+      ok_ = std::fwrite(buffer_->data(), 1, buffer_->size(), file_) ==
+            buffer_->size();
+    }
+    buffer_->clear();
+  }
 
-  struct Payload {
-    uint32_t kind;
-    const void* data;
-    uint64_t bytes;
-  };
-  const Payload payloads[shard::kNumSegments] = {
-      {shard::kObjectIds, ids, n * 4},
-      {shard::kGeometryIndex, geom_index.data(), geom_index.size()},
-      {shard::kGeometryBlob, geom_blob.data(), geom_blob.size()},
-      {shard::kAprilHeaders, s.headers,
-       s.hdr_begin[n] * sizeof(IntervalBlockHeader)},
-      {shard::kAprilBytes, s.bytes, s.byte_begin[n]},
-      {shard::kAprilHdrBegin, s.hdr_begin, (n + 1) * 8},
-      {shard::kAprilPHdrBegin, s.p_hdr_begin, n * 8},
-      {shard::kAprilByteBegin, s.byte_begin, (n + 1) * 8},
-      {shard::kAprilPByteBegin, s.p_byte_begin, n * 8},
-      {shard::kAprilCIntervals, s.c_intervals, n * 8},
-      {shard::kAprilPIntervals, s.p_intervals, n * 8},
-      {shard::kAprilUsable, s.usable, n},
-      {shard::kAprilRecordFnv, record_fnv.data(), n * 8},
-  };
+  std::string path_;
+  std::vector<uint8_t>* buffer_;
+  std::FILE* file_ = nullptr;
+  bool opened_ = false;
+  bool ok_ = false;
+  uint64_t at_ = 0;
+  uint64_t fnv_ = kFnv1a64Basis;
+};
 
-  // Lay segments out page-aligned and serialise the table behind the
-  // header; the file is then the header followed by the segments.
+/// A tile writer worker's buffers, reused from tile to tile.
+struct TileBuffers {
+  std::vector<uint8_t> write;
+  std::vector<uint8_t> read;
+};
+
+/// Streams tile \p t — the \p n objects \p ids names — to \p path: each
+/// segment at its page-aligned offset, the geometry records copied from
+/// \p spill and the APRIL records from \p store byte for byte, then the
+/// header and segment table. \p file_bytes receives the file's size.
+Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
+                      uint64_t n, const GeometrySpill& spill,
+                      const CompressedAprilStore& store, TileBuffers* buffers,
+                      uint64_t* file_bytes) {
+  const std::vector<SpilledObject>& objects = spill.Objects();
+  const CompressedStoreSpans& s = store.Spans();
+  uint64_t blob_bytes = 0;
+  uint64_t headers = 0;
+  uint64_t payload_bytes = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    blob_bytes += 4 + objects[ids[i]].RecordBytes();
+    headers += s.hdr_begin[ids[i] + 1] - s.hdr_begin[ids[i]];
+    payload_bytes += s.byte_begin[ids[i] + 1] - s.byte_begin[ids[i]];
+  }
+  // Segment byte sizes in table order (kinds 1 to 13).
+  const uint64_t sizes[shard::kNumSegments] = {
+      n * 4,  (n + 1) * 8, blob_bytes, headers * sizeof(IntervalBlockHeader),
+      payload_bytes, (n + 1) * 8, n * 8, (n + 1) * 8, n * 8, n * 8, n * 8, n,
+      n * 8};
   const size_t table_bytes = shard::kNumSegments * kSegmentEntryBytes;
-  std::vector<uint8_t> head;
-  head.reserve(kShardHeaderBytes + table_bytes);
-  FilePiece pieces[1 + shard::kNumSegments];
+  uint64_t offsets[shard::kNumSegments];
+  uint64_t cursor = kShardHeaderBytes + table_bytes;
+  for (uint32_t k = 0; k < shard::kNumSegments; ++k) {
+    cursor = AlignUp(cursor, shard::kPageAlign);
+    offsets[k] = cursor;
+    cursor += sizes[k];
+  }
+
+  // Each segment is generated in table order from the tile's ids; the
+  // per-tile CSR arrays restart at 0, as a slice of AppendRecordFrom copies
+  // would.
+  TileStream out(path, &buffers->write);
+  if (!out.Opened()) {
+    return Status::IoError("cannot open for writing").WithFile(path);
+  }
+  uint64_t checksums[shard::kNumSegments];
+  const auto segment = [&](uint32_t k, const auto& write) {
+    out.PadTo(offsets[k]);
+    out.BeginSegment();
+    write();
+    STJ_CHECK(out.At() == offsets[k] + sizes[k]);
+    checksums[k] = out.Checksum();
+  };
+  out.PadTo(kShardHeaderBytes + table_bytes);
+  segment(0, [&] { out.Put(ids, n * 4); });
+  segment(1, [&] {
+    uint64_t at = 0;
+    out.PutU64(at);
+    for (uint64_t i = 0; i < n; ++i) {
+      at += 4 + objects[ids[i]].RecordBytes();
+      out.PutU64(at);
+    }
+  });
+  Status read_status;
+  segment(2, [&] {
+    // Runs of records, about a read buffer's worth (at least one) each.
+    for (uint64_t i = 0; i < n && read_status.ok();) {
+      uint64_t run_bytes = objects[ids[i]].RecordBytes();
+      uint64_t end = i + 1;
+      while (end < n && run_bytes + objects[ids[end]].RecordBytes() <=
+                            kReadBufferBytes) {
+        run_bytes += objects[ids[end]].RecordBytes();
+        ++end;
+      }
+      read_status = spill.ReadRecords(ids + i, end - i, &buffers->read);
+      if (!read_status.ok()) return;
+      const uint8_t* record = buffers->read.data();
+      for (; i < end; ++i) {
+        const SpilledObject& object = objects[ids[i]];
+        out.Put(&object.id, 4);
+        out.Put(record, object.RecordBytes());
+        record += object.RecordBytes();
+      }
+    }
+  });
+  if (!read_status.ok()) return read_status;
+  segment(3, [&] {
+    for (uint64_t i = 0; i < n; ++i) {
+      out.Put(s.headers + s.hdr_begin[ids[i]],
+              (s.hdr_begin[ids[i] + 1] - s.hdr_begin[ids[i]]) *
+                  sizeof(IntervalBlockHeader));
+    }
+  });
+  segment(4, [&] {
+    for (uint64_t i = 0; i < n; ++i) {
+      out.Put(s.bytes + s.byte_begin[ids[i]],
+              s.byte_begin[ids[i] + 1] - s.byte_begin[ids[i]]);
+    }
+  });
+  // The four offset tables: a record's C run starts at the running total of
+  // the runs before it, and its P run follows its C run.
+  const auto begins = [&](const uint64_t* begin, const uint64_t* p_begin,
+                          bool of_p) {
+    uint64_t at = 0;
+    if (!of_p) out.PutU64(at);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint32_t id = ids[i];
+      if (of_p) out.PutU64(at + (p_begin[id] - begin[id]));
+      at += begin[id + 1] - begin[id];
+      if (!of_p) out.PutU64(at);
+    }
+  };
+  segment(5, [&] { begins(s.hdr_begin, s.p_hdr_begin, false); });
+  segment(6, [&] { begins(s.hdr_begin, s.p_hdr_begin, true); });
+  segment(7, [&] { begins(s.byte_begin, s.p_byte_begin, false); });
+  segment(8, [&] { begins(s.byte_begin, s.p_byte_begin, true); });
+  segment(9, [&] {
+    for (uint64_t i = 0; i < n; ++i) out.PutU64(s.c_intervals[ids[i]]);
+  });
+  segment(10, [&] {
+    for (uint64_t i = 0; i < n; ++i) out.PutU64(s.p_intervals[ids[i]]);
+  });
+  segment(11, [&] {
+    for (uint64_t i = 0; i < n; ++i) out.Put(s.usable + ids[i], 1);
+  });
+  segment(12, [&] {
+    for (uint64_t i = 0; i < n; ++i) out.PutU64(store.RecordChecksum(ids[i]));
+  });
+
   std::vector<uint8_t> table;
   table.reserve(table_bytes);
-  size_t cursor = kShardHeaderBytes + table_bytes;
-  for (uint32_t i = 0; i < shard::kNumSegments; ++i) {
-    cursor = AlignUp(cursor, shard::kPageAlign);
-    pieces[1 + i] = FilePiece{cursor, payloads[i].data, payloads[i].bytes};
-    AppendU32(&table, payloads[i].kind);
+  for (uint32_t k = 0; k < shard::kNumSegments; ++k) {
+    AppendU32(&table, k + 1);  // kinds are numbered in table order
     AppendU32(&table, 0);
-    AppendU64(&table, cursor);
-    AppendU64(&table, payloads[i].bytes);
-    AppendU64(&table, Fnv1a64(payloads[i].data, payloads[i].bytes));
-    cursor += payloads[i].bytes;
+    AppendU64(&table, offsets[k]);
+    AppendU64(&table, sizes[k]);
+    AppendU64(&table, checksums[k]);
   }
+  std::vector<uint8_t> head;
+  head.reserve(kShardHeaderBytes + table_bytes);
   AppendRaw(&head, kShardMagic, 4);
   AppendU32(&head, shard::kVersion);
   AppendU64(&head, t);
@@ -403,12 +567,83 @@ Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
   AppendU32(&head, 0);
   AppendU64(&head, Fnv1a64(table.data(), table.size()));
   AppendRaw(&head, table.data(), table.size());
-  pieces[0] = FilePiece{0, head.data(), head.size()};
   *file_bytes = cursor;
-  return WritePieces(path, pieces, 1 + shard::kNumSegments);
+  return out.Finish(head);
 }
 
 }  // namespace
+
+Status GeometrySpill::Create(const std::string& dir, GeometrySpill* out) {
+  out->objects_.clear();
+  out->end_.store(0, std::memory_order_relaxed);
+  return SpillFile::Create(dir, &out->file_);
+}
+
+Status GeometrySpill::FromObjects(const std::string& dir,
+                                  const std::vector<SpatialObject>& objects,
+                                  GeometrySpill* out) {
+  Status st = Create(dir, out);
+  if (!st.ok()) return st;
+  Appender appender(out);
+  for (const SpatialObject& object : objects) {
+    st = appender.Append(object.id, object.geometry);
+    if (!st.ok()) return st;
+  }
+  st = appender.Flush();
+  if (!st.ok()) return st;
+  out->objects_ = std::move(appender.objects());
+  return Status::Ok();
+}
+
+Status GeometrySpill::Appender::Append(uint32_t id, const Polygon& polygon) {
+  SpilledObject object;
+  object.mbr = polygon.Bounds();
+  object.offset = buffer_.size();  // made absolute by Flush
+  object.vertices = polygon.VertexCount();
+  object.rings = static_cast<uint32_t>(polygon.RingCount());
+  object.id = id;
+  AppendPolygonRecord(&buffer_, polygon);
+  objects_.push_back(object);
+  return buffer_.size() >= kSpillBlockBytes ? Flush() : Status::Ok();
+}
+
+Status GeometrySpill::Appender::Flush() {
+  if (buffer_.empty()) return Status::Ok();
+  const uint64_t at =
+      spill_->end_.fetch_add(buffer_.size(), std::memory_order_relaxed);
+  for (size_t i = unflushed_; i < objects_.size(); ++i) {
+    objects_[i].offset += at;
+  }
+  unflushed_ = objects_.size();
+  Status st = spill_->file_.WriteAt(at, buffer_.data(), buffer_.size());
+  buffer_.clear();
+  return st;
+}
+
+Status GeometrySpill::ReadRecords(const uint32_t* ids, size_t count,
+                                  std::vector<uint8_t>* buffer) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < count; ++i) total += objects_[ids[i]].RecordBytes();
+  buffer->resize(total);
+  uint8_t* to = buffer->data();
+  for (size_t i = 0; i < count;) {
+    const uint64_t begin = objects_[ids[i]].offset;
+    uint64_t end = begin + objects_[ids[i]].RecordBytes();
+    for (++i; i < count && objects_[ids[i]].offset == end; ++i) {
+      end += objects_[ids[i]].RecordBytes();
+    }
+    Status st = file_.ReadAt(begin, to, end - begin);
+    if (!st.ok()) return st;
+    to += end - begin;
+  }
+  return Status::Ok();
+}
+
+bool GeometrySpill::ParseRecord(const uint8_t* data, size_t bytes,
+                                Polygon* out) {
+  ByteReader r{data, bytes, 0};
+  return ParsePolygonRecord(&r, out) && r.off == r.size;
+}
 
 Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
@@ -418,8 +653,24 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const CompressedAprilStore& store,
                      ShardWriteStats* stats, unsigned num_threads,
                      const RasterGrid* raster_grid) {
+  GeometrySpill spill;
+  Status st = GeometrySpill::FromObjects(dir, objects, &spill);
+  if (!st.ok()) return st;
+  return WriteShardSet(dir, grid, tile_begin, entries, tile_units, spill,
+                       store, stats, num_threads, raster_grid);
+}
+
+Status WriteShardSet(const std::string& dir, const TileGrid& grid,
+                     const std::vector<uint32_t>& tile_begin,
+                     const std::vector<uint32_t>& entries,
+                     const std::vector<uint64_t>& tile_units,
+                     const GeometrySpill& spill,
+                     const CompressedAprilStore& store,
+                     ShardWriteStats* stats, unsigned num_threads,
+                     const RasterGrid* raster_grid, ExecContext* exec) {
   const uint32_t num_tiles = grid.Tiles();
-  STJ_CHECK_MSG(store.Count() == objects.size(),
+  const size_t num_objects = spill.Objects().size();
+  STJ_CHECK_MSG(store.Count() == num_objects,
                 "shard writer needs an APRIL record per object");
   STJ_CHECK(tile_begin.size() == static_cast<size_t>(num_tiles) + 1);
   STJ_CHECK(tile_units.size() == num_tiles);
@@ -430,6 +681,13 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
   if (ec) {
     return Status::IoError("cannot create shard directory: " + ec.message())
         .WithFile(dir);
+  }
+  // The old manifest goes first: until the new one is written, the
+  // directory holds no set, never an old manifest over new tiles.
+  std::filesystem::remove(PathJoin(dir, kManifestName), ec);
+  if (ec) {
+    return Status::IoError("cannot remove the old manifest: " + ec.message())
+        .WithFile(PathJoin(dir, kManifestName));
   }
 
   // Tiles are written on the workers, each claiming the next unwritten
@@ -443,18 +701,33 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                        : std::max(1u, std::thread::hardware_concurrency());
   STJ_ATOMIC_DOC("tile cursor; fetch_add by every worker, each tile is claimed by exactly one");
   std::atomic<uint32_t> next{0};
-  // stj-analyzer: allow(scope-checkin) the writer takes no ExecContext.
   internal::RunWorkers(std::min(threads, num_tiles), [&](unsigned) {
+    ExecContext::Scope scope(exec);
+    // The buffers are charged up front; a longer record grows the read
+    // buffer, and the growth is charged as it happens.
+    TileBuffers buffers;
+    size_t charged = kWriteBufferBytes + kReadBufferBytes;
+    if (exec != nullptr && !exec->TryCharge(charged)) return;
+    buffers.write.reserve(kWriteBufferBytes);
+    buffers.read.reserve(kReadBufferBytes);
     for (uint32_t t = next.fetch_add(1); t < num_tiles; t = next.fetch_add(1)) {
+      if (scope.CheckIn()) break;
       const uint64_t n = tile_begin[t + 1] - tile_begin[t];
       uint64_t file_bytes = 0;
       tile_status[t] =
           WriteTileShard(PathJoin(dir, TileFileName(t)), t,
-                         entries.data() + tile_begin[t], n, objects, store,
-                         &file_bytes);
+                         entries.data() + tile_begin[t], n, spill, store,
+                         &buffers, &file_bytes);
       infos[t] = ShardTileInfo{n, tile_units[t], file_bytes};
+      const size_t held = buffers.write.capacity() + buffers.read.capacity();
+      if (exec != nullptr && held > charged) {
+        if (!exec->TryCharge(held - charged)) break;
+        charged = held;
+      }
     }
+    if (exec != nullptr) exec->Release(charged);
   });
+  if (exec != nullptr && exec->StopRequested()) return exec->ToStatus();
   ShardWriteStats local;
   for (uint32_t t = 0; t < num_tiles; ++t) {
     if (!tile_status[t].ok()) return tile_status[t];
@@ -464,7 +737,7 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
 
   // Manifest last: its presence marks a complete shard set.
   std::vector<uint8_t> payload;
-  AppendU64(&payload, objects.size());
+  AppendU64(&payload, num_objects);
   ShardRasterGrid raster;
   if (raster_grid != nullptr) {
     raster = ShardRasterGrid{raster_grid->Order(), raster_grid->Dataspace()};
@@ -676,6 +949,11 @@ Status ShardSet::LoadTile(uint32_t t, LoadedShard* out) const {
     }
     shard.mbrs.push_back(shard.objects[i].geometry.Bounds());
   }
+  // The ids, the geometry index and the blob are never read again: give
+  // their pages back rather than keep them resident beside the parsed copy.
+  // resident_bytes still counts the whole mapping.
+  shard.map.DropPages(ids_seg.offset,
+                      blob_seg.offset + blob_seg.bytes - ids_seg.offset);
 
   // The APRIL arenas stay in the mapping: FromSpans aims the store straight
   // at the page-aligned segments, so nothing below is copied or faulted

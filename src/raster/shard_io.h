@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -8,8 +9,10 @@
 #include "src/geometry/tile_grid.h"
 #include "src/raster/april_compressed.h"
 #include "src/raster/grid.h"
+#include "src/util/exec_context.h"
 #include "src/util/mmap_file.h"
 #include "src/util/status.h"
+#include "src/util/thread_annotations.h"
 
 namespace stj {
 
@@ -109,22 +112,122 @@ struct ShardWriteStats {
   uint64_t bytes_written = 0;  ///< Shard files + manifest.
 };
 
-/// Persists one dataset as a shard set under \p dir (created if needed;
-/// existing manifest/shard files are overwritten). \p tile_begin/\p entries
-/// are the partitioner's CSR assignment over \p grid (entries hold dataset
-/// indices; an object appears under every tile its MBR overlaps), \p
-/// tile_units the per-tile unit totals, and \p store the dataset's
-/// compressed APRIL storage, index-aligned with \p objects. Per-tile APRIL
-/// slices are copied verbatim (never re-encoded), so a loaded tile record
+/// What the partitioner and the tile writer know of one spilled object
+/// without reading its geometry back.
+struct SpilledObject {
+  Box mbr;
+  uint64_t offset = 0;    ///< Of the object's polygon record in the spill.
+  uint64_t vertices = 0;  ///< Over all rings.
+  uint32_t rings = 0;
+  uint32_t id = 0;        ///< SpatialObject::id, written ahead of the record.
+
+  /// Bytes of the polygon record: u32 ring count, then per ring a u32
+  /// vertex count and its (x, y) doubles. A tile's geometry record is the
+  /// u32 id followed by these bytes.
+  uint64_t RecordBytes() const {
+    return 4 + 4 * uint64_t{rings} + 16 * vertices;
+  }
+};
+
+/// One dataset's geometry, kept out of memory for the shard writer: each
+/// object's polygon record in an unnamed SpillFile on the output's
+/// filesystem, and per object its SpilledObject. The tile writer copies
+/// the records into the tiles' geometry blobs byte for byte, so a tile's
+/// bytes do not depend on whether its objects came from memory or from a
+/// streamed load.
+class GeometrySpill {
+ public:
+  /// Opens an empty spill on the filesystem of \p dir (SpillFile::Create).
+  [[nodiscard]] static Status Create(const std::string& dir,
+                                     GeometrySpill* out);
+
+  /// Spills \p objects, in order, into a new spill on the filesystem of
+  /// \p dir.
+  [[nodiscard]] static Status FromObjects(
+      const std::string& dir, const std::vector<SpatialObject>& objects,
+      GeometrySpill* out);
+
+  /// One writer's buffer over the spill. Append serialises a polygon's
+  /// record into it; about a block of records at a time is written at the
+  /// spill's end, so the records of several appenders (one per loader range)
+  /// interleave in the file by block while each appender's objects keep
+  /// their order. One appender is used by one thread at a time.
+  class Appender {
+   public:
+    explicit Appender(GeometrySpill* spill) : spill_(spill) {}
+
+    /// Buffers the record of \p polygon, to be written under \p id.
+    [[nodiscard]] Status Append(uint32_t id, const Polygon& polygon);
+    /// Writes what is buffered; the offsets of objects() are final after it.
+    [[nodiscard]] Status Flush();
+    /// The appended objects, in order.
+    std::vector<SpilledObject>& objects() { return objects_; }
+
+   private:
+    GeometrySpill* spill_;
+    std::vector<uint8_t> buffer_;
+    std::vector<SpilledObject> objects_;
+    size_t unflushed_ = 0;  ///< First object whose record is in buffer_.
+  };
+
+  /// The spilled objects in dataset order; whoever spills fills it.
+  std::vector<SpilledObject>& Objects() { return objects_; }
+  const std::vector<SpilledObject>& Objects() const { return objects_; }
+
+  /// Reads the records of the objects \p ids[0..count) back to back into
+  /// \p buffer (resized to their total), with one read per run of records
+  /// that lie back to back in the spill.
+  [[nodiscard]] Status ReadRecords(const uint32_t* ids, size_t count,
+                                   std::vector<uint8_t>* buffer) const;
+
+  /// Parses one polygon record of \p bytes bytes into \p out: exactly the
+  /// polygon the record was written from. False when the bytes are not one
+  /// well-formed record.
+  [[nodiscard]] static bool ParseRecord(const uint8_t* data, size_t bytes,
+                                        Polygon* out);
+
+ private:
+  SpillFile file_;
+  STJ_ATOMIC_DOC(
+      "spill end; each appender's flush reserves its block with one relaxed "
+      "fetch_add, and the offsets are read only after the writers joined");
+  std::atomic<uint64_t> end_{0};
+  std::vector<SpilledObject> objects_;
+};
+
+/// Persists one dataset as a shard set under \p dir (created if needed).
+/// An existing manifest is removed before the first tile is written and
+/// the new one is written last, once every tile is on disk, so a write that
+/// fails midway never leaves a manifest over a mix of old and new tiles.
+/// \p tile_begin/\p entries are the partitioner's CSR assignment over \p
+/// grid (entries hold dataset indices; an object appears under every tile
+/// its MBR overlaps), \p tile_units the per-tile unit totals, and \p store
+/// the dataset's compressed APRIL storage, index-aligned with \p spill's
+/// objects. Geometry records are copied from the spill and APRIL records
+/// from the store byte for byte (never re-encoded), so a loaded tile record
 /// is byte-identical to the dataset record it came from.
 ///
-/// Tiles are formatted, checksummed and written on \p num_threads workers
-/// (0 = hardware concurrency), each tile streamed segment by segment to its
-/// file; the manifest is written last, once every tile is on disk. Every
-/// file's bytes are the same at any thread count. On failure the lowest
-/// failing tile's Status is returned and no manifest is written. The
-/// manifest records \p raster_grid, the grid \p store's lists were built
-/// on; a set written without one records none (order 0).
+/// Tiles are written on \p num_threads workers (0 = hardware concurrency),
+/// each streaming its file segment by segment through bounded buffers and
+/// writing the header and segment table last. Every file's bytes are the
+/// same at any thread count. \p exec (optional) is charged for the
+/// buffers and polled per tile. On failure no manifest is written, and the
+/// Status is the stop cause of a tripped \p exec, else the lowest failing
+/// tile's. The manifest records \p raster_grid, the grid \p store's lists
+/// were built on; a set written without one records none (order 0).
+[[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
+                     const std::vector<uint32_t>& tile_begin,
+                     const std::vector<uint32_t>& entries,
+                     const std::vector<uint64_t>& tile_units,
+                     const GeometrySpill& spill,
+                     const CompressedAprilStore& store,
+                     ShardWriteStats* stats = nullptr,
+                     unsigned num_threads = 0,
+                     const RasterGrid* raster_grid = nullptr,
+                     ExecContext* exec = nullptr);
+
+/// The same for objects held in memory: spills \p objects on the filesystem
+/// of \p dir (GeometrySpill::FromObjects) and writes from the spill.
 [[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
                      const std::vector<uint32_t>& entries,

@@ -321,13 +321,13 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
   return result;
 }
 
-Status BuildShardSet(const std::string& dir,
-                     const std::vector<SpatialObject>& objects,
+Status BuildShardSet(const std::string& dir, const GeometrySpill& spill,
                      const CompressedAprilStore& store,
                      const PartitionOptions& options,
                      TilePartition* partition_out,
                      ShardWriteStats* stats_out, unsigned num_threads,
-                     const RasterGrid* raster_grid) {
+                     const RasterGrid* raster_grid, ExecContext* exec) {
+  const std::vector<SpilledObject>& objects = spill.Objects();
   STJ_CHECK_MSG(store.Count() == objects.size(),
                 "shard build needs an APRIL record per object");
   std::vector<Box> mbrs;
@@ -336,19 +336,33 @@ Status BuildShardSet(const std::string& dir,
   units.reserve(objects.size());
   const CompressedStoreSpans& spans = store.Spans();
   for (size_t i = 0; i < objects.size(); ++i) {
-    mbrs.push_back(objects[i].geometry.Bounds());
+    mbrs.push_back(objects[i].mbr);
     // The join's cost model: refinement work scales with vertices, filter
     // work with interval counts.
-    units.push_back(objects[i].geometry.VertexCount() + spans.c_intervals[i] +
+    units.push_back(objects[i].vertices + spans.c_intervals[i] +
                     spans.p_intervals[i]);
   }
   TilePartition partition = BuildCostBalancedPartition(mbrs, units, options);
   Status st = WriteShardSet(dir, partition.grid, partition.tile_begin,
-                            partition.entries, partition.tile_units, objects,
-                            store, stats_out, num_threads, raster_grid);
+                            partition.entries, partition.tile_units, spill,
+                            store, stats_out, num_threads, raster_grid, exec);
   if (!st.ok()) return st;
   if (partition_out != nullptr) *partition_out = std::move(partition);
   return Status::Ok();
+}
+
+Status BuildShardSet(const std::string& dir,
+                     const std::vector<SpatialObject>& objects,
+                     const CompressedAprilStore& store,
+                     const PartitionOptions& options,
+                     TilePartition* partition_out,
+                     ShardWriteStats* stats_out, unsigned num_threads,
+                     const RasterGrid* raster_grid) {
+  GeometrySpill spill;
+  Status st = GeometrySpill::FromObjects(dir, objects, &spill);
+  if (!st.ok()) return st;
+  return BuildShardSet(dir, spill, store, options, partition_out, stats_out,
+                       num_threads, raster_grid);
 }
 
 }  // namespace stj

@@ -109,7 +109,19 @@ ShardJoinResult ShardedFindRelation(Method method, const ShardSet& r_shards,
 /// writing the tiles on \p num_threads workers (0 = hardware concurrency;
 /// see WriteShardSet). \p partition_out (optional) receives the partition
 /// for inspection. The manifest records \p raster_grid (see
-/// WriteShardSet), which a prepared join checks on both sides.
+/// WriteShardSet), which a prepared join checks on both sides. \p exec
+/// (optional) bounds the writer (see WriteShardSet).
+Status BuildShardSet(const std::string& dir, const GeometrySpill& spill,
+                     const CompressedAprilStore& store,
+                     const PartitionOptions& options,
+                     TilePartition* partition_out = nullptr,
+                     ShardWriteStats* stats_out = nullptr,
+                     unsigned num_threads = 0,
+                     const RasterGrid* raster_grid = nullptr,
+                     ExecContext* exec = nullptr);
+
+/// The same for objects held in memory: spills them on the filesystem of
+/// \p dir (GeometrySpill::FromObjects) and builds from the spill.
 Status BuildShardSet(const std::string& dir,
                      const std::vector<SpatialObject>& objects,
                      const CompressedAprilStore& store,

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,12 @@ class MappedFile {
   /// false when the portable read-into-buffer fallback was used.
   bool IsMapped() const { return mapped_; }
 
+  /// Gives back the resident pages of [offset, offset + bytes) — every page
+  /// that span touches (madvise MADV_DONTNEED). The bytes stay readable: a
+  /// later read faults them in from the file again. For spans a reader has
+  /// consumed and will not read again; a no-op in the fallback mode.
+  void DropPages(size_t offset, size_t bytes) const;
+
   /// Unmaps / frees; the object returns to the default-constructed state.
   void Close();
 
@@ -59,6 +66,48 @@ class MappedFile {
   bool mapped_ = false;
   /// Owned storage of the non-mmap fallback (empty in mapped mode).
   std::vector<uint8_t> fallback_;
+};
+
+/// A scratch file that has no name: it lives on a filesystem only while it
+/// is open, so nothing is left behind however the process ends. The
+/// out-of-core prepare spills geometry to one (shard_io.h GeometrySpill).
+///
+/// WriteAt and ReadAt take explicit offsets (pwrite / pread), so several
+/// threads may write disjoint spans, or read, at once. Without POSIX the
+/// file is a std::tmpfile (on the temporary directory's filesystem) whose
+/// accesses are serialised by one process-wide mutex.
+class SpillFile {
+ public:
+  SpillFile() = default;
+  ~SpillFile() { Close(); }
+
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+  SpillFile(SpillFile&& other) noexcept;
+  SpillFile& operator=(SpillFile&& other) noexcept;
+
+  /// Creates an empty unnamed file on the filesystem that holds \p dir, or
+  /// its nearest existing ancestor when \p dir does not exist (nothing is
+  /// created in its place): O_TMPFILE where the filesystem supports it,
+  /// else a file that is unlinked as soon as it is open.
+  [[nodiscard]] static Status Create(const std::string& dir, SpillFile* out);
+
+  /// Writes \p bytes of \p data at \p offset.
+  [[nodiscard]] Status WriteAt(uint64_t offset, const void* data,
+                               size_t bytes) const;
+  /// Reads \p bytes at \p offset into \p data; a short read is an error.
+  [[nodiscard]] Status ReadAt(uint64_t offset, void* data,
+                              size_t bytes) const;
+
+  /// Closes the file, which frees its blocks.
+  void Close();
+
+ private:
+#if defined(__unix__) || defined(__APPLE__)
+  int fd_ = -1;
+#else
+  std::FILE* file_ = nullptr;
+#endif
 };
 
 }  // namespace stj

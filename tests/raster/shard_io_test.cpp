@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -301,6 +302,34 @@ TEST_F(ShardIoTest, ManifestRecordsTheRasterGrid) {
   EXPECT_EQ(set.RasterGridRecord().order, 0u);
 }
 
+TEST_F(ShardIoTest, FailedRewriteLeavesNoManifest) {
+  // A set written on grid order 10 is rewritten on order 12 with the same
+  // objects and tiles; tile 2 cannot be written this time (a directory holds
+  // its name). The old manifest must not survive in front of the mix of new
+  // and old tiles: the directory holds no set at all.
+  ASSERT_GE(partition_.Tiles(), 3u);
+  const Box dataspace = scenario_.dataspace;
+  const std::string dir = Dir("rewrite");
+  const auto write = [&](uint32_t order) {
+    const RasterGrid grid(dataspace, order);
+    return WriteShardSet(dir, partition_.grid, partition_.tile_begin,
+                         partition_.entries, partition_.tile_units,
+                         scenario_.r.objects, cstore_, nullptr, 0, &grid);
+  };
+  ASSERT_TRUE(write(10).ok());
+  ShardSet set;
+  ASSERT_TRUE(ShardSet::Open(dir, &set).ok());
+  ASSERT_EQ(set.RasterGridRecord().order, 10u);
+
+  std::filesystem::remove(dir + "/tile_000002.shard");
+  std::filesystem::create_directories(dir + "/tile_000002.shard");
+  const Status rewrite = write(12);
+  ASSERT_FALSE(rewrite.ok());
+  EXPECT_EQ(rewrite.code(), StatusCode::kIoError);
+  const Status open = ShardSet::Open(dir, &set);
+  EXPECT_EQ(open.code(), StatusCode::kNotFound) << open.ToString();
+}
+
 TEST_F(ShardIoTest, OtherVersionsAreDataLoss) {
   // Version 1 sets (no grid, no record sums) are refused, not half-read: the
   // manifest's version and each shard's version are checked.
@@ -443,6 +472,76 @@ TEST_F(ShardIoTest, ResolveShardSetDirAcceptsDirAndManifestPath) {
   EXPECT_TRUE(ResolveShardSetDir(dir + "/manifest.stj", &resolved));
   EXPECT_EQ(resolved, dir);
   EXPECT_FALSE(ResolveShardSetDir(Dir("resolve_missing"), &resolved));
+}
+
+TEST(GeometrySpillTest, RecordsReadBackAsTheirPolygons) {
+  // Two appenders, as two loader ranges would, interleave their records in
+  // the spill block by block; every record still reads back, alone or in
+  // runs, as exactly the polygon written — holes, and a ring that repeats
+  // its closing vertex (which Ring(vertices) would drop), included.
+  const std::string dir = test::TempPath("geometry_spill");
+  std::filesystem::create_directories(dir);
+  Rng rng(5);
+  std::vector<Polygon> polygons;
+  for (int i = 0; i < 400; ++i) {
+    const Point c{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    polygons.push_back(test::RandomBlob(&rng, c, rng.LogUniform(0.5, 5.0),
+                                        i % 7 == 0 ? 5000 : 40, 0.3));
+  }
+  polygons.push_back(test::SquareWithHole(0, 0, 4, 4, 1));
+  Ring repeated;
+  for (const Point& p : {Point{0, 0}, Point{2, 0}, Point{2, 2}, Point{0, 0}}) {
+    repeated.PushBack(p);
+  }
+  polygons.push_back(Polygon(repeated));
+  ASSERT_EQ(polygons.back().Outer().Size(), 4u);
+
+  GeometrySpill spill;
+  ASSERT_TRUE(GeometrySpill::Create(dir, &spill).ok());
+  GeometrySpill::Appender even(&spill);
+  GeometrySpill::Appender odd(&spill);
+  for (size_t i = 0; i < polygons.size(); ++i) {
+    ASSERT_TRUE((i % 2 == 0 ? even : odd)
+                    .Append(static_cast<uint32_t>(i), polygons[i])
+                    .ok());
+  }
+  ASSERT_TRUE(even.Flush().ok());
+  ASSERT_TRUE(odd.Flush().ok());
+  // Dataset order: the appended objects back in index order.
+  std::vector<SpilledObject>& objects = spill.Objects();
+  objects.resize(polygons.size());
+  for (size_t k = 0; k < even.objects().size(); ++k) {
+    objects[2 * k] = even.objects()[k];
+  }
+  for (size_t k = 0; k < odd.objects().size(); ++k) {
+    objects[2 * k + 1] = odd.objects()[k];
+  }
+  std::vector<uint32_t> ids(polygons.size());
+  for (uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  std::shuffle(ids.begin(), ids.end(), std::mt19937(3));
+  for (const size_t run : {size_t{1}, size_t{7}, ids.size()}) {
+    for (size_t first = 0; first < ids.size(); first += run) {
+      const size_t count = std::min(run, ids.size() - first);
+      std::vector<uint8_t> records;
+      ASSERT_TRUE(spill.ReadRecords(ids.data() + first, count, &records).ok());
+      size_t at = 0;
+      for (size_t k = 0; k < count; ++k) {
+        const uint32_t id = ids[first + k];
+        const SpilledObject& object = objects[id];
+        EXPECT_EQ(object.id, id);
+        EXPECT_EQ(object.mbr, polygons[id].Bounds());
+        EXPECT_EQ(object.vertices, polygons[id].VertexCount());
+        Polygon parsed;
+        ASSERT_TRUE(GeometrySpill::ParseRecord(records.data() + at,
+                                               object.RecordBytes(), &parsed));
+        at += object.RecordBytes();
+        EXPECT_TRUE(parsed.Outer() == polygons[id].Outer()) << "object " << id;
+        EXPECT_TRUE(parsed.Holes() == polygons[id].Holes()) << "object " << id;
+      }
+      EXPECT_EQ(at, records.size());
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MappedFileTest, MissingFileIsNotFound) {

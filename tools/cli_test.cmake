@@ -213,6 +213,52 @@ if(NOT rc EQUAL 0 OR NOT out STREQUAL st2_free_out)
   message(FATAL_ERROR "a --shard-dir join under the budget its prepared join fits in failed (${rc}):\n${err}")
 endif()
 
+# prepare charges what it holds to --max-memory-mb (a block's lists, the
+# compressed lists, the writer's buffers): at 1 MB it stops with exit 9 and
+# writes no shard set.
+file(REMOVE_RECURSE ${WORK}/prep1mb)
+run_expect(9 "stopped during preprocessing: no shard set written"
+           ${CLI} prepare ${WORK}/ole11.wkt ${WORK}/ope11.wkt ${WORK}/prep1mb
+           --grid-order=16 --max-memory-mb=1)
+if(EXISTS ${WORK}/prep1mb)
+  message(FATAL_ERROR "a prepare over its budget left ${WORK}/prep1mb")
+endif()
+
+# A prepare that fails keeps its exit code and leaves nothing behind: no
+# manifest, no spill file, and no directory it created, so the listing of
+# the output's parent is unchanged. Failures: a strict parse error on S's
+# last line (4), a missing S (3), a tripped deadline (7), and a tile it
+# cannot write (3; the directory at the tile's path, made here, stays).
+file(REMOVE_RECURSE ${WORK}/prep_fail)
+file(MAKE_DIRECTORY ${WORK}/prep_fail)
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${WORK}/ope.wkt
+                ${WORK}/ope_bad_tail.wkt)
+file(APPEND ${WORK}/ope_bad_tail.wkt "POLYGON ((0 0, 1 0")
+# Runs a prepare that must fail with ${rc} and stderr matching ${err}, and
+# checks that the listing under ${WORK}/prep_fail did not change.
+function(expect_failed_prepare rc err)
+  file(GLOB_RECURSE before LIST_DIRECTORIES true ${WORK}/prep_fail/*)
+  run_expect(${rc} "${err}" ${CLI} prepare ${ARGN})
+  file(GLOB_RECURSE after LIST_DIRECTORIES true ${WORK}/prep_fail/*)
+  if(NOT after STREQUAL before)
+    message(FATAL_ERROR "a failed prepare (exit ${rc}) left: ${after}")
+  endif()
+endfunction()
+expect_failed_prepare(4 "ope_bad_tail.wkt:[0-9]+ @byte"
+                      ${WORK}/ole11.wkt ${WORK}/ope_bad_tail.wkt
+                      ${WORK}/prep_fail/new/out --grid-order=16)
+expect_failed_prepare(3 "no_such_file.wkt"
+                      ${WORK}/ole11.wkt ${WORK}/no_such_file.wkt
+                      ${WORK}/prep_fail/new/out --grid-order=16)
+expect_failed_prepare(7 "deadline exceeded"
+                      ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                      ${WORK}/prep_fail/new/out --grid-order=16
+                      --deadline-ms=1)
+file(MAKE_DIRECTORY ${WORK}/prep_fail/out/s/tile_000000.shard)
+expect_failed_prepare(3 "tile_000000.shard: cannot open for writing"
+                      ${WORK}/ole11.wkt ${WORK}/ope11.wkt
+                      ${WORK}/prep_fail/out)
+
 # Canonical output: the links come out sorted by (r, s), so the serial loop
 # and the 4-thread block loop print the same bytes, and --time-stages adds
 # its stage summary to stderr only.

@@ -118,8 +118,10 @@
 #include <optional>
 #include <string>
 #include <system_error>
+#include <utility>
 
 #include "src/datasets/dataset_io.h"
+#include "src/datasets/prepare.h"
 #include "src/datasets/scenarios.h"
 #include "src/de9im/relate_engine.h"
 #include "src/geometry/validate.h"
@@ -374,21 +376,6 @@ int Usage() {
   return kExitUsage;
 }
 
-/// Appends every record of \p april to \p cstore in the blocked codec,
-/// keeping unusable entries as placeholders — the form a shard set
-/// persists.
-void AppendCompressed(const std::vector<AprilApproximation>& april,
-                      CompressedAprilStore* cstore) {
-  for (const AprilApproximation& approximation : april) {
-    if (!approximation.usable) {
-      cstore->AppendCorruptPlaceholder();
-      continue;
-    }
-    const AprilView view(approximation);
-    cstore->AppendEncoded(view.conservative, view.progressive);
-  }
-}
-
 /// The grid of \p order over the joint bounds of \p r and \p s.
 RasterGrid GridOver(const Dataset& r, const Dataset& s, uint32_t order) {
   Box bounds;
@@ -400,25 +387,15 @@ RasterGrid GridOver(const Dataset& r, const Dataset& s, uint32_t order) {
   return RasterGrid(bounds, order);
 }
 
-/// Loads a WKT dataset on --threads workers honouring --permissive; on
-/// success prints a `[load]` summary line plus any repairs/skips, on failure
-/// returns the precise Status.
-Status LoadInput(const std::string& path, const std::string& name,
-                 const Flags& flags, Dataset* out) {
-  LoadOptions options;
-  options.mode = flags.permissive ? LoadMode::kPermissive : LoadMode::kStrict;
-  options.num_threads = flags.threads;
-  LoadReport report;
-  Timer timer;
-  Status status = LoadWktDataset(path, name, options, out, &report);
-  if (!status.ok()) return status;
+/// Prints a load's `[load]` summary line plus any repairs/skips.
+void PrintLoad(const std::string& path, size_t objects, size_t vertices,
+               double seconds, const LoadReport& report) {
   std::error_code size_error;
   const uintmax_t bytes = std::filesystem::file_size(path, size_error);
   std::fprintf(stderr, "[load] %s: %zu objects, %zu vertices, %.1f MB in "
                "%.2fs\n",
-               path.c_str(), out->objects.size(), out->TotalVertices(),
-               size_error ? 0.0 : static_cast<double>(bytes) / 1e6,
-               timer.ElapsedSeconds());
+               path.c_str(), objects, vertices,
+               size_error ? 0.0 : static_cast<double>(bytes) / 1e6, seconds);
   if (report.repaired != 0 || report.skipped != 0) {
     std::fprintf(stderr,
                  "[load] %s: %llu lines — %llu accepted, %llu repaired, "
@@ -439,6 +416,21 @@ Status LoadInput(const std::string& path, const std::string& name,
                    static_cast<unsigned long long>(report.issues_dropped));
     }
   }
+}
+
+/// Loads a WKT dataset on --threads workers honouring --permissive; on
+/// success prints its `[load]` lines, on failure returns the precise Status.
+Status LoadInput(const std::string& path, const std::string& name,
+                 const Flags& flags, Dataset* out) {
+  LoadOptions options;
+  options.mode = flags.permissive ? LoadMode::kPermissive : LoadMode::kStrict;
+  options.num_threads = flags.threads;
+  LoadReport report;
+  Timer timer;
+  Status status = LoadWktDataset(path, name, options, out, &report);
+  if (!status.ok()) return status;
+  PrintLoad(path, out->objects.size(), out->TotalVertices(),
+            timer.ElapsedSeconds(), report);
   return status;
 }
 
@@ -556,94 +548,81 @@ ExecContext* BoundedContext(const Flags& flags, ExecContext* exec) {
   return exec;
 }
 
+/// Prints the "[april] built R/total + S/total" line.
+void PrintBuilt(size_t r_built, size_t r_total, size_t s_built,
+                size_t s_total, double seconds) {
+  std::fprintf(stderr,
+               "[april] built %zu/%zu + %zu/%zu approximations (preprocess "
+               "%.2fs)\n",
+               r_built, r_total, s_built, s_total, seconds);
+}
+
 /// Builds the approximations of both sides over \p grid, each restricted to
-/// its demand mask when \p demand is given, and prints the "[april] built
-/// R/total + S/total" line. False when \p exec cut the build short.
+/// its demand mask, and prints the "[april] built R/total + S/total" line.
+/// False when \p exec cut the build short.
 bool BuildBothSides(const Dataset& r, const Dataset& s, const RasterGrid& grid,
                     unsigned threads, ExecContext* exec,
-                    const FilterDemand* demand,
+                    const FilterDemand& demand,
                     std::vector<AprilApproximation>* r_april,
                     std::vector<AprilApproximation>* s_april) {
   const Timer build_timer;
-  *r_april = BuildAprilApproximations(r, grid, threads, exec,
-                                      demand ? &demand->r : nullptr);
-  *s_april = BuildAprilApproximations(s, grid, threads, exec,
-                                      demand ? &demand->s : nullptr);
+  *r_april = BuildAprilApproximations(r, grid, threads, exec, &demand.r);
+  *s_april = BuildAprilApproximations(s, grid, threads, exec, &demand.s);
   const auto built = [](const std::vector<AprilApproximation>& april) {
     return static_cast<size_t>(
         std::count_if(april.begin(), april.end(),
                       [](const AprilApproximation& a) { return a.usable; }));
   };
-  std::fprintf(stderr,
-               "[april] built %zu/%zu + %zu/%zu approximations (preprocess "
-               "%.2fs)\n",
-               built(*r_april), r_april->size(), built(*s_april),
-               s_april->size(), build_timer.ElapsedSeconds());
+  PrintBuilt(built(*r_april), r_april->size(), built(*s_april),
+             s_april->size(), build_timer.ElapsedSeconds());
   return exec == nullptr || !exec->StopRequested();
 }
 
-/// The first half of the out-of-core path: loads both WKT inputs, builds
-/// every object's lists over their joint grid, and writes <dir>/r and
-/// <dir>/s as shard sets whose manifests record that grid. Each side's
-/// inputs are freed once its set is written, and everything is freed when
-/// it returns. A load error or a tripped \p exec stops it before any
-/// manifest is written. Returns the exit code.
+/// The first half of the out-of-core path: streams both WKT inputs into
+/// <dir>/r and <dir>/s, shard sets over their joint grid whose manifests
+/// record it (PrepareShardSets), and prints its `[load]`, `[april]` and
+/// `[shard]` lines. A failure or a tripped \p exec leaves no manifest.
+/// Returns the exit code.
 int PrepareSides(const char* r_path, const char* s_path,
                  const std::string& dir, const Flags& flags,
                  ExecContext* exec) {
-  Dataset r;
-  Dataset s;
-  if (Status st = LoadInput(r_path, "R", flags, &r); !st.ok()) {
-    return FailWith(st);
-  }
-  if (Status st = LoadInput(s_path, "S", flags, &s); !st.ok()) {
-    return FailWith(st);
-  }
-  const RasterGrid grid = GridOver(r, s, flags.grid_order);
-  std::vector<AprilApproximation> r_april;
-  std::vector<AprilApproximation> s_april;
-  if (!BuildBothSides(r, s, grid, flags.threads, exec, /*demand=*/nullptr,
-                      &r_april, &s_april)) {
-    std::fprintf(stderr, "[shard] stopped during preprocessing: no shard set "
-                 "written\n");
-    return FailWith(exec->ToStatus());
-  }
-  const Timer timer;
-  PartitionOptions partition_options;
-  partition_options.units_per_tile = flags.partition_units;
-  struct Side {
-    const char* sub;
-    Dataset* dataset;
-    std::vector<AprilApproximation>* april;
-  };
-  for (const Side& side : {Side{"/r", &r, &r_april}, Side{"/s", &s, &s_april}}) {
-    CompressedAprilStore cstore;
-    cstore.Reserve(side.april->size(), /*blocks=*/0, /*payload_bytes=*/0);
-    AppendCompressed(*side.april, &cstore);
-    // The build charged every list to the memory budget: give back what
-    // is freed, so the join half has the budget a prepared join has.
-    size_t list_bytes = 0;
-    for (const AprilApproximation& april : *side.april) {
-      list_bytes += april.ByteSize();
+  PrepareOptions options;
+  options.mode = flags.permissive ? LoadMode::kPermissive : LoadMode::kStrict;
+  options.grid_order = flags.grid_order;
+  options.partition.units_per_tile = flags.partition_units;
+  options.num_threads = flags.threads;
+  options.exec = exec;
+  PrepareReport report;
+  const Status status =
+      PrepareShardSets(r_path, s_path, dir, options, &report);
+  const std::pair<const char*, const PrepareReport::Side*> sides[2] = {
+      {r_path, &report.r}, {s_path, &report.s}};
+  for (const auto& [path, side] : sides) {
+    if (side->loaded) {
+      PrintLoad(path, side->objects, side->vertices, side->load_seconds,
+                side->load);
     }
-    *side.april = std::vector<AprilApproximation>();
-    if (exec != nullptr) exec->Release(list_bytes);
-    TilePartition partition;
-    ShardWriteStats write_stats;
-    if (Status st = BuildShardSet(dir + side.sub, side.dataset->objects, cstore,
-                                  partition_options, &partition, &write_stats,
-                                  flags.threads, &grid);
-        !st.ok()) {
-      return FailWith(st);
+  }
+  if (report.build_started) {
+    PrintBuilt(report.r.built, report.r.objects, report.s.built,
+               report.s.objects, report.build_seconds);
+  }
+  if (!status.ok()) {
+    if (exec != nullptr && exec->StopRequested()) {
+      std::fprintf(stderr, "[shard] stopped during preprocessing: no shard "
+                   "set written\n");
     }
-    *side.dataset = Dataset();
+    return FailWith(status);
+  }
+  for (const auto& [sub, side] :
+       {std::pair{"/r", &report.r}, std::pair{"/s", &report.s}}) {
     std::fprintf(stderr, "[shard] %s%s: %u tiles, %.2f MB, imbalance %.2f\n",
-                 dir.c_str(), side.sub, write_stats.tiles,
-                 static_cast<double>(write_stats.bytes_written) / 1e6,
-                 partition.MaxImbalance());
+                 dir.c_str(), sub, side->write.tiles,
+                 static_cast<double>(side->write.bytes_written) / 1e6,
+                 side->imbalance);
   }
   std::fprintf(stderr, "[shard] built both shard sets in %.2fs\n",
-               timer.ElapsedSeconds());
+               report.write_seconds);
   return kExitOk;
 }
 
@@ -896,7 +875,7 @@ int CmdJoin(int argc, char** argv) {
       FilterDemandOf(*method, predicate, r.objects, s.objects, pairs);
   std::vector<AprilApproximation> r_april;
   std::vector<AprilApproximation> s_april;
-  if (!BuildBothSides(r, s, grid, flags.threads, exec_ptr, &demand, &r_april,
+  if (!BuildBothSides(r, s, grid, flags.threads, exec_ptr, demand, &r_april,
                       &s_april)) {
     std::fprintf(stderr, "[join] stopped during preprocessing: no pairs "
                  "answered\n");
