@@ -234,7 +234,6 @@ Status PrepareShardSets(const std::string& r_path, const std::string& s_path,
                              options.partition, &partition, &sides[i]->write,
                              options.num_threads, &grid, exec);
       report->write_seconds += timer.ElapsedSeconds();
-      sides[i]->written = status.ok();
       sides[i]->imbalance = partition.MaxImbalance();
     }
     if (exec != nullptr) exec->Release(charged);

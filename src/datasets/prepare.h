@@ -34,8 +34,8 @@ struct PrepareReport {
     uint64_t objects = 0;
     uint64_t vertices = 0;
     double load_seconds = 0.0;
-    uint64_t built = 0;   ///< Objects whose lists were built.
-    bool written = false;  ///< The shard set is complete; the two below hold.
+    uint64_t built = 0;  ///< Objects whose lists were built.
+    /// Of the side's shard set, once written.
     ShardWriteStats write;
     double imbalance = 1.0;  ///< TilePartition::MaxImbalance of the set.
   };
