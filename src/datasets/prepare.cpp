@@ -1,9 +1,11 @@
 #include "src/datasets/prepare.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <system_error>
@@ -16,16 +18,16 @@
 #include "src/raster/grid.h"
 #include "src/topology/shard_scheduler.h"
 #include "src/util/parallel_for.h"
+#include "src/util/thread_annotations.h"
 #include "src/util/timer.h"
 
 namespace stj {
 
 namespace {
 
-/// Spill bytes whose objects are parsed, built and compressed together in
-/// pass 2 (a larger object is a block of its own): the geometry and flat
-/// lists held at a time.
-constexpr uint64_t kBuildBlockBytes = uint64_t{4} << 20;
+/// Objects a pass-2 worker claims at a time: it reads their records with
+/// one pread, then parses, builds and compresses them one by one.
+constexpr size_t kBuildRun = 16;
 
 /// Pass 1's sink: each range spills its objects through its own appender.
 class SpillSink final : public WktObjectSink {
@@ -92,79 +94,94 @@ Status SpillInput(const std::string& path, const std::string& dir,
   return Status::Ok();
 }
 
-/// Pass 2's build for one side: reads \p spill back a block at a time and
-/// appends each block's compressed lists to \p store, freeing its flat
-/// lists. \p charged accumulates the store bytes charged to the budget.
+/// Pass 2's build for one side. Workers claim runs of objects from one
+/// cursor, read each run's records back from \p spill, and parse, build and
+/// compress its objects one at a time into the run's own store, so a flat
+/// list lives only until it is encoded. Finished runs are appended to
+/// \p store in object order, so its bytes do not depend on which worker
+/// built what. \p charged accumulates the store bytes charged to the
+/// budget.
 Status BuildSide(const GeometrySpill& spill, const RasterGrid& grid,
                  const PrepareOptions& options, CompressedAprilStore* store,
                  size_t* charged, PrepareReport::Side* side) {
   ExecContext* const exec = options.exec;
   const std::vector<SpilledObject>& objects = spill.Objects();
-  const unsigned threads =
-      options.num_threads != 0
-          ? options.num_threads
-          : std::max(1u, std::thread::hardware_concurrency());
+  const size_t runs = (objects.size() + kBuildRun - 1) / kBuildRun;
+  const unsigned threads = static_cast<unsigned>(std::min<size_t>(
+      runs, options.num_threads != 0
+                ? options.num_threads
+                : std::max(1u, std::thread::hardware_concurrency())));
   std::vector<uint32_t> ids(objects.size());
   std::iota(ids.begin(), ids.end(), 0);
-  // Per worker: the records of its chunk of the block, read and parsed on
-  // the worker.
-  std::vector<std::vector<uint8_t>> records(threads);
-  std::vector<Status> read_status(threads);
-  std::vector<uint8_t> parsed;
   store->Reserve(objects.size(), /*blocks=*/0, /*payload_bytes=*/0);
-  Dataset block;
-  for (size_t first = 0; first < objects.size();) {
-    size_t last = first + 1;
-    uint64_t bytes = objects[first].RecordBytes();
-    while (last < objects.size() &&
-           bytes + objects[last].RecordBytes() <= kBuildBlockBytes) {
-      bytes += objects[last].RecordBytes();
-      ++last;
-    }
-    const size_t count = last - first;
-    block.objects.resize(count);
-    parsed.assign(count, 0);
-    internal::RunChunks(threads, count, [&](unsigned worker, size_t begin,
-                                            size_t end) {
-      std::vector<uint8_t>& buffer = records[worker];
-      read_status[worker] =
-          spill.ReadRecords(ids.data() + first + begin, end - begin, &buffer);
-      if (!read_status[worker].ok()) return;
-      const uint8_t* record = buffer.data();
-      for (size_t k = begin; k < end; ++k) {
-        const uint64_t record_bytes = objects[first + k].RecordBytes();
-        parsed[k] = GeometrySpill::ParseRecord(record, record_bytes,
-                                               &block.objects[k].geometry);
-        record += record_bytes;
+  std::mutex mutex;
+  // A run finished ahead of an earlier one waits here until it is next.
+  std::vector<std::unique_ptr<CompressedAprilStore>> finished(runs);
+  size_t appended = 0;  // runs in *store; guarded by mutex
+  std::vector<Status> worker_status(std::max(1u, threads));
+  std::vector<uint64_t> worker_built(std::max(1u, threads), 0);
+  STJ_ATOMIC_DOC(
+      "run cursor; fetch_add by every worker, each run is claimed once; the "
+      "runs' stores are handed over under mutex");
+  std::atomic<size_t> next{0};
+  STJ_ATOMIC_DOC(
+      "set by a worker whose read or parse failed, polled relaxed by the "
+      "others before each claim; worker_status is read after the join");
+  std::atomic<bool> failed{false};
+  internal::RunWorkers(threads, [&](unsigned worker) {
+    const AprilBuilder builder(&grid);
+    ExecContext::Scope scope(exec);
+    std::vector<uint8_t> records;
+    Polygon polygon;
+    for (size_t run = next.fetch_add(1);
+         run < runs && !failed.load(std::memory_order_relaxed);
+         run = next.fetch_add(1)) {
+      const size_t first = run * kBuildRun;
+      const size_t last = std::min(objects.size(), first + kBuildRun);
+      Status st =
+          spill.ReadRecords(ids.data() + first, last - first, &records);
+      auto lists = std::make_unique<CompressedAprilStore>();
+      const uint8_t* record = records.data();
+      for (size_t i = first; st.ok() && i < last; ++i) {
+        // Rasterising one object is the expensive work unit: check in on
+        // every one.
+        if (scope.CheckIn()) return;
+        if (!GeometrySpill::ParseRecord(record, objects[i].RecordBytes(),
+                                        &polygon)) {
+          st = Status::Internal("spilled geometry does not parse back");
+          break;
+        }
+        record += objects[i].RecordBytes();
+        const AprilApproximation april = builder.Build(polygon);
+        if (exec != nullptr && !exec->TryCharge(april.ByteSize())) return;
+        const AprilView view(april);
+        lists->AppendEncoded(view.conservative, view.progressive);
+        if (exec != nullptr) exec->Release(april.ByteSize());
+        ++worker_built[worker];
       }
-    });
-    for (const Status& st : read_status) {
-      if (!st.ok()) return st;
+      if (!st.ok()) {
+        worker_status[worker] = st;
+        failed.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const size_t run_bytes = lists->ByteSize();
+      if (exec != nullptr && !exec->TryCharge(run_bytes)) return;
+      const std::lock_guard<std::mutex> lock(mutex);
+      *charged += run_bytes;
+      finished[run] = std::move(lists);
+      for (; appended < runs && finished[appended] != nullptr; ++appended) {
+        const CompressedAprilStore& from = *finished[appended];
+        for (size_t k = 0; k < from.Count(); ++k) {
+          store->AppendRecordFrom(from, k);
+        }
+        finished[appended].reset();
+      }
     }
-    if (std::find(parsed.begin(), parsed.end(), 0) != parsed.end()) {
-      return Status::Internal("spilled geometry does not parse back");
-    }
-    const std::vector<AprilApproximation> april =
-        BuildAprilApproximations(block, grid, threads, exec);
-    // The build charged each list it kept; they are freed below, compressed
-    // or not.
-    size_t list_bytes = 0;
-    for (const AprilApproximation& approximation : april) {
-      list_bytes += approximation.ByteSize();
-      side->built += approximation.usable ? 1 : 0;
-    }
-    if (exec != nullptr) exec->Release(list_bytes);
-    if (exec != nullptr && exec->StopRequested()) return exec->ToStatus();
-    for (const AprilApproximation& approximation : april) {
-      const AprilView view(approximation);
-      store->AppendEncoded(view.conservative, view.progressive);
-    }
-    if (exec != nullptr) {
-      const size_t held = store->ByteSize();
-      if (!exec->TryCharge(held - *charged)) return exec->ToStatus();
-      *charged = held;
-    }
-    first = last;
+  });
+  for (const uint64_t built : worker_built) side->built += built;
+  if (exec != nullptr && exec->StopRequested()) return exec->ToStatus();
+  for (const Status& st : worker_status) {
+    if (!st.ok()) return st;
   }
   return Status::Ok();
 }
@@ -173,22 +190,20 @@ Status BuildSide(const GeometrySpill& spill, const RasterGrid& grid,
 /// component when \p dir does not exist, else each missing side directory.
 /// A failed prepare removes them.
 std::vector<std::filesystem::path> CreatedRoots(const std::string& dir) {
-  std::error_code ec;
   const std::filesystem::path out = dir;
-  if (std::filesystem::exists(out, ec)) {
-    std::vector<std::filesystem::path> roots;
+  const std::filesystem::path existing = NearestExisting(dir);
+  std::vector<std::filesystem::path> roots;
+  if (existing == out) {
+    std::error_code ec;
     for (const char* sub : {"r", "s"}) {
       if (!std::filesystem::exists(out / sub, ec)) roots.push_back(out / sub);
     }
-    return roots;
+  } else if (const std::filesystem::path below =
+                 out.lexically_relative(existing);
+             !below.empty()) {
+    roots.push_back(existing / *below.begin());
   }
-  std::filesystem::path root = out;
-  for (std::filesystem::path up = out.parent_path();
-       !up.empty() && up != root && !std::filesystem::exists(up, ec);
-       up = up.parent_path()) {
-    root = up;
-  }
-  return {root};
+  return roots;
 }
 
 }  // namespace
@@ -221,6 +236,7 @@ Status PrepareShardSets(const std::string& r_path, const std::string& s_path,
   const char* const subs[2] = {"/r", "/s"};
   report->build_started = true;
   Status status;
+  int written = 0;  // sides whose shard sets are complete
   for (int i = 0; i < 2 && status.ok(); ++i) {
     CompressedAprilStore store;
     size_t charged = 0;
@@ -235,19 +251,22 @@ Status PrepareShardSets(const std::string& r_path, const std::string& s_path,
                              options.num_threads, &grid, exec);
       report->write_seconds += timer.ElapsedSeconds();
       sides[i]->imbalance = partition.MaxImbalance();
+      if (status.ok()) ++written;
     }
     if (exec != nullptr) exec->Release(charged);
     spills[i].reset();
   }
   if (status.ok()) return status;
-  // Nothing of a failed prepare may pass for a prepared side.
+  // Nothing of a failed prepare may pass for a prepared side. A side whose
+  // write failed has no manifest already (WriteShardSet removes it first);
+  // a side not reached keeps the set it held.
   std::error_code ec;
   for (const std::filesystem::path& root : created) {
     std::filesystem::remove_all(root, ec);
   }
-  for (const char* sub : subs) {
-    std::filesystem::remove(std::filesystem::path(dir + sub) / "manifest.stj",
-                            ec);
+  for (int i = 0; i < written; ++i) {
+    // Discarded: the prepare's own failure is what it reports.
+    (void)RemoveShardManifest(dir + subs[i]);
   }
   return status;
 }

@@ -21,8 +21,9 @@ struct PrepareOptions {
   /// hardware concurrency). No output byte depends on it.
   unsigned num_threads = 0;
   /// Optional: cancels, bounds the wall time, and charges what the prepare
-  /// holds — one block's flat lists, the compressed lists of the side being
-  /// written, the writer's buffers — giving all of it back by the return.
+  /// holds — each object's flat lists until they are encoded, the
+  /// compressed lists of the side being written, the writer's buffers —
+  /// giving all of it back by the return.
   ExecContext* exec = nullptr;
 };
 
@@ -56,14 +57,15 @@ struct PrepareReport {
 ///   polygon record goes to a GeometrySpill (an unnamed file on the
 ///   filesystem of \p dir, or of its nearest existing ancestor), and only
 ///   its SpilledObject stays in memory.
-/// - Pass 2, one side at a time, reads the spill back a block of objects at
-///   a time, builds and compresses their lists and frees them, then
-///   partitions the side and writes its tiles from the spill and the
-///   compressed lists (BuildShardSet). That side's lists are freed before
-///   the next side is built.
+/// - Pass 2, one side at a time, reads the spill back a run of objects at
+///   a time on each worker, builds and compresses each object's lists and
+///   frees them, then partitions the side and writes its tiles from the
+///   spill and the compressed lists (BuildShardSet). That side's lists are
+///   freed before the next side is built.
 ///
-/// A failure or a tripped \p options.exec leaves no manifest and no spill
-/// file, and removes the directories the prepare created; *report says how
+/// A failure or a tripped \p options.exec leaves no spill file, removes
+/// the directories the prepare created and the manifest of any side it
+/// wrote; a side it did not reach keeps the set it held. *report says how
 /// far it got. Returns the load's Status, the stop cause, or the writer's.
 [[nodiscard]] Status PrepareShardSets(const std::string& r_path,
                                       const std::string& s_path,

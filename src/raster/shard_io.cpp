@@ -77,42 +77,6 @@ std::string TileFileName(uint32_t tile) {
   return "tile_" + num + ".shard";
 }
 
-/// One span of a file: \p bytes of \p data at byte \p offset.
-struct FilePiece {
-  uint64_t offset = 0;
-  const void* data = nullptr;
-  uint64_t bytes = 0;
-};
-
-/// Writes \p count pieces, in ascending offset order, to a new file at
-/// \p path; the gaps between them are zero-filled.
-Status WritePieces(const std::string& path, const FilePiece* pieces,
-                   size_t count) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing").WithFile(path);
-  }
-  static constexpr uint8_t kZeros[shard::kPageAlign] = {};
-  uint64_t at = 0;
-  bool ok = true;
-  for (size_t i = 0; i < count && ok; ++i) {
-    while (ok && at < pieces[i].offset) {
-      const size_t gap =
-          std::min<uint64_t>(pieces[i].offset - at, sizeof(kZeros));
-      ok = std::fwrite(kZeros, 1, gap, f) == gap;
-      at += gap;
-    }
-    if (ok && pieces[i].bytes != 0) {
-      ok = std::fwrite(pieces[i].data, 1, pieces[i].bytes, f) ==
-           pieces[i].bytes;
-    }
-    at += pieces[i].bytes;
-  }
-  ok = std::fflush(f) == 0 && ok;
-  ok = std::fclose(f) == 0 && ok;
-  return ok ? Status::Ok() : Status::IoError("short write").WithFile(path);
-}
-
 /// Bytes a spill appender holds before it writes them at the spill's end.
 constexpr size_t kSpillBlockBytes = size_t{1} << 20;
 /// A tile writer's output buffer, and about the most spill bytes it reads
@@ -465,10 +429,14 @@ Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
     return Status::IoError("cannot open for writing").WithFile(path);
   }
   uint64_t checksums[shard::kNumSegments];
+  // A failed spill read abandons the tile where it stands: the segment is
+  // short, and read_status is what the tile reports.
+  Status read_status;
   const auto segment = [&](uint32_t k, const auto& write) {
     out.PadTo(offsets[k]);
     out.BeginSegment();
     write();
+    if (!read_status.ok()) return;
     STJ_CHECK(out.At() == offsets[k] + sizes[k]);
     checksums[k] = out.Checksum();
   };
@@ -482,7 +450,6 @@ Status WriteTileShard(const std::string& path, uint32_t t, const uint32_t* ids,
       out.PutU64(at);
     }
   });
-  Status read_status;
   segment(2, [&] {
     // Runs of records, about a read buffer's worth (at least one) each.
     for (uint64_t i = 0; i < n && read_status.ok();) {
@@ -684,11 +651,7 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
   }
   // The old manifest goes first: until the new one is written, the
   // directory holds no set, never an old manifest over new tiles.
-  std::filesystem::remove(PathJoin(dir, kManifestName), ec);
-  if (ec) {
-    return Status::IoError("cannot remove the old manifest: " + ec.message())
-        .WithFile(PathJoin(dir, kManifestName));
-  }
+  if (Status st = RemoveShardManifest(dir); !st.ok()) return st;
 
   // Tiles are written on the workers, each claiming the next unwritten
   // tile; every tile's file depends only on its own slice, so the bytes do
@@ -768,12 +731,29 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
   AppendU64(&manifest, payload.size());
   AppendU64(&manifest, Fnv1a64(payload.data(), payload.size()));
   AppendRaw(&manifest, payload.data(), payload.size());
-  const FilePiece piece{0, manifest.data(), manifest.size()};
-  Status st = WritePieces(PathJoin(dir, kManifestName), &piece, 1);
-  if (!st.ok()) return st;
+  const std::string manifest_path = PathJoin(dir, kManifestName);
+  std::FILE* f = std::fopen(manifest_path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IoError("cannot open for writing").WithFile(manifest_path);
+  }
+  bool ok = std::fwrite(manifest.data(), 1, manifest.size(), f) ==
+            manifest.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) return Status::IoError("short write").WithFile(manifest_path);
   local.bytes_written += manifest.size();
 
   if (stats != nullptr) *stats = local;
+  return Status::Ok();
+}
+
+Status RemoveShardManifest(const std::string& dir) {
+  const std::string path = PathJoin(dir, kManifestName);
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  if (ec) {
+    return Status::IoError("cannot remove the manifest: " + ec.message())
+        .WithFile(path);
+  }
   return Status::Ok();
 }
 

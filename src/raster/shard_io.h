@@ -238,6 +238,10 @@ class GeometrySpill {
                      unsigned num_threads = 0,
                      const RasterGrid* raster_grid = nullptr);
 
+/// Removes \p dir's manifest, if there is one, so that \p dir no longer
+/// holds a shard set; its tile files stay.
+[[nodiscard]] Status RemoveShardManifest(const std::string& dir);
+
 /// One tile, resident: the mapping plus everything deserialised off it.
 /// The cstore references the mapping (zero-copy) — LoadedShard must be kept
 /// alive as one unit, which the scheduler's shard cache does.

@@ -145,10 +145,6 @@ Status MappedFile::Open(const std::string& path, MappedFile* out) {
 #endif
 }
 
-namespace {
-
-/// \p dir, or its nearest ancestor that exists ("." for a relative path
-/// none of whose components exists).
 std::filesystem::path NearestExisting(const std::string& dir) {
   std::filesystem::path path = dir.empty() ? "." : dir;
   std::error_code ec;
@@ -159,8 +155,6 @@ std::filesystem::path NearestExisting(const std::string& dir) {
   }
   return path;
 }
-
-}  // namespace
 
 SpillFile::SpillFile(SpillFile&& other) noexcept { *this = std::move(other); }
 

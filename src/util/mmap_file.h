@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,10 @@ class MappedFile {
   /// Owned storage of the non-mmap fallback (empty in mapped mode).
   std::vector<uint8_t> fallback_;
 };
+
+/// \p dir, or its nearest ancestor that exists ("." for a relative path
+/// none of whose components exists).
+std::filesystem::path NearestExisting(const std::string& dir);
 
 /// A scratch file that has no name: it lives on a filesystem only while it
 /// is open, so nothing is left behind however the process ends. The

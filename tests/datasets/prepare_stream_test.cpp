@@ -24,13 +24,14 @@
 
 // Differential test of the streamed prepare. PrepareShardSets never holds
 // its inputs: it spills each loaded polygon's record to an unnamed file,
-// builds the lists a block at a time from the spill, and writes the tiles
-// from the spill and the compressed lists. Its shard sets must be the bytes
-// BuildShardSet writes over LoadWktDataset's datasets and their lists, and
-// its load accounting LoadWktDataset's, at every thread count and in both
-// load modes, on inputs with CRLF lines, comments, blank lines, holes, a
-// line longer than the loader's window, no final newline, and repairable,
-// unrepairable and malformed lines. A prepare that fails leaves nothing.
+// builds the lists a run of objects at a time from the spill, and writes
+// the tiles from the spill and the compressed lists. Its shard sets must be
+// the bytes BuildShardSet writes over LoadWktDataset's datasets and their
+// lists, and its load accounting LoadWktDataset's, at every thread count
+// and in both load modes, on inputs with CRLF lines, comments, blank lines,
+// holes, a line longer than the loader's window, no final newline, and
+// repairable, unrepairable and malformed lines. A prepare that fails leaves
+// nothing.
 
 namespace stj {
 namespace {
@@ -277,8 +278,9 @@ class PrepareStream : public ::testing::Test {
 
 TEST_F(PrepareStream, TcTzMatchesBuildShardSet) { Sweep("TC", "TZ", 0.1); }
 
-// OPE at 0.05 spills about 7 MB: S is built in more than one block, and
-// each loader range flushes its spill buffer more than once.
+// OPE at 0.05 spills about 7 MB: each loader range flushes its spill
+// buffer more than once, and S's runs of objects finish out of order on
+// several workers.
 TEST_F(PrepareStream, ObeOpeMatchesBuildShardSet) {
   Sweep("OBE", "OPE", 0.05);
 }
@@ -357,9 +359,44 @@ TEST_F(PrepareStream, FailuresLeaveNothingBehind) {
   EXPECT_EQ(Listing(root_), blocked);
 }
 
+// A prepare that stops before it writes a side leaves that side's set as
+// it was: a trip in R's build keeps an earlier pair in the directory whole.
+TEST_F(PrepareStream, StopBeforeAnyWriteKeepsTheOldPair) {
+  const Dataset r = BuildDataset("OLE", 0.02, 11);
+  const Dataset s = BuildDataset("OPE", 0.02, 11);
+  const std::string r_path = WriteInput(Path("r.wkt"), r, false);
+  const std::string s_path = WriteInput(Path("s.wkt"), s, false);
+  const std::string out = Path("out");
+  PrepareOptions options;
+  options.grid_order = kGridOrder;
+  options.num_threads = 1;  // the first charge is R's first list
+  PrepareReport report;
+  ASSERT_TRUE(PrepareShardSets(r_path, s_path, out, options, &report).ok());
+  const std::set<std::string> before = Listing(root_);
+  const std::string manifest = ReadBytes(out + "/r/manifest.stj");
+
+  ExecContext exec;
+  exec.SetChargeHook(
+      [](ExecContext&, size_t, uint64_t ordinal) { return ordinal != 1; });
+  options.exec = &exec;
+  options.grid_order = kGridOrder + 2;
+  const Status st = PrepareShardSets(r_path, s_path, out, options, &report);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_EQ(report.r.write.tiles, 0u);
+  EXPECT_EQ(Listing(root_), before);
+  EXPECT_EQ(ReadBytes(out + "/r/manifest.stj"), manifest);
+  for (const char* side : {"/r", "/s"}) {
+    ShardSet set;
+    const Status open = ShardSet::Open(out + side, &set);
+    EXPECT_TRUE(open.ok()) << side << ": " << open.ToString();
+    EXPECT_EQ(set.RasterGridRecord().order, kGridOrder);
+  }
+}
+
 // The budget covers what the prepare holds: every charge is given back by
-// the return, and a charge refused anywhere — a block's lists, the
-// compressed lists, the writer's buffers — stops it with nothing written.
+// the return, and a charge refused anywhere — an object's flat lists, a
+// run's compressed lists, the writer's buffers — stops it with nothing
+// written.
 TEST_F(PrepareStream, BudgetIsChargedAndGivenBack) {
   const Dataset r = BuildDataset("OLE", 0.02, 11);
   const Dataset s = BuildDataset("OPE", 0.02, 11);

@@ -330,6 +330,30 @@ TEST_F(ShardIoTest, FailedRewriteLeavesNoManifest) {
   EXPECT_EQ(open.code(), StatusCode::kNotFound) << open.ToString();
 }
 
+TEST_F(ShardIoTest, FailedSpillReadIsAnIoError) {
+  // The first object of tile 1 is spilled with an offset past the spill's
+  // end, so reading its record back fails. The write reports kIoError at
+  // every thread count (no abort) and leaves no manifest.
+  ASSERT_GE(partition_.Tiles(), 2u);
+  ASSERT_LT(partition_.tile_begin[1], partition_.tile_begin[2]);
+  const std::string dir = Dir("spill_read");
+  std::filesystem::create_directories(dir);
+  GeometrySpill spill;
+  ASSERT_TRUE(
+      GeometrySpill::FromObjects(dir, scenario_.r.objects, &spill).ok());
+  spill.Objects()[partition_.entries[partition_.tile_begin[1]]].offset +=
+      uint64_t{1} << 40;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const Status status =
+        WriteShardSet(dir, partition_.grid, partition_.tile_begin,
+                      partition_.entries, partition_.tile_units, spill,
+                      cstore_, nullptr, threads);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.stj"));
+  }
+}
+
 TEST_F(ShardIoTest, OtherVersionsAreDataLoss) {
   // Version 1 sets (no grid, no record sums) are refused, not half-read: the
   // manifest's version and each shard's version are checked.
