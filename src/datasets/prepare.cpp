@@ -114,10 +114,11 @@ Status BuildSide(const GeometrySpill& spill, const RasterGrid& grid,
   std::vector<uint32_t> ids(objects.size());
   std::iota(ids.begin(), ids.end(), 0);
   store->Reserve(objects.size(), /*blocks=*/0, /*payload_bytes=*/0);
+  // Guards finished, appended, *store and *charged while the workers run.
   std::mutex mutex;
   // A run finished ahead of an earlier one waits here until it is next.
   std::vector<std::unique_ptr<CompressedAprilStore>> finished(runs);
-  size_t appended = 0;  // runs in *store; guarded by mutex
+  size_t appended = 0;  // runs in *store
   std::vector<Status> worker_status(std::max(1u, threads));
   std::vector<uint64_t> worker_built(std::max(1u, threads), 0);
   STJ_ATOMIC_DOC(
@@ -125,16 +126,15 @@ Status BuildSide(const GeometrySpill& spill, const RasterGrid& grid,
       "runs' stores are handed over under mutex");
   std::atomic<size_t> next{0};
   STJ_ATOMIC_DOC(
-      "set by a worker whose read or parse failed, polled relaxed by the "
-      "others before each claim; worker_status is read after the join");
+      "set by a worker whose read or parse failed, polled by the others "
+      "before each claim (seq_cst); worker_status is read after the join");
   std::atomic<bool> failed{false};
   internal::RunWorkers(threads, [&](unsigned worker) {
     const AprilBuilder builder(&grid);
     ExecContext::Scope scope(exec);
     std::vector<uint8_t> records;
     Polygon polygon;
-    for (size_t run = next.fetch_add(1);
-         run < runs && !failed.load(std::memory_order_relaxed);
+    for (size_t run = next.fetch_add(1); run < runs && !failed.load();
          run = next.fetch_add(1)) {
       const size_t first = run * kBuildRun;
       const size_t last = std::min(objects.size(), first + kBuildRun);
@@ -161,7 +161,7 @@ Status BuildSide(const GeometrySpill& spill, const RasterGrid& grid,
       }
       if (!st.ok()) {
         worker_status[worker] = st;
-        failed.store(true, std::memory_order_relaxed);
+        failed.store(true);
         return;
       }
       const size_t run_bytes = lists->ByteSize();
