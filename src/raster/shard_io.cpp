@@ -616,21 +616,6 @@ Status WriteShardSet(const std::string& dir, const TileGrid& grid,
                      const std::vector<uint32_t>& tile_begin,
                      const std::vector<uint32_t>& entries,
                      const std::vector<uint64_t>& tile_units,
-                     const std::vector<SpatialObject>& objects,
-                     const CompressedAprilStore& store,
-                     ShardWriteStats* stats, unsigned num_threads,
-                     const RasterGrid* raster_grid) {
-  GeometrySpill spill;
-  Status st = GeometrySpill::FromObjects(dir, objects, &spill);
-  if (!st.ok()) return st;
-  return WriteShardSet(dir, grid, tile_begin, entries, tile_units, spill,
-                       store, stats, num_threads, raster_grid);
-}
-
-Status WriteShardSet(const std::string& dir, const TileGrid& grid,
-                     const std::vector<uint32_t>& tile_begin,
-                     const std::vector<uint32_t>& entries,
-                     const std::vector<uint64_t>& tile_units,
                      const GeometrySpill& spill,
                      const CompressedAprilStore& store,
                      ShardWriteStats* stats, unsigned num_threads,

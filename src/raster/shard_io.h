@@ -226,18 +226,6 @@ class GeometrySpill {
                      const RasterGrid* raster_grid = nullptr,
                      ExecContext* exec = nullptr);
 
-/// The same for objects held in memory: spills \p objects on the filesystem
-/// of \p dir (GeometrySpill::FromObjects) and writes from the spill.
-[[nodiscard]] Status WriteShardSet(const std::string& dir, const TileGrid& grid,
-                     const std::vector<uint32_t>& tile_begin,
-                     const std::vector<uint32_t>& entries,
-                     const std::vector<uint64_t>& tile_units,
-                     const std::vector<SpatialObject>& objects,
-                     const CompressedAprilStore& store,
-                     ShardWriteStats* stats = nullptr,
-                     unsigned num_threads = 0,
-                     const RasterGrid* raster_grid = nullptr);
-
 /// Removes \p dir's manifest, if there is one, so that \p dir no longer
 /// holds a shard set; its tile files stay.
 [[nodiscard]] Status RemoveShardManifest(const std::string& dir);

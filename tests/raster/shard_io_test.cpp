@@ -76,6 +76,9 @@ class ShardIoTest : public ::testing::Test {
     PartitionOptions poptions;
     poptions.target_tiles = 4;
     partition_ = BuildCostBalancedPartition(mbrs, units, poptions);
+    const Status spilled = GeometrySpill::FromObjects(
+        ::testing::TempDir(), scenario_.r.objects, &spill_);
+    EXPECT_TRUE(spilled.ok()) << spilled.ToString();
   }
 
   ~ShardIoTest() override {
@@ -92,13 +95,14 @@ class ShardIoTest : public ::testing::Test {
   }
 
   Status Write(const std::string& dir, ShardWriteStats* stats = nullptr,
-               unsigned threads = 0) {
+               unsigned threads = 0, const RasterGrid* grid = nullptr) {
     return WriteShardSet(dir, partition_.grid, partition_.tile_begin,
-                         partition_.entries, partition_.tile_units,
-                         scenario_.r.objects, cstore_, stats, threads);
+                         partition_.entries, partition_.tile_units, spill_,
+                         cstore_, stats, threads, grid);
   }
 
   ScenarioData scenario_;
+  GeometrySpill spill_;  // scenario_.r's objects
   CompressedAprilStore cstore_;
   TilePartition partition_;
   std::vector<std::string> dirs_;
@@ -285,10 +289,7 @@ TEST_F(ShardIoTest, ManifestRecordsTheRasterGrid) {
   // a set written without one records none.
   const RasterGrid grid(Box::Of(Point{-1.5, 2}, Point{7, 9.25}), 11);
   const std::string with = Dir("with_grid");
-  ASSERT_TRUE(WriteShardSet(with, partition_.grid, partition_.tile_begin,
-                            partition_.entries, partition_.tile_units,
-                            scenario_.r.objects, cstore_, nullptr, 0, &grid)
-                  .ok());
+  ASSERT_TRUE(Write(with, nullptr, 0, &grid).ok());
   ShardSet set;
   ASSERT_TRUE(ShardSet::Open(with, &set).ok());
   EXPECT_TRUE(set.RasterGridRecord() ==
@@ -312,9 +313,7 @@ TEST_F(ShardIoTest, FailedRewriteLeavesNoManifest) {
   const std::string dir = Dir("rewrite");
   const auto write = [&](uint32_t order) {
     const RasterGrid grid(dataspace, order);
-    return WriteShardSet(dir, partition_.grid, partition_.tile_begin,
-                         partition_.entries, partition_.tile_units,
-                         scenario_.r.objects, cstore_, nullptr, 0, &grid);
+    return Write(dir, nullptr, 0, &grid);
   };
   ASSERT_TRUE(write(10).ok());
   ShardSet set;
